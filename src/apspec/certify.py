@@ -17,7 +17,7 @@ import numpy as np
 
 from apspec.errors import NonConvergence
 from apspec.frequency import ExactFrequency, rational_ratio
-from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, spectrum
+from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, evaluation_error, spectrum
 
 EF = ExactFrequency
 
@@ -60,7 +60,8 @@ def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1
         )
     bins = np.zeros(n, dtype=complex)
     np.add.at(bins, np.mod(keys, n), coeffs)
-    vals = np.fft.ifft(bins) * n
+    # forward-normalized inverse: no 1/n scaling, so subnormal sums survive
+    vals = np.fft.ifft(bins, norm="forward")
     lower = float(np.max(np.abs(vals)))
     s_tau = 2 * math.pi * maxk / n
     if s_tau >= 1:
@@ -182,7 +183,8 @@ def certify_lower_bound(
 ) -> bool:
     """Window certificate that f >= m.
 
-    Checks min over a grid minus step*tau*sup_upper >= m, refining the step
+    Checks min over a grid minus step*tau*sup_upper minus the evaluation
+    error bound E (`trigpoly.evaluation_error`) >= m, refining the step
     until the certificate decides.  The bound is rigorous on the window; for
     a periodic f scanned over one full period it is rigorous everywhere.
     Returns False when a grid value is already below m or refinement hits
@@ -199,6 +201,7 @@ def certify_lower_bound(
     if tau == 0:
         c = f.bohr_coefficient(EF(0)) if isinstance(f, ProductPoly) else f.coefficient(EF(0))
         return c.real >= m
+    err = evaluation_error(f, max(abs(window[0]), abs(window[1])))
     step = grid_step if grid_step is not None else 1.0 / (8 * tau)
     for _ in range(8):
         npts = int((window[1] - window[0]) / step) + 1
@@ -211,7 +214,7 @@ def certify_lower_bound(
         else:
             vals = f.evaluate(xs).real
         gmin = float(np.min(vals))
-        slack = actual_step * tau * upper
+        slack = actual_step * tau * upper + err
         if gmin - slack >= m:
             return True
         if gmin < m:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from apspec.certify import certify_lower_bound, sup_norm_certified
 from apspec.checks import CheckResult, FactorizationReport, factorization_residual
 from apspec.errors import ApspecError, MalformedInput
 from apspec.frequency import ExactFrequency
-from apspec.parallel import thread_cap
 from apspec.periodic import fejer_riesz, roots_check_battery
 from apspec.products import ZeroSet, factor_from_zeros, product_eval
 from apspec.sampling import SampledFunction
@@ -330,9 +328,7 @@ def _cmd_growth(args) -> int:
         raise MalformedInput(f"bad --n list: {exc}") from exc
     if not ns:
         raise MalformedInput("--n must list at least one index")
-    with ThreadPoolExecutor(max_workers=thread_cap(default=1)) as pool:
-        rows = [row for chunk in pool.map(construction.wiener_growth_table, [[n] for n in ns]) for row in chunk]
-    text = serialize.growth_table_text(rows)
+    text = serialize.growth_table_text(construction.wiener_growth_table(ns))
     if args.out is None:
         sys.stdout.write(text)
     else:

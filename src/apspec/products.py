@@ -108,7 +108,11 @@ def _log_primary(zeta: np.ndarray, p: int) -> np.ndarray:
 
 
 def _log_product(zs: np.ndarray, mults: np.ndarray, p: int, z: np.ndarray) -> np.ndarray:
-    """sum_n mult_n log E(z/z_n, p) for a vector of evaluation points."""
+    """sum_n mult_n log E(z/z_n, p) for a vector of evaluation points.
+
+    A point that hits a zero exactly gets -inf + 0j, so exp gives 0 there
+    (the matrix product alone would turn -inf * 0 into NaN).
+    """
     total = np.zeros(len(z), dtype=complex)
     if len(zs) == 0:
         return total
@@ -116,7 +120,11 @@ def _log_product(zs: np.ndarray, mults: np.ndarray, p: int, z: np.ndarray) -> np
     for lo in range(0, len(z), chunk):
         pts = z[lo : lo + chunk]
         zeta = pts[:, None] / zs[None, :]
-        total[lo : lo + chunk] = _log_primary(zeta, p) @ mults
+        logs = _log_primary(zeta, p)
+        hit = logs.real.min(axis=1) == -np.inf
+        with np.errstate(invalid="ignore"):
+            total[lo : lo + chunk] = logs @ mults
+        total[lo : lo + chunk][hit] = complex(-np.inf, 0.0)
     return total
 
 

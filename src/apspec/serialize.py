@@ -214,8 +214,3 @@ def load_path(path: str) -> Any:
             return loads(fh.read())
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
-
-
-def write_path(path: str, obj: Any) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))

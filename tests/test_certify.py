@@ -52,6 +52,13 @@ def test_integer_lattice_sup_nonconvergence():
         integer_lattice_sup(np.array([10**9]), np.array([1.0 + 0j]), rel_gap=0.999999)
 
 
+def test_integer_lattice_sup_subnormal():
+    # the smallest subnormal must not be rounded away by the FFT scaling
+    b = integer_lattice_sup(np.array([1]), np.array([5e-324 + 0j]))
+    assert b.upper >= 5e-324
+    assert sup_norm_certified(TrigPoly([(EF(1), 5e-324)])).upper >= 5e-324
+
+
 def test_ray_partition_splits_incommensurables():
     f = TrigPoly.from_cos([(1, 2.0), (EF.sqrt_of(2), 1.0)], constant=5.0)
     const, blocks = ray_partition(f)

@@ -154,6 +154,22 @@ def test_zeros_flow(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_zeros_real_zero_on_grid_point(tmp_path, capsys):
+    # 2 + 2cos: double zeros at odd multiples of pi; the default [-pi, pi]
+    # window starts exactly on the zero at -pi
+    zeros = [{"re": (2 * k + 1) * math.pi, "im": 0.0, "mult": 2} for k in range(-20, 20)]
+    zs = tmp_path / "cos.json"
+    zs.write_text(json.dumps({"m": 0, "a": 0.0, "b": math.log(2.0), "p": 1, "zeros": zeros}))
+    out = tmp_path / "rep.json"
+    assert run(["factor", "--method", "zeros", "--input", str(zs), "--out", str(out)]) == 0
+    factor = load_path(str(out))["report"]["factor"]
+    values = factor["re"] + factor["im"]
+    assert all(math.isfinite(v) for v in values)
+    assert factor["re"][0] == 0.0 and factor["im"][0] == 0.0
+    assert run(["verify", "--report", str(out)]) == 0
+    capsys.readouterr()
+
+
 def test_verify_flags_tampering(f_2p2cos, tmp_path, capsys):
     out = tmp_path / "rep.json"
     run(["factor", "--method", "roots", "--input", f_2p2cos, "--out", str(out)])

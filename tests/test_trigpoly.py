@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apspec.frequency import ExactFrequency
+from apspec.sampling import SampledFunction
 from apspec.trigpoly import (
     DenseBlock,
     ProductPoly,
     TrigPoly,
+    _grid_rows,
     bohr_coefficient,
+    evaluation_error,
     mean_value_numeric,
     modulus_squared,
     multiply,
@@ -298,3 +301,112 @@ def test_modulus_squared_is_nonnegative_real(f):
 def test_wiener_norm_subadditive_under_product(f):
     p = multiply(f, f)
     assert p.wiener_norm() <= f.wiener_norm() ** 2 + 1e-9
+
+
+# -- evaluation kernels --------------------------------------------------------
+
+
+def _direct(f, xs):
+    """The direct sum at the same points: complex x never takes the grid path."""
+    if isinstance(f, ProductPoly):
+        return np.abs(f.factor.evaluate(xs.astype(complex))) ** 2
+    return f.evaluate(xs.astype(complex))
+
+
+def _assert_grid_matches_direct(f, xs):
+    assert _grid_rows(xs) is not None
+    fast = f.evaluate_real(xs) if isinstance(f, ProductPoly) else f.evaluate(xs)
+    err = evaluation_error(f, float(np.max(np.abs(xs))))
+    assert np.max(np.abs(fast - _direct(f, xs))) <= err
+
+
+def _one_ray(n_terms, seed=0):
+    rng = np.random.default_rng(seed)
+    lo = -(n_terms // 2)
+    return TrigPoly(
+        [(EF(k), complex(*rng.normal(size=2))) for k in range(lo, lo + n_terms)]
+    )
+
+
+def _construct_like_product(seed=0):
+    """|h|^2 with a constant block and two radical rays, as construct builds it."""
+    rng = np.random.default_rng(seed)
+    delta = EF.sqrt_of(5) - EF(2)
+    blocks = [DenseBlock(EF(0), EF(1), np.array([0], dtype=np.int64), np.array([3.0 + 0j]))]
+    for base in (EF.sqrt_of(2) / 5, EF.sqrt_of(3) / 7):
+        keys = np.concatenate([np.arange(-40, -1), np.arange(2, 41)]).astype(np.int64)
+        coeffs = rng.normal(size=len(keys)) / keys**2 + 0j
+        blocks.append(DenseBlock(delta, base, keys, coeffs))
+    terms = [(EF(0), 3.0)]
+    for b in blocks[1:]:
+        terms += list(zip(b.frequencies(), b.coeffs.tolist()))
+    return ProductPoly.from_lattice(TrigPoly(terms, lattice=tuple(blocks)))
+
+
+def test_grid_kernel_one_ray():
+    _assert_grid_matches_direct(_one_ray(65), np.linspace(-32 * np.pi, 32 * np.pi, 4097))
+
+
+def test_grid_kernel_radical_product():
+    p = _construct_like_product()
+    assert p.factor.term_count() == 157
+    _assert_grid_matches_direct(p, np.linspace(-32 * np.pi, 32 * np.pi, 3001))
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 1000])
+def test_grid_kernel_point_counts(n):
+    f = TrigPoly.from_cos([(1, 1.5), (EF.sqrt_of(2), 0.5 - 0.25j), (EF(Fraction(7, 3)), 2.0)], constant=4.0)
+    _assert_grid_matches_direct(f, np.linspace(-7.3, 11.1, n))
+
+
+def test_grid_kernel_period_grid():
+    _assert_grid_matches_direct(_one_ray(33, 1), np.linspace(0.0, 2 * np.pi, 4096, endpoint=False))
+
+
+def test_grid_kernel_sampled_interior():
+    s = SampledFunction(20.0, 0.01, np.zeros(4001, dtype=complex))
+    xs = s.xs()[s.interior(0.8)]
+    _assert_grid_matches_direct(_one_ray(17, 2), xs)
+
+
+def test_grid_kernel_mpmath_reference():
+    mpmath = pytest.importorskip("mpmath")
+    f = _one_ray(65, 3)
+    xs = np.linspace(-32 * np.pi, 32 * np.pi, 257)
+    fast = f.evaluate(xs)
+    with mpmath.workdps(40):
+        terms = [(int(w.rational), mpmath.mpc(c.real, c.imag)) for w, c in f.sorted_terms()]
+        ref = [
+            complex(mpmath.fsum(c * mpmath.expj(k * mpmath.mpf(float(x))) for k, c in terms))
+            for x in xs
+        ]
+    err = evaluation_error(f, float(np.max(np.abs(xs))))
+    assert np.max(np.abs(fast - np.array(ref))) <= err
+
+
+def _seed_direct(terms, x):
+    """The direct sum exactly as it was written before the grid kernel."""
+    xs = np.asarray(x)
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs).astype(complex)
+    out = np.zeros(xs.shape, dtype=complex)
+    ws = np.array([float(w) for w, _ in terms])
+    cs = np.array([c for _, c in terms])
+    step = max(1, int(4_000_000 // max(1, xs.size)))
+    for i in range(0, len(ws), step):
+        out += cs[i : i + step] @ np.exp(1j * np.outer(ws[i : i + step], xs))
+    return complex(out[0]) if scalar else out
+
+
+def test_direct_sum_unchanged_off_grid():
+    f = _one_ray(65, 4)
+    terms = f.sorted_terms()
+    irregular = np.sort(np.random.default_rng(5).uniform(-30, 30, 500))
+    nudged = np.linspace(-3.0, 3.0, 101)
+    nudged[50] += 1e-9
+    complex_grid = np.linspace(-3.0, 3.0, 101) + 0.5j
+    for xs in (irregular, nudged, complex_grid):
+        assert _grid_rows(xs) is None
+        assert np.array_equal(f.evaluate(xs), _seed_direct(terms, xs))
+    assert f.evaluate(0.7) == _seed_direct(terms, 0.7)
+    assert f.evaluate(0.3 + 0.2j) == _seed_direct(terms, 0.3 + 0.2j)
