@@ -101,12 +101,21 @@ def cepstral_factorize(
     quarter = float(spectrum(f).bandwidth) / 4.0
     xs = g.xs()
     s_vals = np.exp(-1j * quarter * xs) * h_vals
-    s = SampledFunction(g.halfwidth, g.step, s_vals)
+    return cepstral_checks(f, SampledFunction(g.halfwidth, g.step, s_vals), m)
+
+
+def cepstral_checks(f: TrigPoly, s: SampledFunction, m: float) -> FactorizationReport:
+    """Check battery for a sampled factor s of f >= m; factor and verify both run it.
+
+    Re-certifies f >= m, checks |s| >= sqrt(m) on the samples, and bounds
+    the residual sup |f - |s|^2| on the interior 80% of the window by 1e-2
+    times the certified sup of f.
+    """
     residual = factorization_residual(f, s)
     scale = sup_norm_certified(f).upper
-    min_mod = float(np.min(np.abs(h_vals)))
+    min_mod = float(np.min(np.abs(s.values)))
     checks = [
-        CheckResult("lower_bound_certified", True, float(m), f"m={m!r}"),
+        CheckResult("lower_bound_certified", certify_lower_bound(f, m), float(m), f"m={m!r}"),
         CheckResult(
             "nonvanishing",
             min_mod >= math.sqrt(m) * (1 - 1e-6),

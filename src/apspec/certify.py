@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from apspec.errors import NonConvergence
-from apspec.frequency import ExactFrequency, rational_ratio
-from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, evaluation_error, spectrum
+from apspec.frequency import ExactFrequency
+from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, evaluation_error, ray_partition, spectrum
 
 EF = ExactFrequency
 
@@ -68,56 +67,6 @@ def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1
         raise NonConvergence(f"grid step times type {s_tau:.3g} >= 1; cannot certify")
     upper = lower / (1 - s_tau) * FP_CUSHION
     return NormBracket(lower, upper)
-
-
-def _normalized_direction(w: EF) -> tuple:
-    """Hashable ray label: coordinates scaled so the first nonzero one is 1."""
-    coords = [(0, w.rational)] + [(d, c) for d, c in w.radicals]
-    coords = [(d, c) for d, c in coords if c != 0]
-    lead = coords[0][1]
-    return tuple((d, c / lead) for d, c in coords)
-
-
-def ray_partition(f: TrigPoly) -> tuple[complex, list[DenseBlock]]:
-    """Split f into its constant term and one periodic piece per rational ray.
-
-    Each returned block has a positive base frequency and integer exponent
-    keys with gcd 1; block frequencies base*k enumerate one commensurable
-    class of the spectrum.
-    """
-    const = f.coefficient(EF(0))
-    groups: dict[tuple, list[tuple[EF, Fraction, complex]]] = {}
-    units: dict[tuple, EF] = {}
-    for w, c in f.sorted_terms():
-        if w.is_zero():
-            continue
-        key = _normalized_direction(w)
-        if key not in groups:
-            unit = w
-            if unit.sign() < 0:
-                unit = -unit
-            units[key] = unit
-            groups[key] = []
-        t = rational_ratio(w, units[key])
-        groups[key].append((w, t, c))
-    blocks: list[DenseBlock] = []
-    for key, members in groups.items():
-        unit = units[key]
-        den_lcm = 1
-        for _, t, _ in members:
-            den_lcm = den_lcm * t.denominator // math.gcd(den_lcm, t.denominator)
-        nums = [int(t * den_lcm) for _, t, _ in members]
-        g = 0
-        for v in nums:
-            g = math.gcd(g, v)
-        g = max(g, 1)
-        base = unit * Fraction(g, den_lcm)
-        ks = np.array([v // g for v in nums], dtype=np.int64)
-        cs = np.array([c for _, _, c in members], dtype=complex)
-        order = np.argsort(ks)
-        blocks.append(DenseBlock(EF(0), base, ks[order], cs[order]))
-    blocks.sort(key=lambda b: float(b.base))
-    return const, blocks
 
 
 def _block_sup(block: DenseBlock, rel_gap: float) -> NormBracket:

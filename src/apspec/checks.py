@@ -18,7 +18,7 @@ from apspec.certify import sup_norm_certified
 from apspec.errors import ReciprocalApproximationFailed
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
-from apspec.trigpoly import ProductPoly, TrigPoly, modulus_squared, multiply, spectrum
+from apspec.trigpoly import TrigPoly, modulus_squared, multiply, ray_partition, spectrum
 
 EF = ExactFrequency
 
@@ -89,46 +89,23 @@ def bernstein_check(
     return BernsteinResult(lhs, rhs, lhs <= rhs * (1 + 1e-6))
 
 
-def factorization_residual(
-    f: "TrigPoly | ProductPoly",
-    s: "TrigPoly | SampledFunction",
-    window: tuple[float, float] | None = None,
-    npts: int = 4097,
-) -> float:
+def factorization_residual(f: TrigPoly, s: "TrigPoly | SampledFunction") -> float:
     """sup over a grid of |f(x) - |s(x)|^2|.
 
-    Exact-coefficient cancellation is tried first when both sides are
-    polynomial, so a symbolically exact factor reports exactly 0.  Sampled
+    Exact-coefficient cancellation is tried first when s is a polynomial,
+    so a symbolically exact factor reports exactly 0; otherwise the
+    difference is scanned on 4097 points of [-32*pi, 32*pi].  Sampled
     factors are compared on the interior 80% of their own window.
     """
     if isinstance(s, SampledFunction):
         mask = s.interior(0.8)
         xs = s.xs()[mask]
-        fv = f.evaluate_real(xs) if isinstance(f, ProductPoly) else f.evaluate(xs).real
-        return float(np.max(np.abs(fv - np.abs(s.values[mask]) ** 2)))
-    s2 = modulus_squared(s)
-    if isinstance(f, ProductPoly) and isinstance(s2, ProductPoly):
-        diff = f.subtract_structured(s2)
-        if diff.is_zero():
-            return 0.0
-        xs = _residual_grid(f, window, npts)
-        return float(np.max(np.abs(f.evaluate_real(xs) - s2.evaluate_real(xs))))
-    if isinstance(f, TrigPoly) and isinstance(s2, TrigPoly):
-        diff = f - s2
-        if diff.is_zero():
-            return 0.0
-        xs = _residual_grid(f, window, npts)
-        return float(np.max(np.abs(diff.evaluate(xs))))
-    xs = _residual_grid(f, window, npts)
-    fv = f.evaluate_real(xs) if isinstance(f, ProductPoly) else f.evaluate(xs).real
-    sv = s2.evaluate_real(xs) if isinstance(s2, ProductPoly) else s2.evaluate(xs).real
-    return float(np.max(np.abs(fv - sv)))
-
-
-def _residual_grid(f, window, npts) -> np.ndarray:
-    if window is None:
-        window = (-32 * math.pi, 32 * math.pi)
-    return np.linspace(window[0], window[1], npts)
+        return float(np.max(np.abs(f.evaluate(xs).real - np.abs(s.values[mask]) ** 2)))
+    diff = f - modulus_squared(s)
+    if diff.is_zero():
+        return 0.0
+    xs = np.linspace(-32 * math.pi, 32 * math.pi, 4097)
+    return float(np.max(np.abs(diff.evaluate(xs))))
 
 
 def poisson_eval(f: TrigPoly, z: complex, mode: str = "closed", cutoff: float = 400.0) -> complex:
@@ -242,7 +219,6 @@ def approximate_reciprocal(h: TrigPoly, depth: int = 20) -> tuple[TrigPoly, floa
 
 def _sampled_reciprocal(h: TrigPoly, depth: int) -> TrigPoly:
     """Pointwise 1/h projected back onto the harmonic lattice of h."""
-    from apspec.certify import ray_partition
     from apspec.cepstral import bohr_project
 
     _, blocks = ray_partition(h)
@@ -287,8 +263,6 @@ def poisson_range_check(f: TrigPoly, zs: list[complex], slack: float = 1e-9) -> 
     if tau == 0:
         lo = hi = f.coefficient(EF(0)).real
     else:
-        from apspec.certify import ray_partition
-
         _, blocks = ray_partition(f)
         if len(blocks) == 1:
             # genuinely periodic: one period bounds the whole line

@@ -19,12 +19,12 @@ from apspec.cepstral import (
     DEFAULT_HALFWIDTH,
     almost_period_test,
     arg_decompose,
+    cepstral_checks,
     cepstral_factorize,
     conjugate_boundary,
     half_log,
 )
-from apspec.certify import certify_lower_bound, sup_norm_certified
-from apspec.checks import CheckResult, FactorizationReport, factorization_residual
+from apspec.checks import CheckResult, FactorizationReport
 from apspec.errors import ApspecError, MalformedInput
 from apspec.frequency import ExactFrequency
 from apspec.periodic import fejer_riesz, roots_check_battery
@@ -202,24 +202,6 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _recheck_cepstral(f: TrigPoly, s: SampledFunction, m: float) -> FactorizationReport:
-    residual = factorization_residual(f, s)
-    scale = sup_norm_certified(f).upper
-    min_mod = float(np.min(np.abs(s.values)))
-    checks = [
-        CheckResult("lower_bound_certified", certify_lower_bound(f, m), m),
-        CheckResult(
-            "nonvanishing", min_mod >= math.sqrt(m) * (1 - 1e-6), min_mod,
-            f"sqrt(m)={math.sqrt(m)!r}",
-        ),
-        CheckResult(
-            "residual_interior", residual <= 1e-2 * max(scale, 1e-300), residual,
-            f"scale={scale!r}",
-        ),
-    ]
-    return FactorizationReport("cepstral", s, residual, 0.5, checks)
-
-
 def _recheck_zeros(zero_set: ZeroSet, stored: SampledFunction) -> FactorizationReport:
     report = _zeros_report(zero_set, stored.halfwidth, stored.step)
     fresh = report.factor.values
@@ -267,12 +249,9 @@ def _reverify(obj) -> FactorizationReport:
                 raise MalformedInput("cepstral bundle is missing its lower bound m")
             if not isinstance(report.factor, SampledFunction):
                 raise MalformedInput("cepstral report should carry a sampled factor")
-            return _recheck_cepstral(f, report.factor, float(m))
+            return cepstral_checks(f, report.factor, float(m))
         if report.method == "zeros":
-            try:
-                zero_set = ZeroSet.from_json(serialize.dumps(obj.get("input")))
-            except MalformedInput:
-                raise
+            zero_set = ZeroSet.from_json(serialize.dumps(obj.get("input")))
             if not isinstance(report.factor, SampledFunction):
                 raise MalformedInput("zeros report should carry a sampled factor")
             return _recheck_zeros(zero_set, report.factor)

@@ -62,7 +62,7 @@ class ConstructionResult:
     g: TrigPoly
     h1: TrigPoly
     h: TrigPoly
-    f: "TrigPoly | ProductPoly"
+    f: ProductPoly
     s: TrigPoly
     delta: EF
     c: float
@@ -246,7 +246,7 @@ def _lattice_for(h: TrigPoly, delta: EF, n_seq: tuple[int, ...], rho: tuple[EF, 
 
 
 def _certificate_battery(
-    m: float, h: TrigPoly, s: TrigPoly, f, delta: EF
+    m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, delta: EF
 ) -> tuple[list[CheckResult], float]:
     """Certificates shared by assemble and recheck; returns (checks, residual sup)."""
     checks: list[CheckResult] = []
@@ -262,7 +262,7 @@ def _certificate_battery(
     checks.append(
         CheckResult("halved_bandwidth", half_ok, float(info_s.tau), "tau(s) = tau(f)/2 exactly")
     )
-    residual = f.subtract_structured(modulus_squared(s)) if isinstance(f, ProductPoly) else f - modulus_squared(s)
+    residual = f.subtract_structured(modulus_squared(s))
     checks.append(
         CheckResult(
             "exact_factorization", residual.is_zero(), float(residual.wiener_norm()),

@@ -154,7 +154,7 @@ def polynomial_roots(coeffs: np.ndarray) -> list[tuple[complex, int]]:
     return out
 
 
-def fejer_riesz(f: TrigPoly, grid_window: tuple[float, float] | None = None) -> FactorizationReport:
+def fejer_riesz(f: TrigPoly) -> FactorizationReport:
     """Factor a nonnegative commensurable f as |s|^2.
 
     The factor s is supported on half-integer multiples of the base, all
@@ -180,7 +180,7 @@ def fejer_riesz(f: TrigPoly, grid_window: tuple[float, float] | None = None) -> 
         if c < 0:
             raise NotNonnegative("negative constant")
         s = TrigPoly.constant(math.sqrt(c))
-        return _report(f, s, "roots", grid_window)
+        return roots_check_battery(f, s)
 
     roots = polynomial_roots(lf.coeffs)
     selected: list[tuple[complex, int]] = []
@@ -233,20 +233,12 @@ def fejer_riesz(f: TrigPoly, grid_window: tuple[float, float] | None = None) -> 
         freq = rho * Fraction(n - 2 * k, 2)
         terms.append((freq, kappa * unit * coef))
     s = TrigPoly(terms)
-    return _report(f, s, "roots", grid_window)
+    return roots_check_battery(f, s)
 
 
-def roots_check_battery(
-    f: TrigPoly, s: TrigPoly, grid_window: tuple[float, float] | None = None
-) -> FactorizationReport:
-    """Check battery for an already-computed polynomial factor of f."""
-    return _report(f, s, "roots", grid_window)
-
-
-def _report(
-    f: TrigPoly, s: TrigPoly, method: str, grid_window: tuple[float, float] | None
-) -> FactorizationReport:
-    residual = factorization_residual(f, s, window=grid_window)
+def roots_check_battery(f: TrigPoly, s: TrigPoly) -> FactorizationReport:
+    """Check battery for a polynomial factor s of f; factor and verify both run it."""
+    residual = factorization_residual(f, s)
     bf = spectrum(f).bandwidth
     bs = spectrum(s).bandwidth
     ratio = float(bs) / float(bf) if not bf.is_zero() else 0.0
@@ -268,4 +260,4 @@ def _report(
             "residual", residual <= 1e-8 * max(scale, 1e-300), residual, f"scale={scale!r}"
         )
     )
-    return FactorizationReport(method, s, residual, ratio, checks)
+    return FactorizationReport("roots", s, residual, ratio, checks)

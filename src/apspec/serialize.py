@@ -19,7 +19,7 @@ from apspec.checks import CheckResult, FactorizationReport
 from apspec.errors import MalformedInput
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
-from apspec.trigpoly import ProductPoly, TrigPoly
+from apspec.trigpoly import TrigPoly
 
 EF = ExactFrequency
 
@@ -157,20 +157,13 @@ def factor_bundle_to_json(
 def construction_to_json(res, allow_large: bool = False) -> dict:
     """ConstructionResult payload; f stays implicit (modulus_squared(h)).
 
-    The squared modulus would dominate the file by orders of magnitude,
-    so only a marker with its pair count is stored; everything needed to
-    rebuild and re-verify it exactly (h, s, delta, rho, n_seq) is present.
+    f = |h|^2 is always the lazy product of h's lattice blocks, and written
+    out it would dominate the file by orders of magnitude, so only a marker
+    with its upper term count is stored.  Everything needed to rebuild and
+    re-verify it exactly (h, s, delta, rho, n_seq) is present; verify never
+    reads f.
     """
-    if isinstance(res.f, ProductPoly):
-        f_obj: dict = {
-            "omitted": True,
-            "pairs": res.f.term_count_upper(),
-            "hint": "modulus_squared(h)",
-        }
-    elif res.f.term_count() > MAX_ROWS and not allow_large:
-        f_obj = {"omitted": True, "pairs": res.f.term_count(), "hint": "modulus_squared(h)"}
-    else:
-        f_obj = {"kind": "trigpoly", **trigpoly_to_json(res.f, allow_large)}
+    f_obj = {"omitted": True, "pairs": res.f.term_count_upper(), "hint": "modulus_squared(h)"}
     return {
         "kind": "construction",
         "params": {

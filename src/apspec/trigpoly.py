@@ -5,10 +5,13 @@ frequencies and complex coefficients.  Canonical form: frequencies are
 distinct and kept in a dict; exact zero coefficients are dropped; iteration
 order is ascending by frequency value.
 
-Very large products (squared moduli of block-structured polynomials) are not
-materialized term by term.  They are kept as a ProductPoly: a factored form
-|h|^2 together with a structural block expansion that supports exact
-subtraction, spectrum bounds, coefficient lookup and fast evaluation.
+Every squared modulus |h|^2 is built one way (`modulus_squared`): h is
+split into blocks on affine lattices (its attached lattice, or its rational
+rays), each block is autocorrelated with one convolution, and each pair of
+blocks contributes a lazy rank-one cross block.  The result is a ProductPoly,
+the factored form |h|^2 with that block expansion, which supports exact
+subtraction, spectrum bounds, coefficient lookup and fast evaluation.  A
+plain h gets the product materialized as a TrigPoly (`ProductPoly.to_trigpoly`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -25,8 +28,7 @@ from apspec.frequency import ExactFrequency, rational_ratio
 EF = ExactFrequency
 Scalar = Union[int, float, complex]
 
-# beyond this many coefficient pairs, dict-mode products refuse to run;
-# block-structured polynomials take the lazy route instead
+# beyond this many terms, products refuse to materialize as a TrigPoly
 MAX_DICT_PAIRS = 3_000_000
 
 # elements in one exp table of the evaluation kernels
@@ -60,6 +62,15 @@ class DenseBlock:
     def frequencies(self) -> list[EF]:
         return [self.offset + self.base * int(k) for k in self.keys]
 
+    def term_count(self) -> int:
+        return len(self.keys)
+
+    def terms(self) -> Iterator[tuple[EF, complex]]:
+        """(frequency, coefficient) pairs, zero coefficients skipped."""
+        for k, c in zip(self.keys.tolist(), self.coeffs.tolist()):
+            if c != 0:
+                yield self.offset + self.base * k, c
+
     def shift(self, w0: EF) -> "DenseBlock":
         return DenseBlock(self.offset + w0, self.base, self.keys, self.coeffs)
 
@@ -83,6 +94,15 @@ class Rank1Block:
 
     def term_count(self) -> int:
         return len(self.keys_a) * len(self.keys_b)
+
+    def terms(self) -> Iterator[tuple[EF, complex]]:
+        """(frequency, coefficient) pairs, zero coefficients skipped."""
+        vals = np.outer(self.vec_a, np.conjugate(self.vec_b))
+        for ka, row in zip(self.keys_a.tolist(), vals.tolist()):
+            wa = self.offset + self.base_a * ka
+            for kb, v in zip(self.keys_b.tolist(), row):
+                if v != 0:
+                    yield wa - self.base_b * kb, v
 
 
 class TrigPoly:
@@ -139,7 +159,7 @@ class TrigPoly:
     def sorted_terms(self) -> list[tuple[EF, complex]]:
         """Terms in ascending frequency order (exact comparison)."""
         if self._sorted is None:
-            self._sorted = sorted(self._terms.items(), key=_FreqKey)
+            self._sorted = sorted(self._terms.items(), key=lambda t: t[0])
         return list(self._sorted)
 
     def frequencies(self) -> list[EF]:
@@ -264,18 +284,6 @@ def _as_poly(x) -> "TrigPoly":
     if isinstance(x, (int, float, complex)):
         return TrigPoly.constant(x)
     return NotImplemented
-
-
-class _FreqKey:
-    """Sort key wrapper using exact frequency comparison."""
-
-    __slots__ = ("w",)
-
-    def __init__(self, item):
-        self.w = item[0] if isinstance(item, tuple) else item
-
-    def __lt__(self, other: "_FreqKey") -> bool:
-        return self.w < other.w
 
 
 def _evaluate_terms(terms: Sequence[tuple[EF, complex]], x):
@@ -468,47 +476,76 @@ def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     return TrigPoly(acc)
 
 
-def modulus_squared(f: TrigPoly) -> "TrigPoly | ProductPoly":
-    """|f|^2 as a trig polynomial, Hermitian by construction.
+def _normalized_direction(w: EF) -> tuple:
+    """Hashable ray label: coordinates scaled so the first nonzero one is 1."""
+    coords = [(0, w.rational)] + [(d, c) for d, c in w.radicals]
+    coords = [(d, c) for d, c in coords if c != 0]
+    lead = coords[0][1]
+    return tuple((d, c / lead) for d, c in coords)
 
-    Small inputs produce a plain TrigPoly whose coefficients satisfy
-    c(-w) == conj(c(w)) exactly.  Inputs carrying a lattice decomposition
-    with a large implied pair count return a lazy ProductPoly.
+
+def ray_partition(f: TrigPoly) -> tuple[complex, list[DenseBlock]]:
+    """Split f into its constant term and one periodic piece per rational ray.
+
+    Each returned block has a positive base frequency and integer exponent
+    keys with gcd 1; block frequencies base*k enumerate one commensurable
+    class of the spectrum.
     """
-    lat = f.lattice()
-    n = f.term_count()
-    if lat is not None and n * n > MAX_DICT_PAIRS:
+    const = f.coefficient(EF(0))
+    groups: dict[tuple, list[tuple[EF, Fraction, complex]]] = {}
+    units: dict[tuple, EF] = {}
+    for w, c in f.sorted_terms():
+        if w.is_zero():
+            continue
+        key = _normalized_direction(w)
+        if key not in groups:
+            unit = w
+            if unit.sign() < 0:
+                unit = -unit
+            units[key] = unit
+            groups[key] = []
+        t = rational_ratio(w, units[key])
+        groups[key].append((w, t, c))
+    blocks: list[DenseBlock] = []
+    for key, members in groups.items():
+        unit = units[key]
+        den_lcm = 1
+        for _, t, _ in members:
+            den_lcm = den_lcm * t.denominator // math.gcd(den_lcm, t.denominator)
+        nums = [int(t * den_lcm) for _, t, _ in members]
+        g = 0
+        for v in nums:
+            g = math.gcd(g, v)
+        g = max(g, 1)
+        base = unit * Fraction(g, den_lcm)
+        ks = np.array([v // g for v in nums], dtype=np.int64)
+        cs = np.array([c for _, _, c in members], dtype=complex)
+        order = np.argsort(ks)
+        blocks.append(DenseBlock(EF(0), base, ks[order], cs[order]))
+    blocks.sort(key=lambda b: float(b.base))
+    return const, blocks
+
+
+def modulus_squared(f: TrigPoly) -> "TrigPoly | ProductPoly":
+    """|f|^2 from block autocorrelations and rank-one cross blocks.
+
+    An f carrying a lattice decomposition gives the lazy ProductPoly over
+    that lattice, whatever its size.  A plain f is split into its rational
+    rays (`ray_partition`), its constant riding on the first ray at key 0
+    (or on a lone base-1 block if f is constant), and the product comes
+    back materialized as a TrigPoly with c(-w) == conj(c(w)) exactly.
+    """
+    if f.lattice() is not None:
         return ProductPoly.from_lattice(f)
-    if n * n > MAX_DICT_PAIRS:
-        raise ValueError(
-            f"modulus_squared would touch {n * n} pairs; attach a lattice "
-            "decomposition to enable the structured route"
-        )
-    terms = f.sorted_terms()
-    acc: dict[EF, complex] = {}
-    order: list[EF] = []
-    for i in range(len(terms)):
-        wi, ci = terms[i]
-        for j in range(i + 1, len(terms)):
-            wj, cj = terms[j]
-            w = wi - wj  # negative: wi < wj in sorted order
-            v = ci * cj.conjugate()
-            prev = acc.get(w)
-            if prev is None:
-                acc[w] = v
-                order.append(w)
-            else:
-                acc[w] = prev + v
-    out: dict[EF, complex] = {}
-    for w in order:
-        v = acc[w]
-        if v != 0:
-            out[w] = v
-            out[-w] = v.conjugate()
-    diag = math.fsum(abs(c) * abs(c) for _, c in terms)
-    if diag != 0:
-        out[EF(0)] = complex(diag, 0.0)
-    return TrigPoly(out)
+    const, blocks = ray_partition(f)
+    if const != 0:
+        if blocks:
+            b = blocks[0]
+            i = int(np.searchsorted(b.keys, 0))
+            blocks[0] = DenseBlock(b.offset, b.base, np.insert(b.keys, i, 0), np.insert(b.coeffs, i, const))
+        else:
+            blocks = [DenseBlock(EF(0), EF(1), np.zeros(1, dtype=np.int64), np.array([const]))]
+    return ProductPoly.from_lattice(f.with_lattice(tuple(blocks))).to_trigpoly()
 
 
 class ProductPoly:
@@ -617,71 +654,48 @@ class ProductPoly:
             total += float(np.abs(b.vec_a).sum() * np.abs(b.vec_b).sum())
         return total
 
-    def subtract_structured(self, other: "ProductPoly") -> TrigPoly:
-        """Exact difference when both sides share the same block shapes.
+    def to_trigpoly(self) -> TrigPoly:
+        """The product materialized term by term, exactly Hermitian.
 
-        Matches dense blocks by (offset, base) and cross blocks by
-        (offset, base_a, base_b, keys); subtracts coefficient arrays
-        exactly.  Any surviving term is returned in a plain TrigPoly;
-        structurally identical inputs give the exact zero polynomial.
+        Blocks are expanded and summed once; only the w > 0 side is kept and
+        mirrored, and the w = 0 coefficient is made real, so c(-w) ==
+        conj(c(w)) holds bit for bit (the rank-one products of the two
+        orientations of a cross block need not be conjugate to the last bit).
         """
+        blocks = self.dense + self.cross
+        if sum(b.term_count() for b in blocks) > MAX_DICT_PAIRS:
+            raise ValueError("product too large to materialize as a TrigPoly")
         out: dict[EF, complex] = {}
-
-        def add_dense(offset: EF, base: EF, keys: np.ndarray, coeffs: np.ndarray, sign: float):
-            for k, c in zip(keys.tolist(), coeffs.tolist()):
-                if c != 0:
-                    w = offset + base * k
-                    v = out.get(w, 0j) + sign * c
-                    if v == 0:
-                        out.pop(w, None)
-                    else:
-                        out[w] = v
-
-        mine = {(b.offset, b.base): b for b in self.dense}
-        theirs = {(b.offset, b.base): b for b in other.dense}
-        for key in set(mine) | set(theirs):
-            a, c = mine.get(key), theirs.get(key)
-            if a is not None and c is not None and np.array_equal(a.keys, c.keys):
-                diff = a.coeffs - c.coeffs
-                nz = diff != 0
-                add_dense(key[0], key[1], a.keys[nz], diff[nz], 1.0)
-            else:
-                if a is not None:
-                    add_dense(a.offset, a.base, a.keys, a.coeffs, 1.0)
-                if c is not None:
-                    add_dense(c.offset, c.base, c.keys, c.coeffs, -1.0)
-
-        def cross_key(b: Rank1Block):
-            return (b.offset, b.base_a, b.base_b, b.keys_a.tobytes(), b.keys_b.tobytes())
-
-        mine_x = {cross_key(b): b for b in self.cross}
-        theirs_x = {cross_key(b): b for b in other.cross}
-        leftovers = 0
-        for key in set(mine_x) | set(theirs_x):
-            a, c = mine_x.get(key), theirs_x.get(key)
-            if a is not None and c is not None:
-                if np.array_equal(a.vec_a, c.vec_a) and np.array_equal(a.vec_b, c.vec_b):
-                    continue  # identical rank-one blocks cancel exactly
-            # fall through: materialize difference (bounded sizes only)
-            for blk, sign in ((a, 1.0), (c, -1.0)):
-                if blk is None:
-                    continue
-                leftovers += blk.term_count()
-                if leftovers > MAX_DICT_PAIRS:
-                    raise ValueError("structured difference does not cancel; too large to materialize")
-                vals = np.outer(blk.vec_a, np.conjugate(blk.vec_b))
-                for i, ka in enumerate(blk.keys_a.tolist()):
-                    wa = blk.offset + blk.base_a * ka
-                    for j, kb in enumerate(blk.keys_b.tolist()):
-                        v = vals[i, j]
-                        if v != 0:
-                            w = wa - blk.base_b * kb
-                            cur = out.get(w, 0j) + sign * v
-                            if cur == 0:
-                                out.pop(w, None)
-                            else:
-                                out[w] = cur
+        for w, c in TrigPoly(t for b in blocks for t in b.terms())._terms.items():
+            sign = w.sign()
+            if sign > 0:
+                out[w] = c
+                out[-w] = c.conjugate()
+            elif sign == 0:
+                out[w] = complex(c.real, 0.0)
         return TrigPoly(out)
+
+    def subtract_structured(self, other: "ProductPoly") -> TrigPoly:
+        """Exact difference self - other as a plain TrigPoly.
+
+        Blocks identical on both sides (same lattice data, keys and
+        coefficient arrays) cancel; the rest are expanded into terms and
+        summed.  Structurally identical inputs give the exact zero polynomial.
+        """
+        counts: dict[tuple, list] = {}
+        for sign, p in ((1, self), (-1, other)):
+            for b in p.dense + p.cross:
+                entry = counts.setdefault(_block_key(b), [0, b])
+                entry[0] += sign
+        rest = [(n, b) for n, b in counts.values() if n != 0]
+        if sum(b.term_count() for _, b in rest) > MAX_DICT_PAIRS:
+            raise ValueError("structured difference does not cancel; too large to materialize")
+        return TrigPoly((w, n * c) for n, b in rest for w, c in b.terms())
+
+
+def _block_key(b: "DenseBlock | Rank1Block") -> tuple:
+    """Hashable identity of a block: its exact lattice data and array bytes."""
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(b).values())
 
 
 def _autocorrelate(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -689,6 +703,9 @@ def _autocorrelate(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np
 
     Returns (delta_keys ascending, values) with values[d] = sum_k c_{k+d} * conj(c_k),
     computed by one dense complex convolution (deterministic given its inputs).
+    The convolution is dense over the key span k1 - k0 + 1, not the key
+    count: O(span^2).  Every caller in apspec has a span about equal to its
+    term count: Laurent factors from the roots route and construction blocks.
     """
     if len(keys) == 0:
         return keys.copy(), coeffs.copy()

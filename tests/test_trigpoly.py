@@ -213,12 +213,12 @@ def _lattice_poly():
 
 def test_product_poly_matches_dict_route():
     h = _lattice_poly()
-    f_dict = modulus_squared(TrigPoly(dict(h.sorted_terms())))  # no lattice: dict route
+    f_dict = modulus_squared(TrigPoly(dict(h.sorted_terms())))  # no lattice: ray split, materialized
     f_lazy = ProductPoly.from_lattice(h)
     # same values on a grid
     xs = np.linspace(-7, 7, 41)
     assert np.allclose(f_lazy.evaluate_real(xs), f_dict.evaluate(xs).real, atol=1e-12)
-    # same coefficients at every frequency of the dict result
+    # same coefficients at every frequency of the materialized result
     for w, c in f_dict.sorted_terms():
         assert abs(f_lazy.bohr_coefficient(w) - c) < 1e-12
     # spectral extremes agree
@@ -301,6 +301,54 @@ def test_modulus_squared_is_nonnegative_real(f):
 def test_wiener_norm_subadditive_under_product(f):
     p = multiply(f, f)
     assert p.wiener_norm() <= f.wiener_norm() ** 2 + 1e-9
+
+
+
+def _pair_sum_modsq(h):
+    """Reference |h|^2: one exact frequency difference per coefficient pair."""
+    acc = {}
+    for wi, ci in h.sorted_terms():
+        for wj, cj in h.sorted_terms():
+            w = wi - wj
+            acc[w] = acc.get(w, 0j) + ci * cj.conjugate()
+    return TrigPoly(acc)
+
+
+_coeffs = st.complex_numbers(min_magnitude=1e-3, max_magnitude=3, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.one_of(
+        small_polys(),
+        small_polys().map(lambda f: f.modulate(EF.sqrt_of(5) - EF(3))),  # off-origin
+        _coeffs.map(TrigPoly.constant),
+        # sparse ray: the constant rides at key 0, keys 1 and 500 span 501
+        st.tuples(_coeffs, _coeffs, _coeffs).map(lambda c: TrigPoly(zip([EF(0), EF(1), EF(500)], c))),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_modulus_squared_matches_pair_sum(h):
+    f = modulus_squared(h)
+    ref = _pair_sum_modsq(h)
+    tol = 1e-12 * h.wiener_norm() ** 2
+    assert all(abs(c) <= tol for _, c in (f - ref).sorted_terms())
+    for w, c in f.sorted_terms():
+        assert f.coefficient(-w) == c.conjugate()  # exact, not approximate
+    assert f.coefficient(EF(0)).imag == 0.0
+
+
+def test_modulus_squared_keeps_lattice_inputs_lazy():
+    # a lattice decides the route, not the size: even 6 terms stay lazy
+    h = _lattice_poly()
+    f = modulus_squared(h)
+    assert isinstance(f, ProductPoly)
+    plain = modulus_squared(TrigPoly(dict(h.sorted_terms())))
+    assert isinstance(plain, TrigPoly)
+    mat = f.to_trigpoly()
+    assert mat.frequencies() == plain.frequencies()
+    tol = 1e-12 * h.wiener_norm() ** 2
+    assert all(abs(c) <= tol for _, c in (mat - plain).sorted_terms())
+    assert all(abs(c) <= tol for _, c in (mat - _pair_sum_modsq(h)).sorted_terms())
 
 
 # -- evaluation kernels --------------------------------------------------------
