@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -69,11 +70,6 @@ def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1
     return NormBracket(lower, upper)
 
 
-def _block_sup(block: DenseBlock, rel_gap: float) -> NormBracket:
-    # the offset is a unimodular factor; it does not change |block|
-    return integer_lattice_sup(block.keys, block.coeffs, rel_gap)
-
-
 def sup_norm_certified(
     f: "TrigPoly | ProductPoly",
     window: tuple[float, float] | None = None,
@@ -82,30 +78,37 @@ def sup_norm_certified(
 ) -> NormBracket:
     """Certified bracket for sup over the reals of |f|.
 
-    Upper bound: sum of per-ray periodic certificates (triangle inequality),
-    using the lattice decomposition when one is attached.  Lower bound: max
-    of |f| over a window scan (one period for purely periodic f, otherwise
-    [-64*pi, 64*pi] by default).  For factored squared moduli both sides are
-    the squared bracket of the factor.
+    Upper bound: |constant| plus the sum of per-ray periodic certificates
+    (`ray_partition`, triangle inequality).  Lower bound: the certificate's
+    grid max for a single ray with no constant, otherwise max of |f| over a
+    window scan (one period for a periodic f, else [-64*pi, 64*pi] by
+    default).  For a squared modulus both sides are the squared bracket of
+    the factor, whose rays the ProductPoly already holds.
     """
     if isinstance(f, ProductPoly):
-        b = sup_norm_certified(f.factor, window, grid_step, rel_gap)
+        b = _ray_sup(f.factor, f.const, f.rays, window, grid_step, rel_gap)
         return NormBracket(b.lower * b.lower, b.upper * b.upper)
+    return _ray_sup(f, *ray_partition(f), window, grid_step, rel_gap)
+
+
+def _ray_sup(
+    f: TrigPoly,
+    c0: complex,
+    blocks: Sequence[DenseBlock],
+    window: tuple[float, float] | None,
+    grid_step: float | None,
+    rel_gap: float,
+) -> NormBracket:
+    """sup_norm_certified of f, given f's constant term and ray blocks."""
     if f.is_zero():
         return NormBracket(0.0, 0.0)
-    lat = f.lattice()
-    if lat is not None:
-        const = 0.0
-        blocks = list(lat)
-    else:
-        c0, blocks = ray_partition(f)
-        const = abs(c0)
+    const = abs(c0)
     upper = const * FP_CUSHION
-    brackets = [_block_sup(b, rel_gap) for b in blocks]
+    brackets = [integer_lattice_sup(b.keys, b.coeffs, rel_gap) for b in blocks]
     upper += math.fsum(b.upper for b in brackets)
 
     # lower bound by direct scan
-    if len(blocks) == 1 and const == 0 and blocks[0].offset.is_zero():
+    if len(blocks) == 1 and const == 0:
         lower = brackets[0].lower
     else:
         if window is None:

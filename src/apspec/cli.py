@@ -24,6 +24,7 @@ from apspec.cepstral import (
     conjugate_boundary,
     half_log,
 )
+from apspec.certify import MAX_GRID_POINTS
 from apspec.checks import CheckResult, FactorizationReport
 from apspec.errors import ApspecError, MalformedInput
 from apspec.frequency import ExactFrequency
@@ -111,7 +112,11 @@ def _read_text(path: str) -> str:
 def _grid(halfwidth: float, step: float) -> np.ndarray:
     if halfwidth <= 0 or step <= 0 or step > 2 * halfwidth:
         raise MalformedInput("need 0 < step <= 2*halfwidth")
-    n = round(2 * halfwidth / step)
+    span = 2 * halfwidth / step
+    # keeps n + 1 <= MAX_GRID_POINTS; the negated test also refuses inf and nan
+    if not span <= MAX_GRID_POINTS - 2:
+        raise MalformedInput(f"grid of {span:.3g} steps exceeds {MAX_GRID_POINTS} samples")
+    n = round(span)
     return -halfwidth + step * np.arange(n + 1)
 
 
@@ -224,7 +229,8 @@ def _reverify(obj) -> FactorizationReport:
     if kind == "construction":
         try:
             m = float(obj["params"]["m"])
-            n_seq = tuple(int(n) for n in obj["n_seq"])
+            # n_seq is validated but not needed: f is rebuilt from h alone
+            tuple(int(n) for n in obj["n_seq"])
             rho = tuple(ExactFrequency.from_json(r) for r in obj["rho"])
             delta = ExactFrequency.from_json(obj["delta"])
             c = float(obj["c"])
@@ -234,7 +240,7 @@ def _reverify(obj) -> FactorizationReport:
             s = trigpoly_from_json(obj["s"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad construction payload: {exc}") from exc
-        return construction.recheck(m, n_seq, rho, delta, c, g, h1, h, s)
+        return construction.recheck(m, rho, delta, c, g, h1, h, s)
     if kind == "factor":
         report = serialize.report_from_json(obj.get("report"))
         if report.method == "roots":

@@ -24,8 +24,8 @@ import numpy as np
 from apspec.certify import certify_lower_bound, integer_lattice_sup, sup_norm_certified
 from apspec.checks import CheckResult, FactorizationReport, poisson_eval
 from apspec.errors import MalformedInput, OracleTooSmall, SpectraCollision
-from apspec.frequency import ExactFrequency, qlin_independent, rational_ratio
-from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, modulus_squared, spectrum
+from apspec.frequency import MAX_RADICAND, ExactFrequency, qlin_independent, rational_ratio
+from apspec.trigpoly import ProductPoly, TrigPoly, spectrum
 
 EF = ExactFrequency
 
@@ -50,6 +50,8 @@ class ConstructionParams:
             raise MalformedInput("primes must be distinct")
         if len(self.primes) < self.blocks:
             raise MalformedInput("need at least one prime per block")
+        if max(self.primes) > MAX_RADICAND:
+            raise MalformedInput(f"primes must not exceed {MAX_RADICAND}")
 
 
 @dataclass
@@ -206,43 +208,16 @@ def build_g(params: ConstructionParams) -> tuple[TrigPoly, tuple[int, ...], tupl
     return g, n_seq, rho, tuple(sup_bounds), tuple(wiener)
 
 
-def _lattice_for(h: TrigPoly, delta: EF, n_seq: tuple[int, ...], rho: tuple[EF, ...]) -> TrigPoly:
-    """Attach the block decomposition of h = c + chi_delta g.
+def _check_rays(f: ProductPoly, rho: tuple[EF, ...]) -> None:
+    """Refuse a factor whose spectrum does not lie on the lattices rho_j * Z.
 
-    Every frequency of h is delta + rho_j*k; the constant lands on the block
-    whose edge attains delta (key -n_{j+1}).  The reconstruction is checked
-    term-for-term so downstream exactness claims rest on dict equality.
+    Each ray of f's factor has keys with gcd 1, so by Bezout all of its
+    frequencies are integer multiples of rho_j exactly when its base is.
     """
-    by_block: list[tuple[list[int], list[complex]]] = [([], []) for _ in rho]
-    for w, coef in h.sorted_terms():
-        placed = False
-        for j, r in enumerate(rho):
-            q = rational_ratio(w - delta, r)
-            if q is not None and q.denominator == 1:
-                by_block[j][0].append(int(q))
-                by_block[j][1].append(coef)
-                placed = True
-                break
-        if not placed:
-            raise SpectraCollision(f"frequency {w!r} fits no block lattice")
-    blocks = []
-    for j, (keys, coeffs) in enumerate(by_block):
-        order = np.argsort(np.asarray(keys, dtype=np.int64))
-        blocks.append(
-            DenseBlock(
-                delta,
-                rho[j],
-                np.asarray(keys, dtype=np.int64)[order],
-                np.asarray(coeffs, dtype=complex)[order],
-            )
-        )
-    out = h.with_lattice(tuple(blocks))
-    rebuilt = TrigPoly(
-        [(b.offset + b.base * int(k), complex(c)) for b in blocks for k, c in zip(b.keys, b.coeffs)]
-    )
-    if rebuilt != h:
-        raise SpectraCollision("lattice decomposition does not reproduce the terms")
-    return out
+    for b in f.rays:
+        ratios = (rational_ratio(b.base, r) for r in rho)
+        if not any(q is not None and q.denominator == 1 for q in ratios):
+            raise SpectraCollision(f"ray base {b.base!r} fits no block lattice")
 
 
 def _certificate_battery(
@@ -262,7 +237,7 @@ def _certificate_battery(
     checks.append(
         CheckResult("halved_bandwidth", half_ok, float(info_s.tau), "tau(s) = tau(f)/2 exactly")
     )
-    residual = f.subtract_structured(modulus_squared(s))
+    residual = f.subtract_structured(ProductPoly(s))
     checks.append(
         CheckResult(
             "exact_factorization", residual.is_zero(), float(residual.wiener_norm()),
@@ -293,9 +268,9 @@ def assemble(params: ConstructionParams) -> ConstructionResult:
     # over all of R, not just a scan window
     ell = -math.fsum(sup_bounds)
     c = math.sqrt(params.m) - ell
-    h = _lattice_for(h1 + c, delta, n_seq, rho)
-    f = modulus_squared(h)
+    h = h1 + c
     s = h.modulate(-delta)
+    f = ProductPoly(s)
     checks, residual_sup = _certificate_battery(params.m, h, s, f, delta)
     report = FactorizationReport(
         method="construction",
@@ -323,7 +298,6 @@ def assemble(params: ConstructionParams) -> ConstructionResult:
 
 def recheck(
     m: float,
-    n_seq: tuple[int, ...],
     rho: tuple[EF, ...],
     delta: EF,
     c: float,
@@ -334,8 +308,9 @@ def recheck(
 ) -> FactorizationReport:
     """Re-run every certificate on deserialized pipeline output.
 
-    Nothing stored is trusted: the frequency lattice is rebuilt from
-    (delta, rho, n_seq), the squared modulus is reformed from h, and the
+    Nothing stored is trusted: f is rebuilt as |s|^2 from h shifted back
+    by delta, a factor off the lattices rho_j * Z raises SpectraCollision,
+    exact_factorization compares f with |s|^2 of the stored s, and the
     whole battery is recomputed, plus consistency checks tying the stored
     intermediates to each other.
     """
@@ -357,9 +332,9 @@ def recheck(
             "h1 = g shifted by delta; h = h1 + c; s = h shifted back",
         )
     )
-    h_lat = _lattice_for(h, delta, n_seq, rho)
-    f = modulus_squared(h_lat)
-    battery, residual_sup = _certificate_battery(m, h_lat, h_lat.modulate(-delta), f, delta)
+    f = ProductPoly(h.modulate(-delta))
+    _check_rays(f, rho)
+    battery, residual_sup = _certificate_battery(m, h, s, f, delta)
     checks.extend(battery)
     return FactorizationReport(
         method="construction",

@@ -15,7 +15,13 @@ from typing import Iterable, Sequence, Union
 
 import mpmath
 
+from apspec.errors import MalformedInput
+
 RationalLike = Union[int, Fraction]
+
+# largest radicand accepted from outside (JSON, construction primes): it
+# keeps a trial-division split under about 0.1 ms
+MAX_RADICAND = 10**6
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -23,7 +29,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def squarefree_split(d: int) -> tuple[int, int]:
     """Write d = outer**2 * core with core squarefree; return (outer, core).
 
-    d must be a positive integer.
+    d must be a positive integer.  Trial division costs O(sqrt(d)), so
+    inputs bound their radicands by MAX_RADICAND.
     """
     if d <= 0:
         raise ValueError(f"radicand must be positive, got {d}")
@@ -34,7 +41,8 @@ def squarefree_split(d: int) -> tuple[int, int]:
         while core % p2 == 0:
             core //= p2
             outer *= p
-    # remaining square factors have prime >= 41, so trial divide up to cbrt-ish
+    # remaining square factors p*p have p >= 41 and p*p <= core, so trial
+    # division by odd p up to sqrt(core) finds them all
     p = 41
     while p * p <= core:
         p2 = p * p
@@ -42,12 +50,6 @@ def squarefree_split(d: int) -> tuple[int, int]:
             core //= p2
             outer *= p
         p += 2
-    # core may still be a perfect square of a prime > sqrt bound? no: loop ran
-    # while p*p <= core, so any remaining square factor would have been found.
-    r = math.isqrt(core)
-    if r * r == core and core > 1:
-        outer *= r
-        core = 1
     return outer, core
 
 
@@ -293,6 +295,9 @@ class ExactFrequency:
             rads = [(int(d), Fraction(c)) for d, c in obj.get("rad", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed frequency object: {obj!r}") from exc
+        for d, _ in rads:
+            if d > MAX_RADICAND:
+                raise MalformedInput(f"radicand {d} exceeds {MAX_RADICAND}")
         return cls(rat, rads)
 
 

@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from apspec.certify import ray_partition, sup_norm_certified
+from apspec.certify import sup_norm_certified
 from apspec.checks import CheckResult, FactorizationReport, bernstein_check, factorization_residual
 from apspec.errors import IncommensurableSpectrum, NonConvergence, NotNonnegative
 from apspec.frequency import ExactFrequency
-from apspec.trigpoly import TrigPoly, spectrum
+from apspec.trigpoly import TrigPoly, ray_partition, spectrum
 
 EF = ExactFrequency
 

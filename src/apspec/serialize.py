@@ -155,13 +155,13 @@ def factor_bundle_to_json(
 
 
 def construction_to_json(res, allow_large: bool = False) -> dict:
-    """ConstructionResult payload; f stays implicit (modulus_squared(h)).
+    """ConstructionResult payload; f stays implicit (|h|^2 = |s|^2).
 
-    f = |h|^2 is always the lazy product of h's lattice blocks, and written
-    out it would dominate the file by orders of magnitude, so only a marker
-    with its upper term count is stored.  Everything needed to rebuild and
-    re-verify it exactly (h, s, delta, rho, n_seq) is present; verify never
-    reads f.
+    f is the lazy ProductPoly of s, and written out it would dominate the
+    file by orders of magnitude, so only a marker with its upper term count
+    is stored (the hint string is part of the bundle bytes, so it stays
+    fixed).  Everything needed to rebuild and re-verify f exactly (h, s,
+    delta, rho) is present; verify never reads f.
     """
     f_obj = {"omitted": True, "pairs": res.f.term_count_upper(), "hint": "modulus_squared(h)"}
     return {

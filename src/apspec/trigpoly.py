@@ -5,13 +5,12 @@ frequencies and complex coefficients.  Canonical form: frequencies are
 distinct and kept in a dict; exact zero coefficients are dropped; iteration
 order is ascending by frequency value.
 
-Every squared modulus |h|^2 is built one way (`modulus_squared`): h is
-split into blocks on affine lattices (its attached lattice, or its rational
-rays), each block is autocorrelated with one convolution, and each pair of
-blocks contributes a lazy rank-one cross block.  The result is a ProductPoly,
-the factored form |h|^2 with that block expansion, which supports exact
-subtraction, spectrum bounds, coefficient lookup and fast evaluation.  A
-plain h gets the product materialized as a TrigPoly (`ProductPoly.to_trigpoly`).
+Every squared modulus |h|^2 is built one way (`ProductPoly(h)`): h is
+split into its rational rays (`ray_partition`), each ray is autocorrelated
+with one convolution, and each pair of rays contributes a lazy rank-one
+cross block.  The ProductPoly is the factored form |h|^2 with that block
+expansion, which supports exact subtraction, spectrum bounds, coefficient
+lookup and fast evaluation; `modulus_squared` materializes it as a TrigPoly.
 """
 
 from __future__ import annotations
@@ -48,9 +47,8 @@ def _as_ef(w) -> EF:
 
 @dataclass(frozen=True)
 class DenseBlock:
-    """Terms on the affine lattice offset + base*k, base > 0, keys distinct."""
+    """Terms on the lattice base*k, base > 0, keys distinct."""
 
-    offset: EF
     base: EF
     keys: np.ndarray  # int64, ascending
     coeffs: np.ndarray  # complex128, aligned with keys
@@ -59,9 +57,6 @@ class DenseBlock:
         if len(self.keys) != len(self.coeffs):
             raise ValueError("keys and coeffs must align")
 
-    def frequencies(self) -> list[EF]:
-        return [self.offset + self.base * int(k) for k in self.keys]
-
     def term_count(self) -> int:
         return len(self.keys)
 
@@ -69,22 +64,18 @@ class DenseBlock:
         """(frequency, coefficient) pairs, zero coefficients skipped."""
         for k, c in zip(self.keys.tolist(), self.coeffs.tolist()):
             if c != 0:
-                yield self.offset + self.base * k, c
-
-    def shift(self, w0: EF) -> "DenseBlock":
-        return DenseBlock(self.offset + w0, self.base, self.keys, self.coeffs)
+                yield self.base * k, c
 
 
 @dataclass(frozen=True)
 class Rank1Block:
     """Lazy rank-one coefficient block.
 
-    Represents  sum_{i,j} vec_a[i] * conj(vec_b[j]) * chi(offset
-    + base_a*keys_a[i] - base_b*keys_b[j]).  All (i, j) frequencies are
-    distinct when base_a and base_b are independent over Q.
+    Represents  sum_{i,j} vec_a[i] * conj(vec_b[j]) * chi(base_a*keys_a[i]
+    - base_b*keys_b[j]).  All (i, j) frequencies are distinct when base_a
+    and base_b are independent over Q.
     """
 
-    offset: EF
     base_a: EF
     keys_a: np.ndarray
     vec_a: np.ndarray
@@ -99,27 +90,18 @@ class Rank1Block:
         """(frequency, coefficient) pairs, zero coefficients skipped."""
         vals = np.outer(self.vec_a, np.conjugate(self.vec_b))
         for ka, row in zip(self.keys_a.tolist(), vals.tolist()):
-            wa = self.offset + self.base_a * ka
+            wa = self.base_a * ka
             for kb, v in zip(self.keys_b.tolist(), row):
                 if v != 0:
                     yield wa - self.base_b * kb, v
 
 
 class TrigPoly:
-    """Finite exponential sum with exact frequencies.
+    """Finite exponential sum with exact frequencies."""
 
-    Optionally carries a lattice decomposition (tuple of DenseBlock) that
-    re-expresses the same terms on a few affine lattices; large products
-    use it to avoid quadratic blowup.
-    """
+    __slots__ = ("_terms", "_sorted")
 
-    __slots__ = ("_terms", "_sorted", "_lattice")
-
-    def __init__(
-        self,
-        terms: Mapping[EF, complex] | Iterable[tuple[EF, complex]] = (),
-        lattice: tuple[DenseBlock, ...] | None = None,
-    ):
+    def __init__(self, terms: Mapping[EF, complex] | Iterable[tuple[EF, complex]] = ()):
         acc: dict[EF, complex] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for w, c in items:
@@ -131,7 +113,6 @@ class TrigPoly:
                 acc[w] = c
         self._terms = {w: c for w, c in acc.items() if c != 0}
         self._sorted = None
-        self._lattice = lattice
 
     # -- construction helpers ---------------------------------------------
 
@@ -173,9 +154,6 @@ class TrigPoly:
 
     def coefficient(self, w) -> complex:
         return self._terms.get(_as_ef(w), 0j)
-
-    def lattice(self) -> tuple[DenseBlock, ...] | None:
-        return self._lattice
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrigPoly):
@@ -248,10 +226,7 @@ class TrigPoly:
     def modulate(self, w0) -> "TrigPoly":
         """Multiply by exp(i*w0*x): shifts every frequency by w0."""
         w0 = _as_ef(w0)
-        lat = None
-        if self._lattice is not None:
-            lat = tuple(b.shift(w0) for b in self._lattice)
-        return TrigPoly({w + w0: c for w, c in self._terms.items()}, lattice=lat)
+        return TrigPoly({w + w0: c for w, c in self._terms.items()})
 
     def dilate(self, rho) -> "TrigPoly":
         """x -> rho*x rescaling: multiplies every frequency by rho."""
@@ -272,10 +247,6 @@ class TrigPoly:
             if d > tol * scale:
                 return False
         return True
-
-    def with_lattice(self, lattice: tuple[DenseBlock, ...]) -> "TrigPoly":
-        out = TrigPoly(self._terms, lattice=lattice)
-        return out
 
 
 def _as_poly(x) -> "TrigPoly":
@@ -413,7 +384,7 @@ def spectrum(f: "TrigPoly | ProductPoly") -> SpectrumInfo:
 
     tau is max(|inf|, |sup|), the exponential type of the natural entire
     extension.  For lazy products the frequency list is omitted and the
-    count is an upper bound (cross-lattice coincidences are not deduped).
+    count is an upper bound (cross-ray coincidences are not deduped).
     """
     if isinstance(f, ProductPoly):
         return f.spectrum()
@@ -465,7 +436,7 @@ def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     if len(ta) * len(tb) > MAX_DICT_PAIRS:
         raise ValueError(
             f"product would touch {len(ta) * len(tb)} coefficient pairs; "
-            "use modulus_squared on a lattice-structured polynomial instead"
+            "use ProductPoly for a squared modulus"
         )
     acc: dict[EF, complex] = {}
     for wa, ca in ta:
@@ -521,40 +492,28 @@ def ray_partition(f: TrigPoly) -> tuple[complex, list[DenseBlock]]:
         ks = np.array([v // g for v in nums], dtype=np.int64)
         cs = np.array([c for _, _, c in members], dtype=complex)
         order = np.argsort(ks)
-        blocks.append(DenseBlock(EF(0), base, ks[order], cs[order]))
+        blocks.append(DenseBlock(base, ks[order], cs[order]))
     blocks.sort(key=lambda b: float(b.base))
     return const, blocks
 
 
-def modulus_squared(f: TrigPoly) -> "TrigPoly | ProductPoly":
-    """|f|^2 from block autocorrelations and rank-one cross blocks.
-
-    An f carrying a lattice decomposition gives the lazy ProductPoly over
-    that lattice, whatever its size.  A plain f is split into its rational
-    rays (`ray_partition`), its constant riding on the first ray at key 0
-    (or on a lone base-1 block if f is constant), and the product comes
-    back materialized as a TrigPoly with c(-w) == conj(c(w)) exactly.
-    """
-    if f.lattice() is not None:
-        return ProductPoly.from_lattice(f)
-    const, blocks = ray_partition(f)
-    if const != 0:
-        if blocks:
-            b = blocks[0]
-            i = int(np.searchsorted(b.keys, 0))
-            blocks[0] = DenseBlock(b.offset, b.base, np.insert(b.keys, i, 0), np.insert(b.coeffs, i, const))
-        else:
-            blocks = [DenseBlock(EF(0), EF(1), np.zeros(1, dtype=np.int64), np.array([const]))]
-    return ProductPoly.from_lattice(f.with_lattice(tuple(blocks))).to_trigpoly()
+def modulus_squared(f: TrigPoly) -> TrigPoly:
+    """|f|^2 materialized as a TrigPoly with c(-w) == conj(c(w)) exactly."""
+    return ProductPoly(f).to_trigpoly()
 
 
 class ProductPoly:
     """|h|^2 kept in factored + block-expanded form.
 
-    factor: the polynomial h (lattice-structured).
-    dense: autocorrelation blocks (one per lattice pair with equal base,
-           merged offsets).
-    cross: lazy rank-one blocks for distinct-base lattice pairs.
+    factor: the polynomial h.
+    const, rays: h's constant term and rational rays (`ray_partition`).
+    dense: one autocorrelation block per ray, the constant riding on the
+           first ray at key 0 (or on a lone base-1 block if h is constant).
+    cross: lazy rank-one blocks, one per ordered pair of distinct rays.
+
+    Pass the origin-centred factor: |chi_a * h|^2 = |h|^2, and an h moved
+    off the origin can split into one ray per term, which makes the number
+    of cross blocks quadratic in its term count.
 
     The represented polynomial is  sum(dense) + sum(cross) == |h|^2 exactly,
     with every stored float produced by a deterministic schedule, so two
@@ -562,41 +521,29 @@ class ProductPoly:
     subtract to the exact zero polynomial.
     """
 
-    __slots__ = ("factor", "dense", "cross")
+    __slots__ = ("factor", "const", "rays", "dense", "cross")
 
-    def __init__(self, factor: TrigPoly, dense: tuple[DenseBlock, ...], cross: tuple[Rank1Block, ...]):
-        self.factor = factor
-        self.dense = dense
-        self.cross = cross
-
-    @classmethod
-    def from_lattice(cls, h: TrigPoly) -> "ProductPoly":
-        lat = h.lattice()
-        if lat is None:
-            raise ValueError("factor carries no lattice decomposition")
-        dense: list[DenseBlock] = []
-        cross: list[Rank1Block] = []
-        for a in range(len(lat)):
-            ba = lat[a]
-            # autocorrelation of block a: frequencies base*(k_i - k_j)
-            keys, coeffs = _autocorrelate(ba.keys, ba.coeffs)
-            dense.append(DenseBlock(EF(0), ba.base, keys, coeffs))
-            for b in range(len(lat)):
-                if a == b:
-                    continue
-                bb = lat[b]
-                cross.append(
-                    Rank1Block(
-                        ba.offset - bb.offset,
-                        ba.base,
-                        ba.keys,
-                        ba.coeffs,
-                        bb.base,
-                        bb.keys,
-                        bb.coeffs,
-                    )
-                )
-        return cls(h, tuple(dense), tuple(cross))
+    def __init__(self, h: TrigPoly):
+        const, rays = ray_partition(h)
+        blocks = list(rays)
+        if const != 0:
+            if blocks:
+                b = blocks[0]
+                i = int(np.searchsorted(b.keys, 0))
+                blocks[0] = DenseBlock(b.base, np.insert(b.keys, i, 0), np.insert(b.coeffs, i, const))
+            else:
+                blocks = [DenseBlock(EF(1), np.zeros(1, dtype=np.int64), np.array([const]))]
+        self.factor = h
+        self.const = const
+        self.rays = tuple(rays)
+        # autocorrelation of a block: frequencies base*(k_i - k_j)
+        self.dense = tuple(DenseBlock(b.base, *_autocorrelate(b.keys, b.coeffs)) for b in blocks)
+        self.cross = tuple(
+            Rank1Block(a.base, a.keys, a.coeffs, b.base, b.keys, b.coeffs)
+            for a in blocks
+            for b in blocks
+            if a is not b
+        )
 
     # -- views ---------------------------------------------------------------
 
@@ -621,7 +568,7 @@ class ProductPoly:
         w = _as_ef(w)
         total = 0j
         for b in self.dense:
-            q = rational_ratio(w - b.offset, b.base)
+            q = rational_ratio(w, b.base)
             if q is None or q.denominator != 1:
                 continue
             idx = np.searchsorted(b.keys, int(q))
@@ -636,12 +583,12 @@ class ProductPoly:
         his: list[EF] = []
         for b in self.dense:
             if len(b.keys):
-                los.append(b.offset + b.base * int(b.keys[0]))
-                his.append(b.offset + b.base * int(b.keys[-1]))
+                los.append(b.base * int(b.keys[0]))
+                his.append(b.base * int(b.keys[-1]))
         for b in self.cross:
             if len(b.keys_a) and len(b.keys_b):
-                los.append(b.offset + b.base_a * int(b.keys_a[0]) - b.base_b * int(b.keys_b[-1]))
-                his.append(b.offset + b.base_a * int(b.keys_a[-1]) - b.base_b * int(b.keys_b[0]))
+                los.append(b.base_a * int(b.keys_a[0]) - b.base_b * int(b.keys_b[-1]))
+                his.append(b.base_a * int(b.keys_a[-1]) - b.base_b * int(b.keys_b[0]))
         if not los:
             return SpectrumInfo.empty()
         lo, hi = min(los), max(his)
@@ -678,7 +625,7 @@ class ProductPoly:
     def subtract_structured(self, other: "ProductPoly") -> TrigPoly:
         """Exact difference self - other as a plain TrigPoly.
 
-        Blocks identical on both sides (same lattice data, keys and
+        Blocks identical on both sides (same bases, keys and
         coefficient arrays) cancel; the rest are expanded into terms and
         summed.  Structurally identical inputs give the exact zero polynomial.
         """
@@ -694,7 +641,7 @@ class ProductPoly:
 
 
 def _block_key(b: "DenseBlock | Rank1Block") -> tuple:
-    """Hashable identity of a block: its exact lattice data and array bytes."""
+    """Hashable identity of a block: its exact bases and array bytes."""
     return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(b).values())
 
 
@@ -746,8 +693,7 @@ def _solve_pair(target: EF, u: EF, v: EF) -> tuple[Fraction, Fraction] | None:
 
 def _rank1_coefficient(b: Rank1Block, w: EF) -> complex:
     """Coefficient of a rank-one block at frequency w (exact lattice solve)."""
-    target = w - b.offset
-    st = _solve_pair(target, b.base_a, b.base_b)
+    st = _solve_pair(w, b.base_a, b.base_b)
     if st is None:
         return 0j
     s, t = st

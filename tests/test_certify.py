@@ -9,12 +9,11 @@ from apspec.certify import (
     NormBracket,
     certify_lower_bound,
     integer_lattice_sup,
-    ray_partition,
     sup_norm_certified,
 )
 from apspec.errors import NonConvergence
 from apspec.frequency import ExactFrequency
-from apspec.trigpoly import ProductPoly, TrigPoly, modulus_squared
+from apspec.trigpoly import ProductPoly, TrigPoly, modulus_squared, ray_partition
 
 EF = ExactFrequency
 
@@ -114,14 +113,7 @@ def test_sup_norm_certified_incommensurable():
 
 def test_sup_norm_certified_product_form():
     h = TrigPoly([(EF(0), 1.0), (EF(1), 1.0)])
-    hl = h.with_lattice(
-        (
-            __import__("apspec.trigpoly", fromlist=["DenseBlock"]).DenseBlock(
-                EF(0), EF(1), np.array([0, 1], dtype=np.int64), np.array([1.0 + 0j, 1.0 + 0j])
-            ),
-        )
-    )
-    p = ProductPoly.from_lattice(hl)
+    p = ProductPoly(h)
     b = sup_norm_certified(p)
     # sup |1 + e^{ix}|^2 = 4
     assert b.lower <= 4.0 <= b.upper

@@ -199,8 +199,8 @@ def test_construct_then_verify_small(tmp_path, capsys):
     assert rc == 0
     bundle = load_path(str(out))
     assert bundle["kind"] == "construction"
-    # small instances inline f; big ones store only the pair-count marker
-    assert bundle["f"].get("kind") == "trigpoly" or bundle["f"].get("omitted") is True
+    # f is never written out, only its pair-count marker
+    assert bundle["f"]["omitted"] is True
     assert run(["verify", "--report", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "PASS exact_factorization" in printed
@@ -218,6 +218,50 @@ def test_construct_verify_catches_corruption(tmp_path, capsys):
     out.write_text(dumps(bundle))
     assert run(["verify", "--report", str(out)]) == 3
     capsys.readouterr()
+
+
+def test_construct_verify_refuses_tampered_rho(tmp_path, capsys):
+    out = tmp_path / "cons.json"
+    run(["construct", "--m", "1", "--blocks", "1", "--oracle-n", "128", "--out", str(out)])
+    bundle = load_path(str(out))
+    rad = bundle["rho"][0]["rad"]
+    assert rad[0][0] == "2"
+    rad[0][0] = "5"  # sqrt(5) in place of sqrt(2): s no longer fits rho * Z
+    out.write_text(dumps(bundle))
+    assert run(["verify", "--report", str(out)]) == 2
+    assert "SpectraCollision" in capsys.readouterr().err
+
+
+def test_huge_radicand_refused(tmp_path, capsys):
+    # trial division of a 31-digit radicand would not finish
+    big = str(10**30 + 57)
+    inp = tmp_path / "big.json"
+    inp.write_text(json.dumps({"terms": [
+        {"freq": {"rat": "0", "rad": [[big, "1"]]}, "re": 1.0, "im": 0.0},
+        {"freq": {"rat": "0", "rad": []}, "re": 3.0, "im": 0.0},
+    ]}))
+    assert run(["factor", "--method", "roots", "--input", str(inp)]) == 1
+    assert run(["construct", "--blocks", "1", "--oracle-n", "32", "--primes", f"2,{big}"]) == 1
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_cepstral_grid_too_large_refused(f_3p2cos, capsys):
+    argv = ["factor", "--method", "cepstral", "--input", f_3p2cos, "--m", "0.9"]
+    assert run(argv + ["--step", "1e-9"]) == 1
+    assert run(argv + ["--window-halfwidth", "inf"]) == 1
+    assert "samples" in capsys.readouterr().err
+
+
+def test_sample_grid_too_large_refused(f_2p2cos, tmp_path, capsys):
+    csv = str(tmp_path / "s.csv")
+    out = str(tmp_path / "rep.json")
+    argv = ["factor", "--method", "roots", "--input", f_2p2cos, "--out", out, "--csv", csv]
+    assert run(argv + ["--step", "1e-9"]) == 1
+    zs = tmp_path / "zs.json"
+    zeros = [{"re": 0.0, "im": 1.0, "mult": 1}, {"re": 0.0, "im": -1.0, "mult": 1}]
+    zs.write_text(json.dumps({"m": 0, "a": 0.0, "b": 0.0, "p": 0, "zeros": zeros}))
+    assert run(["factor", "--method", "zeros", "--input", str(zs), "--step", "1e-9"]) == 1
+    assert "samples" in capsys.readouterr().err
 
 
 def test_construct_rejects_bad_params():

@@ -18,7 +18,7 @@ from apspec.construction import (
 )
 from apspec.errors import MalformedInput, OracleTooSmall
 from apspec.frequency import ExactFrequency, qlin_independent
-from apspec.trigpoly import ProductPoly, modulus_squared, spectrum
+from apspec.trigpoly import ProductPoly, spectrum
 
 EF = ExactFrequency
 
@@ -189,7 +189,7 @@ def test_assemble_pinned_sequence_and_scales(pinned):
 
 def test_assemble_exact_factorization(pinned):
     assert isinstance(pinned.f, ProductPoly)
-    diff = pinned.f.subtract_structured(modulus_squared(pinned.s))
+    diff = pinned.f.subtract_structured(ProductPoly(pinned.s))
     assert diff.is_zero()
 
 
@@ -209,7 +209,7 @@ def test_assemble_disjoint_spectra(pinned):
     n1, n2, n3 = pinned.n_seq
     expected = 2 * (n1 - 1) + 2 * (n3 - 1)
     assert pinned.g.term_count() == expected
-    assert pinned.h.term_count() == expected  # constant merges into a lattice slot
+    assert pinned.h.term_count() == expected  # constant merges into the term at frequency 0
 
 
 def test_assemble_wiener_norm_additive(pinned):

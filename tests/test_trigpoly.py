@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
 from apspec.trigpoly import (
-    DenseBlock,
     ProductPoly,
     TrigPoly,
     _grid_rows,
@@ -186,35 +185,23 @@ def test_is_real_tolerance():
     assert f.is_real(tol=1e-3)
 
 
-# -- lattice / lazy product form ---------------------------------------------
+# -- lazy product form ----------------------------------------------------------
 
 
-def _lattice_poly():
-    """Small two-block polynomial with an attached lattice decomposition."""
+def _two_ray_poly():
+    """Small origin-centred polynomial: a constant and two radical rays."""
     rho1 = EF.sqrt_of(2) / 5
     rho2 = EF.sqrt_of(3) / 7
-    delta = rho1 * 3
-    k1 = np.array([-2, 1, 3], dtype=np.int64)
-    c1 = np.array([0.5 - 0.1j, 1.0, -0.25j])
-    k2 = np.array([-1, 2], dtype=np.int64)
-    c2 = np.array([0.75, 0.4 + 0.2j])
-    blocks = (
-        DenseBlock(EF(0), EF(1), np.array([0], dtype=np.int64), np.array([2.0 + 0j])),
-        DenseBlock(delta, rho1, k1, c1),
-        DenseBlock(delta, rho2, k2, c2),
-    )
     terms: list[tuple[EF, complex]] = [(EF(0), 2.0)]
-    for k, c in zip(k1.tolist(), c1.tolist()):
-        terms.append((delta + rho1 * k, c))
-    for k, c in zip(k2.tolist(), c2.tolist()):
-        terms.append((delta + rho2 * k, c))
-    return TrigPoly(terms, lattice=blocks)
+    terms += [(rho1 * k, c) for k, c in zip([-2, 1, 3], [0.5 - 0.1j, 1.0, -0.25j])]
+    terms += [(rho2 * k, c) for k, c in zip([-1, 2], [0.75, 0.4 + 0.2j])]
+    return TrigPoly(terms)
 
 
 def test_product_poly_matches_dict_route():
-    h = _lattice_poly()
-    f_dict = modulus_squared(TrigPoly(dict(h.sorted_terms())))  # no lattice: ray split, materialized
-    f_lazy = ProductPoly.from_lattice(h)
+    h = _two_ray_poly()
+    f_dict = _pair_sum_modsq(h)  # one exact frequency per coefficient pair
+    f_lazy = ProductPoly(h)
     # same values on a grid
     xs = np.linspace(-7, 7, 41)
     assert np.allclose(f_lazy.evaluate_real(xs), f_dict.evaluate(xs).real, atol=1e-12)
@@ -231,27 +218,21 @@ def test_product_poly_matches_dict_route():
 
 
 def test_product_poly_exact_self_subtraction():
-    h = _lattice_poly()
+    # a factor shifted off the origin and back rebuilds the same blocks
+    s = _two_ray_poly()
     delta = EF.sqrt_of(2) * 3 / 5
-    s = h.modulate(-delta)
-    f1 = ProductPoly.from_lattice(h)
-    f2 = ProductPoly.from_lattice(s)
+    h = s.modulate(delta)
+    f1 = ProductPoly(h.modulate(-delta))
+    f2 = ProductPoly(s)
     assert f1.subtract_structured(f2).is_zero()
     assert f2.subtract_structured(f1).is_zero()
 
 
 def test_product_poly_detects_difference():
-    h = _lattice_poly()
-    lat = h.lattice()
-    bumped = list(lat)
-    b = bumped[1]
-    c2 = b.coeffs.copy()
-    c2[0] += 0.5
-    bumped[1] = DenseBlock(b.offset, b.base, b.keys, c2)
+    h = _two_ray_poly()
     terms = dict(h.sorted_terms())
-    terms[b.offset + b.base * int(b.keys[0])] += 0.5
-    h2 = TrigPoly(terms, lattice=tuple(bumped))
-    diff = ProductPoly.from_lattice(h).subtract_structured(ProductPoly.from_lattice(h2))
+    terms[EF.sqrt_of(2) / 5 * -2] += 0.5
+    diff = ProductPoly(h).subtract_structured(ProductPoly(TrigPoly(terms)))
     assert not diff.is_zero()
 
 
@@ -337,12 +318,12 @@ def test_modulus_squared_matches_pair_sum(h):
     assert f.coefficient(EF(0)).imag == 0.0
 
 
-def test_modulus_squared_keeps_lattice_inputs_lazy():
-    # a lattice decides the route, not the size: even 6 terms stay lazy
-    h = _lattice_poly()
-    f = modulus_squared(h)
-    assert isinstance(f, ProductPoly)
-    plain = modulus_squared(TrigPoly(dict(h.sorted_terms())))
+def test_modulus_squared_materializes_product_poly():
+    # ProductPoly stays lazy; modulus_squared expands it to the pair sum
+    h = _two_ray_poly()
+    f = ProductPoly(h)
+    assert f.const == 2.0 and len(f.rays) == 2
+    plain = modulus_squared(h)
     assert isinstance(plain, TrigPoly)
     mat = f.to_trigpoly()
     assert mat.frequencies() == plain.frequencies()
@@ -377,18 +358,14 @@ def _one_ray(n_terms, seed=0):
 
 
 def _construct_like_product(seed=0):
-    """|h|^2 with a constant block and two radical rays, as construct builds it."""
+    """|s|^2 with a constant and two radical rays of keys 2 <= |k| <= 40."""
     rng = np.random.default_rng(seed)
-    delta = EF.sqrt_of(5) - EF(2)
-    blocks = [DenseBlock(EF(0), EF(1), np.array([0], dtype=np.int64), np.array([3.0 + 0j]))]
+    terms = [(EF(0), 3.0)]
     for base in (EF.sqrt_of(2) / 5, EF.sqrt_of(3) / 7):
         keys = np.concatenate([np.arange(-40, -1), np.arange(2, 41)]).astype(np.int64)
         coeffs = rng.normal(size=len(keys)) / keys**2 + 0j
-        blocks.append(DenseBlock(delta, base, keys, coeffs))
-    terms = [(EF(0), 3.0)]
-    for b in blocks[1:]:
-        terms += list(zip(b.frequencies(), b.coeffs.tolist()))
-    return ProductPoly.from_lattice(TrigPoly(terms, lattice=tuple(blocks)))
+        terms += [(base * k, c) for k, c in zip(keys.tolist(), coeffs.tolist())]
+    return ProductPoly(TrigPoly(terms))
 
 
 def test_grid_kernel_one_ray():
