@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from apspec.certify import MAX_GRID_POINTS, certify_lower_bound, sup_norm_certified
+from apspec.certify import certify_lower_bound, check_grid_span, sup_norm_certified
 from apspec.checks import CheckResult, FactorizationReport, factorization_residual
-from apspec.errors import MalformedInput, NotBoundedBelow, WindowTooSmall
+from apspec.errors import NotBoundedBelow, WindowTooSmall
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
 from apspec.trigpoly import TrigPoly, spectrum
@@ -38,10 +38,7 @@ def _grid(f: TrigPoly, halfwidth: float, step: float | None) -> tuple[int, float
     if step <= 0:
         raise ValueError("step must be positive")
     span = 2 * halfwidth / step
-    # keeps n + 1 <= MAX_GRID_POINTS (n rounds up to even); the negated
-    # test also refuses inf and nan
-    if not span <= MAX_GRID_POINTS - 2:
-        raise MalformedInput(f"window of {span:.3g} steps exceeds {MAX_GRID_POINTS} samples")
+    check_grid_span(span)
     n = max(64, math.ceil(span))
     n += n % 2
     return n, 2 * halfwidth / n

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from apspec.errors import NonConvergence
+from apspec.errors import MalformedInput, NonConvergence
 from apspec.frequency import ExactFrequency
 from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, evaluation_error, ray_partition, spectrum
 
@@ -26,6 +26,13 @@ EF = ExactFrequency
 FP_CUSHION = 1.0 + 1e-12
 
 MAX_GRID_POINTS = 1 << 23
+
+
+def check_grid_span(span: float) -> None:
+    """Refuse a sample grid of `span` steps; keeps n + 1 <= MAX_GRID_POINTS
+    when n rounds span up to even. The negated test also refuses inf and nan."""
+    if not span <= MAX_GRID_POINTS - 2:
+        raise MalformedInput(f"grid of {span:.3g} steps exceeds {MAX_GRID_POINTS} samples")
 
 
 @dataclass(frozen=True)

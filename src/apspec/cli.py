@@ -24,7 +24,7 @@ from apspec.cepstral import (
     conjugate_boundary,
     half_log,
 )
-from apspec.certify import MAX_GRID_POINTS
+from apspec.certify import check_grid_span
 from apspec.checks import CheckResult, FactorizationReport
 from apspec.errors import ApspecError, MalformedInput
 from apspec.frequency import ExactFrequency
@@ -113,9 +113,7 @@ def _grid(halfwidth: float, step: float) -> np.ndarray:
     if halfwidth <= 0 or step <= 0 or step > 2 * halfwidth:
         raise MalformedInput("need 0 < step <= 2*halfwidth")
     span = 2 * halfwidth / step
-    # keeps n + 1 <= MAX_GRID_POINTS; the negated test also refuses inf and nan
-    if not span <= MAX_GRID_POINTS - 2:
-        raise MalformedInput(f"grid of {span:.3g} steps exceeds {MAX_GRID_POINTS} samples")
+    check_grid_span(span)
     n = round(span)
     return -halfwidth + step * np.arange(n + 1)
 

@@ -25,7 +25,7 @@ from apspec.certify import certify_lower_bound, integer_lattice_sup, sup_norm_ce
 from apspec.checks import CheckResult, FactorizationReport, poisson_eval
 from apspec.errors import MalformedInput, OracleTooSmall, SpectraCollision
 from apspec.frequency import MAX_RADICAND, ExactFrequency, qlin_independent, rational_ratio
-from apspec.trigpoly import ProductPoly, TrigPoly, spectrum
+from apspec.trigpoly import ProductPoly, TrigPoly, ray_partition, spectrum
 
 EF = ExactFrequency
 
@@ -208,13 +208,16 @@ def build_g(params: ConstructionParams) -> tuple[TrigPoly, tuple[int, ...], tupl
     return g, n_seq, rho, tuple(sup_bounds), tuple(wiener)
 
 
-def _check_rays(f: ProductPoly, rho: tuple[EF, ...]) -> None:
-    """Refuse a factor whose spectrum does not lie on the lattices rho_j * Z.
+def _check_rays(p: TrigPoly, rho: tuple[EF, ...]) -> None:
+    """Refuse a polynomial whose spectrum does not lie on the lattices rho_j * Z.
 
-    Each ray of f's factor has keys with gcd 1, so by Bezout all of its
+    Runs before any product is built: a spectrum off the lattices can split
+    into one ray per term, and |p|^2 would then carry quadratically many
+    cross blocks. Each ray has keys with gcd 1, so by Bezout all of its
     frequencies are integer multiples of rho_j exactly when its base is.
     """
-    for b in f.rays:
+    _, rays = ray_partition(p)
+    for b in rays:
         ratios = (rational_ratio(b.base, r) for r in rho)
         if not any(q is not None and q.denominator == 1 for q in ratios):
             raise SpectraCollision(f"ray base {b.base!r} fits no block lattice")
@@ -309,10 +312,11 @@ def recheck(
     """Re-run every certificate on deserialized pipeline output.
 
     Nothing stored is trusted: f is rebuilt as |s|^2 from h shifted back
-    by delta, a factor off the lattices rho_j * Z raises SpectraCollision,
-    exact_factorization compares f with |s|^2 of the stored s, and the
-    whole battery is recomputed, plus consistency checks tying the stored
-    intermediates to each other.
+    by delta, exact_factorization compares f with |s|^2 of the stored s,
+    and the whole battery is recomputed, plus consistency checks tying the
+    stored intermediates to each other. If h shifted back or the stored s
+    has a spectrum off the lattices rho_j * Z, SpectraCollision is raised
+    before either product is built.
     """
     checks: list[CheckResult] = []
     checks.append(
@@ -323,7 +327,8 @@ def recheck(
             "delta = -inf Omega(g)",
         )
     )
-    consistent = h1 == g.modulate(delta) and h == h1 + c and s == h.modulate(-delta)
+    centred = h.modulate(-delta)
+    consistent = h1 == g.modulate(delta) and h == h1 + c and s == centred
     checks.append(
         CheckResult(
             "modulation_consistent",
@@ -332,8 +337,10 @@ def recheck(
             "h1 = g shifted by delta; h = h1 + c; s = h shifted back",
         )
     )
-    f = ProductPoly(h.modulate(-delta))
-    _check_rays(f, rho)
+    _check_rays(centred, rho)
+    if s != centred:
+        _check_rays(s, rho)
+    f = ProductPoly(centred)
     battery, residual_sup = _certificate_battery(m, h, s, f, delta)
     checks.extend(battery)
     return FactorizationReport(

@@ -4,9 +4,11 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from apspec import construction
 from apspec.cli import run
 from apspec.frequency import ExactFrequency as EF
 from apspec.serialize import dumps, load_path, trigpoly_to_json
@@ -230,6 +232,31 @@ def test_construct_verify_refuses_tampered_rho(tmp_path, capsys):
     out.write_text(dumps(bundle))
     assert run(["verify", "--report", str(out)]) == 2
     assert "SpectraCollision" in capsys.readouterr().err
+
+
+def _shift_rat(freq: dict, by: Fraction) -> None:
+    freq["rat"] = str(Fraction(freq["rat"]) + by)
+
+
+@pytest.mark.parametrize("tamper", ["delta", "s"])
+def test_construct_verify_refuses_off_lattice_factor(tmp_path, capsys, monkeypatch, tamper):
+    # a spectrum off rho * Z splits into one ray per term, so |s|^2 of it
+    # would carry quadratically many cross blocks: refuse before any product
+    out = tmp_path / "cons.json"
+    run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "256", "--out", str(out)])
+    bundle = load_path(str(out))
+    if tamper == "delta":
+        _shift_rat(bundle["delta"], Fraction(1, 7))
+    else:
+        for term in bundle["s"]["terms"]:
+            _shift_rat(term["freq"], Fraction(1, 7))
+    out.write_text(dumps(bundle))
+    built = []
+    real_product = construction.ProductPoly
+    monkeypatch.setattr(construction, "ProductPoly", lambda h: built.append(h) or real_product(h))
+    assert run(["verify", "--report", str(out)]) == 2
+    assert "SpectraCollision" in capsys.readouterr().err
+    assert built == []
 
 
 def test_huge_radicand_refused(tmp_path, capsys):
