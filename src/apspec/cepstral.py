@@ -25,6 +25,11 @@ EF = ExactFrequency
 
 DEFAULT_HALFWIDTH = 256 * math.pi
 
+# almost-period screen: probe indices per translate and translates per
+# chunk; one chunk's deviations take 512 x 256 float64 = 1 MB
+_SCAN_PROBES = 256
+_SCAN_CHUNK = 512
+
 
 def _grid(f: TrigPoly, halfwidth: float, step: float | None) -> tuple[int, float]:
     """Number of intervals (even) and adjusted step for the window."""
@@ -175,7 +180,21 @@ class AlmostPeriodReport:
 
 
 def almost_period_test(theta: SampledFunction, eps: float) -> AlmostPeriodReport:
-    """Scan translates tau in (0, L] for sup |theta(x+tau) - theta(x)| <= eps."""
+    """Scan translates tau in (0, L] for sup |theta(x+tau) - theta(x)| <= eps.
+
+    Translate k*step is accepted when max_j |vals[j+k] - vals[j]| <= eps
+    over every j with j + k a sample; a NaN anywhere rejects it.  The scan
+    runs in two stages with the same result as testing every k in full:
+
+    - screen: for _SCAN_CHUNK translates at a time, take the max over a
+      fixed probe set of _SCAN_PROBES indices spread evenly over
+      [0, N-1-kmax], and drop each k whose probe max is > eps or NaN;
+    - confirm: run each survivor through the full-slice test.
+
+    Each probe difference is one of the full-slice differences, formed by
+    the same floating-point subtraction, so a dropped k would fail the
+    full test too: its full max is at least the probe max, or NaN.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     vals = theta.values.real
@@ -183,11 +202,23 @@ def almost_period_test(theta: SampledFunction, eps: float) -> AlmostPeriodReport
     kmax = math.floor(L / theta.step + 1e-9)
     if kmax < 1 or len(vals) < 4:
         raise WindowTooSmall("no candidate translate keeps at least half the window")
+    # probes j = 0, d, 2d, ... <= N-1-kmax, so j + k is a sample for all k <= kmax;
+    # d is odd, so the probes meet every phase of a period of 2^i samples (the
+    # base-1 ray has 128 on the default window) instead of a few of them
+    room = len(vals) - 1 - kmax
+    d = max(1, room // (_SCAN_PROBES - 1)) | 1
+    width = min(_SCAN_PROBES - 1, room // d) * d + 1
+    shifted = np.lib.stride_tricks.sliding_window_view(vals, width)[:, ::d]  # [k, i] = vals[k + i*d]
+    probes = shifted[0]
+    buf = np.empty((_SCAN_CHUNK, len(probes)))
     accepted = []
-    for k in range(1, kmax + 1):
-        dev = float(np.max(np.abs(vals[k:] - vals[:-k])))
-        if dev <= eps:
-            accepted.append(k * theta.step)
+    for k0 in range(1, kmax + 1, _SCAN_CHUNK):
+        dev = buf[: min(_SCAN_CHUNK, kmax + 1 - k0)]
+        np.subtract(shifted[k0 : k0 + len(dev)], probes, out=dev)
+        np.abs(dev, out=dev)
+        for k in (k0 + np.flatnonzero(dev.max(axis=1) <= eps)).tolist():
+            if float(np.max(np.abs(vals[k:] - vals[:-k]))) <= eps:
+                accepted.append(k * theta.step)
     # gaps measured against the ends too: a drift that kills all large
     # translates must show up as a huge trailing gap
     knots = [0.0, *accepted, L]

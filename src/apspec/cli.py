@@ -36,7 +36,6 @@ from apspec.serialize import (
     factor_bundle_to_json,
     load_path,
     report_to_json,
-    sampled_to_csv,
     trigpoly_from_json,
     trigpoly_to_json,
 )
@@ -92,13 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(path: str | None, obj) -> None:
-    text = serialize.dumps(obj)
+def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
+
+
+def _write_json(path: str | None, obj) -> None:
+    _write_text(path, serialize.dumps(obj))
 
 
 def _read_text(path: str) -> str:
@@ -177,9 +179,13 @@ def _cmd_factor(args) -> int:
             allow_large=args.allow_large,
         )
     bundle["method"] = args.method
-    _write_json(args.out, bundle)
+    # sample and size-check the CSV first: a refused grid leaves neither file
+    csv_text = None
     if args.csv is not None:
-        sampled_to_csv(_as_samples(report.factor, args), args.csv, allow_large=args.allow_large)
+        csv_text = serialize.sampled_csv_text(_as_samples(report.factor, args), args.allow_large)
+    _write_json(args.out, bundle)
+    if csv_text is not None:
+        _write_text(args.csv, csv_text)
     return 0
 
 
@@ -311,12 +317,7 @@ def _cmd_growth(args) -> int:
         raise MalformedInput(f"bad --n list: {exc}") from exc
     if not ns:
         raise MalformedInput("--n must list at least one index")
-    text = serialize.growth_table_text(construction.wiener_growth_table(ns))
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+    _write_text(args.out, serialize.growth_table_text(construction.wiener_growth_table(ns)))
     return 0
 
 

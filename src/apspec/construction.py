@@ -224,9 +224,13 @@ def _check_rays(p: TrigPoly, rho: tuple[EF, ...]) -> None:
 
 
 def _certificate_battery(
-    m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, delta: EF
+    m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, s_squared: ProductPoly, delta: EF
 ) -> tuple[list[CheckResult], float]:
-    """Certificates shared by assemble and recheck; returns (checks, residual sup)."""
+    """Certificates shared by assemble and recheck; returns (checks, residual sup).
+
+    s_squared is ProductPoly(s); a caller whose f was built from the same
+    polynomial passes f itself, since equal inputs give identical products.
+    """
     checks: list[CheckResult] = []
     info_h = spectrum(h)
     checks.append(
@@ -240,7 +244,7 @@ def _certificate_battery(
     checks.append(
         CheckResult("halved_bandwidth", half_ok, float(info_s.tau), "tau(s) = tau(f)/2 exactly")
     )
-    residual = f.subtract_structured(ProductPoly(s))
+    residual = f.subtract_structured(s_squared)
     checks.append(
         CheckResult(
             "exact_factorization", residual.is_zero(), float(residual.wiener_norm()),
@@ -274,7 +278,7 @@ def assemble(params: ConstructionParams) -> ConstructionResult:
     h = h1 + c
     s = h.modulate(-delta)
     f = ProductPoly(s)
-    checks, residual_sup = _certificate_battery(params.m, h, s, f, delta)
+    checks, residual_sup = _certificate_battery(params.m, h, s, f, f, delta)
     report = FactorizationReport(
         method="construction",
         factor=s,
@@ -341,7 +345,8 @@ def recheck(
     if s != centred:
         _check_rays(s, rho)
     f = ProductPoly(centred)
-    battery, residual_sup = _certificate_battery(m, h, s, f, delta)
+    s_squared = f if s == centred else ProductPoly(s)
+    battery, residual_sup = _certificate_battery(m, h, s, f, s_squared, delta)
     checks.extend(battery)
     return FactorizationReport(
         method="construction",

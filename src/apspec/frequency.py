@@ -90,12 +90,20 @@ class ExactFrequency:
                 rat += c * outer
             else:
                 acc[core] = acc.get(core, Fraction(0)) + c * outer
-        rads = tuple(sorted((d, c) for d, c in acc.items() if c != 0))
-        object.__setattr__(self, "rational", rat)
-        object.__setattr__(self, "radicals", rads)
-        object.__setattr__(self, "_float", None)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_approx_err", None)
+        _fill(self, rat, tuple(sorted((d, c) for d, c in acc.items() if c != 0)))
+
+    @classmethod
+    def _canonical(
+        cls, rational: Fraction, radicals: tuple[tuple[int, Fraction], ...]
+    ) -> "ExactFrequency":
+        """Wrap parts already in canonical form, skipping the squarefree split.
+
+        rational is a Fraction; radicals hold squarefree radicands >= 2 in
+        ascending order with nonzero Fraction coefficients.
+        """
+        obj = object.__new__(cls)
+        _fill(obj, rational, radicals)
+        return obj
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ExactFrequency is immutable")
@@ -125,15 +133,14 @@ class ExactFrequency:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactFrequency(
-            self.rational + other.rational,
-            list(self.radicals) + list(other.radicals),
+        return ExactFrequency._canonical(
+            self.rational + other.rational, _merge_radicals(self.radicals, other.radicals)
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactFrequency":
-        return ExactFrequency(-self.rational, [(d, -c) for d, c in self.radicals])
+        return ExactFrequency._canonical(-self.rational, tuple((d, -c) for d, c in self.radicals))
 
     def __sub__(self, other: "ExactFrequency | RationalLike") -> "ExactFrequency":
         other = _coerce(other)
@@ -171,7 +178,9 @@ class ExactFrequency:
         if q == 0:
             raise ZeroDivisionError("division of frequency by zero")
         inv = 1 / q
-        return ExactFrequency(self.rational * inv, [(d, c * inv) for d, c in self.radicals])
+        return ExactFrequency._canonical(
+            self.rational * inv, tuple((d, c * inv) for d, c in self.radicals)
+        )
 
     def __abs__(self) -> "ExactFrequency":
         return -self if self.sign() < 0 else self
@@ -299,6 +308,28 @@ class ExactFrequency:
             if d > MAX_RADICAND:
                 raise MalformedInput(f"radicand {d} exceeds {MAX_RADICAND}")
         return cls(rat, rads)
+
+
+def _fill(obj: ExactFrequency, rational: Fraction, radicals: tuple[tuple[int, Fraction], ...]) -> None:
+    object.__setattr__(obj, "rational", rational)
+    object.__setattr__(obj, "radicals", radicals)
+    object.__setattr__(obj, "_float", None)
+    object.__setattr__(obj, "_hash", None)
+    object.__setattr__(obj, "_approx_err", None)
+
+
+def _merge_radicals(
+    a: tuple[tuple[int, Fraction], ...], b: tuple[tuple[int, Fraction], ...]
+) -> tuple[tuple[int, Fraction], ...]:
+    """Sum of two canonical radical tuples, canonical again: no radicand is split."""
+    if not b:
+        return a
+    if not a:
+        return b
+    acc = dict(a)
+    for d, c in b:
+        acc[d] = acc.get(d, 0) + c
+    return tuple(sorted((d, c) for d, c in acc.items() if c != 0))
 
 
 def _coerce(x) -> "ExactFrequency":

@@ -79,12 +79,6 @@ def sampled_csv_text(s: SampledFunction, allow_large: bool = False) -> str:
     return buf.getvalue()
 
 
-def sampled_to_csv(s: SampledFunction, path: str, allow_large: bool = False) -> None:
-    text = sampled_csv_text(s, allow_large)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def growth_table_text(rows: list[tuple[int, float]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)

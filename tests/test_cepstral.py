@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apspec import cepstral
 from apspec.cepstral import (
+    DEFAULT_HALFWIDTH,
     AlmostPeriodReport,
     almost_period_test,
     arg_decompose,
@@ -210,6 +214,107 @@ def test_almost_period_drift_rejected():
 def test_almost_period_window_too_small():
     with pytest.raises(WindowTooSmall):
         almost_period_test(SampledFunction(0.2, 0.4, np.zeros(2)), 0.1)
+
+
+def _scan_reference(theta, eps):
+    """The full-slice loop over every translate, before the probe screen."""
+    vals = theta.values.real
+    L = theta.halfwidth
+    kmax = math.floor(L / theta.step + 1e-9)
+    accepted = []
+    for k in range(1, kmax + 1):
+        if float(np.max(np.abs(vals[k:] - vals[:-k]))) <= eps:
+            accepted.append(k * theta.step)
+    knots = [0.0, *accepted, L]
+    gap = max(b - a for a, b in zip(knots, knots[1:]))
+    return AlmostPeriodReport(tuple(accepted), gap, gap <= L / 8)
+
+
+def _probe_stride(n_samples, kmax):
+    # mirrors the probe rule in almost_period_test
+    return max(1, (n_samples - 1 - kmax) // (cepstral._SCAN_PROBES - 1)) | 1
+
+
+@st.composite
+def _scan_cases(draw):
+    # kmax = n // 2: below the probe count, below one chunk, or across several chunks
+    n = draw(st.one_of(
+        st.integers(3, 2 * cepstral._SCAN_PROBES - 1),
+        st.integers(2 * cepstral._SCAN_PROBES, 2 * cepstral._SCAN_CHUNK - 1),
+        st.integers(2 * cepstral._SCAN_CHUNK, 5 * cepstral._SCAN_CHUNK),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["walk", "sines", "constant"]))
+    if kind == "walk":
+        vals = np.cumsum(rng.normal(scale=draw(st.floats(1e-3, 1.0)), size=n + 1))
+    elif kind == "sines":
+        xs = np.arange(n + 1)
+        vals = sum(
+            rng.uniform(0.05, 1.0) * np.sin(rng.uniform(0.0, 1.0) * xs + rng.uniform(0, 2 * math.pi))
+            for _ in range(draw(st.integers(1, 3)))
+        )
+    else:
+        vals = np.full(n + 1, draw(st.floats(-10.0, 10.0)))
+    L = n / 2
+    theta = SampledFunction(L, 1.0, vals)
+    kmax = math.floor(L + 1e-9)
+    for bad in draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=2)):
+        if draw(st.booleans()):  # a probe index j, or j + kmax
+            d = _probe_stride(n + 1, kmax)
+            j = d * draw(st.integers(0, (n - kmax) // d)) + draw(st.sampled_from([0, kmax]))
+        else:
+            j = draw(st.integers(0, n))
+        vals[j] = bad
+    if draw(st.booleans()):
+        # eps equal to a translate's attained deviation: that translate is accepted
+        k = draw(st.integers(1, kmax))
+        with np.errstate(invalid="ignore"):
+            eps = float(np.max(np.abs(vals[k:] - vals[:-k])))
+        if not 0 < eps < math.inf:
+            eps = 0.1
+    else:
+        eps = draw(st.floats(1e-6, 3.0))
+    return theta, eps
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(_scan_cases())
+def test_almost_period_screen_matches_full_scan(case):
+    theta, eps = case
+    rep = almost_period_test(theta, eps)
+    ref = _scan_reference(theta, eps)
+    assert rep == ref
+    assert rep.epsilon_periods == ref.epsilon_periods
+
+
+def test_almost_period_screen_boundary_is_inclusive():
+    L = 600.0
+    vals = np.sin(0.3 * np.arange(1201))
+    theta = SampledFunction(L, 1.0, vals)
+    k = 21
+    eps = float(np.max(np.abs(vals[k:] - vals[:-k])))
+    rep = almost_period_test(theta, eps)
+    assert k * 1.0 in rep.epsilon_periods
+    assert rep == _scan_reference(theta, eps)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.5])
+def test_almost_period_screen_default_window(eps):
+    # four Q-independent rays with top frequency 4: 32769 samples on the default window
+    rays = [EF(1), EF.sqrt_of(2) / 2, EF.sqrt_of(3) / 2, EF.sqrt_of(5) / 3]
+    pairs = [(4 * rays[0], 0.6), (rays[0], -0.4), (rays[1], 0.8), (3 * rays[1], 0.3),
+             (2 * rays[2], -0.7), (rays[3], 0.5), (4 * rays[3], -0.2)]
+    m = 0.75
+    f = TrigPoly.from_cos(pairs, constant=sum(abs(a) for _, a in pairs) + 1.5 * m)
+    g = half_log(f, m, halfwidth=DEFAULT_HALFWIDTH)
+    theta = arg_decompose(conjugate_boundary(g)).theta
+    assert len(theta.values) == 32769
+    rep = almost_period_test(theta, eps)
+    ref = _scan_reference(theta, eps)
+    assert rep == ref
+    assert rep.epsilon_periods == ref.epsilon_periods
+    assert rep.epsilon_periods
 
 
 def test_bohr_project_constant():

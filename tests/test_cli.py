@@ -259,6 +259,19 @@ def test_construct_verify_refuses_off_lattice_factor(tmp_path, capsys, monkeypat
     assert built == []
 
 
+def test_construct_and_verify_build_one_product_each(tmp_path, capsys, monkeypatch):
+    # f = |s|^2 doubles as the reference product of exact_factorization
+    out = tmp_path / "cons.json"
+    built = []
+    real_product = construction.ProductPoly
+    monkeypatch.setattr(construction, "ProductPoly", lambda h: built.append(h) or real_product(h))
+    assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "64", "--out", str(out)]) == 0
+    assert len(built) == 1
+    assert run(["verify", "--report", str(out)]) == 0
+    assert "PASS exact_factorization" in capsys.readouterr().out
+    assert len(built) == 2
+
+
 def test_huge_radicand_refused(tmp_path, capsys):
     # trial division of a 31-digit radicand would not finish
     big = str(10**30 + 57)
@@ -289,6 +302,16 @@ def test_sample_grid_too_large_refused(f_2p2cos, tmp_path, capsys):
     zs.write_text(json.dumps({"m": 0, "a": 0.0, "b": 0.0, "p": 0, "zeros": zeros}))
     assert run(["factor", "--method", "zeros", "--input", str(zs), "--step", "1e-9"]) == 1
     assert "samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [["--step", "1e-9"], ["--window-halfwidth", "1", "--step", "1e-6"]])
+def test_refused_csv_leaves_no_bundle(f_2p2cos, tmp_path, capsys, grid):
+    # a grid over the span cap, or over the CSV row cap without --allow-large
+    out, csv = tmp_path / "rep.json", tmp_path / "s.csv"
+    argv = ["factor", "--method", "roots", "--input", f_2p2cos, "--out", str(out), "--csv", str(csv)]
+    assert run(argv + grid) == 1
+    assert not out.exists() and not csv.exists()
+    capsys.readouterr()
 
 
 def test_construct_rejects_bad_params():

@@ -194,3 +194,29 @@ def test_sign_consistent_with_negation(f):
     assert f.sign() == -((-f).sign())
     if not f.is_zero():
         assert (f * f).sign() == 1
+
+
+@given(
+    frequencies(),
+    frequencies(),
+    st.one_of(st.integers(-9, 9), st.fractions(max_denominator=12)).filter(lambda q: q != 0),
+)
+@settings(max_examples=150, deadline=None)
+def test_sums_negations_quotients_match_public_constructor(a, b, q):
+    # these results skip the squarefree split; they must equal a fresh build
+    cases = [
+        (a + b, a.rational + b.rational, list(a.radicals) + list(b.radicals)),
+        (a - b, a.rational - b.rational, list(a.radicals) + [(d, -c) for d, c in b.radicals]),
+        (a - a, Fraction(0), []),
+        (-a, -a.rational, [(d, -c) for d, c in a.radicals]),
+        (a / q, a.rational / q, [(d, c / q) for d, c in a.radicals]),
+        (a + 3, a.rational + 3, list(a.radicals)),
+    ]
+    for got, rat, rads in cases:
+        ref = EF(rat, rads)
+        assert got == ref
+        assert got.rational == ref.rational and isinstance(got.rational, Fraction)
+        assert got.radicals == ref.radicals
+        assert all(isinstance(c, Fraction) for _, c in got.radicals)
+        assert hash(got) == hash(ref)
+        assert float(got) == float(ref)
