@@ -17,7 +17,15 @@ import numpy as np
 
 from apspec.errors import MalformedInput, NonConvergence
 from apspec.frequency import ExactFrequency
-from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, evaluation_error, ray_partition, spectrum
+from apspec.trigpoly import (
+    DenseBlock,
+    ProductPoly,
+    TrigPoly,
+    bohr_coefficient,
+    evaluation_error,
+    ray_partition,
+    spectrum,
+)
 
 EF = ExactFrequency
 
@@ -71,8 +79,6 @@ def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1
     vals = np.fft.ifft(bins, norm="forward")
     lower = float(np.max(np.abs(vals)))
     s_tau = 2 * math.pi * maxk / n
-    if s_tau >= 1:
-        raise NonConvergence(f"grid step times type {s_tau:.3g} >= 1; cannot certify")
     upper = lower / (1 - s_tau) * FP_CUSHION
     return NormBracket(lower, upper)
 
@@ -158,8 +164,7 @@ def certify_lower_bound(
     if window is None:
         window = (-32 * math.pi, 32 * math.pi)
     if tau == 0:
-        c = f.bohr_coefficient(EF(0)) if isinstance(f, ProductPoly) else f.coefficient(EF(0))
-        return c.real >= m
+        return bohr_coefficient(f, EF(0)).real >= m
     err = evaluation_error(f, max(abs(window[0]), abs(window[1])))
     step = grid_step if grid_step is not None else 1.0 / (8 * tau)
     for _ in range(8):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from apspec.certify import sup_norm_certified
 from apspec.errors import ReciprocalApproximationFailed
@@ -127,6 +126,8 @@ def poisson_eval(f: TrigPoly, z: complex, mode: str = "closed", cutoff: float = 
         return complex(total)
     if mode != "quadrature":
         raise ValueError(f"unknown mode {mode!r}")
+    from scipy.integrate import quad
+
     x, y = z.real, z.imag
 
     def kernel(t):

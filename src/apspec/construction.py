@@ -211,10 +211,9 @@ def build_g(params: ConstructionParams) -> tuple[TrigPoly, tuple[int, ...], tupl
 def _check_rays(p: TrigPoly, rho: tuple[EF, ...]) -> None:
     """Refuse a polynomial whose spectrum does not lie on the lattices rho_j * Z.
 
-    Runs before any product is built: a spectrum off the lattices can split
-    into one ray per term, and |p|^2 would then carry quadratically many
-    cross blocks. Each ray has keys with gcd 1, so by Bezout all of its
-    frequencies are integer multiples of rho_j exactly when its base is.
+    This validates a bundle's stored rho against its h and s; it is the only
+    use of rho in verify. Each ray has keys with gcd 1, so by Bezout all of
+    its frequencies are integer multiples of rho_j exactly when its base is.
     """
     _, rays = ray_partition(p)
     for b in rays:
@@ -224,12 +223,14 @@ def _check_rays(p: TrigPoly, rho: tuple[EF, ...]) -> None:
 
 
 def _certificate_battery(
-    m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, s_squared: ProductPoly, delta: EF
+    m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, delta: EF
 ) -> tuple[list[CheckResult], float]:
     """Certificates shared by assemble and recheck; returns (checks, residual sup).
 
-    s_squared is ProductPoly(s); a caller whose f was built from the same
-    polynomial passes f itself, since equal inputs give identical products.
+    exact_factorization bounds ||f - |s|^2||_A through f's factor u: since
+    |u|^2 - |s|^2 = (u - s) conj(u) + s conj(u - s) and ||.||_A is
+    submultiplicative, it is at most ||u - s||_A (||u||_A + ||s||_A), which
+    is 0 exactly when s is u.
     """
     checks: list[CheckResult] = []
     info_h = spectrum(h)
@@ -244,10 +245,12 @@ def _certificate_battery(
     checks.append(
         CheckResult("halved_bandwidth", half_ok, float(info_s.tau), "tau(s) = tau(f)/2 exactly")
     )
-    residual = f.subtract_structured(s_squared)
+    u = f.factor
+    gap = u - s
+    residual = gap.wiener_norm() * (u.wiener_norm() + s.wiener_norm())
     checks.append(
         CheckResult(
-            "exact_factorization", residual.is_zero(), float(residual.wiener_norm()),
+            "exact_factorization", gap.is_zero(), residual,
             "f - |s|^2 at the coefficient level",
         )
     )
@@ -263,7 +266,7 @@ def _certificate_battery(
             "min Re P[h] over 10 interior points",
         )
     )
-    return checks, 0.0 if residual.is_zero() else float(residual.wiener_norm())
+    return checks, residual
 
 
 def assemble(params: ConstructionParams) -> ConstructionResult:
@@ -278,7 +281,7 @@ def assemble(params: ConstructionParams) -> ConstructionResult:
     h = h1 + c
     s = h.modulate(-delta)
     f = ProductPoly(s)
-    checks, residual_sup = _certificate_battery(params.m, h, s, f, f, delta)
+    checks, residual_sup = _certificate_battery(params.m, h, s, f, delta)
     report = FactorizationReport(
         method="construction",
         factor=s,
@@ -315,12 +318,12 @@ def recheck(
 ) -> FactorizationReport:
     """Re-run every certificate on deserialized pipeline output.
 
-    Nothing stored is trusted: f is rebuilt as |s|^2 from h shifted back
-    by delta, exact_factorization compares f with |s|^2 of the stored s,
-    and the whole battery is recomputed, plus consistency checks tying the
-    stored intermediates to each other. If h shifted back or the stored s
-    has a spectrum off the lattices rho_j * Z, SpectraCollision is raised
-    before either product is built.
+    Nothing stored is trusted: f is rebuilt as |u|^2 from u = h shifted
+    back by delta, exact_factorization bounds f - |s|^2 for the stored s
+    through u - s, and the whole battery is recomputed, plus consistency
+    checks tying the stored intermediates to each other. If u or the stored
+    s has a spectrum off the lattices rho_j * Z, SpectraCollision is raised
+    before f is built.
     """
     checks: list[CheckResult] = []
     checks.append(
@@ -344,9 +347,7 @@ def recheck(
     _check_rays(centred, rho)
     if s != centred:
         _check_rays(s, rho)
-    f = ProductPoly(centred)
-    s_squared = f if s == centred else ProductPoly(s)
-    battery, residual_sup = _certificate_battery(m, h, s, f, s_squared, delta)
+    battery, residual_sup = _certificate_battery(m, h, s, ProductPoly(centred), delta)
     checks.extend(battery)
     return FactorizationReport(
         method="construction",

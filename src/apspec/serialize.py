@@ -151,8 +151,8 @@ def factor_bundle_to_json(
 def construction_to_json(res, allow_large: bool = False) -> dict:
     """ConstructionResult payload; f stays implicit (|h|^2 = |s|^2).
 
-    f is the lazy ProductPoly of s, and written out it would dominate the
-    file by orders of magnitude, so only a marker with its upper term count
+    f is ProductPoly(s), and written out it would dominate the file by
+    orders of magnitude, so only a marker with its upper term count
     is stored (the hint string is part of the bundle bytes, so it stays
     fixed).  Everything needed to rebuild and re-verify f exactly (h, s,
     delta, rho) is present; verify never reads f.

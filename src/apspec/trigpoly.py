@@ -6,15 +6,15 @@ distinct and kept in a dict; exact zero coefficients are dropped; iteration
 order is ascending by frequency value.
 
 Every squared modulus |h|^2 is built one way (`ProductPoly(h)`): h is
-split into its rational rays (`ray_partition`), each ray is autocorrelated
-with one convolution, and each pair of rays contributes a lazy rank-one
-cross block.  The ProductPoly is the factored form |h|^2 with that block
-expansion, which supports exact subtraction, spectrum bounds, coefficient
-lookup and fast evaluation; `modulus_squared` materializes it as a TrigPoly.
+split into its rational rays (`ray_partition`) and each ray is
+autocorrelated with one convolution.  The ProductPoly is |h|^2 seen
+through its factor: values, sup bounds and the spectrum are read from h,
+and `modulus_squared` materializes its coefficients as a TrigPoly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,43 +57,11 @@ class DenseBlock:
         if len(self.keys) != len(self.coeffs):
             raise ValueError("keys and coeffs must align")
 
-    def term_count(self) -> int:
-        return len(self.keys)
-
     def terms(self) -> Iterator[tuple[EF, complex]]:
         """(frequency, coefficient) pairs, zero coefficients skipped."""
         for k, c in zip(self.keys.tolist(), self.coeffs.tolist()):
             if c != 0:
                 yield self.base * k, c
-
-
-@dataclass(frozen=True)
-class Rank1Block:
-    """Lazy rank-one coefficient block.
-
-    Represents  sum_{i,j} vec_a[i] * conj(vec_b[j]) * chi(base_a*keys_a[i]
-    - base_b*keys_b[j]).  All (i, j) frequencies are distinct when base_a
-    and base_b are independent over Q.
-    """
-
-    base_a: EF
-    keys_a: np.ndarray
-    vec_a: np.ndarray
-    base_b: EF
-    keys_b: np.ndarray
-    vec_b: np.ndarray
-
-    def term_count(self) -> int:
-        return len(self.keys_a) * len(self.keys_b)
-
-    def terms(self) -> Iterator[tuple[EF, complex]]:
-        """(frequency, coefficient) pairs, zero coefficients skipped."""
-        vals = np.outer(self.vec_a, np.conjugate(self.vec_b))
-        for ka, row in zip(self.keys_a.tolist(), vals.tolist()):
-            wa = self.base_a * ka
-            for kb, v in zip(self.keys_b.tolist(), row):
-                if v != 0:
-                    yield wa - self.base_b * kb, v
 
 
 class TrigPoly:
@@ -383,8 +351,8 @@ def spectrum(f: "TrigPoly | ProductPoly") -> SpectrumInfo:
     """Spectrum summary: count, extremes, bandwidth, one-sided width tau.
 
     tau is max(|inf|, |sup|), the exponential type of the natural entire
-    extension.  For lazy products the frequency list is omitted and the
-    count is an upper bound (cross-ray coincidences are not deduped).
+    extension.  For a ProductPoly the frequency list is omitted, the
+    extremes are +-(bandwidth of the factor) and the count is an upper bound.
     """
     if isinstance(f, ProductPoly):
         return f.spectrum()
@@ -397,10 +365,9 @@ def spectrum(f: "TrigPoly | ProductPoly") -> SpectrumInfo:
 
 
 def bohr_coefficient(f: "TrigPoly | ProductPoly", w) -> complex:
-    """Exact coefficient at frequency w (0 if absent)."""
-    w = _as_ef(w)
+    """Exact coefficient at frequency w (0 if absent); a ProductPoly is materialized first."""
     if isinstance(f, ProductPoly):
-        return f.bohr_coefficient(w)
+        f = f.to_trigpoly()
     return f.coefficient(w)
 
 
@@ -503,25 +470,22 @@ def modulus_squared(f: TrigPoly) -> TrigPoly:
 
 
 class ProductPoly:
-    """|h|^2 kept in factored + block-expanded form.
+    """|h|^2 seen through its factor h.
 
     factor: the polynomial h.
     const, rays: h's constant term and rational rays (`ray_partition`).
     dense: one autocorrelation block per ray, the constant riding on the
            first ray at key 0 (or on a lone base-1 block if h is constant).
-    cross: lazy rank-one blocks, one per ordered pair of distinct rays.
 
-    Pass the origin-centred factor: |chi_a * h|^2 = |h|^2, and an h moved
-    off the origin can split into one ray per term, which makes the number
-    of cross blocks quadratic in its term count.
-
-    The represented polynomial is  sum(dense) + sum(cross) == |h|^2 exactly,
-    with every stored float produced by a deterministic schedule, so two
-    ProductPolys built from factors with identical coefficient arrays
-    subtract to the exact zero polynomial.
+    Values are |h(x)|^2, sup bounds come from h's rays (`certify`), and the
+    spectrum lies in [-b, b] with b the bandwidth of h.  `to_trigpoly`
+    adds to the dense blocks the rank-one cross terms of each ordered pair
+    of distinct rays.  Pass the origin-centred factor: |chi_a * h|^2 = |h|^2,
+    and an h moved off the origin can split into one ray per term, which
+    makes the number of cross terms quadratic in its term count.
     """
 
-    __slots__ = ("factor", "const", "rays", "dense", "cross")
+    __slots__ = ("factor", "const", "rays", "dense", "_blocks")
 
     def __init__(self, h: TrigPoly):
         const, rays = ray_partition(h)
@@ -538,20 +502,15 @@ class ProductPoly:
         self.rays = tuple(rays)
         # autocorrelation of a block: frequencies base*(k_i - k_j)
         self.dense = tuple(DenseBlock(b.base, *_autocorrelate(b.keys, b.coeffs)) for b in blocks)
-        self.cross = tuple(
-            Rank1Block(a.base, a.keys, a.coeffs, b.base, b.keys, b.coeffs)
-            for a in blocks
-            for b in blocks
-            if a is not b
-        )
+        self._blocks = tuple(blocks)
 
     # -- views ---------------------------------------------------------------
 
     def term_count_upper(self) -> int:
         """Upper bound on the number of distinct frequencies."""
-        n = sum(len(b.keys) for b in self.dense)
-        n += sum(b.term_count() for b in self.cross)
-        return n
+        sizes = [len(b.keys) for b in self._blocks]
+        cross = sum(sizes) ** 2 - sum(n * n for n in sizes)
+        return sum(len(b.keys) for b in self.dense) + cross
 
     def is_real(self, tol: float = 0.0) -> bool:
         return True  # |h|^2 is real by construction
@@ -564,56 +523,40 @@ class ProductPoly:
         h = self.factor.evaluate(x)
         return np.abs(h) ** 2 if isinstance(h, np.ndarray) else abs(h) ** 2
 
-    def bohr_coefficient(self, w) -> complex:
-        w = _as_ef(w)
-        total = 0j
-        for b in self.dense:
-            q = rational_ratio(w, b.base)
-            if q is None or q.denominator != 1:
-                continue
-            idx = np.searchsorted(b.keys, int(q))
-            if idx < len(b.keys) and b.keys[idx] == int(q):
-                total += complex(b.coeffs[idx])
-        for b in self.cross:
-            total += _rank1_coefficient(b, w)
-        return total
-
     def spectrum(self) -> SpectrumInfo:
-        los: list[EF] = []
-        his: list[EF] = []
-        for b in self.dense:
-            if len(b.keys):
-                los.append(b.base * int(b.keys[0]))
-                his.append(b.base * int(b.keys[-1]))
-        for b in self.cross:
-            if len(b.keys_a) and len(b.keys_b):
-                los.append(b.base_a * int(b.keys_a[0]) - b.base_b * int(b.keys_b[-1]))
-                his.append(b.base_a * int(b.keys_a[-1]) - b.base_b * int(b.keys_b[0]))
-        if not los:
+        """Omega(|h|^2) lies in Omega(h) - Omega(h), whose extremes are +-bandwidth(h)."""
+        info = spectrum(self.factor)
+        if info.count == 0:
             return SpectrumInfo.empty()
-        lo, hi = min(los), max(his)
-        return SpectrumInfo(self.term_count_upper(), lo, hi, hi - lo, max(abs(lo), abs(hi)), None)
-
-    def wiener_norm_upper(self) -> float:
-        """Upper bound on the coefficient-magnitude sum."""
-        total = math.fsum(float(np.abs(b.coeffs).sum()) for b in self.dense)
-        for b in self.cross:
-            total += float(np.abs(b.vec_a).sum() * np.abs(b.vec_b).sum())
-        return total
+        b = info.bandwidth
+        return SpectrumInfo(self.term_count_upper(), -b, b, b + b, b, None)
 
     def to_trigpoly(self) -> TrigPoly:
         """The product materialized term by term, exactly Hermitian.
 
-        Blocks are expanded and summed once; only the w > 0 side is kept and
-        mirrored, and the w = 0 coefficient is made real, so c(-w) ==
-        conj(c(w)) holds bit for bit (the rank-one products of the two
-        orientations of a cross block need not be conjugate to the last bit).
+        The dense blocks' terms come first, then for each ordered pair
+        (a, b) of distinct blocks the terms a_i * conj(b_j) at
+        base_a*k_i - base_b*k_j.  They are summed once; only the w > 0 side
+        is kept and mirrored, and the w = 0 coefficient is made real, so
+        c(-w) == conj(c(w)) holds bit for bit (the rank-one products of
+        (a, b) and (b, a) need not be conjugate to the last bit).
         """
-        blocks = self.dense + self.cross
-        if sum(b.term_count() for b in blocks) > MAX_DICT_PAIRS:
+        if self.term_count_upper() > MAX_DICT_PAIRS:
             raise ValueError("product too large to materialize as a TrigPoly")
+
+        def cross(a: DenseBlock, b: DenseBlock) -> Iterator[tuple[EF, complex]]:
+            vals = np.outer(a.coeffs, np.conjugate(b.coeffs))
+            for ka, row in zip(a.keys.tolist(), vals.tolist()):
+                wa = a.base * ka
+                for kb, v in zip(b.keys.tolist(), row):
+                    if v != 0:
+                        yield wa - b.base * kb, v
+
+        blocks = self._blocks
+        dense = (t for d in self.dense for t in d.terms())
+        pairs = (t for a in blocks for b in blocks if a is not b for t in cross(a, b))
         out: dict[EF, complex] = {}
-        for w, c in TrigPoly(t for b in blocks for t in b.terms())._terms.items():
+        for w, c in TrigPoly(itertools.chain(dense, pairs))._terms.items():
             sign = w.sign()
             if sign > 0:
                 out[w] = c
@@ -621,28 +564,6 @@ class ProductPoly:
             elif sign == 0:
                 out[w] = complex(c.real, 0.0)
         return TrigPoly(out)
-
-    def subtract_structured(self, other: "ProductPoly") -> TrigPoly:
-        """Exact difference self - other as a plain TrigPoly.
-
-        Blocks identical on both sides (same bases, keys and
-        coefficient arrays) cancel; the rest are expanded into terms and
-        summed.  Structurally identical inputs give the exact zero polynomial.
-        """
-        counts: dict[tuple, list] = {}
-        for sign, p in ((1, self), (-1, other)):
-            for b in p.dense + p.cross:
-                entry = counts.setdefault(_block_key(b), [0, b])
-                entry[0] += sign
-        rest = [(n, b) for n, b in counts.values() if n != 0]
-        if sum(b.term_count() for _, b in rest) > MAX_DICT_PAIRS:
-            raise ValueError("structured difference does not cancel; too large to materialize")
-        return TrigPoly((w, n * c) for n, b in rest for w, c in b.terms())
-
-
-def _block_key(b: "DenseBlock | Rank1Block") -> tuple:
-    """Hashable identity of a block: its exact bases and array bytes."""
-    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(b).values())
 
 
 def _autocorrelate(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -664,44 +585,3 @@ def _autocorrelate(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np
     deltas = np.arange(-(width - 1), width, dtype=np.int64)
     nz = corr != 0
     return deltas[nz], corr[nz]
-
-
-def _solve_pair(target: EF, u: EF, v: EF) -> tuple[Fraction, Fraction] | None:
-    """Exact (s, t) with target == s*u + t*v, or None.
-
-    u and v must be linearly independent over Q; the answer is then unique.
-    """
-    basis = sorted({d for f in (target, u, v) for d, _ in f.radicals})
-    def coords(f: EF) -> list[Fraction]:
-        m = dict(f.radicals)
-        return [f.rational] + [m.get(d, Fraction(0)) for d in basis]
-    tv, uv, vv = coords(target), coords(u), coords(v)
-    # pick two rows making the 2x2 system nonsingular
-    n = len(tv)
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = uv[i] * vv[j] - uv[j] * vv[i]
-            if det == 0:
-                continue
-            s = (tv[i] * vv[j] - tv[j] * vv[i]) / det
-            t = (uv[i] * tv[j] - uv[j] * tv[i]) / det
-            if all(s * uv[k] + t * vv[k] == tv[k] for k in range(n)):
-                return s, t
-            return None
-    return None
-
-
-def _rank1_coefficient(b: Rank1Block, w: EF) -> complex:
-    """Coefficient of a rank-one block at frequency w (exact lattice solve)."""
-    st = _solve_pair(w, b.base_a, b.base_b)
-    if st is None:
-        return 0j
-    s, t = st
-    if s.denominator != 1 or t.denominator != 1:
-        return 0j
-    ka, kb = int(s), -int(t)
-    i = np.searchsorted(b.keys_a, ka)
-    j = np.searchsorted(b.keys_b, kb)
-    if i < len(b.keys_a) and b.keys_a[i] == ka and j < len(b.keys_b) and b.keys_b[j] == kb:
-        return complex(b.vec_a[i] * np.conjugate(b.vec_b[j]))
-    return 0j

@@ -26,7 +26,6 @@ from apspec.periodic import fejer_riesz
 from apspec.products import ZeroSet, ahiezer_split, factor_from_zeros, product_eval
 from apspec.serialize import dumps, trigpoly_to_json
 from apspec.trigpoly import (
-    ProductPoly,
     TrigPoly,
     bohr_coefficient,
     mean_value_numeric,
@@ -196,7 +195,8 @@ def test_criterion_04_entire_products():
 
 def test_criterion_05_construction_pipeline(pipeline):
     res = pipeline
-    exact_zero = res.f.subtract_structured(ProductPoly(res.s)).is_zero()
+    exact = next(c for c in res.certificates.checks if c.name == "exact_factorization")
+    exact_zero = res.f.factor == res.s and exact.passed and exact.value == 0.0
     lower = certify_lower_bound(res.f, 1.0)
     q_counts = sum(build_q(j, res.n_seq).term_count() for j in range(1, res.params.blocks + 1))
     disjoint = res.g.term_count() == q_counts

@@ -203,6 +203,7 @@ def test_construct_then_verify_small(tmp_path, capsys):
     assert bundle["kind"] == "construction"
     # f is never written out, only its pair-count marker
     assert bundle["f"]["omitted"] is True
+    assert bundle["f"]["pairs"] == 249
     assert run(["verify", "--report", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "PASS exact_factorization" in printed
@@ -240,8 +241,8 @@ def _shift_rat(freq: dict, by: Fraction) -> None:
 
 @pytest.mark.parametrize("tamper", ["delta", "s"])
 def test_construct_verify_refuses_off_lattice_factor(tmp_path, capsys, monkeypatch, tamper):
-    # a spectrum off rho * Z splits into one ray per term, so |s|^2 of it
-    # would carry quadratically many cross blocks: refuse before any product
+    # a spectrum off rho * Z does not fit the stored rho: verify refuses the
+    # bundle with SpectraCollision before any product is built
     out = tmp_path / "cons.json"
     run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "256", "--out", str(out)])
     bundle = load_path(str(out))
@@ -260,7 +261,7 @@ def test_construct_verify_refuses_off_lattice_factor(tmp_path, capsys, monkeypat
 
 
 def test_construct_and_verify_build_one_product_each(tmp_path, capsys, monkeypatch):
-    # f = |s|^2 doubles as the reference product of exact_factorization
+    # exact_factorization reads s against f's factor, so it builds no product of its own
     out = tmp_path / "cons.json"
     built = []
     real_product = construction.ProductPoly
@@ -270,6 +271,25 @@ def test_construct_and_verify_build_one_product_each(tmp_path, capsys, monkeypat
     assert run(["verify", "--report", str(out)]) == 0
     assert "PASS exact_factorization" in capsys.readouterr().out
     assert len(built) == 2
+
+
+def test_tampered_construction_fails_its_checks(tmp_path, capsys):
+    # a changed coefficient of s is a failed check, not a crash: every check prints
+    out = tmp_path / "cons.json"
+    assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "1024", "--out", str(out)]) == 0
+    bundle = load_path(str(out))
+    bundle["s"]["terms"][3]["re"] += 1e-3
+    out.write_text(dumps(bundle))
+    capsys.readouterr()
+    assert run(["verify", "--report", str(out)]) == 3
+    printed = capsys.readouterr().out
+    assert "FAIL modulation_consistent" in printed
+    assert "FAIL exact_factorization" in printed
+    names = [line.split()[1] for line in printed.splitlines()]
+    assert names == [
+        "delta_matches_spectrum", "modulation_consistent", "analytic_spectrum", "halved_bandwidth",
+        "exact_factorization", "lower_bound_certified", "halfplane_real_part",
+    ]
 
 
 def test_huge_radicand_refused(tmp_path, capsys):
@@ -339,6 +359,12 @@ def test_analyze_rejects_bad_flags(f_3p2cos, f_2p2cos):
     assert run(["analyze", "--input", f_3p2cos, "--m", "-2"]) == 1
     assert run(["analyze", "--input", f_3p2cos, "--m", "0.9", "--eps", "0"]) == 1
     assert run(["analyze", "--input", f_2p2cos, "--m", "0.5"]) == 2
+
+
+def test_cli_import_skips_scipy_integrate():
+    # only quadrature-mode checks need scipy.integrate, and importing it is most of start-up
+    code = "import sys, apspec.cli; sys.exit(int('scipy.integrate' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_console_script_entry():

@@ -189,8 +189,9 @@ def test_assemble_pinned_sequence_and_scales(pinned):
 
 def test_assemble_exact_factorization(pinned):
     assert isinstance(pinned.f, ProductPoly)
-    diff = pinned.f.subtract_structured(ProductPoly(pinned.s))
-    assert diff.is_zero()
+    assert pinned.f.factor == pinned.s
+    exact = next(c for c in pinned.certificates.checks if c.name == "exact_factorization")
+    assert exact.passed and exact.value == 0.0
 
 
 def test_assemble_spectra(pinned):

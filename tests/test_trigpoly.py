@@ -205,35 +205,28 @@ def test_product_poly_matches_dict_route():
     # same values on a grid
     xs = np.linspace(-7, 7, 41)
     assert np.allclose(f_lazy.evaluate_real(xs), f_dict.evaluate(xs).real, atol=1e-12)
-    # same coefficients at every frequency of the materialized result
-    for w, c in f_dict.sorted_terms():
-        assert abs(f_lazy.bohr_coefficient(w) - c) < 1e-12
     # spectral extremes agree
     sd, sl = spectrum(f_dict), f_lazy.spectrum()
     assert sd.inf_freq == sl.inf_freq
     assert sd.sup_freq == sl.sup_freq
     assert sl.count >= sd.count
-    # wiener upper dominates the true norm
-    assert f_lazy.wiener_norm_upper() >= f_dict.wiener_norm() - 1e-12
 
 
 def test_product_poly_exact_self_subtraction():
-    # a factor shifted off the origin and back rebuilds the same blocks
+    # a factor shifted off the origin and back rebuilds the same product
     s = _two_ray_poly()
     delta = EF.sqrt_of(2) * 3 / 5
     h = s.modulate(delta)
     f1 = ProductPoly(h.modulate(-delta))
     f2 = ProductPoly(s)
-    assert f1.subtract_structured(f2).is_zero()
-    assert f2.subtract_structured(f1).is_zero()
+    assert f1.to_trigpoly() == f2.to_trigpoly()
 
 
 def test_product_poly_detects_difference():
     h = _two_ray_poly()
     terms = dict(h.sorted_terms())
     terms[EF.sqrt_of(2) / 5 * -2] += 0.5
-    diff = ProductPoly(h).subtract_structured(ProductPoly(TrigPoly(terms)))
-    assert not diff.is_zero()
+    assert ProductPoly(h).to_trigpoly() != ProductPoly(TrigPoly(terms)).to_trigpoly()
 
 
 @st.composite
@@ -316,6 +309,14 @@ def test_modulus_squared_matches_pair_sum(h):
     for w, c in f.sorted_terms():
         assert f.coefficient(-w) == c.conjugate()  # exact, not approximate
     assert f.coefficient(EF(0)).imag == 0.0
+    # the extremes +-bandwidth(h) carry c_max * conj(c_min), dropped only by underflow
+    sp, sf = ProductPoly(h).spectrum(), spectrum(f)
+    assert sp.count >= sf.count
+    if sf.count:
+        assert sp.inf_freq <= sf.inf_freq and sf.sup_freq <= sp.sup_freq
+    terms = h.sorted_terms()
+    if terms and terms[-1][1] * terms[0][1].conjugate() != 0:
+        assert (sp.inf_freq, sp.sup_freq) == (sf.inf_freq, sf.sup_freq)
 
 
 def test_modulus_squared_materializes_product_poly():
