@@ -277,8 +277,10 @@ def _cmd_verify(args) -> int:
     if args.out is not None:
         _write_json(args.out, report_to_json(report))
     for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        sys.stdout.write(f"{status} {check.name} value={check.value!r}\n")
+        if check.passed:
+            sys.stdout.write(f"PASS {check.name} value={check.value!r}\n")
+        else:
+            sys.stdout.write(f"FAIL {check.name} value={check.value!r} -- {check.detail}\n")
     return 0 if all(check.passed for check in report.checks) else 3
 
 

@@ -9,8 +9,10 @@ with |S|^2 = F on the line and no zeros in the open upper half-plane.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +48,16 @@ class ZeroSet:
             raise MalformedInput("genus p must be 0 or 1")
         if self.m < 0:
             raise MalformedInput("origin multiplicity must be nonnegative")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise MalformedInput(f"a and b must be finite, got a={self.a!r}, b={self.b!r}")
         zs = tuple((complex(z), int(k)) for z, k in self.zeros)
         for z, k in zs:
+            if not cmath.isfinite(z):
+                raise MalformedInput(f"zero {z!r} is not finite")
             if z == 0:
                 raise MalformedInput("origin zeros belong in m, not the list")
+            if not cmath.isfinite(1 / z):
+                raise MalformedInput(f"zero {z!r} is too close to the origin: 1/z overflows")
             if k < 1:
                 raise MalformedInput("multiplicities must be positive")
         object.__setattr__(self, "zeros", zs)
@@ -107,13 +115,54 @@ def _log_primary(zeta: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _far_series(zs: np.ndarray, mults: np.ndarray, p: int, z: np.ndarray, reach: float) -> np.ndarray:
+    """sum_n mult_n log E(z/z_n, p) for zeros with |z_n|/2 >= reach >= max|z|.
+
+    With w_n = reach/z_n and t = z/reach (|w_n| <= 1/2, |t| <= 1), the sum is
+    -sum_{j>p} (Q_j/j) t^j with power sums Q_j = sum_n mult_n w_n^j.  Cutting
+    it at J = _SERIES_TERMS leaves |sum_{j>J} (w t)^j/j| <= 2^-(J+1)/((J+1)/2)
+    = 2^-48/49 per unit multiplicity, M 2^-48/49 in all, M = sum_n mult_n.
+
+    Rounding, with u = 2^-53 and gamma_k = k u/(1 - k u): the quotient w_n,
+    the scaling by mult_n and j - 1 complex products put mult_n w_n^j within
+    gamma_(3j+3) of itself, and summing N far zeros in any order adds
+    gamma_(N-1), per component; so Q_j/j is within 2 gamma_(N+4J+3) M 2^-j/j
+    of its exact value, and these errors sum to at most that times ln 2 over
+    j.  Horner in t adds gamma_(4J) sum_j |Q_j|/j <= gamma_(4J) M ln 2, and
+    the rounding of t moves the sum by at most u sum_j |Q_j| <= u M, and the
+    last product by t^(p+1) adds gamma_3.  In all the result is within
+    M (2^-48/49 + 2 gamma_(N+8J+8)) of the exact sum.
+    """
+    w = reach / zs
+    pw = mults * w
+    coef = np.zeros(_SERIES_TERMS + 1, dtype=complex)
+    for j in range(1, _SERIES_TERMS + 1):
+        coef[j] = pw.sum() / j
+        pw = pw * w
+    t = z / reach
+    acc = np.full(len(t), coef[_SERIES_TERMS])
+    for j in range(_SERIES_TERMS - 1, p, -1):
+        acc = acc * t + coef[j]
+    return -acc * t ** (p + 1)
+
+
 def _log_product(zs: np.ndarray, mults: np.ndarray, p: int, z: np.ndarray) -> np.ndarray:
     """sum_n mult_n log E(z/z_n, p) for a vector of evaluation points.
 
-    A point that hits a zero exactly gets -inf + 0j, so exp gives 0 there
-    (the matrix product alone would turn -inf * 0 into NaN).
+    Zeros with |z_n|/2 >= max|z| are far: they go through one power-sum
+    series (_far_series), about J (points + zeros) multiply-adds.  The near
+    zeros take one log per (point, zero).  A point that hits a zero exactly
+    gets -inf + 0j, so exp gives 0 there (the matrix product alone would
+    turn -inf * 0 into NaN); a far zero cannot be hit, since |z/z_n| <= 1/2.
     """
     total = np.zeros(len(z), dtype=complex)
+    if len(z) == 0:
+        return total
+    reach = float(np.max(np.abs(z)))
+    far = np.abs(zs) * _SERIES_RADIUS >= reach
+    if reach > 0 and np.any(far):
+        total += _far_series(zs[far], mults[far], p, z, reach)
+    zs, mults = zs[~far], mults[~far]
     if len(zs) == 0:
         return total
     chunk = max(1, 4_000_000 // len(zs))
@@ -123,17 +172,22 @@ def _log_product(zs: np.ndarray, mults: np.ndarray, p: int, z: np.ndarray) -> np
         logs = _log_primary(zeta, p)
         hit = logs.real.min(axis=1) == -np.inf
         with np.errstate(invalid="ignore"):
-            total[lo : lo + chunk] = logs @ mults
+            total[lo : lo + chunk] += logs @ mults
         total[lo : lo + chunk][hit] = complex(-np.inf, 0.0)
     return total
+
+
+def _log_sum(zero_set: ZeroSet, pts: np.ndarray) -> np.ndarray:
+    """_log_product over the zero list of `zero_set`."""
+    zs = np.array([w for w, _ in zero_set.zeros], dtype=complex)
+    mults = np.array([k for _, k in zero_set.zeros], dtype=float)
+    return _log_product(zs, mults, zero_set.p, pts)
 
 
 def product_eval(zero_set: ZeroSet, z) -> np.ndarray | complex:
     """F(z) = z^(2m) e^(2az+2b) prod E(z/z_n, p)^mult, log-accumulated."""
     pts = np.atleast_1d(np.asarray(z, dtype=complex))
-    zs = np.array([w for w, _ in zero_set.zeros], dtype=complex)
-    mults = np.array([k for _, k in zero_set.zeros], dtype=float)
-    logs = _log_product(zs, mults, zero_set.p, pts)
+    logs = _log_sum(zero_set, pts)
     vals = np.exp(logs + 2 * zero_set.a * pts + 2 * zero_set.b)
     if zero_set.m:
         vals = vals * pts ** (2 * zero_set.m)
@@ -164,19 +218,29 @@ def ahiezer_split(zero_set: ZeroSet) -> tuple[ZeroSet, float]:
                 f"real zero {z.real:.6g} has odd multiplicity {k}"
             )
         selected.append((z, k // 2))
-    remaining = list(upper)
+    # a partner w has |Re w - Re z| <= tol, so only a window of the upper
+    # zeros sorted by real part is scanned (twice as wide, against rounding);
+    # the earliest-listed unused partner wins, as in a scan of the list
+    order = sorted(range(len(upper)), key=lambda i: upper[i][0].real)
+    keys = [upper[i][0].real for i in order]
+    used = [False] * len(upper)
     for z, k in lower:
-        match = None
-        for i, (w, kw) in enumerate(remaining):
-            if abs(w - z.conjugate()) <= PAIR_TOL * (1 + abs(z)) and kw == k:
-                match = i
-                break
+        tol = PAIR_TOL * (1 + abs(z))
+        lo = bisect_left(keys, z.real - 2 * tol)
+        hi = bisect_right(keys, z.real + 2 * tol)
+        match = min(
+            (
+                i for i in order[lo:hi]
+                if not used[i] and upper[i][1] == k and abs(upper[i][0] - z.conjugate()) <= tol
+            ),
+            default=None,
+        )
         if match is None:
             raise MalformedInput(f"zero {z:.6g} has no conjugate partner")
-        remaining.pop(match)
+        used[match] = True
         selected.append((z, k))
-    if remaining:
-        raise MalformedInput(f"{len(remaining)} upper zeros lack conjugate partners")
+    if not all(used):
+        raise MalformedInput(f"{used.count(False)} upper zeros lack conjugate partners")
     gamma = 0.0
     if zero_set.p == 1:
         gamma = -math.fsum(k * (1 / z).imag for z, k in selected if k > 0)
@@ -204,9 +268,7 @@ class EntireFactor:
     def __call__(self, z) -> np.ndarray | complex:
         pts = np.atleast_1d(np.asarray(z, dtype=complex))
         Z = self.zero_set
-        zs = np.array([w for w, _ in Z.zeros], dtype=complex)
-        mults = np.array([k for _, k in Z.zeros], dtype=float)
-        logs = _log_product(zs, mults, Z.p, pts)
+        logs = _log_sum(Z, pts)
         vals = np.exp(logs + (Z.a + 1j * self.gamma) * pts + Z.b)
         if Z.m:
             vals = vals * pts**Z.m

@@ -172,6 +172,52 @@ def test_zeros_real_zero_on_grid_point(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "zero_set, message",
+    [
+        (
+            {"b": 0.0, "zeros": [{"re": math.nan, "im": 1.0, "mult": 1}, {"re": math.nan, "im": -1.0, "mult": 1}]},
+            "zero (nan+1j) is not finite",
+        ),
+        ({"b": 0.0, "zeros": [{"re": math.inf, "im": 0.0, "mult": 2}]}, "zero (inf+0j) is not finite"),
+        (
+            {"b": 0.0, "zeros": [{"re": 1e-320, "im": 1e-320, "mult": 1}, {"re": 1e-320, "im": -1e-320, "mult": 1}]},
+            "zero (1e-320+1e-320j) is too close to the origin: 1/z overflows",
+        ),
+        ({"b": math.nan, "zeros": [{"re": 0.0, "im": 1.0, "mult": 1}, {"re": 0.0, "im": -1.0, "mult": 1}]},
+         "a and b must be finite, got a=0.0, b=nan"),
+    ],
+)
+def test_zeros_unrepresentable_input_refused(tmp_path, capsys, zero_set, message):
+    zs = tmp_path / "zs.json"
+    zs.write_text(json.dumps({"m": 0, "a": 0.0, "p": 0, **zero_set}))
+    out = tmp_path / "rep.json"
+    assert run(["factor", "--method", "zeros", "--input", str(zs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_prints_failed_check_detail(tmp_path, capsys):
+    zs = tmp_path / "zs.json"
+    zeros = [{"re": 0.0, "im": 1.0, "mult": 1}, {"re": 0.0, "im": -1.0, "mult": 1}]
+    zs.write_text(json.dumps({"m": 0, "a": 0.0, "b": 0.0, "p": 0, "zeros": zeros}))
+    out = tmp_path / "rep.json"
+    assert run(["factor", "--method", "zeros", "--input", str(zs), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--report", str(out)]) == 0
+    passed = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("PASS ") and " -- " not in line for line in passed)
+    bundle = load_path(str(out))
+    bundle["report"]["factor"]["re"][7] += 1e-3
+    out.write_text(dumps(bundle))
+    assert run(["verify", "--report", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    (failed,) = [line for line in lines if line.startswith("FAIL ")]
+    assert failed.startswith("FAIL deterministic_replay value=")
+    assert failed.endswith(" -- stored samples vs recomputed factor")
+    assert [line for line in lines if line.startswith("PASS ")] == passed[:-1]
+
+
 def test_verify_flags_tampering(f_2p2cos, tmp_path, capsys):
     out = tmp_path / "rep.json"
     run(["factor", "--method", "roots", "--input", f_2p2cos, "--out", str(out)])

@@ -1,11 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apspec.errors import MalformedInput, OddRealMultiplicity
+from apspec import products
+from apspec.errors import ApspecError, MalformedInput, OddRealMultiplicity
 from apspec.frequency import ExactFrequency
 from apspec.products import (
+    PAIR_TOL,
     EntireFactor,
     ZeroSet,
     ahiezer_split,
@@ -210,3 +215,234 @@ def test_log_integrability():
     assert abs(v1 - v2) <= 2e-2
     with pytest.raises(MalformedInput):
         log_integrability(f, -1.0)
+
+
+# -- the zero-product kernel -----------------------------------------------------
+
+
+def _log_product_direct(zs, mults, p, z):
+    """One log per (point, zero), as _log_product did before the far-zero series."""
+    total = np.zeros(len(z), dtype=complex)
+    if len(zs) == 0:
+        return total
+    chunk = max(1, 4_000_000 // len(zs))
+    for lo in range(0, len(z), chunk):
+        pts = z[lo : lo + chunk]
+        zeta = pts[:, None] / zs[None, :]
+        logs = products._log_primary(zeta, p)
+        hit = logs.real.min(axis=1) == -np.inf
+        with np.errstate(invalid="ignore"):
+            total[lo : lo + chunk] = logs @ mults
+        total[lo : lo + chunk][hit] = complex(-np.inf, 0.0)
+    return total
+
+
+def _gamma(k):
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def _kernel_tolerance(zs, mults, p, z):
+    """Per point: the _far_series docstring bound plus both sums' own rounding.
+
+    The near terms are the same numbers on both sides, summed in another
+    order; each side's sum is within gamma_(N+8) sum mult (1 + |log E|).
+    """
+    reach = float(np.max(np.abs(z)))
+    far = np.abs(zs) * products._SERIES_RADIUS >= reach
+    J = products._SERIES_TERMS
+    far_bound = float(mults[far].sum()) * (2.0**-48 / 49 + 2 * _gamma(int(far.sum()) + 8 * J + 8))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.abs(products._log_primary(z[:, None] / zs[None, :], p))
+    own = 4 * _gamma(len(zs) + 8) * ((1 + terms) @ mults)
+    return far_bound + own
+
+
+@st.composite
+def _kernel_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0, 1]))
+    X = draw(st.floats(1e-2, 1e3))
+    n_pts = draw(st.integers(1, 300))
+    if draw(st.sampled_from(["grid", "halfplane"])) == "grid":
+        z = (-X + (2 * X / n_pts) * np.arange(n_pts + 1)).astype(complex)
+    else:
+        # the halfplane_nonvanishing points: 9 abscissae at heights 0.5 and 2
+        xs = np.linspace(-X, X, 9)
+        z = np.concatenate([xs + 0.5j, xs + 2j])
+    reach = float(np.max(np.abs(z)))
+    mode = draw(st.sampled_from(["near", "far", "mixed"]))
+    n_zeros = draw(st.integers(0, 120))
+    lo, hi = {"near": (0.05, 1.99), "far": (2.0, 60.0), "mixed": (0.05, 60.0)}[mode]
+    radii = rng.uniform(lo, hi, n_zeros) * reach
+    if mode != "near" and n_zeros:
+        radii[0] = 2.0 * reach  # exactly on the far boundary
+    zs = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, n_zeros))
+    mults = rng.integers(1, 4, n_zeros).astype(float)
+    return zs, mults, p, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+def test_log_product_matches_direct_sum(case):
+    zs, mults, p, z = case
+    got = products._log_product(zs, mults, p, z)
+    ref = _log_product_direct(zs, mults, p, z)
+    ok = np.isfinite(ref.real)
+    assert np.all(np.isfinite(got[ok]))
+    assert np.all(np.abs(got - ref)[ok] <= _kernel_tolerance(zs, mults, p, z)[ok])
+
+
+def test_log_product_empty_inputs():
+    zs = np.array([1 + 1j, 1 - 1j, 5.0 + 0j])
+    mults = np.ones(3)
+    for p in (0, 1):
+        assert products._log_product(zs, mults, p, np.zeros(0, dtype=complex)).shape == (0,)
+        out = products._log_product(np.zeros(0, dtype=complex), np.zeros(0), p, np.array([0.5, 2j]))
+        assert np.array_equal(out, np.zeros(2, dtype=complex))
+    # every point at the origin: log E(0, p) = 0 for every zero
+    assert np.array_equal(products._log_product(zs, mults, 1, np.zeros(4, dtype=complex)), np.zeros(4))
+
+
+def test_log_product_zero_on_grid_point():
+    # the double zeros of 2 + 2cos at -pi and pi are grid points of [-pi, pi];
+    # the other 38 are far zeros of that window
+    zs = np.array([(2 * k + 1) * math.pi for k in range(-20, 20)], dtype=complex)
+    mults = np.full(len(zs), 2.0)
+    z = (-math.pi + (math.pi / 512) * np.arange(1025)).astype(complex)
+    out = products._log_product(zs, mults, 1, z)
+    assert not np.any(np.isnan(out))
+    assert out[0] == complex(-np.inf, 0.0) and out[-1] == complex(-np.inf, 0.0)
+    assert np.all(np.isfinite(out[1:-1]))
+
+
+def test_log_product_mpmath_850_pairs():
+    # genus-0 pairs x +- iy with |x| ~ 1..850, as the benchmark's zeros sets
+    rng = np.random.default_rng(850)
+    n = np.arange(1, 851)
+    x = (n + rng.uniform(0.0, 1.0, 850)) * rng.choice([-1.0, 1.0], 850)
+    y = rng.uniform(0.3, 3.0, 850)
+    zs = np.concatenate([x + 1j * y, x - 1j * y])
+    mults = np.ones(len(zs))
+    z = np.array([-math.pi, -1.3, 0.25, 2.0, math.pi], dtype=complex)
+    got = products._log_product(zs, mults, 0, z)
+    with mpmath.workdps(40):
+        for pt, val in zip(z, got):
+            exact = mpmath.fsum(mpmath.log(1 - mpmath.mpc(pt) / mpmath.mpc(w)) for w in zs)
+            assert abs(complex(exact) - val) <= 1e-13
+
+
+# -- conjugate pairing -------------------------------------------------------------
+
+
+def _ahiezer_split_scan(zero_set):
+    """ahiezer_split with the linear partner scan, before the sorted window."""
+    real_zeros, lower, upper = [], [], []
+    for z, k in zero_set.zeros:
+        if abs(z.imag) <= PAIR_TOL * abs(z):
+            real_zeros.append((complex(z.real), k))
+        elif z.imag < 0:
+            lower.append((z, k))
+        else:
+            upper.append((z, k))
+    selected = []
+    for z, k in real_zeros:
+        if k % 2 != 0:
+            raise OddRealMultiplicity(f"real zero {z.real:.6g} has odd multiplicity {k}")
+        selected.append((z, k // 2))
+    remaining = list(upper)
+    for z, k in lower:
+        match = None
+        for i, (w, kw) in enumerate(remaining):
+            if abs(w - z.conjugate()) <= PAIR_TOL * (1 + abs(z)) and kw == k:
+                match = i
+                break
+        if match is None:
+            raise MalformedInput(f"zero {z:.6g} has no conjugate partner")
+        remaining.pop(match)
+        selected.append((z, k))
+    if remaining:
+        raise MalformedInput(f"{len(remaining)} upper zeros lack conjugate partners")
+    gamma = 0.0
+    if zero_set.p == 1:
+        gamma = -math.fsum(k * (1 / z).imag for z, k in selected if k > 0)
+    s_zeros = ZeroSet(
+        tuple((z, k) for z, k in selected if k > 0), zero_set.m, zero_set.a, zero_set.b, zero_set.p
+    )
+    return s_zeros, gamma
+
+
+def _split_outcome(split, zero_set):
+    try:
+        s, gamma = split(zero_set)
+    except ApspecError as exc:
+        return type(exc), str(exc)
+    return s, gamma
+
+
+@st.composite
+def _pairing_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = []
+    for _ in range(draw(st.integers(0, 12))):
+        base = complex(rng.uniform(-5, 5), -rng.uniform(0.1, 5))
+        tol = PAIR_TOL * (1 + abs(base))
+        # a cluster of near-duplicates within PAIR_TOL, multiplicities 1-3,
+        # each with a partner whose offset from the conjugate straddles tol
+        for _ in range(int(rng.integers(1, 4))):
+            z = base + complex(*rng.uniform(-0.6, 0.6, 2)) * tol
+            k = int(rng.integers(1, 4))
+            zeros.append((z, k))
+            w = z.conjugate() + complex(*rng.uniform(-0.8, 0.8, 2)) * tol
+            zeros.append((w, k if rng.uniform() < 0.9 else k % 3 + 1))
+    for _ in range(draw(st.integers(0, 3))):
+        zeros.append((complex(rng.uniform(-5, 5)), int(rng.integers(1, 3)) * 2))
+    defect = draw(st.sampled_from(["none", "none", "missing", "extra", "odd_real"]))
+    if defect == "missing" and zeros:
+        zeros.pop(int(rng.integers(len(zeros))))
+    elif defect == "extra":
+        zeros.append((complex(rng.uniform(-5, 5), rng.uniform(0.1, 5)), 1))
+    elif defect == "odd_real":
+        zeros.append((complex(rng.uniform(-5, 5)), 3))
+    order = rng.permutation(len(zeros))
+    return ZeroSet(tuple(zeros[i] for i in order), p=draw(st.sampled_from([0, 1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairing_cases())
+def test_ahiezer_split_matches_scan(zero_set):
+    assert _split_outcome(ahiezer_split, zero_set) == _split_outcome(_ahiezer_split_scan, zero_set)
+
+
+def test_ahiezer_split_errors_match_scan():
+    a, b = 1.5 - 0.5j, -2.0 - 1.0j
+    cases = [
+        ZeroSet(((a, 1), (b, 1), (b.conjugate(), 1))),  # missing partner
+        ZeroSet(((a, 1), (a.conjugate(), 1), (b.conjugate(), 1), (2j, 1))),  # extra upper zeros
+        ZeroSet(((a, 1), (a.conjugate(), 1), (complex(math.pi), 3))),  # odd real multiplicity
+        ZeroSet(((a, 1), (a.conjugate(), 2))),  # partner of another multiplicity
+    ]
+    expected = [
+        (MalformedInput, "zero 1.5-0.5j has no conjugate partner"),
+        (MalformedInput, "2 upper zeros lack conjugate partners"),
+        (OddRealMultiplicity, "real zero 3.14159 has odd multiplicity 3"),
+        (MalformedInput, "zero 1.5-0.5j has no conjugate partner"),
+    ]
+    for zero_set, want in zip(cases, expected):
+        assert _split_outcome(ahiezer_split, zero_set) == want
+        assert _split_outcome(_ahiezer_split_scan, zero_set) == want
+
+
+def test_ahiezer_split_takes_earliest_listed_partner():
+    # both upper zeros are within PAIR_TOL of conj(z1), only the first of
+    # conj(z2): z1 takes the earliest-listed one, so z2 is left without
+    tol = PAIR_TOL * 3
+    z1 = 2.0 - 1.0j
+    z2 = z1 + 1.5 * tol
+    w_first, w_second = z1.conjugate() + 0.9 * tol, z1.conjugate() - 0.5 * tol
+    broken = ZeroSet(((w_first, 1), (w_second, 1), (z1, 1), (z2, 1)))
+    assert _split_outcome(ahiezer_split, broken) == _split_outcome(_ahiezer_split_scan, broken)
+    assert _split_outcome(ahiezer_split, broken)[0] is MalformedInput
+    swapped = ZeroSet(((w_second, 1), (w_first, 1), (z1, 1), (z2, 1)))
+    s, _ = ahiezer_split(swapped)
+    assert s.zeros == ((z1, 1), (z2, 1))
