@@ -158,7 +158,7 @@ def _cmd_factor(args) -> int:
         step = args.step if args.step is not None else math.pi / 512
         report = _zeros_report(zero_set, halfwidth, step)
         bundle = factor_bundle_to_json(
-            "factor", serialize.loads(zero_set.to_json()), report, allow_large=args.allow_large
+            "factor", zero_set.to_obj(), report, allow_large=args.allow_large
         )
     else:
         f = trigpoly_from_json(load_path(args.input))
@@ -261,7 +261,7 @@ def _reverify(obj) -> FactorizationReport:
                 raise MalformedInput("cepstral report should carry a sampled factor")
             return cepstral_checks(f, report.factor, float(m))
         if report.method == "zeros":
-            zero_set = ZeroSet.from_json(serialize.dumps(obj.get("input")))
+            zero_set = ZeroSet.from_obj(obj.get("input"))
             if not isinstance(report.factor, SampledFunction):
                 raise MalformedInput("zeros report should carry a sampled factor")
             return _recheck_zeros(zero_set, report.factor)

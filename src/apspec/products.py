@@ -13,7 +13,9 @@ import cmath
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -62,23 +64,21 @@ class ZeroSet:
                 raise MalformedInput("multiplicities must be positive")
         object.__setattr__(self, "zeros", zs)
 
+    def to_obj(self) -> dict:
+        return {
+            "m": self.m,
+            "a": self.a,
+            "b": self.b,
+            "p": self.p,
+            "zeros": [{"re": z.real, "im": z.imag, "mult": k} for z, k in self.zeros],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "a": self.a,
-                "b": self.b,
-                "p": self.p,
-                "zeros": [
-                    {"re": z.real, "im": z.imag, "mult": k} for z, k in self.zeros
-                ],
-            }
-        )
+        return json.dumps(self.to_obj())
 
     @classmethod
-    def from_json(cls, text: str) -> "ZeroSet":
+    def from_obj(cls, obj) -> "ZeroSet":
         try:
-            obj = json.loads(text)
             zeros = tuple(
                 (complex(item["re"], item["im"]), int(item["mult"]))
                 for item in obj["zeros"]
@@ -86,8 +86,16 @@ class ZeroSet:
             return cls(zeros, int(obj["m"]), float(obj["a"]), float(obj["b"]), int(obj["p"]))
         except MalformedInput:
             raise
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad zero-set JSON: {exc}") from exc
+
+    @classmethod
+    def from_json(cls, text: str) -> "ZeroSet":
+        try:
+            obj = json.loads(text)
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(f"bad zero-set JSON: {exc}") from exc
+        return cls.from_obj(obj)
 
 
 def weierstrass_factor(z: complex, p: int) -> complex:
@@ -218,29 +226,37 @@ def ahiezer_split(zero_set: ZeroSet) -> tuple[ZeroSet, float]:
                 f"real zero {z.real:.6g} has odd multiplicity {k}"
             )
         selected.append((z, k // 2))
-    # a partner w has |Re w - Re z| <= tol, so only a window of the upper
-    # zeros sorted by real part is scanned (twice as wide, against rounding);
-    # the earliest-listed unused partner wins, as in a scan of the list
-    order = sorted(range(len(upper)), key=lambda i: upper[i][0].real)
-    keys = [upper[i][0].real for i in order]
-    used = [False] * len(upper)
+    # a partner w of z has |w - conj z| <= tol: the distinct upper zeros are
+    # sorted by (real, imag) and split into columns of equal real part, and
+    # a box of +-2 tol (twice as wide, against rounding) is bisected in both;
+    # each (zero, multiplicity) keeps a queue of its unused list positions,
+    # so the earliest-listed unused partner wins, as in a scan of the list
+    queues: dict[tuple[complex, int], deque[int]] = {}
+    for i, (w, kw) in enumerate(upper):
+        queues.setdefault((w, kw), deque()).append(i)
+    reals: list[float] = []
+    columns: list[tuple[list[float], list[complex]]] = []
+    distinct = sorted({w for w, _ in upper}, key=lambda w: (w.real, w.imag))
+    for re, col in groupby(distinct, key=lambda w: w.real):
+        col = list(col)
+        reals.append(re)
+        columns.append(([w.imag for w in col], col))
     for z, k in lower:
         tol = PAIR_TOL * (1 + abs(z))
-        lo = bisect_left(keys, z.real - 2 * tol)
-        hi = bisect_right(keys, z.real + 2 * tol)
-        match = min(
-            (
-                i for i in order[lo:hi]
-                if not used[i] and upper[i][1] == k and abs(upper[i][0] - z.conjugate()) <= tol
-            ),
-            default=None,
-        )
-        if match is None:
+        lo, hi = bisect_left(reals, z.real - 2 * tol), bisect_right(reals, z.real + 2 * tol)
+        best = None
+        for ims, col in columns[lo:hi]:
+            for w in col[bisect_left(ims, -z.imag - 2 * tol) : bisect_right(ims, -z.imag + 2 * tol)]:
+                queue = queues.get((w, k))
+                if queue and abs(w - z.conjugate()) <= tol and (best is None or queue[0] < best[0]):
+                    best = queue
+        if best is None:
             raise MalformedInput(f"zero {z:.6g} has no conjugate partner")
-        used[match] = True
+        best.popleft()
         selected.append((z, k))
-    if not all(used):
-        raise MalformedInput(f"{used.count(False)} upper zeros lack conjugate partners")
+    unused = sum(len(queue) for queue in queues.values())
+    if unused:
+        raise MalformedInput(f"{unused} upper zeros lack conjugate partners")
     gamma = 0.0
     if zero_set.p == 1:
         gamma = -math.fsum(k * (1 / z).imag for z, k in selected if k > 0)

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -47,6 +48,9 @@ def trigpoly_from_json(obj: Any) -> TrigPoly:
         ]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedInput(f"bad trig polynomial payload: {exc}") from exc
+    if not np.isfinite(np.array([c for _, c in terms], dtype=complex)).all():
+        # json reads NaN, Infinity and overflowing literals such as 1e400
+        raise MalformedInput("bad trig polynomial payload: coefficients must be finite")
     return TrigPoly(terms)
 
 
@@ -54,17 +58,21 @@ def sampled_to_json(s: SampledFunction) -> dict:
     return {
         "halfwidth": s.halfwidth,
         "step": s.step,
-        "re": [float(v) for v in s.values.real],
-        "im": [float(v) for v in s.values.imag],
+        "re": s.values.real.tolist(),
+        "im": s.values.imag.tolist(),
     }
 
 
 def sampled_from_json(obj: Any) -> SampledFunction:
     try:
-        vals = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return SampledFunction(float(obj["halfwidth"]), float(obj["step"]), vals)
+        re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+        halfwidth, step = float(obj["halfwidth"]), float(obj["step"])
+        finite = math.isfinite(halfwidth) and math.isfinite(step)
+        if finite and np.isfinite(re).all() and np.isfinite(im).all():
+            return SampledFunction(halfwidth, step, re + 1j * im)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad sample payload: {exc}") from exc
+    raise MalformedInput("bad sample payload: samples, halfwidth and step must be finite")
 
 
 def sampled_csv_text(s: SampledFunction, allow_large: bool = False) -> str:
@@ -182,10 +190,110 @@ def construction_to_json(res, allow_large: bool = False) -> dict:
 
 
 def dumps(obj: Any) -> str:
-    """Canonical text form: two-space indent, trailing newline, no NaN."""
+    """Canonical text form: two-space indent, trailing newline, no NaN.
+
+    The text is byte-identical to json.dumps(obj, indent=2, allow_nan=False)
+    plus a newline, and so are the errors: a nested NaN or inf raises json's
+    ValueError, an unsupported type json's TypeError, and a non-finite top
+    level value MalformedInput.  Dict keys must be strings, as they are in
+    every payload here.  Readers refuse non-finite numbers in turn
+    (trigpoly_from_json, sampled_from_json).
+    """
     if isinstance(obj, float) and not math.isfinite(obj):
         raise MalformedInput("non-finite top-level value")
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    chunks: list[str] = []
+    _write(obj, chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _float_text(o: float) -> str:
+    text = float.__repr__(o)
+    if "n" in text:  # inf or nan: no finite repr has an n
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
+    return text
+
+
+def _write(obj: Any, emit) -> None:
+    """json's indent=2 encoder, emitting chunks instead of yielding them.
+
+    Before Python 3.13, json.dumps indents through its pure-Python encoder.
+    This one writes a list of floats with one join, and shares its
+    separators (one set per depth) and its '"key": ' strings (one per key).
+    """
+    levels: list[tuple[str, str, str, str, str]] = []
+    keys: dict[str, str] = {}
+
+    def level(depth: int) -> tuple[str, str, str, str, str]:
+        """Openers, item separator and closers of a container at `depth`."""
+        while len(levels) <= depth:
+            brk = "\n" + "  " * len(levels)
+            end = brk[:-2]
+            levels.append(("[" + brk, "{" + brk, "," + brk, end + "]", end + "}"))
+        return levels[depth]
+
+    def value(o: Any, depth: int) -> None:
+        if isinstance(o, str):
+            emit(encode_basestring_ascii(o))
+        elif o is None:
+            emit("null")
+        elif o is True:
+            emit("true")
+        elif o is False:
+            emit("false")
+        elif isinstance(o, int):
+            emit(int.__repr__(o))
+        elif isinstance(o, float):
+            emit(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            array(o, depth + 1)
+        elif isinstance(o, dict):
+            mapping(o, depth + 1)
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    def array(o, depth: int) -> None:
+        if not o:
+            emit("[]")
+            return
+        opener, _, sep, closer, _ = levels[depth] if depth < len(levels) else level(depth)
+        body = None
+        if isinstance(o[0], float):
+            try:
+                body = sep.join(map(float.__repr__, o))
+            except TypeError:  # a non-float further on
+                pass
+        emit(opener)
+        if body is None or "n" in body:  # item by item: json's error at a bad one
+            for i, item in enumerate(o):
+                if i:
+                    emit(sep)
+                value(item, depth)
+        else:
+            emit(body)
+        emit(closer)
+
+    def mapping(o: dict, depth: int) -> None:
+        if not o:
+            emit("{}")
+            return
+        _, lead, sep, _, closer = levels[depth] if depth < len(levels) else level(depth)
+        for key, item in o.items():
+            head = keys.get(key)
+            if head is None:
+                head = keys[key] = encode_basestring_ascii(key) + ": "
+            emit(lead)
+            emit(head)
+            lead = sep
+            if isinstance(item, str):
+                emit(encode_basestring_ascii(item))
+            elif type(item) is float:
+                emit(_float_text(item))
+            else:
+                value(item, depth)
+        emit(closer)
+
+    value(obj, 0)
 
 
 def loads(text: str) -> Any:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,59 @@ def test_zeros_unrepresentable_input_refused(tmp_path, capsys, zero_set, message
     assert run(["factor", "--method", "zeros", "--input", str(zs), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _poly_with_constant(tmp_path, literal: str) -> str:
+    # 3 + 2cos with the constant term replaced by a raw JSON literal
+    path = tmp_path / "f.json"
+    text = dumps(trigpoly_to_json(TrigPoly([(EF(-1), 1.0), (EF(0), 3.0), (EF(1), 1.0)])))
+    path.write_text(text.replace('"re": 3.0', f'"re": {literal}'))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "literal, argv",
+    [
+        # before: exit 2, "NotBoundedBelow: could not certify f >= 0.5"
+        ("NaN", ["factor", "--method", "cepstral", "--m", "0.5"]),
+        # before: exit 2
+        ("NaN", ["analyze", "--m", "0.5"]),
+        # before: numpy RuntimeWarnings, then "conjugate needs a real-valued input"
+        ("Infinity", ["factor", "--method", "cepstral", "--m", "0.5"]),
+        # before: numpy's "Array must not contain infs or NaNs"
+        ("NaN", ["factor", "--method", "roots"]),
+        ("-Infinity", ["factor", "--method", "roots"]),
+        ("1e400", ["factor", "--method", "cepstral", "--m", "0.5"]),
+    ],
+)
+def test_nonfinite_coefficient_refused(tmp_path, capsys, literal, argv):
+    path = _poly_with_constant(tmp_path, literal)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--input", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: bad trig polynomial payload: coefficients must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+def test_verify_refuses_nonfinite_sample(f_3p2cos, tmp_path, capsys, literal):
+    out = tmp_path / "rep.json"
+    rc = run(
+        ["factor", "--method", "cepstral", "--input", f_3p2cos, "--m", "0.9",
+         "--window-halfwidth", str(16 * math.pi), "--out", str(out)]
+    )
+    assert rc == 0
+    bundle = load_path(str(out))
+    bundle["report"]["factor"]["im"][3] = 7777777.25
+    text = json.dumps(bundle)
+    assert text.count("7777777.25") == 1
+    out.write_text(text.replace("7777777.25", literal))
+    capsys.readouterr()
+    assert run(["verify", "--report", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad sample payload: samples, halfwidth and step must be finite\n"
+    )
 
 
 def test_verify_prints_failed_check_detail(tmp_path, capsys):

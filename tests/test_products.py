@@ -1,4 +1,6 @@
+import json
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -44,6 +46,19 @@ def test_zero_set_json_roundtrip():
         ZeroSet.from_json("{not json")
     with pytest.raises(MalformedInput):
         ZeroSet.from_json('{"m": 0}')
+
+
+def test_zero_set_dict_forms():
+    zs = ZeroSet(((1 - 2j, 3), (1 + 2j, 3), (-0.0 + 1e-300j, 1)), m=1, a=0.5, b=-0.25, p=1)
+    assert ZeroSet.from_obj(zs.to_obj()) == zs
+    assert json.loads(zs.to_json()) == zs.to_obj()
+    assert ZeroSet.from_json(zs.to_json()) == zs
+    for bad in [None, [], {"m": 0}, {"m": 0, "a": 0, "b": 0, "p": 0, "zeros": [{"re": 1.0}]}]:
+        with pytest.raises(MalformedInput) as from_obj:
+            ZeroSet.from_obj(bad)
+        with pytest.raises(MalformedInput) as from_json:
+            ZeroSet.from_json(json.dumps(bad))
+        assert str(from_obj.value) == str(from_json.value)
 
 
 def test_weierstrass_factor():
@@ -446,3 +461,56 @@ def test_ahiezer_split_takes_earliest_listed_partner():
     swapped = ZeroSet(((w_second, 1), (w_first, 1), (z1, 1), (z2, 1)))
     s, _ = ahiezer_split(swapped)
     assert s.zeros == ((z1, 1), (z2, 1))
+
+
+@st.composite
+def _shared_real_cases(draw):
+    # zeros on a few shared real parts (the imaginary axis with both signs
+    # of zero among them), each listed several times, some near-duplicates
+    # within PAIR_TOL on the imaginary part
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reals = [0.0, -0.0, 1.5, -2.0]
+    zeros = []
+    for _ in range(draw(st.integers(0, 25))):
+        z = complex(reals[int(rng.integers(len(reals)))], -float(rng.integers(1, 6)))
+        tol = PAIR_TOL * (1 + abs(z))
+        z += 1j * float(rng.choice([0.0, 0.0, 0.7, -0.7])) * tol
+        k = int(rng.integers(1, 3))
+        w = z.conjugate() + 1j * float(rng.choice([0.0, 0.0, 0.5, 1.2])) * tol
+        zeros += [(z, k), (w, k)] * int(rng.integers(1, 4))
+    defect = draw(st.sampled_from(["none", "none", "missing", "extra"]))
+    if defect == "missing" and zeros:
+        zeros.pop(int(rng.integers(len(zeros))))
+    elif defect == "extra":
+        zeros.append((complex(reals[int(rng.integers(len(reals)))], float(rng.integers(1, 6))), 1))
+    order = rng.permutation(len(zeros))
+    return ZeroSet(tuple(zeros[i] for i in order), p=draw(st.sampled_from([0, 1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_real_cases())
+def test_ahiezer_split_shared_real_parts_match_scan(zero_set):
+    assert _split_outcome(ahiezer_split, zero_set) == _split_outcome(_ahiezer_split_scan, zero_set)
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [
+        # 2000 pairs +-ik on the imaginary axis: one shared real part
+        tuple((complex(0.0, s * k), 1) for k in range(1, 2001) for s in (1, -1)),
+        # one conjugate pair listed 2000 times
+        ((1 + 1j, 1),) * 2000 + ((1 - 1j, 1),) * 2000,
+    ],
+    ids=["imaginary_axis", "repeated"],
+)
+def test_ahiezer_split_shared_real_part_is_not_quadratic(zeros):
+    # the window scan took 0.45 s on the imaginary axis set and 0.59 s on
+    # the repeated pair (2-vCPU VM); the box search takes about 0.015 s
+    zero_set = ZeroSet(zeros, p=1)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        split = ahiezer_split(zero_set)
+        best = min(best, time.perf_counter() - start)
+    assert split == _ahiezer_split_scan(zero_set)
+    assert best < 0.09
