@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from apspec.errors import MalformedInput, NonConvergence
 from apspec.frequency import ExactFrequency
 from apspec.trigpoly import (
-    DenseBlock,
     ProductPoly,
     TrigPoly,
     bohr_coefficient,
@@ -83,38 +81,22 @@ def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1
     return NormBracket(lower, upper)
 
 
-def sup_norm_certified(
-    f: "TrigPoly | ProductPoly",
-    window: tuple[float, float] | None = None,
-    grid_step: float | None = None,
-    rel_gap: float = 1.0 / 16,
-) -> NormBracket:
+def sup_norm_certified(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -> NormBracket:
     """Certified bracket for sup over the reals of |f|.
 
     Upper bound: |constant| plus the sum of per-ray periodic certificates
     (`ray_partition`, triangle inequality).  Lower bound: the certificate's
     grid max for a single ray with no constant, otherwise max of |f| over a
-    window scan (one period for a periodic f, else [-64*pi, 64*pi] by
-    default).  For a squared modulus both sides are the squared bracket of
-    the factor, whose rays the ProductPoly already holds.
+    window scan with step 1/(8*tau): one period for a periodic f, else
+    [-64*pi, 64*pi].  For a squared modulus |h|^2 both sides are the
+    squared bracket of h.
     """
     if isinstance(f, ProductPoly):
-        b = _ray_sup(f.factor, f.const, f.rays, window, grid_step, rel_gap)
+        b = sup_norm_certified(f.factor, rel_gap)
         return NormBracket(b.lower * b.lower, b.upper * b.upper)
-    return _ray_sup(f, *ray_partition(f), window, grid_step, rel_gap)
-
-
-def _ray_sup(
-    f: TrigPoly,
-    c0: complex,
-    blocks: Sequence[DenseBlock],
-    window: tuple[float, float] | None,
-    grid_step: float | None,
-    rel_gap: float,
-) -> NormBracket:
-    """sup_norm_certified of f, given f's constant term and ray blocks."""
     if f.is_zero():
         return NormBracket(0.0, 0.0)
+    c0, blocks = ray_partition(f)
     const = abs(c0)
     upper = const * FP_CUSHION
     brackets = [integer_lattice_sup(b.keys, b.coeffs, rel_gap) for b in blocks]
@@ -124,14 +106,12 @@ def _ray_sup(
     if len(blocks) == 1 and const == 0:
         lower = brackets[0].lower
     else:
-        if window is None:
-            if len(blocks) == 1:
-                period = 2 * math.pi / float(blocks[0].base)
-                window = (0.0, period)
-            else:
-                window = (-64 * math.pi, 64 * math.pi)
+        if len(blocks) == 1:
+            window = (0.0, 2 * math.pi / float(blocks[0].base))
+        else:
+            window = (-64 * math.pi, 64 * math.pi)
         tau = float(spectrum(f).tau)
-        step = grid_step if grid_step is not None else 1.0 / (8 * tau) if tau > 0 else 1.0
+        step = 1.0 / (8 * tau) if tau > 0 else 1.0
         npts = min(MAX_GRID_POINTS, max(2, int((window[1] - window[0]) / step) + 1))
         xs = np.linspace(window[0], window[1], npts)
         vals = np.abs(f.evaluate(xs))
@@ -140,20 +120,15 @@ def _ray_sup(
     return NormBracket(lower, upper)
 
 
-def certify_lower_bound(
-    f: "TrigPoly | ProductPoly",
-    m: float,
-    grid_step: float | None = None,
-    window: tuple[float, float] | None = None,
-) -> bool:
-    """Window certificate that f >= m.
+def certify_lower_bound(f: "TrigPoly | ProductPoly", m: float) -> bool:
+    """Window certificate that f >= m on [-32*pi, 32*pi].
 
     Checks min over a grid minus step*tau*sup_upper minus the evaluation
-    error bound E (`trigpoly.evaluation_error`) >= m, refining the step
-    until the certificate decides.  The bound is rigorous on the window; for
-    a periodic f scanned over one full period it is rigorous everywhere.
-    Returns False when a grid value is already below m or refinement hits
-    the point budget.
+    error bound E (`trigpoly.evaluation_error`) >= m, starting from step
+    1/(8*tau) and refining until the certificate decides.  The bound is
+    rigorous on the window, and everywhere for a periodic f whose period is
+    at most 64*pi.  Returns False when a grid value is already below m or
+    refinement hits the point budget.
     """
     if isinstance(f, TrigPoly):
         if not f.is_real(tol=1e-9):
@@ -161,22 +136,18 @@ def certify_lower_bound(
     info = spectrum(f)
     tau = float(info.tau)
     upper = sup_norm_certified(f).upper
-    if window is None:
-        window = (-32 * math.pi, 32 * math.pi)
+    window = (-32 * math.pi, 32 * math.pi)
     if tau == 0:
         return bohr_coefficient(f, EF(0)).real >= m
-    err = evaluation_error(f, max(abs(window[0]), abs(window[1])))
-    step = grid_step if grid_step is not None else 1.0 / (8 * tau)
+    err = evaluation_error(f, window[1])
+    step = 1.0 / (8 * tau)
     for _ in range(8):
         npts = int((window[1] - window[0]) / step) + 1
         if npts > MAX_GRID_POINTS:
             return False
         xs = np.linspace(window[0], window[1], npts)
         actual_step = xs[1] - xs[0]
-        if isinstance(f, ProductPoly):
-            vals = f.evaluate_real(xs)
-        else:
-            vals = f.evaluate(xs).real
+        vals = f.evaluate(xs).real
         gmin = float(np.min(vals))
         slack = actual_step * tau * upper + err
         if gmin - slack >= m:

@@ -62,11 +62,11 @@ def bernstein_check(
     f: TrigPoly,
     grid_step: float | None = None,
     rel_gap: float = 1.0 / 16,
-    window: tuple[float, float] | None = None,
 ) -> BernsteinResult:
     """Certified check of sup|f'| <= tau * sup|f|.
 
-    lhs is a lower bound for sup|f'| (grid max, no inflation); rhs is
+    lhs is a lower bound for sup|f'| (grid max over [-16*pi, 16*pi], no
+    inflation; default step 1/(16*tau)); rhs is
     tau times a certified upper bound for sup|f|; pass means
     lhs <= rhs*(1 + 1e-6).  The slack absorbs certification cushions in
     the equality case.
@@ -79,11 +79,9 @@ def bernstein_check(
     upper = sup_norm_certified(f, rel_gap=rel_gap).upper
     rhs = tau * upper
     d = f.derivative()
-    if window is None:
-        window = (-16 * math.pi, 16 * math.pi)
     step = grid_step if grid_step is not None else 1.0 / (16 * tau)
-    npts = min(1 << 22, max(64, int((window[1] - window[0]) / step) + 1))
-    xs = np.linspace(window[0], window[1], npts)
+    npts = min(1 << 22, max(64, int(32 * math.pi / step) + 1))
+    xs = np.linspace(-16 * math.pi, 16 * math.pi, npts)
     lhs = float(np.max(np.abs(d.evaluate(xs))))
     return BernsteinResult(lhs, rhs, lhs <= rhs * (1 + 1e-6))
 
@@ -107,7 +105,7 @@ def factorization_residual(f: TrigPoly, s: "TrigPoly | SampledFunction") -> floa
     return float(np.max(np.abs(diff.evaluate(xs))))
 
 
-def poisson_eval(f: TrigPoly, z: complex, mode: str = "closed", cutoff: float = 400.0) -> complex:
+def poisson_eval(f: TrigPoly, z: complex, mode: str = "closed") -> complex:
     """Harmonic (Poisson) extension of f to the upper half-plane.
 
     Closed form: characters extend as exp(i*w*z) for w >= 0 and

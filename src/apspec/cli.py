@@ -42,6 +42,17 @@ from apspec.serialize import (
 from apspec.trigpoly import TrigPoly
 
 
+def _finite_float(text: str) -> float:
+    """Float flag value; NaN and infinities are refused while the flags are read."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apspec",
@@ -52,16 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="factor a nonnegative input as |s|^2")
     p.add_argument("--method", required=True, choices=("roots", "cepstral", "zeros"))
     p.add_argument("--input", required=True, help="TrigPoly JSON (roots/cepstral) or zero-set JSON (zeros)")
-    p.add_argument("--m", type=float, default=None, help="certified lower bound for f (cepstral)")
-    p.add_argument("--window-halfwidth", type=float, default=None, dest="window_halfwidth")
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--m", type=_finite_float, default=None, help="certified lower bound for f (cepstral)")
+    p.add_argument("--window-halfwidth", type=_finite_float, default=None, dest="window_halfwidth")
+    p.add_argument("--step", type=_finite_float, default=None)
     p.add_argument("--out", default=None, help="report bundle path (default: stdout)")
     p.add_argument("--csv", default=None, help="also sample the factor to CSV")
     p.add_argument("--allow-large", action="store_true", dest="allow_large")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("construct", help="build a bounded non-Wiener factorization instance")
-    p.add_argument("--m", type=float, default=1.0)
+    p.add_argument("--m", type=_finite_float, default=1.0)
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--oracle-n", type=int, default=4096, dest="oracle_n")
     p.add_argument("--primes", default=None, help="comma list overriding the dilation primes")
@@ -76,10 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="argument decomposition and almost-period scan")
     p.add_argument("--input", required=True, help="TrigPoly JSON for f")
-    p.add_argument("--m", type=float, required=True, help="certified lower bound for f")
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--window-halfwidth", type=float, default=None, dest="window_halfwidth")
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--m", type=_finite_float, required=True, help="certified lower bound for f")
+    p.add_argument("--eps", type=_finite_float, default=0.1)
+    p.add_argument("--window-halfwidth", type=_finite_float, default=None, dest="window_halfwidth")
+    p.add_argument("--step", type=_finite_float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 

@@ -40,8 +40,8 @@ class ConstructionParams:
     primes: tuple[int, ...] = DEFAULT_PRIMES
 
     def __post_init__(self):
-        if not (self.m > 0):
-            raise MalformedInput("m must be positive")
+        if not (0 < self.m < math.inf):
+            raise MalformedInput("m must be positive and finite")
         if self.blocks < 1:
             raise MalformedInput("blocks must be >= 1")
         if self.oracle_n < 4:

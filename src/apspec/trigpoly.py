@@ -5,11 +5,16 @@ frequencies and complex coefficients.  Canonical form: frequencies are
 distinct and kept in a dict; exact zero coefficients are dropped; iteration
 order is ascending by frequency value.
 
-Every squared modulus |h|^2 is built one way (`ProductPoly(h)`): h is
-split into its rational rays (`ray_partition`) and each ray is
-autocorrelated with one convolution.  The ProductPoly is |h|^2 seen
-through its factor: values, sup bounds and the spectrum are read from h,
-and `modulus_squared` materializes its coefficients as a TrigPoly.
+A polynomial is a constant plus finitely many rational rays, each one
+periodic.  `ray_partition` computes that split once per polynomial and
+keeps it on the instance (a TrigPoly never changes), so the sup
+certificates, the roots route, products and construction checks all read
+one copy.
+
+Every squared modulus |h|^2 is built one way (`ProductPoly(h)`): each ray
+of h is autocorrelated with one convolution.  The ProductPoly is |h|^2
+seen through its factor: values, sup bounds and the spectrum are read
+from h, and `modulus_squared` materializes its coefficients as a TrigPoly.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class DenseBlock:
 class TrigPoly:
     """Finite exponential sum with exact frequencies."""
 
-    __slots__ = ("_terms", "_sorted")
+    __slots__ = ("_terms", "_sorted", "_rays")
 
     def __init__(self, terms: Mapping[EF, complex] | Iterable[tuple[EF, complex]] = ()):
         acc: dict[EF, complex] = {}
@@ -81,6 +86,7 @@ class TrigPoly:
                 acc[w] = c
         self._terms = {w: c for w, c in acc.items() if c != 0}
         self._sorted = None
+        self._rays = None
 
     # -- construction helpers ---------------------------------------------
 
@@ -313,7 +319,7 @@ def evaluation_error(f: "TrigPoly | ProductPoly", x_max: float) -> float:
     """A-priori bound on the rounding error of evaluating f at real |x| <= x_max.
 
     For a TrigPoly it bounds f.evaluate (E of `_evaluate_terms`).  For a
-    ProductPoly |h|^2 it bounds f.evaluate_real: | |h~|^2 - |h|^2 | <=
+    ProductPoly |h|^2 it bounds f.evaluate: | |h~|^2 - |h|^2 | <=
     2*E_h*||h||_A + E_h^2, plus 6u*(||h||_A + E_h)^2 for the rounding of
     abs and the square.
     """
@@ -422,13 +428,21 @@ def _normalized_direction(w: EF) -> tuple:
     return tuple((d, c / lead) for d, c in coords)
 
 
-def ray_partition(f: TrigPoly) -> tuple[complex, list[DenseBlock]]:
+def ray_partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
     """Split f into its constant term and one periodic piece per rational ray.
 
     Each returned block has a positive base frequency and integer exponent
     keys with gcd 1; block frequencies base*k enumerate one commensurable
-    class of the spectrum.
+    class of the spectrum.  Blocks are ordered by base.  The split is
+    computed once per polynomial and kept on it; the blocks' arrays are
+    read-only, so no caller can change the kept copy.
     """
+    if f._rays is None:
+        f._rays = _partition(f)
+    return f._rays
+
+
+def _partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
     const = f.coefficient(EF(0))
     groups: dict[tuple, list[tuple[EF, Fraction, complex]]] = {}
     units: dict[tuple, EF] = {}
@@ -459,9 +473,12 @@ def ray_partition(f: TrigPoly) -> tuple[complex, list[DenseBlock]]:
         ks = np.array([v // g for v in nums], dtype=np.int64)
         cs = np.array([c for _, _, c in members], dtype=complex)
         order = np.argsort(ks)
-        blocks.append(DenseBlock(base, ks[order], cs[order]))
+        ks, cs = ks[order], cs[order]
+        ks.setflags(write=False)
+        cs.setflags(write=False)
+        blocks.append(DenseBlock(base, ks, cs))
     blocks.sort(key=lambda b: float(b.base))
-    return const, blocks
+    return const, tuple(blocks)
 
 
 def modulus_squared(f: TrigPoly) -> TrigPoly:
@@ -472,8 +489,7 @@ def modulus_squared(f: TrigPoly) -> TrigPoly:
 class ProductPoly:
     """|h|^2 seen through its factor h.
 
-    factor: the polynomial h.
-    const, rays: h's constant term and rational rays (`ray_partition`).
+    factor: the polynomial h; its rays are `ray_partition(factor)`.
     dense: one autocorrelation block per ray, the constant riding on the
            first ray at key 0 (or on a lone base-1 block if h is constant).
 
@@ -485,7 +501,7 @@ class ProductPoly:
     makes the number of cross terms quadratic in its term count.
     """
 
-    __slots__ = ("factor", "const", "rays", "dense", "_blocks")
+    __slots__ = ("factor", "dense", "_blocks")
 
     def __init__(self, h: TrigPoly):
         const, rays = ray_partition(h)
@@ -498,8 +514,6 @@ class ProductPoly:
             else:
                 blocks = [DenseBlock(EF(1), np.zeros(1, dtype=np.int64), np.array([const]))]
         self.factor = h
-        self.const = const
-        self.rays = tuple(rays)
         # autocorrelation of a block: frequencies base*(k_i - k_j)
         self.dense = tuple(DenseBlock(b.base, *_autocorrelate(b.keys, b.coeffs)) for b in blocks)
         self._blocks = tuple(blocks)
@@ -512,14 +526,8 @@ class ProductPoly:
         cross = sum(sizes) ** 2 - sum(n * n for n in sizes)
         return sum(len(b.keys) for b in self.dense) + cross
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return True  # |h|^2 is real by construction
-
     def evaluate(self, x):
-        h = self.factor.evaluate(x)
-        return h * np.conjugate(h) if isinstance(h, np.ndarray) else h * h.conjugate()
-
-    def evaluate_real(self, x):
+        """The real value |h(x)|^2 (scalar or ndarray)."""
         h = self.factor.evaluate(x)
         return np.abs(h) ** 2 if isinstance(h, np.ndarray) else abs(h) ** 2
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from apspec import construction
+from apspec import construction, trigpoly
 from apspec.cli import run
 from apspec.frequency import ExactFrequency as EF
 from apspec.serialize import dumps, load_path, trigpoly_to_json
@@ -373,6 +373,30 @@ def test_construct_and_verify_build_one_product_each(tmp_path, capsys, monkeypat
     assert len(built) == 2
 
 
+def _count_partitions(monkeypatch) -> list:
+    calls = []
+    real = trigpoly._partition
+    monkeypatch.setattr(trigpoly, "_partition", lambda f: calls.append(f) or real(f))
+    return calls
+
+
+def test_roots_factor_partitions_f_and_s_once_each(f_2p2cos, tmp_path, monkeypatch):
+    # the sup certificates, the Bernstein checks, the residual's product and
+    # commensurable_base all read the one split kept on f or s
+    calls = _count_partitions(monkeypatch)
+    assert run(["factor", "--method", "roots", "--input", f_2p2cos, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 2
+
+
+def test_construction_verify_partitions_once(tmp_path, capsys, monkeypatch):
+    # _check_rays and the rebuilt ProductPoly share the split of the centred h
+    out = tmp_path / "cons.json"
+    assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "256", "--out", str(out)]) == 0
+    calls = _count_partitions(monkeypatch)
+    assert run(["verify", "--report", str(out)]) == 0
+    assert len(calls) == 1
+
+
 def test_tampered_construction_fails_its_checks(tmp_path, capsys):
     # a changed coefficient of s is a failed check, not a crash: every check prints
     out = tmp_path / "cons.json"
@@ -432,6 +456,33 @@ def test_refused_csv_leaves_no_bundle(f_2p2cos, tmp_path, capsys, grid):
     assert run(argv + grid) == 1
     assert not out.exists() and not csv.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # before: exit 2, "NotBoundedBelow: could not certify f >= nan"
+        ["factor", "--method", "cepstral", "--input", "F", "--m", "nan"],
+        ["factor", "--method", "cepstral", "--input", "F", "--m", "inf"],
+        # before: the whole half-log and scan ran, then exit 1 inside dumps
+        ["analyze", "--input", "F", "--m", "0.9", "--eps", "nan"],
+        # before: "grid of nan steps exceeds 8388608 samples"
+        ["factor", "--method", "cepstral", "--input", "F", "--m", "0.9", "--window-halfwidth", "nan"],
+        ["factor", "--method", "cepstral", "--input", "F", "--m", "0.9", "--step", "nan"],
+        ["analyze", "--input", "F", "--m", "0.9", "--window-halfwidth", "1e400"],
+        ["factor", "--method", "roots", "--input", "F", "--csv", "S", "--step=-inf"],
+        # before: the full pipeline ran with numpy RuntimeWarnings, then exit 1 inside dumps
+        ["construct", "--m", "inf", "--blocks", "1", "--oracle-n", "32"],
+    ],
+)
+def test_nonfinite_float_flag_refused(f_3p2cos, tmp_path, capsys, argv):
+    out, csv = tmp_path / "out.json", tmp_path / "s.csv"
+    argv = [{"F": f_3p2cos, "S": str(csv)}.get(a, a) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out", str(out)]) == 1
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not out.exists() and not csv.exists()
 
 
 def test_construct_rejects_bad_params():

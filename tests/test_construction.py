@@ -127,8 +127,9 @@ def test_select_oracle_too_small():
 
 
 def test_params_validation():
-    with pytest.raises(MalformedInput):
-        ConstructionParams(m=0.0)
+    for m in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(MalformedInput):
+            ConstructionParams(m=m)
     with pytest.raises(MalformedInput):
         ConstructionParams(blocks=0)
     with pytest.raises(MalformedInput):
@@ -243,7 +244,7 @@ def test_assemble_lower_bound_holds(pinned):
     assert certify_lower_bound(pinned.f, 1.0)
     rng = np.random.default_rng(7)
     xs = rng.uniform(-200, 200, 400)
-    vals = pinned.f.evaluate_real(xs)
+    vals = pinned.f.evaluate(xs)
     assert float(np.min(vals)) >= 1.0
 
 

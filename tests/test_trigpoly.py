@@ -17,6 +17,7 @@ from apspec.trigpoly import (
     mean_value_numeric,
     modulus_squared,
     multiply,
+    ray_partition,
     spectrum,
 )
 
@@ -204,7 +205,7 @@ def test_product_poly_matches_dict_route():
     f_lazy = ProductPoly(h)
     # same values on a grid
     xs = np.linspace(-7, 7, 41)
-    assert np.allclose(f_lazy.evaluate_real(xs), f_dict.evaluate(xs).real, atol=1e-12)
+    assert np.allclose(f_lazy.evaluate(xs), f_dict.evaluate(xs).real, atol=1e-12)
     # spectral extremes agree
     sd, sl = spectrum(f_dict), f_lazy.spectrum()
     assert sd.inf_freq == sl.inf_freq
@@ -323,7 +324,8 @@ def test_modulus_squared_materializes_product_poly():
     # ProductPoly stays lazy; modulus_squared expands it to the pair sum
     h = _two_ray_poly()
     f = ProductPoly(h)
-    assert f.const == 2.0 and len(f.rays) == 2
+    const, rays = ray_partition(f.factor)
+    assert const == 2.0 and len(rays) == 2
     plain = modulus_squared(h)
     assert isinstance(plain, TrigPoly)
     mat = f.to_trigpoly()
@@ -331,6 +333,20 @@ def test_modulus_squared_materializes_product_poly():
     tol = 1e-12 * h.wiener_norm() ** 2
     assert all(abs(c) <= tol for _, c in (mat - plain).sorted_terms())
     assert all(abs(c) <= tol for _, c in (mat - _pair_sum_modsq(h)).sorted_terms())
+
+
+def test_ray_partition_is_kept_and_read_only():
+    h = _two_ray_poly()
+    assert ray_partition(h) is ray_partition(h)
+    _, rays = ray_partition(h)
+    for b in rays:
+        with pytest.raises(ValueError):
+            b.keys[0] = 7
+        with pytest.raises(ValueError):
+            b.coeffs[0] = 7.0
+    # the product puts the constant on its first ray without touching the kept split
+    ProductPoly(h)
+    assert [b.keys.tolist() for b in ray_partition(h)[1]] == [[-1, 2], [-2, 1, 3]]
 
 
 # -- evaluation kernels --------------------------------------------------------
@@ -345,7 +361,7 @@ def _direct(f, xs):
 
 def _assert_grid_matches_direct(f, xs):
     assert _grid_rows(xs) is not None
-    fast = f.evaluate_real(xs) if isinstance(f, ProductPoly) else f.evaluate(xs)
+    fast = f.evaluate(xs)
     err = evaluation_error(f, float(np.max(np.abs(xs))))
     assert np.max(np.abs(fast - _direct(f, xs))) <= err
 
