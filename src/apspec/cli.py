@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 malformed input (bad flags, unreadable or invalid
 files), 2 a method precondition failed (e.g. incommensurable spectrum for
-the roots method), 3 a verification check failed.  Outputs carry no
-timestamps, so identical argv and inputs give byte-identical files.
+the roots method), 3 a verification check failed (in `verify`, or in the
+battery `construct` runs on its own output, which then writes nothing).
+Outputs carry no timestamps, so identical argv and inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -218,6 +220,10 @@ def _cmd_construct(args) -> int:
         m=args.m, blocks=args.blocks, oracle_n=args.oracle_n, primes=primes
     )
     result = construction.assemble(params)
+    failed = [check.name for check in result.certificates.checks if not check.passed]
+    if failed:
+        sys.stderr.write(f"error: construction failed its own checks: {', '.join(failed)}\n")
+        return 3
     _write_json(args.out, construction_to_json(result, args.allow_large))
     return 0
 

@@ -130,7 +130,7 @@ def select_n_sequence(params: ConstructionParams) -> tuple[int, ...]:
     lo = 2
     for j in range(1, params.blocks + 2):
         budget = 2.0 ** (-j) / 3.0 - margin
-        if budget <= 0 or _deviation(params.oracle_n, params.oracle_n) > budget:
+        if budget <= 0:
             raise OracleTooSmall(
                 f"block {j} needs deviation <= {budget:.3g}; oracle_n={params.oracle_n} cannot reach it"
             )

@@ -526,3 +526,19 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,wiener_norm")
+
+
+def test_python_dash_m_apspec_help():
+    proc = subprocess.run([sys.executable, "-m", "apspec", "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: apspec")
+
+
+def test_construct_exits_3_when_its_own_battery_fails(tmp_path, capsys):
+    # the lift sqrt(m) + sum U_j rounds to sqrt(m) = 1e154, so the certified
+    # lower bound f >= m fails on the instance construct just built
+    out = tmp_path / "cons.json"
+    rc = run(["construct", "--m", "1e308", "--blocks", "1", "--oracle-n", "32", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    assert "lower_bound_certified" in capsys.readouterr().err

@@ -1,17 +1,24 @@
 import math
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from apspec import periodic
+from apspec.cli import run
 from apspec.errors import IncommensurableSpectrum, NonConvergence, NotNonnegative
 from apspec.frequency import ExactFrequency
 from apspec.periodic import (
     LaurentForm,
+    _roots_factor,
     commensurable_base,
     fejer_riesz,
+    outer_factor,
     polynomial_roots,
 )
+from apspec.serialize import dumps, load_path, trigpoly_from_json, trigpoly_to_json
 from apspec.trigpoly import TrigPoly, modulus_squared, multiply, spectrum
 
 EF = ExactFrequency
@@ -73,6 +80,36 @@ def test_polynomial_roots_random_roundtrip():
     found = sorted((r for r, m in roots for _ in range(m)), key=lambda z: (z.real, z.imag))
     expect = sorted(true.tolist(), key=lambda z: (z.real, z.imag))
     assert max(abs(a - b) for a, b in zip(found, expect)) < 1e-8
+
+
+def scalar_polish(coeffs, r):
+    """Reference: one root polished alone, as a loop of scalar Newton steps."""
+    poly = coeffs[::-1] if abs(r) <= 1 else coeffs
+    dpoly = np.polyder(poly)
+    x = complex(r) if abs(r) <= 1 else 1 / complex(r)
+    for _ in range(60):
+        dv = np.polyval(dpoly, x)
+        if abs(dv) < 1e-300:
+            break
+        step = np.polyval(poly, x) / dv
+        if abs(step) > 0.1 * (1 + abs(x)):
+            break
+        x -= step
+        if abs(step) <= 5e-16 * (1 + abs(x)):
+            break
+    return x if abs(r) <= 1 else 1 / x
+
+
+def test_polynomial_roots_vectorized_polish_matches_scalar_loop():
+    # same steps and stop rules, so only the order of complex rounding differs
+    rng = np.random.default_rng(17)
+    for d in (3, 12, 30):
+        coeffs = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        expect = [scalar_polish(coeffs, r) for r in np.roots(coeffs[::-1])]
+        found = [r for r, m in polynomial_roots(coeffs) for _ in range(m)]
+        assert len(found) == d
+        for r in expect:
+            assert min(abs(r - z) for z in found) <= 1e-12 * (1 + abs(r))
 
 
 def test_polynomial_roots_rejects_degenerate():
@@ -225,3 +262,139 @@ def test_zero_density_matches_bandwidth_over_pi():
     assert density == pytest.approx(bandwidth / math.pi, rel=2e-2)
     # the bandwidth/(2 pi) alternative is clearly wrong
     assert abs(density - bandwidth / (2 * math.pi)) > 0.2
+
+
+# -- FFT outer-factor route ----------------------------------------------------
+
+
+def min_phase_coeffs(rng, d):
+    """The benchmark's roots-workload generator: ascending S with every root outside the disk."""
+    hi = min(math.log(2.5), math.log(300.0) / d)
+    lo = min(math.log(1.1), 0.5 * hi)
+    moduli = np.exp(rng.uniform(lo, hi, size=d))
+    angles = 2 * math.pi * (np.arange(d) + rng.uniform(0.15, 0.85, size=d)) / d
+    coeffs = np.poly(moduli * np.exp(1j * angles))[::-1]
+    coeffs = coeffs / np.max(np.abs(coeffs))
+    return coeffs * np.exp(1j * rng.uniform(0, 2 * math.pi))
+
+
+def modsq(s0, base=EF(1)):
+    """|sum_j s0[j] exp(i j base x)|^2 as an exactly Hermitian TrigPoly."""
+    d = len(s0) - 1
+    terms = [(EF(0), float(np.sum(np.abs(s0) ** 2)))]
+    for k in range(1, d + 1):
+        fk = complex(np.sum(s0[k:] * np.conj(s0[: d + 1 - k])))
+        terms += [(base * k, fk), (base * -k, fk.conjugate())]
+    return TrigPoly(terms)
+
+
+def factor_coeffs(s, base, d):
+    """Ascending coefficients of s, read at base*(2j - d)/2."""
+    return np.array([s.coefficient(base * Fraction(2 * j - d, 2)) for j in range(d + 1)])
+
+
+def aligned_error(got, s0):
+    inner = complex(np.vdot(got, s0))
+    return float(np.max(np.abs(s0 - got * inner / abs(inner))))
+
+
+def test_outer_factor_matches_roots_route_degrees_1_to_32():
+    rng = np.random.default_rng(2024)
+    for d in range(1, 33):
+        s0 = min_phase_coeffs(rng, d)
+        lf = commensurable_base(modsq(s0))
+        outer = outer_factor(lf)
+        assert outer is not None, d
+        assert outer[0].imag == 0 and outer[0].real > 0
+        assert np.max(np.abs(outer - np.array(_roots_factor(lf)))) <= 1e-8, d
+        assert aligned_error(outer, s0) <= 1e-12, d
+
+
+def test_roots_method_past_degree_32_then_verify(tmp_path, capsys):
+    # degrees the Laurent roots could not factor (residual check failed at 40-64)
+    rng = np.random.default_rng(1000)
+    radical = EF.sqrt_of(3, Fraction(2, 5))
+    for d, base in ((40, EF(1)), (48, radical), (64, EF(1))):
+        s0 = min_phase_coeffs(rng, d)
+        inp = tmp_path / f"f{d}.json"
+        inp.write_text(dumps(trigpoly_to_json(modsq(s0, base))))
+        out = tmp_path / f"s{d}.json"
+        assert run(["factor", "--method", "roots", "--input", str(inp), "--out", str(out)]) == 0
+        bundle = load_path(str(out))
+        assert all(c["passed"] for c in bundle["report"]["checks"]), d
+        got = factor_coeffs(trigpoly_from_json(bundle["report"]["factor"]), base, d)
+        assert aligned_error(got, s0) <= 1e-12, d
+        assert run(["verify", "--report", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "FAIL" not in printed and printed.count("PASS") == 4
+
+
+def test_outer_factor_degree_128_well_conditioned():
+    # s = a0 + tail with ||tail||_A < a0, so f >= (a0 - ||tail||_A)^2 > 0
+    rng = np.random.default_rng(128)
+    a0 = 2.0
+    tail = 0.05 * a0 * 0.95 ** np.arange(128) * np.exp(2j * math.pi * rng.uniform(size=128))
+    assert np.sum(np.abs(tail)) < a0
+    s0 = np.concatenate([[a0], tail])
+    f = modsq(s0)
+    assert outer_factor(commensurable_base(f)) is not None
+    report = fejer_riesz(f)
+    assert report.passed
+    assert np.max(np.abs(factor_coeffs(report.factor, EF(1), 128) - s0)) <= 1e-12
+
+
+CIRCLE_ZERO_INPUTS = [
+    TrigPoly.from_cos([(1, 2.0)], constant=2.0),
+    multiply(TrigPoly.from_cos([(1, 2.0)], constant=2.0), TrigPoly([(EF(0), 2.0), (EF(1), 1j), (EF(-1), -1j)])),
+    multiply(TrigPoly.from_cos([(1, 2.0)], constant=2.0), TrigPoly.from_cos([(1, 2.0)], constant=2.0 - 1e-6)),
+    multiply(TrigPoly.from_cos([(1, 2.0)], constant=2.0), TrigPoly.from_cos([(1, 2.0)], constant=2.0)),
+]
+
+
+@pytest.mark.parametrize("f", CIRCLE_ZERO_INPUTS)
+def test_circle_zeros_take_the_roots_route(f):
+    assert outer_factor(commensurable_base(f)) is None
+
+
+def test_near_circle_zero_takes_the_roots_route():
+    # S = 1.001 + w: the cepstrum decays like 1.001^-k, so the 4096-point
+    # grid aliases it (S off by ~4e-6, though |S|^2 still fits f); the
+    # tail bound sends f to the roots, which recover S exactly
+    s0 = np.array([1.001, 1.0])
+    f = modsq(s0)
+    assert outer_factor(commensurable_base(f)) is None
+    report = fejer_riesz(f)
+    assert report.passed
+    assert np.max(np.abs(factor_coeffs(report.factor, EF(1), 1) - s0)) <= 1e-12
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.00077])
+def test_grid_argument_principle_refuses_without_tail_bound(monkeypatch, angle):
+    # with the tail bound lifted, an aliased S for a zero at 1e-4 from the
+    # circle winds once round the origin on the grid (angle 0), or jumps in
+    # phase by more than the grid can resolve (zero between grid points)
+    monkeypatch.setattr(periodic, "CEPSTRUM_TAIL_TOL", math.inf)
+    s0 = np.array([1.0001 * complex(math.cos(angle), math.sin(angle)), 1.0])
+    assert outer_factor(commensurable_base(modsq(s0))) is None
+
+
+def test_outer_factor_takes_no_log_of_nonpositive_samples():
+    # f = |1 + w|^2 vanishes on a grid point: declined before any log
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outer_factor(commensurable_base(modsq(np.array([1.0, 1.0])))) is None
+
+
+def test_roots_route_fails_fast_past_degree_64(tmp_path, capsys):
+    # f from the generator at degrees 96/128 is not positive in double
+    # precision; the roots refuse it (exit 2) after one vectorized polish
+    rng = np.random.default_rng(1000)
+    for d in (96, 128):
+        inp = tmp_path / f"f{d}.json"
+        inp.write_text(dumps(trigpoly_to_json(modsq(min_phase_coeffs(rng, d)))))
+        start = time.perf_counter()
+        rc = run(["factor", "--method", "roots", "--input", str(inp), "--out", str(tmp_path / "s.json")])
+        elapsed = time.perf_counter() - start
+        assert rc == 2
+        assert elapsed < 3.0, f"degree {d} took {elapsed:.2f} s to refuse"
+    assert "NonConvergence" in capsys.readouterr().err
