@@ -109,19 +109,24 @@ def poisson_eval(f: TrigPoly, z: complex, mode: str = "closed") -> complex:
     """Harmonic (Poisson) extension of f to the upper half-plane.
 
     Closed form: characters extend as exp(i*w*z) for w >= 0 and
-    exp(i*w*conj(z)) for w < 0.  Quadrature mode integrates the Poisson
-    kernel against each character with semi-infinite oscillatory rules and
-    serves as an independent cross-check.
+    exp(i*w*conj(z)) for w < 0, all terms at once, then summed one after
+    another in ascending frequency order.  Quadrature mode integrates the
+    Poisson kernel against each character with semi-infinite oscillatory
+    rules and serves as an independent cross-check.
     """
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("poisson extension needs Im z > 0")
     if mode == "closed":
-        total = 0j
-        for w, c in f.sorted_terms():
-            wf = float(w)
-            total += c * (np.exp(1j * wf * z) if wf >= 0 else np.exp(1j * wf * z.conjugate()))
-        return complex(total)
+        ws, cs = f.term_arrays()
+        e = np.exp(1j * ws * np.where(ws >= 0, z, z.conjugate()))
+        # c*e written out: numpy's complex array product can round unlike its
+        # scalar product; this and the running sum from 0j keep the scalar
+        # loop's result bit for bit
+        terms = np.zeros(len(ws) + 1, dtype=complex)
+        terms[1:].real = cs.real * e.real - cs.imag * e.imag
+        terms[1:].imag = cs.real * e.imag + cs.imag * e.real
+        return complex(np.add.accumulate(terms)[-1])
     if mode != "quadrature":
         raise ValueError(f"unknown mode {mode!r}")
     from scipy.integrate import quad

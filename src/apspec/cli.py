@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 malformed input (bad flags, unreadable or invalid
 files), 2 a method precondition failed (e.g. incommensurable spectrum for
 the roots method), 3 a verification check failed (in `verify`, or in the
-battery `construct` runs on its own output, which then writes nothing).
+battery `factor` or `construct` runs on its own output, which then writes
+nothing).
 Outputs carry no timestamps, so identical argv and inputs give
 byte-identical files.
 """
@@ -192,6 +193,10 @@ def _cmd_factor(args) -> int:
             allow_large=args.allow_large,
         )
     bundle["method"] = args.method
+    failed = [check.name for check in report.checks if not check.passed]
+    if failed:
+        sys.stderr.write(f"error: factorization failed its own checks: {', '.join(failed)}\n")
+        return 3
     # sample and size-check the CSV first: a refused grid leaves neither file
     csv_text = None
     if args.csv is not None:
@@ -248,6 +253,12 @@ def _reverify(obj) -> FactorizationReport:
         raise MalformedInput("report file must hold a JSON object")
     kind = obj.get("kind")
     if kind == "construction":
+        fmt = obj.get("format", 1)
+        if type(fmt) is not int or fmt not in (1, 2):
+            raise MalformedInput(f"unknown construction format {fmt!r}")
+        if fmt == 2:
+            return construction.verify_rays(*serialize.construction_from_json(obj))
+        # format 1 has no "format" key and stores g, h1, h and s term by term
         try:
             m = float(obj["params"]["m"])
             # n_seq is validated but not needed: f is rebuilt from h alone

@@ -10,6 +10,15 @@ index sequence n_1 < ... < n_{J+1} pinned by certified sup-norm deviations
 with exactly disjoint spectra -> g = sum g_j -> a constant lift making the
 analytic completion h = c + chi_Delta g satisfy Re h >= sqrt(m) -> f = |h|^2
 and s = chi_{-Delta} h.
+
+Every step keeps the construction as what it is: one ray per block j, the
+keys and coefficients of q_j on the lattice rho_j * Z (a `DenseBlock` with
+base rho_j).  s = g + c chi_{-Delta} is g with c added at its lowest
+frequency, which is the first key of one ray; h = chi_Delta s and
+f = |s|^2 are read from the same rays (`TrigPoly.from_rays`), so no step
+builds an ExactFrequency per term.  `verify_rays` re-checks a stored
+construction from n_seq, rho, Delta, c and the rays of s; `recheck` is the
+reader of the older bundles that store g, h1, h and s term by term.
 """
 
 from __future__ import annotations
@@ -18,14 +27,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from apspec.certify import certify_lower_bound, integer_lattice_sup, sup_norm_certified
 from apspec.checks import CheckResult, FactorizationReport, poisson_eval
 from apspec.errors import MalformedInput, OracleTooSmall, SpectraCollision
-from apspec.frequency import MAX_RADICAND, ExactFrequency, qlin_independent, rational_ratio
-from apspec.trigpoly import ProductPoly, TrigPoly, ray_partition, spectrum
+from apspec.frequency import MAX_RADICAND, ONE, ExactFrequency, qlin_independent, rational_ratio
+from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, ray_partition, spectrum
 
 EF = ExactFrequency
 
@@ -62,10 +72,10 @@ class ConstructionResult:
     q_norms: tuple[float, ...]  # certified sup-norm upper bounds U_j
     wiener_norms: tuple[float, ...]  # exact ||q_j||_A
     g: TrigPoly
-    h1: TrigPoly
     h: TrigPoly
     f: ProductPoly
     s: TrigPoly
+    rays: tuple[DenseBlock, ...]  # s by block: ray j has base rho_j
     delta: EF
     c: float
     certificates: FactorizationReport = field(repr=False)
@@ -75,7 +85,6 @@ class ConstructionResult:
         return math.fsum(self.wiener_norms)
 
 
-@lru_cache(maxsize=16)
 def cesaro_p(n: int) -> TrigPoly:
     """Averaged partial sum of sum_k sin(kx)/(k log k), frequencies 2..n.
 
@@ -83,33 +92,38 @@ def cesaro_p(n: int) -> TrigPoly:
     """
     if n < 2:
         raise MalformedInput("cesaro index must be >= 2")
-    terms: dict[EF, complex] = {}
-    for k in range(2, n + 1):
-        a = (n + 1 - k) / (n * k * math.log(k))
-        terms[EF(k)] = complex(0.0, -0.5 * a)
-        terms[EF(-k)] = complex(0.0, 0.5 * a)
-    return TrigPoly(terms)
+    return TrigPoly.from_rays([DenseBlock(ONE, *_block_arrays(n))])
 
 
 @lru_cache(maxsize=8)
 def _sine_amplitudes(n: int) -> np.ndarray:
-    # amplitude of sin(kx) in p_n at k = 2..n; scalar math matches cesaro_p
+    # amplitude of sin(kx) in p_n at k = 2..n, one scalar expression per k
     return np.array([(n + 1 - k) / (n * k * math.log(k)) for k in range(2, n + 1)])
+
+
+def _block_arrays(big: int, small: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Keys -big..-2, 2..big and coefficients of p_big - p_small (p_0 = 0).
+
+    The coefficient at +k is i*(-a_big/2 + a_small/2) and at -k its
+    negation, with real part +0.0: bit for bit what the term-by-term sum
+    cesaro_p(big) - cesaro_p(small) of exact frequencies gives.
+    """
+    top = -0.5 * _sine_amplitudes(big)
+    if small:
+        top[: small - 1] += 0.5 * _sine_amplitudes(small)
+    keys = np.concatenate([np.arange(-big, -1), np.arange(2, big + 1)])
+    coeffs = np.zeros(len(keys), dtype=complex)
+    coeffs.imag = np.concatenate([-top[::-1], top])
+    return keys, coeffs
 
 
 def _deviation(big: int, small: int) -> float:
     """Certified sup of |p_big - p_small| without building the polynomials.
 
     Coefficient-identical to sup_norm_certified(p_big - p_small): same
-    amplitudes, same FFT certification; only the dict plumbing is skipped.
+    amplitudes, same FFT certification.
     """
-    a_big = _sine_amplitudes(big)
-    a_small = np.zeros(big - 1)
-    a_small[: small - 1] = _sine_amplitudes(small)
-    top = -0.5 * a_big + 0.5 * a_small  # imaginary part at +k
-    keys = np.concatenate([np.arange(-big, -1), np.arange(2, big + 1)])
-    coeffs = np.concatenate([-1j * top[::-1], 1j * top])
-    return integer_lattice_sup(keys, coeffs).upper
+    return integer_lattice_sup(*_block_arrays(big, small)).upper
 
 
 def safety_margin(oracle_n: int) -> float:
@@ -152,13 +166,15 @@ def select_n_sequence(params: ConstructionParams) -> tuple[int, ...]:
     return tuple(out)
 
 
-def build_q(j: int, n_seq: tuple[int, ...]) -> TrigPoly:
-    """Block j of the telescoped Cesaro sequence: q_1 = p_{n_1}, else a difference."""
+def _q_arrays(j: int, n_seq: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     if not (1 <= j <= len(n_seq) - 1):
         raise MalformedInput(f"block index {j} outside 1..{len(n_seq) - 1}")
-    if j == 1:
-        return cesaro_p(n_seq[0])
-    return cesaro_p(n_seq[j]) - cesaro_p(n_seq[j - 1])
+    return _block_arrays(n_seq[0]) if j == 1 else _block_arrays(n_seq[j], n_seq[j - 1])
+
+
+def build_q(j: int, n_seq: tuple[int, ...]) -> TrigPoly:
+    """Block j of the telescoped Cesaro sequence: q_1 = p_{n_1}, else a difference."""
+    return TrigPoly.from_rays([DenseBlock(ONE, *_q_arrays(j, n_seq))])
 
 
 def choose_rho(n_seq: tuple[int, ...], primes: tuple[int, ...]) -> tuple[EF, ...]:
@@ -186,8 +202,6 @@ def build_g(params: ConstructionParams) -> tuple[TrigPoly, tuple[int, ...], tupl
     """
     n_seq = select_n_sequence(params)
     rho = choose_rho(n_seq, params.primes)
-    g = TrigPoly()
-    total_terms = 0
     sup_bounds: list[float] = []
     wiener: list[float] = []
     for j in range(1, params.blocks + 1):
@@ -197,15 +211,27 @@ def build_g(params: ConstructionParams) -> tuple[TrigPoly, tuple[int, ...], tupl
             raise OracleTooSmall(f"||q_{j}|| certificate {b.upper:.4g} exceeds 2^-{j}")
         sup_bounds.append(b.upper)
         wiener.append(q.wiener_norm())
-        g = g + q.dilate(rho[j - 1])
-        total_terms += q.term_count()
-    if g.term_count() != total_terms:
-        raise SpectraCollision(
-            f"dilated spectra overlap: {g.term_count()} terms != {total_terms} expected"
-        )
-    assert g.is_real(tol=0.0)
-    assert spectrum(g).tau < EF(1)
-    return g, n_seq, rho, tuple(sup_bounds), tuple(wiener)
+    # Q-independent rho (choose_rho) puts the rays on distinct directions
+    return TrigPoly.from_rays(_g_rays(n_seq, rho)), n_seq, rho, tuple(sup_bounds), tuple(wiener)
+
+
+def _g_rays(n_seq: tuple[int, ...], rho: Sequence[EF]) -> tuple[DenseBlock, ...]:
+    """g by block: ray j holds the keys and coefficients of q_j with base rho_j."""
+    return tuple(DenseBlock(r, *_q_arrays(j, n_seq)) for j, r in enumerate(rho, start=1))
+
+
+def _lift(n_seq: tuple[int, ...], rho: Sequence[EF], c: float) -> tuple[tuple[DenseBlock, ...], EF]:
+    """Rays of s = g + c chi_{-Delta} and Delta = -inf Omega(g), g built from n_seq and rho.
+
+    The lowest frequency of g is the first key of one ray; c lands there.
+    """
+    rays = list(_g_rays(n_seq, rho))
+    lows = [r.base * int(r.keys[0]) for r in rays]
+    j = lows.index(min(lows))
+    coeffs = rays[j].coeffs.copy()
+    coeffs[0] += c
+    rays[j] = DenseBlock(rays[j].base, rays[j].keys, coeffs)
+    return tuple(rays), -lows[j]
 
 
 def _check_rays(p: TrigPoly, rho: tuple[EF, ...]) -> None:
@@ -225,7 +251,7 @@ def _check_rays(p: TrigPoly, rho: tuple[EF, ...]) -> None:
 def _certificate_battery(
     m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, delta: EF
 ) -> tuple[list[CheckResult], float]:
-    """Certificates shared by assemble and recheck; returns (checks, residual sup).
+    """Certificates shared by assemble, verify_rays and recheck; returns (checks, residual sup).
 
     exact_factorization bounds ||f - |s|^2||_A through f's factor u: since
     |u|^2 - |s|^2 = (u - s) conj(u) + s conj(u - s) and ||.||_A is
@@ -246,7 +272,9 @@ def _certificate_battery(
         CheckResult("halved_bandwidth", half_ok, float(info_s.tau), "tau(s) = tau(f)/2 exactly")
     )
     u = f.factor
-    gap = u - s
+    # u == s compares two polynomials given by rays array by array; only a
+    # difference builds their terms
+    gap = TrigPoly() if u == s else u - s
     residual = gap.wiener_norm() * (u.wiener_norm() + s.wiener_norm())
     checks.append(
         CheckResult(
@@ -272,14 +300,13 @@ def _certificate_battery(
 def assemble(params: ConstructionParams) -> ConstructionResult:
     """Run the full pipeline and certify every step that admits a certificate."""
     g, n_seq, rho, sup_bounds, wiener = build_g(params)
-    delta = -spectrum(g).inf_freq
-    h1 = g.modulate(delta)
-    # |h1| = |g| <= sum_j U_j pointwise, so ell is a lower bound for Re h1
-    # over all of R, not just a scan window
+    # |chi_Delta g| = |g| <= sum_j U_j pointwise, so ell is a lower bound
+    # for Re(chi_Delta g) over all of R, not just a scan window
     ell = -math.fsum(sup_bounds)
     c = math.sqrt(params.m) - ell
-    h = h1 + c
-    s = h.modulate(-delta)
+    rays, delta = _lift(n_seq, rho, c)
+    s = TrigPoly.from_rays(rays)
+    h = TrigPoly.from_rays(rays, delta)
     f = ProductPoly(s)
     checks, residual_sup = _certificate_battery(params.m, h, s, f, delta)
     report = FactorizationReport(
@@ -296,13 +323,66 @@ def assemble(params: ConstructionParams) -> ConstructionResult:
         q_norms=sup_bounds,
         wiener_norms=wiener,
         g=g,
-        h1=h1,
         h=h,
         f=f,
         s=s,
+        rays=rays,
         delta=delta,
         c=c,
         certificates=report,
+    )
+
+
+def verify_rays(
+    m: float,
+    n_seq: tuple[int, ...],
+    rho: tuple[EF, ...],
+    delta: EF,
+    c: float,
+    rays: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> FactorizationReport:
+    """Re-run every certificate on a stored construction whose s is kept by ray.
+
+    rays[j] holds the keys and coefficients of s on the lattice rho_j * Z.
+    Nothing stored is trusted: g is rebuilt from n_seq and rho with the
+    amplitudes of `_sine_amplitudes`, u = g + c chi_{-Delta} with Delta =
+    -inf Omega(g) must equal the stored s exactly, f is rebuilt as |u|^2,
+    and the battery runs on s and h = chi_Delta s for the stored Delta.
+    Raises SpectraCollision, before f is built, when rho is not
+    Q-independent, since the rays could then share frequencies, and
+    MalformedInput when a ray's length is not the 2(n - 1) keys of its
+    block, which also bounds the rebuild by the size of the bundle.
+    """
+    if any(r.sign() <= 0 for r in rho):
+        raise MalformedInput("dilation scales must be positive")
+    for j, (keys, _) in enumerate(rays, start=1):
+        top = n_seq[0] if j == 1 else n_seq[j]
+        if len(keys) != 2 * (top - 1):
+            raise MalformedInput(f"ray {j} of s holds {len(keys)} keys; n_seq makes block {j} {2 * (top - 1)}")
+    if not qlin_independent(rho):
+        raise SpectraCollision("stored dilation scales are not Q-independent")
+    u_rays, lowest = _lift(n_seq, rho, c)
+    s_rays = [DenseBlock(r, keys, coeffs) for r, (keys, coeffs) in zip(rho, rays)]
+    u = TrigPoly.from_rays(u_rays)
+    s = TrigPoly.from_rays(s_rays)
+    rebuilt = u == s
+    checks = [
+        CheckResult("delta_matches_spectrum", lowest == delta, float(delta), "delta = -inf Omega(g)"),
+        CheckResult(
+            "factor_rebuilt", rebuilt, 1.0 if rebuilt else 0.0,
+            "s = g + c chi_{-delta} exactly, g rebuilt from n_seq and rho",
+        ),
+    ]
+    battery, residual_sup = _certificate_battery(
+        m, TrigPoly.from_rays(s_rays, delta), s, ProductPoly(u), delta
+    )
+    checks.extend(battery)
+    return FactorizationReport(
+        method="construction",
+        factor=s,
+        residual_sup=residual_sup,
+        bandwidth_ratio=0.5,
+        checks=checks,
     )
 
 
@@ -316,7 +396,7 @@ def recheck(
     h: TrigPoly,
     s: TrigPoly,
 ) -> FactorizationReport:
-    """Re-run every certificate on deserialized pipeline output.
+    """Re-run every certificate on a bundle that stores g, h1, h and s term by term.
 
     Nothing stored is trusted: f is rebuilt as |u|^2 from u = h shifted
     back by delta, exact_factorization bounds f - |s|^2 for the stored s

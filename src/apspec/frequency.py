@@ -152,6 +152,13 @@ class ExactFrequency:
         return (-self) + other
 
     def __mul__(self, other: "ExactFrequency | RationalLike") -> "ExactFrequency":
+        if isinstance(other, (int, Fraction)):
+            # a rational multiple keeps every radicand squarefree: no split
+            if other == 0:
+                return ZERO
+            return ExactFrequency._canonical(
+                self.rational * other, tuple((d, c * other) for d, c in self.radicals)
+            )
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -100,24 +100,36 @@ def commensurable_base(f: TrigPoly) -> LaurentForm:
     return LaurentForm(b.base, coeffs)
 
 
-def outer_factor(lf: LaurentForm) -> np.ndarray | None:
-    """Coefficients S_0..S_n of the outer factor of f > 0, or None to decline.
+def period_samples(lf: LaurentForm) -> np.ndarray:
+    """Real values of f at N equispaced points of one period, by one FFT.
 
-    Kolmogorov's method on N points of one period, N the least power of
-    two >= max(OUTER_MIN_POINTS, 8(2n+1)): the cepstrum of log f, its
-    analytic half (c_0/2 plus the positive terms) as log S, then exp and the
-    FFT back.  Returns None, and takes no log, unless f is positive on the
-    grid; returns None unless the cepstrum's middle quarter is below
-    CEPSTRUM_TAIL_TOL and S, truncated to degree n, winds 0 times round the
-    origin on the grid in steps of at most WINDING_STEP_MAX (so S has no
-    zero in the disk).  S_0 is real positive.
+    N is the least power of two >= max(OUTER_MIN_POINTS, 8(2n+1)): the
+    grid `outer_factor` works on, and x_j = j * period / N.
     """
     n = lf.n
     size = max(OUTER_MIN_POINTS, 1 << (8 * (2 * n + 1) - 1).bit_length())
     bins = np.zeros(size, dtype=complex)
     bins[: n + 1] = lf.coeffs[n:]
     bins[size - n :] = lf.coeffs[:n]
-    fv = np.fft.ifft(bins, norm="forward").real
+    return np.fft.ifft(bins, norm="forward").real
+
+
+def outer_factor(lf: LaurentForm, fv: np.ndarray | None = None) -> np.ndarray | None:
+    """Coefficients S_0..S_n of the outer factor of f > 0, or None to decline.
+
+    Kolmogorov's method on the N samples fv of one period from
+    `period_samples` (computed here unless passed in): the cepstrum of
+    log f, its analytic half (c_0/2 plus the positive terms) as log S, then
+    exp and the FFT back.  Returns None, and takes no log, unless f is
+    positive on the grid; returns None unless the cepstrum's middle quarter
+    is below CEPSTRUM_TAIL_TOL and S, truncated to degree n, winds 0 times
+    round the origin on the grid in steps of at most WINDING_STEP_MAX (so
+    S has no zero in the disk).  S_0 is real positive.
+    """
+    n = lf.n
+    if fv is None:
+        fv = period_samples(lf)
+    size = len(fv)
     top = float(np.max(fv))
     if not float(np.min(fv)) > 0:
         return None
@@ -234,10 +246,12 @@ def fejer_riesz(f: TrigPoly) -> FactorizationReport:
     lf = commensurable_base(f)
     n = lf.n
     rho = lf.base
+    if n == 0:
+        fv = f.evaluate(np.linspace(0.0, 2 * math.pi / float(rho), 4096, endpoint=False)).real
+    else:
+        # the outer factor's own samples of one period serve the scan
+        fv = period_samples(lf)
     # quick negativity scan over one period
-    period = 2 * math.pi / float(rho)
-    xs = np.linspace(0.0, period, 4096, endpoint=False)
-    fv = f.evaluate(xs).real
     scale = max(float(np.max(np.abs(fv))), 1e-300)
     if float(np.min(fv)) < -1e-9 * scale:
         raise NotNonnegative(f"grid scan found f < 0 (min {float(np.min(fv)):.3g})")
@@ -249,7 +263,7 @@ def fejer_riesz(f: TrigPoly) -> FactorizationReport:
         s = TrigPoly.constant(math.sqrt(c))
         return roots_check_battery(f, s)
 
-    outer = outer_factor(lf)
+    outer = outer_factor(lf, fv)
     coeffs = outer.tolist() if outer is not None else _roots_factor(lf)
     # w^j together with the e^{-i n rho x / 2} normalization
     s = TrigPoly([(rho * Fraction(2 * j - n, 2), c) for j, c in enumerate(coeffs)])

@@ -3,6 +3,12 @@
 Exact rationals travel as decimal strings so frequency independence
 survives save/load; floats rely on repr round-tripping.  Emission order is
 the canonical term order, so identical inputs give byte-identical files.
+
+A construction bundle (format 2) stores its factor s once, by ray: ray j
+is {"keys", "re", "im"} on the lattice rho_j * Z, rho_j given by position,
+so of its frequencies only rho and delta travel as exact strings.  The
+reader of the older format 1, which stores g, h1, h and s term by term,
+is `cli._reverify` with `trigpoly_from_json`.
 """
 
 from __future__ import annotations
@@ -113,16 +119,17 @@ def _factor_from_json(obj: Any) -> "TrigPoly | SampledFunction":
     raise MalformedInput(f"unknown factor kind {kind!r}")
 
 
+def _checks_to_json(checks: list[CheckResult]) -> list[dict]:
+    return [{"name": c.name, "passed": c.passed, "value": c.value, "detail": c.detail} for c in checks]
+
+
 def report_to_json(report: FactorizationReport, allow_large: bool = False) -> dict:
     return {
         "method": report.method,
         "residual_sup": report.residual_sup,
         "bandwidth_ratio": report.bandwidth_ratio,
         "factor": _factor_to_json(report.factor, allow_large),
-        "checks": [
-            {"name": c.name, "passed": c.passed, "value": c.value, "detail": c.detail}
-            for c in report.checks
-        ],
+        "checks": _checks_to_json(report.checks),
     }
 
 
@@ -157,17 +164,22 @@ def factor_bundle_to_json(
 
 
 def construction_to_json(res, allow_large: bool = False) -> dict:
-    """ConstructionResult payload; f stays implicit (|h|^2 = |s|^2).
+    """ConstructionResult payload, format 2: s once, by ray; g, h and f implicit.
 
-    f is ProductPoly(s), and written out it would dominate the file by
-    orders of magnitude, so only a marker with its upper term count
-    is stored (the hint string is part of the bundle bytes, so it stays
-    fixed).  Everything needed to rebuild and re-verify f exactly (h, s,
-    delta, rho) is present; verify never reads f.
+    Ray j of s holds its keys k and the coefficients at rho_j * k; rho_j is
+    the j-th entry of "rho".  verify rebuilds g from n_seq and rho, checks
+    s = g + c chi_{-delta}, and reads h = chi_delta s and f = |s|^2 from
+    the same rays.  f written out would dominate the file by orders of
+    magnitude, so only a marker with its upper term count is stored (the
+    hint string is part of the bundle bytes, so it stays fixed).
     """
+    terms = sum(len(r.keys) for r in res.rays)
+    if terms > MAX_ROWS and not allow_large:
+        raise MalformedInput(f"refusing to serialize {terms} terms without allow_large")
     f_obj = {"omitted": True, "pairs": res.f.term_count_upper(), "hint": "modulus_squared(h)"}
     return {
         "kind": "construction",
+        "format": 2,
         "params": {
             "m": res.params.m,
             "blocks": res.params.blocks,
@@ -180,13 +192,55 @@ def construction_to_json(res, allow_large: bool = False) -> dict:
         "wiener_norms": list(res.wiener_norms),
         "delta": res.delta.to_json(),
         "c": res.c,
-        "g": trigpoly_to_json(res.g, allow_large),
-        "h1": trigpoly_to_json(res.h1, allow_large),
-        "h": trigpoly_to_json(res.h, allow_large),
-        "s": trigpoly_to_json(res.s, allow_large),
         "f": f_obj,
-        "certificates": report_to_json(res.certificates, allow_large),
+        "checks": _checks_to_json(res.certificates.checks),
+        "s": [
+            {"keys": r.keys.tolist(), "re": r.coeffs.real.tolist(), "im": r.coeffs.imag.tolist()}
+            for r in res.rays
+        ],
     }
+
+
+def _strict_int(value: Any) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _ray_from_json(obj: Any) -> tuple[np.ndarray, np.ndarray]:
+    keys = np.array([_strict_int(k) for k in obj["keys"]], dtype=np.int64)
+    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    if not keys.shape == re.shape == im.shape:
+        raise ValueError("keys, re and im of a ray must have equal lengths")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("ray coefficients must be finite")
+    if np.any(keys == 0) or np.any(np.diff(keys) <= 0):
+        raise ValueError("ray keys must increase strictly and skip 0")
+    coeffs = np.empty(len(keys), dtype=complex)
+    coeffs.real, coeffs.imag = re, im
+    return keys, coeffs
+
+
+def construction_from_json(obj: Any) -> tuple:
+    """(m, n_seq, rho, delta, c, rays of s) of a format-2 construction bundle."""
+    try:
+        m, c = float(obj["params"]["m"]), float(obj["c"])
+        n_seq = tuple(_strict_int(n) for n in obj["n_seq"])
+        rho = tuple(EF.from_json(r) for r in obj["rho"])
+        delta = EF.from_json(obj["delta"])
+        rays = [_ray_from_json(r) for r in obj["s"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"bad construction payload: {exc}") from exc
+    if not (math.isfinite(m) and math.isfinite(c)):
+        raise MalformedInput("bad construction payload: m and c must be finite")
+    if len(n_seq) < 2 or n_seq[0] < 2 or any(b <= a for a, b in zip(n_seq, n_seq[1:])):
+        raise MalformedInput("bad construction payload: n_seq must increase strictly from 2 or more")
+    if not len(rho) == len(rays) == len(n_seq) - 1:
+        raise MalformedInput(
+            f"bad construction payload: {len(n_seq) - 1} blocks need as many rho and rays of s, "
+            f"got {len(rho)} and {len(rays)}"
+        )
+    return m, n_seq, rho, delta, c, rays
 
 
 def dumps(obj: Any) -> str:
@@ -197,7 +251,7 @@ def dumps(obj: Any) -> str:
     ValueError, an unsupported type json's TypeError, and a non-finite top
     level value MalformedInput.  Dict keys must be strings, as they are in
     every payload here.  Readers refuse non-finite numbers in turn
-    (trigpoly_from_json, sampled_from_json).
+    (trigpoly_from_json, sampled_from_json, construction_from_json).
     """
     if isinstance(obj, float) and not math.isfinite(obj):
         raise MalformedInput("non-finite top-level value")

@@ -11,6 +11,13 @@ keeps it on the instance (a TrigPoly never changes), so the sup
 certificates, the roots route, products and construction checks all read
 one copy.
 
+A polynomial can also be given by its rays (`TrigPoly.from_rays`): one
+base frequency, int64 keys and complex128 coefficients per ray, times an
+optional character.  Such a polynomial reads its values, float
+frequencies, Wiener norm, spectrum extremes and ray partition from the
+arrays, and builds its exact term dict (one ExactFrequency per term) only
+when a method needs it.
+
 Every squared modulus |h|^2 is built one way (`ProductPoly(h)`): each ray
 of h is autocorrelated with one convolution.  The ProductPoly is |h|^2
 seen through its factor: values, sup bounds and the spectrum are read
@@ -27,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from apspec.frequency import ExactFrequency, rational_ratio
+from apspec.frequency import ZERO, ExactFrequency, rational_ratio
 
 EF = ExactFrequency
 Scalar = Union[int, float, complex]
@@ -40,6 +47,9 @@ _MAX_TABLE = 4_000_000
 
 # unit roundoff of IEEE double precision
 UNIT_ROUNDOFF = 2.0**-53
+
+# integers up to this bound convert to float exactly
+_EXACT_INT = 1 << 53
 
 
 def _as_ef(w) -> EF:
@@ -72,7 +82,7 @@ class DenseBlock:
 class TrigPoly:
     """Finite exponential sum with exact frequencies."""
 
-    __slots__ = ("_terms", "_sorted", "_rays")
+    __slots__ = ("_dict", "_sorted", "_rays", "_arrays", "_lazy")
 
     def __init__(self, terms: Mapping[EF, complex] | Iterable[tuple[EF, complex]] = ()):
         acc: dict[EF, complex] = {}
@@ -84,11 +94,52 @@ class TrigPoly:
                 acc[w] += c
             else:
                 acc[w] = c
-        self._terms = {w: c for w, c in acc.items() if c != 0}
+        self._dict = {w: c for w, c in acc.items() if c != 0}
         self._sorted = None
         self._rays = None
+        self._arrays = None
+        self._lazy = None
 
     # -- construction helpers ---------------------------------------------
+
+    @classmethod
+    def from_rays(cls, rays: Iterable["DenseBlock"], shift=ZERO) -> "TrigPoly":
+        """chi_shift * (sum of the rays), kept as arrays until exact terms are needed.
+
+        Every ray needs a positive base and distinct nonzero keys, and the
+        rays must lie on distinct rational directions, so that no two terms
+        share a frequency (ValueError otherwise).  Zero coefficients are
+        dropped, and each ray is rescaled to keys with gcd 1, so that for
+        shift 0 the rays are the polynomial's `ray_partition`.
+        """
+        shift = _as_ef(shift)
+        blocks: list[DenseBlock] = []
+        for b in rays:
+            if b.base.sign() <= 0:
+                raise ValueError("ray bases must be positive")
+            keep = b.coeffs != 0
+            order = np.argsort(b.keys[keep], kind="stable")
+            keys = b.keys[keep][order].astype(np.int64)
+            coeffs = b.coeffs[keep][order].astype(complex)
+            if not len(keys):
+                continue
+            if np.any(keys == 0) or np.any(np.diff(keys) == 0):
+                raise ValueError("ray keys must be distinct and nonzero")
+            step = int(np.gcd.reduce(keys))
+            base = b.base
+            if step > 1:
+                base, keys = base * step, keys // step
+            keys.setflags(write=False)
+            coeffs.setflags(write=False)
+            blocks.append(DenseBlock(base, keys, coeffs))
+        if len({_normalized_direction(b.base) for b in blocks}) < len(blocks):
+            raise ValueError("rays must lie on distinct directions")
+        blocks.sort(key=lambda b: float(b.base))
+        poly = cls.__new__(cls)
+        poly._dict = poly._sorted = poly._arrays = None
+        poly._lazy = (shift, tuple(blocks))
+        poly._rays = (0j, tuple(blocks)) if shift.is_zero() else None
+        return poly
 
     @classmethod
     def constant(cls, c: Scalar) -> "TrigPoly":
@@ -111,6 +162,15 @@ class TrigPoly:
 
     # -- basic views --------------------------------------------------------
 
+    @property
+    def _terms(self) -> dict[EF, complex]:
+        """The exact term dict; a polynomial given by rays builds it on first use."""
+        if self._dict is None:
+            shift, blocks = self._lazy
+            terms = (t for b in blocks for t in b.terms())
+            self._dict = dict(terms) if shift.is_zero() else {shift + w: c for w, c in terms}
+        return self._dict
+
     def sorted_terms(self) -> list[tuple[EF, complex]]:
         """Terms in ascending frequency order (exact comparison)."""
         if self._sorted is None:
@@ -120,11 +180,34 @@ class TrigPoly:
     def frequencies(self) -> list[EF]:
         return [w for w, _ in self.sorted_terms()]
 
+    def term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float frequencies and coefficients in ascending frequency order (read-only).
+
+        Each float is float(w) of the exact frequency w, bit for bit.  A
+        polynomial given by rays takes both from its rays, unless two of
+        its frequencies lie too close for their floats to certify the
+        order; it then sorts its exact terms.
+        """
+        if self._arrays is None:
+            pair = _ray_term_arrays(*self._lazy) if self._lazy is not None else None
+            if pair is None:
+                terms = self.sorted_terms()
+                pair = (
+                    np.array([float(w) for w, _ in terms], dtype=float),
+                    np.array([c for _, c in terms], dtype=complex),
+                )
+            for a in pair:
+                a.setflags(write=False)
+            self._arrays = pair
+        return self._arrays
+
     def term_count(self) -> int:
-        return len(self._terms)
+        if self._dict is None:
+            return sum(len(b.keys) for b in self._lazy[1])
+        return len(self._dict)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return self.term_count() == 0
 
     def coefficient(self, w) -> complex:
         return self._terms.get(_as_ef(w), 0j)
@@ -132,6 +215,8 @@ class TrigPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrigPoly):
             return NotImplemented
+        if self is other or _same_rays(self._lazy, other._lazy):
+            return True
         return self._terms == other._terms
 
     def __hash__(self):  # pragma: no cover - polys are not meant as dict keys
@@ -188,7 +273,7 @@ class TrigPoly:
 
     def evaluate(self, x):
         """Value at real or complex x (scalar or ndarray)."""
-        return _evaluate_terms(self.sorted_terms(), x)
+        return _evaluate_arrays(*self.term_arrays(), x)
 
     def conj(self) -> "TrigPoly":
         """Pointwise complex conjugate (for real x)."""
@@ -210,14 +295,20 @@ class TrigPoly:
         return TrigPoly({w * rho: c for w, c in self._terms.items()})
 
     def wiener_norm(self) -> float:
-        """Sum of coefficient magnitudes, accumulated in canonical order."""
-        return math.fsum(abs(c) for _, c in self.sorted_terms())
+        """Sum of coefficient magnitudes (fsum, so exact before one rounding).
+
+        np.hypot is libm's hypot, as abs(complex) is; np.abs differs in the
+        last bit for about a third of complex inputs.
+        """
+        cs = self.term_arrays()[1]
+        return math.fsum(np.hypot(cs.real, cs.imag).tolist())
 
     def is_real(self, tol: float = 0.0) -> bool:
         """Hermitian-symmetry test: c(-w) == conj(c(w)) within tol."""
-        scale = max((abs(c) for c in self._terms.values()), default=0.0)
-        for w, c in self._terms.items():
-            d = abs(c - self._terms.get(-w, 0j).conjugate())
+        terms = self._terms
+        scale = max((abs(c) for c in terms.values()), default=0.0)
+        for w, c in terms.items():
+            d = abs(c - terms.get(-w, 0j).conjugate())
             if d > tol * scale:
                 return False
         return True
@@ -231,8 +322,66 @@ def _as_poly(x) -> "TrigPoly":
     return NotImplemented
 
 
-def _evaluate_terms(terms: Sequence[tuple[EF, complex]], x):
-    """sum c*exp(i*w*x) over (w, c) in terms, at real or complex x.
+def _same_rays(a, b) -> bool:
+    """True when two ray forms (shift, blocks) hold the same arrays."""
+    if a is None or b is None or a[0] != b[0] or len(a[1]) != len(b[1]):
+        return False
+    return all(
+        p.base == q.base and np.array_equal(p.keys, q.keys) and np.array_equal(p.coeffs, q.coeffs)
+        for p, q in zip(a[1], b[1])
+    )
+
+
+def _ray_floats(base: EF, keys: np.ndarray, shift: EF) -> np.ndarray:
+    """float(shift + base*k) for each key k, bit for bit, without building the sums.
+
+    float(w) is float(r) + fsum(float(c_d)*sqrt(d)) over w's coordinates.
+    The coordinate of shift + base*k is (a*B + k*b*A)/(A*B) for a/A of the
+    shift and b/B of the base.  Below 2**53, numerator and denominator are
+    exact floats, so one float division rounds it as float(Fraction) does,
+    and with at most two radicands one float addition is their fsum (a
+    radical absent at some k adds 0.0, which changes no nonzero sum).
+    Otherwise the sums are built term by term.
+    """
+    if not len(keys):
+        return np.zeros(0)
+    kmax = int(np.max(np.abs(keys)))
+    sd, bd = dict(shift.radicals), dict(base.radicals)
+    rads = sorted(sd.keys() | bd.keys())
+    coords = [(sd.get(d, Fraction(0)), bd.get(d, Fraction(0))) for d in rads]
+    parts = []
+    for a, b in [(shift.rational, base.rational), *coords]:
+        den = a.denominator * b.denominator
+        na, nb = a.numerator * b.denominator, b.numerator * a.denominator
+        if len(rads) > 2 or den >= _EXACT_INT or abs(na) + kmax * abs(nb) >= _EXACT_INT:
+            return np.array([float(shift + base * k) for k in keys.tolist()], dtype=float)
+        parts.append((na + nb * keys) / den)
+    rad = [v * math.sqrt(d) for v, d in zip(parts[1:], rads)]
+    return parts[0] + (rad[0] + rad[1] if len(rad) == 2 else rad[0] if rad else 0.0)
+
+
+def _ray_term_arrays(shift: EF, blocks: Sequence[DenseBlock]) -> tuple[np.ndarray, np.ndarray] | None:
+    """`TrigPoly.term_arrays` of chi_shift * (sum of blocks), or None if floats cannot order it.
+
+    EF.approx bounds |float(w) - w| by 1e-12*(scale(w) + 1), at most
+    err(shift) + |k|*err(base) for w = shift + base*k; floats that sort
+    further apart than two such bounds are in exact order.
+    """
+    if not blocks:
+        return np.zeros(0), np.zeros(0, dtype=complex)
+    ws = np.concatenate([_ray_floats(b.base, b.keys, shift) for b in blocks])
+    cs = np.concatenate([b.coeffs for b in blocks])
+    order = np.argsort(ws, kind="stable")
+    ws, cs = ws[order], cs[order]
+    err = shift.approx()[1]
+    tol = 2 * max(err + int(np.max(np.abs(b.keys))) * b.base.approx()[1] for b in blocks)
+    if len(ws) > 1 and not float(np.min(np.diff(ws))) > tol:
+        return None
+    return ws, cs
+
+
+def _evaluate_arrays(ws: np.ndarray, cs: np.ndarray, x):
+    """sum c*exp(i*w*x) over the aligned float frequencies ws and coefficients cs.
 
     Two kernels.  A real 1-D x of n >= 2 points that lies on a uniform
     grid (see `_grid_rows`) is cut into rows of B = ceil(sqrt(n)) points,
@@ -267,9 +416,7 @@ def _evaluate_terms(terms: Sequence[tuple[EF, complex]], x):
     """
     xs = np.asarray(x)
     scalar = xs.ndim == 0
-    ws = np.array([float(w) for w, _ in terms])
-    cs = np.array([c for _, c in terms])
-    rows = _grid_rows(xs) if terms else None
+    rows = _grid_rows(xs) if len(ws) else None
     if rows is not None:
         return _grid_sum(ws, cs, *rows, xs.size)
     xs = np.atleast_1d(xs).astype(complex)
@@ -318,7 +465,7 @@ def _grid_sum(ws: np.ndarray, cs: np.ndarray, starts: np.ndarray, offsets: np.nd
 def evaluation_error(f: "TrigPoly | ProductPoly", x_max: float) -> float:
     """A-priori bound on the rounding error of evaluating f at real |x| <= x_max.
 
-    For a TrigPoly it bounds f.evaluate (E of `_evaluate_terms`).  For a
+    For a TrigPoly it bounds f.evaluate (E of `_evaluate_arrays`).  For a
     ProductPoly |h|^2 it bounds f.evaluate: | |h~|^2 - |h|^2 | <=
     2*E_h*||h||_A + E_h^2, plus 6u*(||h||_A + E_h)^2 for the rounding of
     abs and the square.
@@ -327,11 +474,11 @@ def evaluation_error(f: "TrigPoly | ProductPoly", x_max: float) -> float:
         e = evaluation_error(f.factor, x_max)
         a = f.factor.wiener_norm()
         return 2 * e * a + e * e + 6 * UNIT_ROUNDOFF * (a + e) ** 2
-    terms = f.sorted_terms()
-    if not terms:
+    ws = f.term_arrays()[0]
+    if not len(ws):
         return 0.0
-    w_max = max(abs(float(w)) for w, _ in terms)
-    return UNIT_ROUNDOFF * (16 * w_max * abs(x_max) + 3 * len(terms) + 8) * f.wiener_norm()
+    w_max = float(np.max(np.abs(ws)))
+    return UNIT_ROUNDOFF * (16 * w_max * abs(x_max) + 3 * len(ws) + 8) * f.wiener_norm()
 
 
 # -- spectrum ----------------------------------------------------------------
@@ -346,28 +493,33 @@ class SpectrumInfo:
     sup_freq: EF | None
     bandwidth: EF
     tau: EF
-    frequencies: tuple[EF, ...] | None = None
 
     @staticmethod
     def empty() -> "SpectrumInfo":
-        return SpectrumInfo(0, None, None, EF(0), EF(0), ())
+        return SpectrumInfo(0, None, None, EF(0), EF(0))
 
 
 def spectrum(f: "TrigPoly | ProductPoly") -> SpectrumInfo:
     """Spectrum summary: count, extremes, bandwidth, one-sided width tau.
 
     tau is max(|inf|, |sup|), the exponential type of the natural entire
-    extension.  For a ProductPoly the frequency list is omitted, the
-    extremes are +-(bandwidth of the factor) and the count is an upper bound.
+    extension.  A polynomial given by rays takes its extremes from each
+    ray's end keys.  For a ProductPoly the extremes are +-(bandwidth of the
+    factor) and the count is an upper bound.
     """
     if isinstance(f, ProductPoly):
         return f.spectrum()
-    freqs = f.frequencies()
-    if not freqs:
+    if f.is_zero():
         return SpectrumInfo.empty()
-    lo, hi = freqs[0], freqs[-1]
+    if f._lazy is not None:
+        shift, blocks = f._lazy
+        lo = min(b.base * int(b.keys[0]) for b in blocks) + shift
+        hi = max(b.base * int(b.keys[-1]) for b in blocks) + shift
+    else:
+        freqs = f.frequencies()
+        lo, hi = freqs[0], freqs[-1]
     tau = max(abs(lo), abs(hi))
-    return SpectrumInfo(len(freqs), lo, hi, hi - lo, tau, tuple(freqs))
+    return SpectrumInfo(f.term_count(), lo, hi, hi - lo, tau)
 
 
 def bohr_coefficient(f: "TrigPoly | ProductPoly", w) -> complex:
@@ -537,7 +689,7 @@ class ProductPoly:
         if info.count == 0:
             return SpectrumInfo.empty()
         b = info.bandwidth
-        return SpectrumInfo(self.term_count_upper(), -b, b, b + b, b, None)
+        return SpectrumInfo(self.term_count_upper(), -b, b, b + b, b)
 
     def to_trigpoly(self) -> TrigPoly:
         """The product materialized term by term, exactly Hermitian.

@@ -6,13 +6,15 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from apspec import construction, trigpoly
 from apspec.cli import run
 from apspec.frequency import ExactFrequency as EF
-from apspec.serialize import dumps, load_path, trigpoly_to_json
+from apspec.serialize import dumps, load_path, report_to_json, trigpoly_to_json
 from apspec.trigpoly import TrigPoly
 
 
@@ -69,6 +71,27 @@ def test_factor_outputs_byte_identical(f_2p2cos, tmp_path):
     run(["factor", "--method", "roots", "--input", f_2p2cos, "--out", str(a)])
     run(["factor", "--method", "roots", "--input", f_2p2cos, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_factor_exits_3_when_its_own_checks_fail(tmp_path, capsys):
+    # |S|^2 with 40 zeros at modulus 1.01: the cepstrum decays too slowly for
+    # the FFT kernel, and the Laurent roots miss the residual bound
+    rng = np.random.default_rng(3)
+    zeros = 1.01 * np.exp(2j * np.pi * (np.arange(40) + rng.uniform(0.15, 0.85, 40)) / 40)
+    c = np.poly(zeros)[::-1]
+    c = c / np.max(np.abs(c))
+    terms = [(EF(0), float(np.sum(np.abs(c) ** 2)))]
+    for k in range(1, 41):
+        fk = complex(np.sum(c[k:] * np.conj(c[: 41 - k])))
+        terms += [(EF(k), fk), (EF(-k), fk.conjugate())]
+    inp = write_poly(tmp_path / "f40.json", terms)
+    out, csv_out = tmp_path / "rep.json", tmp_path / "s.csv"
+    argv = ["factor", "--method", "roots", "--input", inp, "--out", str(out), "--csv", str(csv_out)]
+    assert run(argv) == 3
+    assert not out.exists() and not csv_out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: factorization failed its own checks: residual\n"
 
 
 def test_factor_csv_samples(f_2p2cos, tmp_path):
@@ -313,10 +336,65 @@ def test_construct_then_verify_small(tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+FIXTURE_FORMAT1 = Path(__file__).parent / "data" / "construction_format1_b1_n32.json"
+
+# `verify` of the format-1 fixture, as printed before format 2 existed
+FIXTURE_FORMAT1_LINES = [
+    "PASS delta_matches_spectrum value=0.7071067811865476",
+    "PASS modulation_consistent value=1.0",
+    "PASS analytic_spectrum value=0.0",
+    "PASS halved_bandwidth value=0.7071067811865476",
+    "PASS exact_factorization value=0.0",
+    "PASS lower_bound_certified value=1.0",
+    "PASS halfplane_real_part value=1.9610948463055502",
+]
+
+
+def format1_bundle(res) -> dict:
+    """The format-1 construction payload: g, h1, h and s term by term."""
+    return {
+        "kind": "construction",
+        "params": {
+            "m": res.params.m,
+            "blocks": res.params.blocks,
+            "oracle_n": res.params.oracle_n,
+            "primes": list(res.params.primes),
+        },
+        "n_seq": list(res.n_seq),
+        "rho": [r.to_json() for r in res.rho],
+        "q_norms": list(res.q_norms),
+        "wiener_norms": list(res.wiener_norms),
+        "delta": res.delta.to_json(),
+        "c": res.c,
+        "g": trigpoly_to_json(res.g),
+        "h1": trigpoly_to_json(res.g.modulate(res.delta)),
+        "h": trigpoly_to_json(res.h),
+        "s": trigpoly_to_json(res.s),
+        "f": {"omitted": True, "pairs": res.f.term_count_upper(), "hint": "modulus_squared(h)"},
+        "certificates": report_to_json(res.certificates),
+    }
+
+
+def write_format1(path, m=1.0, blocks=1, oracle_n=128) -> dict:
+    bundle = format1_bundle(construction.assemble(construction.ConstructionParams(m=m, blocks=blocks, oracle_n=oracle_n)))
+    path.write_text(dumps(bundle))
+    return bundle
+
+
+def test_format1_helper_writes_the_fixture_bytes():
+    # the helper's bundles are the ones construct wrote before format 2
+    res = construction.assemble(construction.ConstructionParams(m=1.0, blocks=1, oracle_n=32))
+    assert dumps(format1_bundle(res)) == FIXTURE_FORMAT1.read_text()
+
+
+def test_format1_fixture_verifies(capsys):
+    assert run(["verify", "--report", str(FIXTURE_FORMAT1)]) == 0
+    assert capsys.readouterr().out.splitlines() == FIXTURE_FORMAT1_LINES
+
+
 def test_construct_verify_catches_corruption(tmp_path, capsys):
     out = tmp_path / "cons.json"
-    run(["construct", "--m", "1", "--blocks", "1", "--oracle-n", "128", "--out", str(out)])
-    bundle = load_path(str(out))
+    bundle = write_format1(out)
     bundle["s"]["terms"][3]["im"] += 1e-3
     out.write_text(dumps(bundle))
     assert run(["verify", "--report", str(out)]) == 3
@@ -325,8 +403,7 @@ def test_construct_verify_catches_corruption(tmp_path, capsys):
 
 def test_construct_verify_refuses_tampered_rho(tmp_path, capsys):
     out = tmp_path / "cons.json"
-    run(["construct", "--m", "1", "--blocks", "1", "--oracle-n", "128", "--out", str(out)])
-    bundle = load_path(str(out))
+    bundle = write_format1(out)
     rad = bundle["rho"][0]["rad"]
     assert rad[0][0] == "2"
     rad[0][0] = "5"  # sqrt(5) in place of sqrt(2): s no longer fits rho * Z
@@ -339,22 +416,26 @@ def _shift_rat(freq: dict, by: Fraction) -> None:
     freq["rat"] = str(Fraction(freq["rat"]) + by)
 
 
+def _record_products(monkeypatch) -> list:
+    built = []
+    real_product = construction.ProductPoly
+    monkeypatch.setattr(construction, "ProductPoly", lambda h: built.append(h) or real_product(h))
+    return built
+
+
 @pytest.mark.parametrize("tamper", ["delta", "s"])
 def test_construct_verify_refuses_off_lattice_factor(tmp_path, capsys, monkeypatch, tamper):
     # a spectrum off rho * Z does not fit the stored rho: verify refuses the
     # bundle with SpectraCollision before any product is built
     out = tmp_path / "cons.json"
-    run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "256", "--out", str(out)])
-    bundle = load_path(str(out))
+    bundle = write_format1(out, blocks=2, oracle_n=256)
     if tamper == "delta":
         _shift_rat(bundle["delta"], Fraction(1, 7))
     else:
         for term in bundle["s"]["terms"]:
             _shift_rat(term["freq"], Fraction(1, 7))
     out.write_text(dumps(bundle))
-    built = []
-    real_product = construction.ProductPoly
-    monkeypatch.setattr(construction, "ProductPoly", lambda h: built.append(h) or real_product(h))
+    built = _record_products(monkeypatch)
     assert run(["verify", "--report", str(out)]) == 2
     assert "SpectraCollision" in capsys.readouterr().err
     assert built == []
@@ -363,9 +444,7 @@ def test_construct_verify_refuses_off_lattice_factor(tmp_path, capsys, monkeypat
 def test_construct_and_verify_build_one_product_each(tmp_path, capsys, monkeypatch):
     # exact_factorization reads s against f's factor, so it builds no product of its own
     out = tmp_path / "cons.json"
-    built = []
-    real_product = construction.ProductPoly
-    monkeypatch.setattr(construction, "ProductPoly", lambda h: built.append(h) or real_product(h))
+    built = _record_products(monkeypatch)
     assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "64", "--out", str(out)]) == 0
     assert len(built) == 1
     assert run(["verify", "--report", str(out)]) == 0
@@ -389,19 +468,30 @@ def test_roots_factor_partitions_f_and_s_once_each(f_2p2cos, tmp_path, monkeypat
 
 
 def test_construction_verify_partitions_once(tmp_path, capsys, monkeypatch):
-    # _check_rays and the rebuilt ProductPoly share the split of the centred h
+    # format 2 stores s by ray, so construct and verify partition nothing;
+    # format 1: _check_rays and the rebuilt ProductPoly share the split of the centred h
     out = tmp_path / "cons.json"
-    assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "256", "--out", str(out)]) == 0
     calls = _count_partitions(monkeypatch)
+    assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "256", "--out", str(out)]) == 0
+    assert run(["verify", "--report", str(out)]) == 0
+    assert calls == []
+    write_format1(out, blocks=2, oracle_n=256)
+    calls.clear()
     assert run(["verify", "--report", str(out)]) == 0
     assert len(calls) == 1
+
+
+FORMAT1_CHECKS = [
+    "delta_matches_spectrum", "modulation_consistent", "analytic_spectrum", "halved_bandwidth",
+    "exact_factorization", "lower_bound_certified", "halfplane_real_part",
+]
+FORMAT2_CHECKS = ["delta_matches_spectrum", "factor_rebuilt", *FORMAT1_CHECKS[2:]]
 
 
 def test_tampered_construction_fails_its_checks(tmp_path, capsys):
     # a changed coefficient of s is a failed check, not a crash: every check prints
     out = tmp_path / "cons.json"
-    assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "1024", "--out", str(out)]) == 0
-    bundle = load_path(str(out))
+    bundle = write_format1(out, blocks=2, oracle_n=1024)
     bundle["s"]["terms"][3]["re"] += 1e-3
     out.write_text(dumps(bundle))
     capsys.readouterr()
@@ -409,11 +499,107 @@ def test_tampered_construction_fails_its_checks(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "FAIL modulation_consistent" in printed
     assert "FAIL exact_factorization" in printed
-    names = [line.split()[1] for line in printed.splitlines()]
-    assert names == [
-        "delta_matches_spectrum", "modulation_consistent", "analytic_spectrum", "halved_bandwidth",
-        "exact_factorization", "lower_bound_certified", "halfplane_real_part",
-    ]
+    assert [line.split()[1] for line in printed.splitlines()] == FORMAT1_CHECKS
+
+
+# -- format 2: s stored once, by ray ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def format2_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("f2") / "cons.json"
+    assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "256", "--out", str(out)]) == 0
+    return load_path(str(out))
+
+
+def _verify_bundle(tmp_path, bundle) -> int:
+    out = tmp_path / "tampered.json"
+    out.write_text(dumps(bundle))
+    return run(["verify", "--report", str(out)])
+
+
+def test_format2_bundle_keeps_s_once(format2_bundle, capsys):
+    b = format2_bundle
+    assert b["format"] == 2 and b["kind"] == "construction"
+    assert not {"g", "h1", "h", "certificates"} & set(b)
+    assert len(b["s"]) == len(b["rho"]) == len(b["n_seq"]) - 1 == 2
+    assert [c["name"] for c in b["checks"]] == FORMAT1_CHECKS[2:]
+    # ray j: keys of the block's lattice rho_j * Z, c merged at the lowest key of one ray
+    for ray, n_hi in zip(b["s"], (b["n_seq"][0], b["n_seq"][2])):
+        assert ray["keys"] == list(range(-n_hi, -1)) + list(range(2, n_hi + 1))
+        assert len(ray["re"]) == len(ray["im"]) == len(ray["keys"])
+    assert sorted(x for ray in b["s"] for x in ray["re"] if x != 0.0) == [b["c"]]
+    capsys.readouterr()
+
+
+def test_format2_tampered_coefficient_fails_its_checks(format2_bundle, tmp_path, capsys):
+    bundle = json.loads(json.dumps(format2_bundle))
+    bundle["s"][1]["re"][3] += 1e-3
+    capsys.readouterr()
+    assert _verify_bundle(tmp_path, bundle) == 3
+    printed = capsys.readouterr().out
+    assert [line.split()[1] for line in printed.splitlines()] == FORMAT2_CHECKS
+    assert "FAIL factor_rebuilt" in printed
+    assert "FAIL exact_factorization" in printed
+
+
+def test_format2_commensurable_rho_refused_before_any_product(format2_bundle, tmp_path, capsys, monkeypatch):
+    bundle = json.loads(json.dumps(format2_bundle))
+    assert bundle["rho"][1]["rad"][0][0] == "3"
+    bundle["rho"][1]["rad"][0][0] = "2"  # both rays on sqrt(2) * Q: their spectra could collide
+    built = _record_products(monkeypatch)
+    assert _verify_bundle(tmp_path, bundle) == 2
+    assert "SpectraCollision" in capsys.readouterr().err
+    assert built == []
+
+
+def test_format2_changed_delta_fails_delta_matches_spectrum(format2_bundle, tmp_path, capsys):
+    bundle = json.loads(json.dumps(format2_bundle))
+    _shift_rat(bundle["delta"], Fraction(1, 7))
+    capsys.readouterr()
+    assert _verify_bundle(tmp_path, bundle) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == FORMAT2_CHECKS
+    assert lines[0].startswith("FAIL delta_matches_spectrum")
+
+
+def _set_format(b, v):
+    b["format"] = v
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda b: b["s"][0]["keys"].__setitem__(0, b["s"][0]["keys"][0] - 0.5),
+        lambda b: b["s"][0]["keys"].__setitem__(0, True),
+        lambda b: b["s"][0]["keys"].__setitem__(0, 10**30),
+        lambda b: b["s"][0]["keys"].__setitem__(0, 0),
+        lambda b: b["s"][1]["re"].__setitem__(5, math.nan),
+        lambda b: b["s"][1]["im"].__setitem__(5, math.inf),
+        lambda b: b["s"][0]["re"].pop(),
+        lambda b: b["s"][0]["keys"].reverse(),
+        lambda b: b["n_seq"].__setitem__(1, b["n_seq"][0]),
+        lambda b: b["n_seq"].__setitem__(0, 1),
+        lambda b: b["n_seq"].append(b["n_seq"][-1] + 5),
+        lambda b: b["n_seq"].__setitem__(2, b["n_seq"][2] + 5),
+        lambda b: b["s"].pop(),
+        lambda b: b["rho"].pop(),
+        lambda b: b["rho"][0]["rad"][0].__setitem__(1, "-1/100"),
+        lambda b: b.pop("s"),
+        lambda b: _set_format(b, 3),
+        lambda b: _set_format(b, "2"),
+        lambda b: _set_format(b, 2.0),
+    ],
+)
+def test_format2_malformed_bundle_exits_1(format2_bundle, tmp_path, capsys, tamper):
+    bundle = json.loads(json.dumps(format2_bundle))
+    tamper(bundle)
+    out = tmp_path / "bad.json"
+    # json writes NaN and Infinity literals, which the reader must refuse
+    out.write_text(json.dumps(bundle))
+    assert run(["verify", "--report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_huge_radicand_refused(tmp_path, capsys):

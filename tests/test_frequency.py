@@ -220,3 +220,21 @@ def test_sums_negations_quotients_match_public_constructor(a, b, q):
         assert all(isinstance(c, Fraction) for _, c in got.radicals)
         assert hash(got) == hash(ref)
         assert float(got) == float(ref)
+
+
+@given(
+    frequencies(),
+    st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)),
+)
+@settings(max_examples=200, deadline=None)
+def test_rational_multiple_matches_public_constructor(a, q):
+    # a rational multiple keeps radicands canonical: built without the split
+    ref = EF(a.rational * q, [(d, c * q) for d, c in a.radicals])
+    for got in (a * q, q * a):
+        assert got == ref
+        assert got.rational == ref.rational and isinstance(got.rational, Fraction)
+        assert got.radicals == ref.radicals
+        assert all(isinstance(c, Fraction) and c != 0 for _, c in got.radicals)
+        assert hash(got) == hash(ref)
+        assert float(got) == float(ref)
+    assert (a * 0).is_zero() and (a * Fraction(0)).is_zero()

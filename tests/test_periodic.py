@@ -398,3 +398,19 @@ def test_roots_route_fails_fast_past_degree_64(tmp_path, capsys):
         assert rc == 2
         assert elapsed < 3.0, f"degree {d} took {elapsed:.2f} s to refuse"
     assert "NonConvergence" in capsys.readouterr().err
+
+
+def test_fejer_riesz_scans_the_outer_factor_samples(monkeypatch):
+    # one FFT of the Laurent coefficients serves both the negativity scan
+    # and the outer factor, with the scan's threshold and message
+    from apspec import periodic
+
+    calls = []
+    real = periodic.period_samples
+    monkeypatch.setattr(periodic, "period_samples", lambda lf: calls.append(lf) or real(lf))
+    with pytest.raises(NotNonnegative, match=r"grid scan found f < 0 \(min -0\.1\)"):
+        fejer_riesz(TrigPoly.from_cos([(1, 2.0)], constant=1.9))
+    assert len(calls) == 1
+    calls.clear()
+    fejer_riesz(TrigPoly.from_cos([(1, 2.0), (2, 0.5)], constant=3.0))
+    assert len(calls) == 1

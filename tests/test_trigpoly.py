@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
 from apspec.trigpoly import (
+    DenseBlock,
     ProductPoly,
     TrigPoly,
     _grid_rows,
+    _normalized_direction,
+    _ray_floats,
     bohr_coefficient,
     evaluation_error,
     mean_value_numeric,
@@ -452,3 +455,122 @@ def test_direct_sum_unchanged_off_grid():
         assert np.array_equal(f.evaluate(xs), _seed_direct(terms, xs))
     assert f.evaluate(0.7) == _seed_direct(terms, 0.7)
     assert f.evaluate(0.3 + 0.2j) == _seed_direct(terms, 0.3 + 0.2j)
+
+
+# -- polynomials given by rays ---------------------------------------------
+
+
+def _rays_to_terms(rays, shift):
+    return [(shift + b.base * k, c) for b in rays for k, c in zip(b.keys.tolist(), b.coeffs.tolist())]
+
+
+@st.composite
+def exact_frequencies(draw, positive=False, big=False):
+    # big: numerators and denominators may pass 2**53, independently
+    num = st.one_of(st.integers(-60, 60), st.integers(-(10**18), 10**18)) if big else st.integers(-60, 60)
+    den = st.one_of(st.integers(1, 40), st.integers(1, 10**17)) if big else st.integers(1, 40)
+    rat = Fraction(draw(num), draw(den))
+    rads = draw(
+        st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 13]), st.builds(Fraction, num, den)), max_size=3)
+    )
+    w = EF(rat, rads)
+    if positive and w.sign() <= 0:
+        w = EF(1) if w.is_zero() else -w
+    return w
+
+
+@st.composite
+def ray_polys(draw):
+    """Rays on distinct rational directions, and a shift."""
+    directions: set = set()
+    rays = []
+    for _ in range(draw(st.integers(0, 3))):
+        base = draw(exact_frequencies(positive=True))
+        if _normalized_direction(base) in directions:
+            continue
+        directions.add(_normalized_direction(base))
+        keys = sorted(draw(st.sets(st.integers(-40, 40).filter(bool), min_size=1, max_size=12)))
+        coeffs = [complex(draw(st.floats(-3, 3)), draw(st.floats(-3, 3))) for _ in keys]
+        rays.append(DenseBlock(base, np.array(keys, dtype=np.int64), np.array(coeffs)))
+    shift = draw(st.one_of(st.just(EF(0)), exact_frequencies()))
+    return rays, shift
+
+
+@given(exact_frequencies(positive=True, big=True), exact_frequencies(big=True), st.lists(st.integers(-(10**6), 10**6), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_ray_floats_match_exact_frequencies(base, shift, keys):
+    # the vectorized floats and the term-by-term fallback both round as float(EF) does
+    ks = np.array(keys, dtype=np.int64)
+    got = _ray_floats(base, ks, shift)
+    want = [float(shift + base * k) for k in keys]
+    assert got.tolist() == want
+    assert np.signbit(got).tolist() == [math.copysign(1.0, w) < 0 for w in want]
+
+
+def test_ray_floats_large_denominators():
+    # a denominator past 2**53 is no exact float: such coordinates take the exact route
+    keys = np.arange(-300, 300)
+    for base in (EF(Fraction(7, 10**17 + 3)), EF(0, [(2, Fraction(3, 2**53 + 1))])):
+        for shift in (EF(0), EF(Fraction(1, 3)), EF.sqrt_of(5, Fraction(2, 9))):
+            want = [float(shift + base * k) for k in keys.tolist()]
+            assert _ray_floats(base, keys, shift).tolist() == want
+
+
+@given(ray_polys())
+@settings(max_examples=150, deadline=None)
+def test_from_rays_matches_term_by_term(case):
+    rays, shift = case
+    lazy = TrigPoly.from_rays(rays, shift)
+    ref = TrigPoly(_rays_to_terms(rays, shift))
+    assert lazy.term_count() == ref.term_count()
+    assert lazy.is_zero() == ref.is_zero()
+    # read from the arrays, bit for bit what the exact terms give
+    for got, want in zip(lazy.term_arrays(), ref.term_arrays()):
+        assert got.tobytes() == want.tobytes()
+    assert lazy.wiener_norm() == ref.wiener_norm()
+    xs = np.linspace(-7.0, 9.0, 33)
+    assert lazy.evaluate(xs).tobytes() == ref.evaluate(xs).tobytes()
+    assert spectrum(lazy) == spectrum(ref)
+    if shift.is_zero():
+        const, blocks = ray_partition(lazy)
+        ref_const, ref_blocks = ray_partition(ref)
+        assert const == ref_const and len(blocks) == len(ref_blocks)
+        for b, r in zip(blocks, ref_blocks):
+            assert b.base == r.base
+            assert b.keys.tolist() == r.keys.tolist() and b.coeffs.tolist() == r.coeffs.tolist()
+        assert lazy._dict is None  # nothing above needed the exact terms
+    assert lazy == ref and ref == lazy
+    assert lazy.sorted_terms() == ref.sorted_terms()
+
+
+def test_from_rays_near_tie_sorts_exactly():
+    # 1 < 1 + 1e-20*sqrt(2), but both round to the float 1.0, and the ray of
+    # the larger base comes first in a stable sort by float
+    close = EF(1) + EF.sqrt_of(2, Fraction(1, 10**20))
+    rays = [DenseBlock(close, np.array([-1, 1]), np.array([3.0 + 0j, 4.0])),
+            DenseBlock(EF(1), np.array([1, 2]), np.array([1.0 + 0j, 2.0]))]
+    lazy = TrigPoly.from_rays(rays)
+    ws, cs = lazy.term_arrays()
+    assert cs.tolist() == [3.0, 1.0, 4.0, 2.0]
+    assert ws.tolist() == [float(w) for w in TrigPoly(_rays_to_terms(rays, EF(0))).frequencies()]
+
+
+def test_from_rays_normalizes_and_refuses():
+    # zero coefficients dropped, keys rescaled to gcd 1, rays ordered by base
+    lazy = TrigPoly.from_rays([
+        DenseBlock(EF.sqrt_of(3), np.array([2, 4, 6]), np.array([1.0 + 0j, 0.0, 2.0])),
+        DenseBlock(EF(Fraction(1, 2)), np.array([-1, 3]), np.array([5.0 + 0j, 6.0])),
+    ])
+    const, blocks = ray_partition(lazy)
+    assert const == 0 and [b.base for b in blocks] == [EF(Fraction(1, 2)), EF.sqrt_of(3, 2)]
+    assert blocks[1].keys.tolist() == [1, 3] and lazy.term_count() == 4
+    assert not blocks[0].keys.flags.writeable and not blocks[1].coeffs.flags.writeable
+    bad = [
+        [DenseBlock(EF(-1), np.array([1]), np.array([1.0 + 0j]))],
+        [DenseBlock(EF(1), np.array([0, 1]), np.array([1.0 + 0j, 1.0]))],
+        [DenseBlock(EF(1), np.array([1, 1]), np.array([1.0 + 0j, 1.0]))],
+        [DenseBlock(EF(1), np.array([1]), np.array([1.0 + 0j])), DenseBlock(EF(2), np.array([3]), np.array([1.0 + 0j]))],
+    ]
+    for rays in bad:
+        with pytest.raises(ValueError):
+            TrigPoly.from_rays(rays)
