@@ -30,7 +30,6 @@ from apspec.cepstral import (
 from apspec.certify import check_grid_span
 from apspec.checks import CheckResult, FactorizationReport
 from apspec.errors import ApspecError, MalformedInput
-from apspec.frequency import ExactFrequency
 from apspec.periodic import fejer_riesz, roots_check_battery
 from apspec.products import ZeroSet, factor_from_zeros, product_eval
 from apspec.sampling import SampledFunction
@@ -259,20 +258,7 @@ def _reverify(obj) -> FactorizationReport:
         if fmt == 2:
             return construction.verify_rays(*serialize.construction_from_json(obj))
         # format 1 has no "format" key and stores g, h1, h and s term by term
-        try:
-            m = float(obj["params"]["m"])
-            # n_seq is validated but not needed: f is rebuilt from h alone
-            tuple(int(n) for n in obj["n_seq"])
-            rho = tuple(ExactFrequency.from_json(r) for r in obj["rho"])
-            delta = ExactFrequency.from_json(obj["delta"])
-            c = float(obj["c"])
-            g = trigpoly_from_json(obj["g"])
-            h1 = trigpoly_from_json(obj["h1"])
-            h = trigpoly_from_json(obj["h"])
-            s = trigpoly_from_json(obj["s"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad construction payload: {exc}") from exc
-        return construction.recheck(m, rho, delta, c, g, h1, h, s)
+        return construction.recheck(*serialize.construction_format1_from_json(obj))
     if kind == "factor":
         report = serialize.report_from_json(obj.get("report"))
         if report.method == "roots":

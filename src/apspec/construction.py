@@ -16,9 +16,12 @@ keys and coefficients of q_j on the lattice rho_j * Z (a `DenseBlock` with
 base rho_j).  s = g + c chi_{-Delta} is g with c added at its lowest
 frequency, which is the first key of one ray; h = chi_Delta s and
 f = |s|^2 are read from the same rays (`TrigPoly.from_rays`), so no step
-builds an ExactFrequency per term.  `verify_rays` re-checks a stored
-construction from n_seq, rho, Delta, c and the rays of s; `recheck` is the
-reader of the older bundles that store g, h1, h and s term by term.
+builds an ExactFrequency per term.
+
+`build_instance` derives the instance from (params, n_seq).  `assemble`
+calls it after choosing n_seq; `verify_rays` (s stored by ray) and
+`recheck` (g, h1, h and s stored term by term) call it on a bundle's
+params and n_seq and compare the stored numbers and factor against it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from apspec.certify import certify_lower_bound, integer_lattice_sup, sup_norm_certified
+from apspec.certify import certify_lower_bound, integer_lattice_sup
 from apspec.checks import CheckResult, FactorizationReport, poisson_eval
 from apspec.errors import MalformedInput, OracleTooSmall, SpectraCollision
 from apspec.frequency import MAX_RADICAND, ONE, ExactFrequency, qlin_independent, rational_ratio
@@ -65,19 +68,30 @@ class ConstructionParams:
 
 
 @dataclass
-class ConstructionResult:
-    params: ConstructionParams
-    n_seq: tuple[int, ...]
+class Instance:
+    """Everything (params, n_seq) determine; see `build_instance`."""
+
     rho: tuple[EF, ...]
     q_norms: tuple[float, ...]  # certified sup-norm upper bounds U_j
     wiener_norms: tuple[float, ...]  # exact ||q_j||_A
+    c: float
+    g_rays: tuple[DenseBlock, ...]  # g by block: ray j holds q_j with base rho_j
+    rays: tuple[DenseBlock, ...]  # s by block: g's rays with c added at the lowest key
+    delta: EF
+
+    def numbers(self) -> tuple:
+        """(rho, U_j, ||q_j||_A, c): what a bundle stores besides n_seq, params, Delta and s."""
+        return self.rho, self.q_norms, self.wiener_norms, self.c
+
+
+@dataclass
+class ConstructionResult(Instance):
+    params: ConstructionParams
+    n_seq: tuple[int, ...]
     g: TrigPoly
     h: TrigPoly
     f: ProductPoly
     s: TrigPoly
-    rays: tuple[DenseBlock, ...]  # s by block: ray j has base rho_j
-    delta: EF
-    c: float
     certificates: FactorizationReport = field(repr=False)
 
     @property
@@ -166,6 +180,11 @@ def select_n_sequence(params: ConstructionParams) -> tuple[int, ...]:
     return tuple(out)
 
 
+def block_sizes(n_seq: tuple[int, ...]) -> list[int]:
+    """Term counts 2(n - 1) of q_1 = p_{n_1} and q_j = p_{n_{j+1}} - p_{n_j}, j >= 2."""
+    return [2 * (n - 1) for n in (n_seq[0], *n_seq[2:])]
+
+
 def _q_arrays(j: int, n_seq: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     if not (1 <= j <= len(n_seq) - 1):
         raise MalformedInput(f"block index {j} outside 1..{len(n_seq) - 1}")
@@ -195,51 +214,55 @@ def choose_rho(n_seq: tuple[int, ...], primes: tuple[int, ...]) -> tuple[EF, ...
     return tuple(out)
 
 
+def build_instance(params: ConstructionParams, n_seq: tuple[int, ...]) -> Instance:
+    """The instance for n_seq: rho, U_j, ||q_j||_A, c, the rays of g and s, and Delta.
+
+    rho comes from `choose_rho`; each block's arrays are built once and give
+    U_j (`integer_lattice_sup`) and ||q_j||_A (fsum of np.hypot, as
+    `TrigPoly.wiener_norm`).  |chi_Delta g| = |g| <= sum_j U_j pointwise,
+    so c = sqrt(m) + sum_j U_j makes Re h >= sqrt(m) on all of R, not just
+    a scan window.  Delta = -inf Omega(g) is the lowest key of one ray,
+    and c lands there.
+    """
+    rho = choose_rho(n_seq, params.primes)
+    g_rays: list[DenseBlock] = []
+    sup_bounds: list[float] = []
+    wiener: list[float] = []
+    for j, r in enumerate(rho, start=1):
+        keys, coeffs = _q_arrays(j, n_seq)
+        upper = integer_lattice_sup(keys, coeffs).upper
+        if j >= 2 and upper > 2.0 ** (-j):
+            raise OracleTooSmall(f"||q_{j}|| certificate {upper:.4g} exceeds 2^-{j}")
+        sup_bounds.append(upper)
+        wiener.append(math.fsum(np.hypot(coeffs.real, coeffs.imag).tolist()))
+        g_rays.append(DenseBlock(r, keys, coeffs))
+    c = math.sqrt(params.m) + math.fsum(sup_bounds)
+    lows = [r.base * int(r.keys[0]) for r in g_rays]
+    j = lows.index(min(lows))
+    lifted = g_rays[j].coeffs.copy()
+    lifted[0] += c
+    rays = list(g_rays)
+    rays[j] = DenseBlock(rho[j], g_rays[j].keys, lifted)
+    return Instance(rho, tuple(sup_bounds), tuple(wiener), c, tuple(g_rays), tuple(rays), -lows[j])
+
+
 def build_g(params: ConstructionParams) -> tuple[TrigPoly, tuple[int, ...], tuple[EF, ...], tuple[float, ...], tuple[float, ...]]:
     """Sum of dilated blocks with exactly disjoint spectra.
 
     Returns (g, n_seq, rho, certified sup bounds U_j, exact ||q_j||_A).
     """
     n_seq = select_n_sequence(params)
-    rho = choose_rho(n_seq, params.primes)
-    sup_bounds: list[float] = []
-    wiener: list[float] = []
-    for j in range(1, params.blocks + 1):
-        q = build_q(j, n_seq)
-        b = sup_norm_certified(q)
-        if j >= 2 and b.upper > 2.0 ** (-j):
-            raise OracleTooSmall(f"||q_{j}|| certificate {b.upper:.4g} exceeds 2^-{j}")
-        sup_bounds.append(b.upper)
-        wiener.append(q.wiener_norm())
+    inst = build_instance(params, n_seq)
     # Q-independent rho (choose_rho) puts the rays on distinct directions
-    return TrigPoly.from_rays(_g_rays(n_seq, rho)), n_seq, rho, tuple(sup_bounds), tuple(wiener)
-
-
-def _g_rays(n_seq: tuple[int, ...], rho: Sequence[EF]) -> tuple[DenseBlock, ...]:
-    """g by block: ray j holds the keys and coefficients of q_j with base rho_j."""
-    return tuple(DenseBlock(r, *_q_arrays(j, n_seq)) for j, r in enumerate(rho, start=1))
-
-
-def _lift(n_seq: tuple[int, ...], rho: Sequence[EF], c: float) -> tuple[tuple[DenseBlock, ...], EF]:
-    """Rays of s = g + c chi_{-Delta} and Delta = -inf Omega(g), g built from n_seq and rho.
-
-    The lowest frequency of g is the first key of one ray; c lands there.
-    """
-    rays = list(_g_rays(n_seq, rho))
-    lows = [r.base * int(r.keys[0]) for r in rays]
-    j = lows.index(min(lows))
-    coeffs = rays[j].coeffs.copy()
-    coeffs[0] += c
-    rays[j] = DenseBlock(rays[j].base, rays[j].keys, coeffs)
-    return tuple(rays), -lows[j]
+    return TrigPoly.from_rays(inst.g_rays), n_seq, inst.rho, inst.q_norms, inst.wiener_norms
 
 
 def _check_rays(p: TrigPoly, rho: tuple[EF, ...]) -> None:
     """Refuse a polynomial whose spectrum does not lie on the lattices rho_j * Z.
 
-    This validates a bundle's stored rho against its h and s; it is the only
-    use of rho in verify. Each ray has keys with gcd 1, so by Bezout all of
-    its frequencies are integer multiples of rho_j exactly when its base is.
+    This validates a format-1 bundle's stored rho against its h and s before
+    f is built. Each ray has keys with gcd 1, so by Bezout all of its
+    frequencies are integer multiples of rho_j exactly when its base is.
     """
     _, rays = ray_partition(p)
     for b in rays:
@@ -249,16 +272,15 @@ def _check_rays(p: TrigPoly, rho: tuple[EF, ...]) -> None:
 
 
 def _certificate_battery(
-    m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, delta: EF
-) -> tuple[list[CheckResult], float]:
-    """Certificates shared by assemble, verify_rays and recheck; returns (checks, residual sup).
+    m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, delta: EF, checks: list[CheckResult]
+) -> FactorizationReport:
+    """The report of factor s: `checks`, then the certificates shared by assemble, verify_rays and recheck.
 
     exact_factorization bounds ||f - |s|^2||_A through f's factor u: since
     |u|^2 - |s|^2 = (u - s) conj(u) + s conj(u - s) and ||.||_A is
     submultiplicative, it is at most ||u - s||_A (||u||_A + ||s||_A), which
     is 0 exactly when s is u.
     """
-    checks: list[CheckResult] = []
     info_h = spectrum(h)
     checks.append(
         CheckResult(
@@ -294,148 +316,90 @@ def _certificate_battery(
             "min Re P[h] over 10 interior points",
         )
     )
-    return checks, residual
+    return FactorizationReport("construction", s, residual, 0.5, checks)
 
 
 def assemble(params: ConstructionParams) -> ConstructionResult:
     """Run the full pipeline and certify every step that admits a certificate."""
-    g, n_seq, rho, sup_bounds, wiener = build_g(params)
-    # |chi_Delta g| = |g| <= sum_j U_j pointwise, so ell is a lower bound
-    # for Re(chi_Delta g) over all of R, not just a scan window
-    ell = -math.fsum(sup_bounds)
-    c = math.sqrt(params.m) - ell
-    rays, delta = _lift(n_seq, rho, c)
-    s = TrigPoly.from_rays(rays)
-    h = TrigPoly.from_rays(rays, delta)
+    n_seq = select_n_sequence(params)
+    inst = build_instance(params, n_seq)
+    s = TrigPoly.from_rays(inst.rays)
+    h = TrigPoly.from_rays(inst.rays, inst.delta)
     f = ProductPoly(s)
-    checks, residual_sup = _certificate_battery(params.m, h, s, f, delta)
-    report = FactorizationReport(
-        method="construction",
-        factor=s,
-        residual_sup=residual_sup,
-        bandwidth_ratio=0.5,
-        checks=checks,
-    )
     return ConstructionResult(
-        params=params,
-        n_seq=n_seq,
-        rho=rho,
-        q_norms=sup_bounds,
-        wiener_norms=wiener,
-        g=g,
-        h=h,
-        f=f,
-        s=s,
-        rays=rays,
-        delta=delta,
-        c=c,
-        certificates=report,
+        **vars(inst), params=params, n_seq=n_seq, g=TrigPoly.from_rays(inst.g_rays), h=h, f=f, s=s,
+        certificates=_certificate_battery(params.m, h, s, f, inst.delta, []),
     )
 
 
 def verify_rays(
-    m: float,
-    n_seq: tuple[int, ...],
-    rho: tuple[EF, ...],
-    delta: EF,
-    c: float,
-    rays: Sequence[tuple[np.ndarray, np.ndarray]],
+    params: ConstructionParams, n_seq: tuple[int, ...], rho: tuple[EF, ...], q_norms: tuple[float, ...],
+    wiener_norms: tuple[float, ...], delta: EF, c: float, rays: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> FactorizationReport:
     """Re-run every certificate on a stored construction whose s is kept by ray.
 
     rays[j] holds the keys and coefficients of s on the lattice rho_j * Z.
-    Nothing stored is trusted: g is rebuilt from n_seq and rho with the
-    amplitudes of `_sine_amplitudes`, u = g + c chi_{-Delta} with Delta =
-    -inf Omega(g) must equal the stored s exactly, f is rebuilt as |u|^2,
-    and the battery runs on s and h = chi_Delta s for the stored Delta.
-    Raises SpectraCollision, before f is built, when rho is not
-    Q-independent, since the rays could then share frequencies, and
-    MalformedInput when a ray's length is not the 2(n - 1) keys of its
-    block, which also bounds the rebuild by the size of the bundle.
+    Nothing stored is trusted: `build_instance` rebuilds the instance from
+    params and n_seq, and factor_rebuilt requires the stored rho, q_norms,
+    wiener_norms, c and s to equal the rebuilt ones exactly.  f is rebuilt
+    as |u|^2 for the rebuilt s = u, and the battery runs on the stored s and
+    h = chi_Delta s for the stored Delta.  Raises SpectraCollision, before
+    f is built, when the stored rho is not Q-independent, since the rays
+    could then share frequencies.
     """
-    if any(r.sign() <= 0 for r in rho):
-        raise MalformedInput("dilation scales must be positive")
-    for j, (keys, _) in enumerate(rays, start=1):
-        top = n_seq[0] if j == 1 else n_seq[j]
-        if len(keys) != 2 * (top - 1):
-            raise MalformedInput(f"ray {j} of s holds {len(keys)} keys; n_seq makes block {j} {2 * (top - 1)}")
     if not qlin_independent(rho):
         raise SpectraCollision("stored dilation scales are not Q-independent")
-    u_rays, lowest = _lift(n_seq, rho, c)
+    built = build_instance(params, n_seq)
     s_rays = [DenseBlock(r, keys, coeffs) for r, (keys, coeffs) in zip(rho, rays)]
-    u = TrigPoly.from_rays(u_rays)
+    u = TrigPoly.from_rays(built.rays)
     s = TrigPoly.from_rays(s_rays)
-    rebuilt = u == s
+    rebuilt = built.numbers() == (rho, q_norms, wiener_norms, c) and u == s
     checks = [
-        CheckResult("delta_matches_spectrum", lowest == delta, float(delta), "delta = -inf Omega(g)"),
+        CheckResult("delta_matches_spectrum", built.delta == delta, float(delta), "delta = -inf Omega(g)"),
         CheckResult(
             "factor_rebuilt", rebuilt, 1.0 if rebuilt else 0.0,
-            "s = g + c chi_{-delta} exactly, g rebuilt from n_seq and rho",
+            "s = g + c chi_{-delta} exactly; rho, q_norms, wiener_norms and c "
+            "as rebuilt from params and n_seq",
         ),
     ]
-    battery, residual_sup = _certificate_battery(
-        m, TrigPoly.from_rays(s_rays, delta), s, ProductPoly(u), delta
-    )
-    checks.extend(battery)
-    return FactorizationReport(
-        method="construction",
-        factor=s,
-        residual_sup=residual_sup,
-        bandwidth_ratio=0.5,
-        checks=checks,
-    )
+    return _certificate_battery(params.m, TrigPoly.from_rays(s_rays, delta), s, ProductPoly(u), delta, checks)
 
 
 def recheck(
-    m: float,
-    rho: tuple[EF, ...],
-    delta: EF,
-    c: float,
-    g: TrigPoly,
-    h1: TrigPoly,
-    h: TrigPoly,
-    s: TrigPoly,
+    params: ConstructionParams, n_seq: tuple[int, ...], rho: tuple[EF, ...], q_norms: tuple[float, ...],
+    wiener_norms: tuple[float, ...], delta: EF, c: float, g: TrigPoly, h1: TrigPoly, h: TrigPoly, s: TrigPoly,
 ) -> FactorizationReport:
     """Re-run every certificate on a bundle that stores g, h1, h and s term by term.
 
     Nothing stored is trusted: f is rebuilt as |u|^2 from u = h shifted
     back by delta, exact_factorization bounds f - |s|^2 for the stored s
-    through u - s, and the whole battery is recomputed, plus consistency
-    checks tying the stored intermediates to each other. If u or the stored
-    s has a spectrum off the lattices rho_j * Z, SpectraCollision is raised
-    before f is built.
+    through u - s, and the whole battery is recomputed.
+    modulation_consistent ties the stored intermediates to each other, and
+    requires the stored g, rho, q_norms, wiener_norms and c to equal what
+    `build_instance` rebuilds from params and n_seq.  Raises SpectraCollision,
+    before f is built, when u or the stored s has a spectrum off the
+    lattices rho_j * Z.
     """
-    checks: list[CheckResult] = []
-    checks.append(
-        CheckResult(
-            "delta_matches_spectrum",
-            spectrum(g).inf_freq == -delta,
-            float(delta),
-            "delta = -inf Omega(g)",
-        )
-    )
+    built = build_instance(params, n_seq)
     centred = h.modulate(-delta)
-    consistent = h1 == g.modulate(delta) and h == h1 + c and s == centred
-    checks.append(
-        CheckResult(
-            "modulation_consistent",
-            consistent,
-            1.0 if consistent else 0.0,
-            "h1 = g shifted by delta; h = h1 + c; s = h shifted back",
-        )
+    consistent = (
+        h1 == g.modulate(delta) and h == h1 + c and s == centred
+        and built.numbers() == (rho, q_norms, wiener_norms, c) and g == TrigPoly.from_rays(built.g_rays)
     )
+    checks = [
+        CheckResult(
+            "delta_matches_spectrum", spectrum(g).inf_freq == -delta, float(delta), "delta = -inf Omega(g)"
+        ),
+        CheckResult(
+            "modulation_consistent", consistent, 1.0 if consistent else 0.0,
+            "h1 = g shifted by delta; h = h1 + c; s = h shifted back; "
+            "g, rho, q_norms, wiener_norms and c as rebuilt from params and n_seq",
+        ),
+    ]
     _check_rays(centred, rho)
     if s != centred:
         _check_rays(s, rho)
-    battery, residual_sup = _certificate_battery(m, h, s, ProductPoly(centred), delta)
-    checks.extend(battery)
-    return FactorizationReport(
-        method="construction",
-        factor=s,
-        residual_sup=residual_sup,
-        bandwidth_ratio=0.5,
-        checks=checks,
-    )
+    return _certificate_battery(params.m, h, s, ProductPoly(centred), delta, checks)
 
 
 def wiener_growth_table(n_list: list[int]) -> list[tuple[int, float]]:

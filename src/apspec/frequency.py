@@ -111,10 +111,6 @@ class ExactFrequency:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rational(cls, x: RationalLike) -> "ExactFrequency":
-        return cls(x)
-
-    @classmethod
     def sqrt_of(cls, d: int, coeff: RationalLike = 1) -> "ExactFrequency":
         """coeff * sqrt(d), with automatic squarefree reduction."""
         return cls(0, [(d, coeff)])

@@ -39,7 +39,3 @@ class SampledFunction:
         scale = float(np.max(np.abs(self.values))) if len(self.values) else 0.0
         return float(np.max(np.abs(self.values.imag))) <= tol * max(scale, 1.0)
 
-
-def sample_grid(halfwidth: float, step: float) -> np.ndarray:
-    n = round(2 * halfwidth / step) + 1
-    return -halfwidth + step * np.arange(n)

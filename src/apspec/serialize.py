@@ -7,8 +7,11 @@ the canonical term order, so identical inputs give byte-identical files.
 A construction bundle (format 2) stores its factor s once, by ray: ray j
 is {"keys", "re", "im"} on the lattice rho_j * Z, rho_j given by position,
 so of its frequencies only rho and delta travel as exact strings.  The
-reader of the older format 1, which stores g, h1, h and s term by term,
-is `cli._reverify` with `trigpoly_from_json`.
+older format 1 stores g, h1, h and s term by term.  The readers of both
+return the stored params (through `ConstructionParams`, so the primes
+are bounded before verify derives rho from them), n_seq, rho, q_norms,
+wiener_norms, delta and c; verify rebuilds the instance from params and
+n_seq and compares the rest against it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from apspec.checks import CheckResult, FactorizationReport
+from apspec.construction import ConstructionParams, block_sizes
 from apspec.errors import MalformedInput
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
@@ -167,11 +171,12 @@ def construction_to_json(res, allow_large: bool = False) -> dict:
     """ConstructionResult payload, format 2: s once, by ray; g, h and f implicit.
 
     Ray j of s holds its keys k and the coefficients at rho_j * k; rho_j is
-    the j-th entry of "rho".  verify rebuilds g from n_seq and rho, checks
-    s = g + c chi_{-delta}, and reads h = chi_delta s and f = |s|^2 from
-    the same rays.  f written out would dominate the file by orders of
-    magnitude, so only a marker with its upper term count is stored (the
-    hint string is part of the bundle bytes, so it stays fixed).
+    the j-th entry of "rho".  verify rebuilds the instance from params and
+    n_seq, checks the stored numbers and s = g + c chi_{-delta} against it,
+    and reads h = chi_delta s and f = |s|^2 from the same rays.  f written
+    out would dominate the file by orders of magnitude, so only a marker
+    with its upper term count is stored (the hint string is part of the
+    bundle bytes, so it stays fixed).
     """
     terms = sum(len(r.keys) for r in res.rays)
     if terms > MAX_ROWS and not allow_large:
@@ -221,26 +226,78 @@ def _ray_from_json(obj: Any) -> tuple[np.ndarray, np.ndarray]:
     return keys, coeffs
 
 
-def construction_from_json(obj: Any) -> tuple:
-    """(m, n_seq, rho, delta, c, rays of s) of a format-2 construction bundle."""
+def _construction_header(obj: Any) -> tuple:
+    """(params, n_seq, rho, q_norms, wiener_norms, delta, c) of a construction bundle.
+
+    n_seq must increase strictly from 2 or more, give params.blocks blocks,
+    and end at or below params.oracle_n, where `select_n_sequence` stops.
+    """
     try:
-        m, c = float(obj["params"]["m"]), float(obj["c"])
+        p = obj["params"]
+        params = ConstructionParams(
+            m=float(p["m"]),
+            blocks=_strict_int(p["blocks"]),
+            oracle_n=_strict_int(p["oracle_n"]),
+            primes=tuple(_strict_int(q) for q in p["primes"]),
+        )
         n_seq = tuple(_strict_int(n) for n in obj["n_seq"])
         rho = tuple(EF.from_json(r) for r in obj["rho"])
+        q_norms = tuple(float(x) for x in obj["q_norms"])
+        wiener_norms = tuple(float(x) for x in obj["wiener_norms"])
         delta = EF.from_json(obj["delta"])
+        c = float(obj["c"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"bad construction payload: {exc}") from exc
+    if not all(map(math.isfinite, (c, *q_norms, *wiener_norms))):
+        raise MalformedInput("bad construction payload: c, q_norms and wiener_norms must be finite")
+    if len(n_seq) < 2 or n_seq[0] < 2 or any(b <= a for a, b in zip(n_seq, n_seq[1:])):
+        raise MalformedInput("bad construction payload: n_seq must increase strictly from 2 or more")
+    if params.blocks != len(n_seq) - 1:
+        raise MalformedInput(
+            f"bad construction payload: params.blocks is {params.blocks}, n_seq makes {len(n_seq) - 1} blocks"
+        )
+    if n_seq[-1] > params.oracle_n:
+        raise MalformedInput(
+            f"bad construction payload: n_seq ends at {n_seq[-1]}, past oracle_n {params.oracle_n}"
+        )
+    return params, n_seq, rho, q_norms, wiener_norms, delta, c
+
+
+def construction_from_json(obj: Any) -> tuple:
+    """(params, n_seq, rho, q_norms, wiener_norms, delta, c, rays of s) of a format-2 bundle.
+
+    Ray j must hold the 2(n - 1) keys n_seq gives block j, which bounds the
+    rebuild by the size of the bundle.
+    """
+    header = _construction_header(obj)
+    try:
         rays = [_ray_from_json(r) for r in obj["s"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad construction payload: {exc}") from exc
-    if not (math.isfinite(m) and math.isfinite(c)):
-        raise MalformedInput("bad construction payload: m and c must be finite")
-    if len(n_seq) < 2 or n_seq[0] < 2 or any(b <= a for a, b in zip(n_seq, n_seq[1:])):
-        raise MalformedInput("bad construction payload: n_seq must increase strictly from 2 or more")
-    if not len(rho) == len(rays) == len(n_seq) - 1:
+    _, n_seq, rho, *_ = header
+    sizes = block_sizes(n_seq)
+    if len(rho) != len(sizes) or [len(keys) for keys, _ in rays] != sizes:
         raise MalformedInput(
-            f"bad construction payload: {len(n_seq) - 1} blocks need as many rho and rays of s, "
-            f"got {len(rho)} and {len(rays)}"
+            f"bad construction payload: n_seq needs {len(sizes)} rho and rays of s of {sizes} keys"
         )
-    return m, n_seq, rho, delta, c, rays
+    return (*header, rays)
+
+
+def construction_format1_from_json(obj: Any) -> tuple:
+    """(params, n_seq, rho, q_norms, wiener_norms, delta, c, g, h1, h, s) of a format-1 bundle.
+
+    s must hold the sum of the 2(n - 1) terms n_seq gives its blocks.
+    """
+    header = _construction_header(obj)
+    try:
+        g, h1, h, s = (trigpoly_from_json(obj[name]) for name in ("g", "h1", "h", "s"))
+    except KeyError as exc:
+        raise MalformedInput(f"bad construction payload: missing {exc}") from exc
+    _, n_seq, *_ = header
+    terms = sum(block_sizes(n_seq))
+    if s.term_count() != terms:
+        raise MalformedInput(f"bad construction payload: s holds {s.term_count()} terms; n_seq gives {terms}")
+    return (*header, g, h1, h, s)
 
 
 def dumps(obj: Any) -> str:
@@ -251,7 +308,7 @@ def dumps(obj: Any) -> str:
     ValueError, an unsupported type json's TypeError, and a non-finite top
     level value MalformedInput.  Dict keys must be strings, as they are in
     every payload here.  Readers refuse non-finite numbers in turn
-    (trigpoly_from_json, sampled_from_json, construction_from_json).
+    (trigpoly_from_json, sampled_from_json, the construction readers).
     """
     if isinstance(obj, float) and not math.isfinite(obj):
         raise MalformedInput("non-finite top-level value")

@@ -595,42 +595,30 @@ def ray_partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
 
 
 def _partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
-    const = f.coefficient(EF(0))
-    groups: dict[tuple, list[tuple[EF, Fraction, complex]]] = {}
-    units: dict[tuple, EF] = {}
-    for w, c in f.sorted_terms():
+    """Group f's terms by ray; `TrigPoly.from_rays` puts each group in canonical form.
+
+    A group's keys are its frequencies over |first member| times the lcm of
+    their denominators, so from_rays finds the lattice's positive generator
+    whichever term comes first.
+    """
+    const = 0j
+    groups: dict[tuple, tuple[EF, list[Fraction], list[complex]]] = {}
+    for w, c in f._terms.items():
         if w.is_zero():
+            const = c
             continue
         key = _normalized_direction(w)
-        if key not in groups:
-            unit = w
-            if unit.sign() < 0:
-                unit = -unit
-            units[key] = unit
-            groups[key] = []
-        t = rational_ratio(w, units[key])
-        groups[key].append((w, t, c))
-    blocks: list[DenseBlock] = []
-    for key, members in groups.items():
-        unit = units[key]
-        den_lcm = 1
-        for _, t, _ in members:
-            den_lcm = den_lcm * t.denominator // math.gcd(den_lcm, t.denominator)
-        nums = [int(t * den_lcm) for _, t, _ in members]
-        g = 0
-        for v in nums:
-            g = math.gcd(g, v)
-        g = max(g, 1)
-        base = unit * Fraction(g, den_lcm)
-        ks = np.array([v // g for v in nums], dtype=np.int64)
-        cs = np.array([c for _, _, c in members], dtype=complex)
-        order = np.argsort(ks)
-        ks, cs = ks[order], cs[order]
-        ks.setflags(write=False)
-        cs.setflags(write=False)
-        blocks.append(DenseBlock(base, ks, cs))
-    blocks.sort(key=lambda b: float(b.base))
-    return const, tuple(blocks)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (abs(w), [], [])
+        group[1].append(rational_ratio(w, group[0]))
+        group[2].append(c)
+    rays = []
+    for unit, ratios, coeffs in groups.values():
+        den = math.lcm(*(t.denominator for t in ratios))
+        keys = np.array([int(t * den) for t in ratios], dtype=np.int64)
+        rays.append(DenseBlock(unit / den, keys, np.array(coeffs, dtype=complex)))
+    return const, ray_partition(TrigPoly.from_rays(rays))[1]
 
 
 def modulus_squared(f: TrigPoly) -> TrigPoly:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -600,6 +601,108 @@ def test_format2_malformed_bundle_exits_1(format2_bundle, tmp_path, capsys, tamp
     assert run(["verify", "--report", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+# -- stored numbers: verify rebuilds the instance from params and n_seq ---------------
+
+
+@pytest.fixture(scope="module")
+def small_bundles(tmp_path_factory):
+    """The (1, 32) instance in format 2 (written by construct) and format 1 (the fixture)."""
+    out = tmp_path_factory.mktemp("small") / "cons.json"
+    assert run(["construct", "--m", "1", "--blocks", "1", "--oracle-n", "32", "--out", str(out)]) == 0
+    return {2: load_path(str(out)), 1: load_path(str(FIXTURE_FORMAT1))}
+
+
+# the check each format fails when a stored number differs from the rebuilt one
+REBUILT_CHECK = {2: "factor_rebuilt", 1: "modulation_consistent"}
+
+
+def _halve_rho(b):
+    # rho_1/2 still puts every frequency of s on rho_1 * Z, so no SpectraCollision
+    rad = b["rho"][0]["rad"][0]
+    rad[1] = str(Fraction(rad[1]) / 2)
+
+
+STORED_EDITS = {
+    "rho": _halve_rho,
+    "q_norms": lambda b: b.__setitem__("q_norms", [123.0]),
+    "wiener_norms": lambda b: b.__setitem__("wiener_norms", [0.5]),
+    "c": lambda b: b.__setitem__("c", b["c"] + 1e-9),
+    "primes": lambda b: b["params"].__setitem__("primes", [97]),
+}
+
+
+def _edited(bundle: dict, *edits) -> dict:
+    b = json.loads(json.dumps(bundle))
+    for edit in edits:
+        edit(b)
+    return b
+
+
+@pytest.mark.parametrize("fmt", [2, 1])
+def test_edited_norms_and_primes_fail_the_rebuild(small_bundles, tmp_path, capsys, fmt):
+    # these three edits together once verified all PASS with exit 0
+    bundle = _edited(small_bundles[fmt], *(STORED_EDITS[k] for k in ("q_norms", "wiener_norms", "primes")))
+    capsys.readouterr()
+    assert _verify_bundle(tmp_path, bundle) == 3
+    assert f"FAIL {REBUILT_CHECK[fmt]}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", [2, 1])
+@pytest.mark.parametrize("field", sorted(STORED_EDITS))
+def test_stored_number_edited_alone_fails_the_rebuild(small_bundles, tmp_path, capsys, fmt, field):
+    capsys.readouterr()
+    assert _verify_bundle(tmp_path, small_bundles[fmt]) == 0
+    capsys.readouterr()
+    assert _verify_bundle(tmp_path, _edited(small_bundles[fmt], STORED_EDITS[field])) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert lines[1].startswith(f"FAIL {REBUILT_CHECK[fmt]} value=0.0 -- ")
+
+
+@pytest.mark.parametrize("fmt", [2, 1])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda b: b["params"].__setitem__("oracle_n", 7),
+        lambda b: b["params"].__setitem__("oracle_n", b["n_seq"][-1] - 1),
+        lambda b: b["params"].__setitem__("blocks", 2),
+        lambda b: b["params"].__setitem__("blocks", 0),
+        lambda b: b["params"].__setitem__("primes", [10**30 + 57]),
+        lambda b: b["params"].__setitem__("m", -1.0),
+    ],
+    ids=["oracle_n_7", "oracle_n_below_n_seq", "blocks_2", "blocks_0", "huge_prime", "negative_m"],
+)
+def test_params_that_do_not_fit_n_seq_exit_1(small_bundles, tmp_path, capsys, fmt, edit):
+    # n_seq ends at 28 and makes one block; construct would refuse the last three params
+    assert _verify_bundle(tmp_path, _edited(small_bundles[fmt], edit)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_format1_factor_edited_throughout_fails_the_rebuild(small_bundles, tmp_path, capsys):
+    # one coefficient changed alike in g, h1, h and s keeps them consistent with each other
+    # and with f = |u|^2; only the comparison with the rebuilt g catches it
+    def edit(b):
+        for name in ("g", "h1", "h", "s"):
+            b[name]["terms"][3]["im"] += 1e-3
+
+    capsys.readouterr()
+    assert _verify_bundle(tmp_path, _edited(small_bundles[1], edit)) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS", "FAIL", "PASS", "PASS", "PASS", "PASS", "PASS"]
+
+
+def test_format1_n_seq_that_misses_the_term_count_exits_1_at_once(tmp_path, capsys):
+    # s holds 40 terms; n_seq [2, 10^9] gives its one block 2, and is refused before any rebuild
+    bundle = _edited(load_path(str(FIXTURE_FORMAT1)), lambda b: b.__setitem__("n_seq", [2, 10**9]))
+    bundle["params"]["oracle_n"] = 10**9
+    start = time.perf_counter()
+    assert _verify_bundle(tmp_path, bundle) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "s holds 40 terms" in captured.err
 
 
 def test_huge_radicand_refused(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from apspec.construction import (
     ConstructionParams,
     assemble,
     build_g,
+    build_instance,
     build_q,
     cesaro_p,
     choose_rho,
@@ -18,7 +20,8 @@ from apspec.construction import (
 )
 from apspec.errors import MalformedInput, OracleTooSmall
 from apspec.frequency import ExactFrequency, qlin_independent
-from apspec.trigpoly import ProductPoly, spectrum
+from apspec.serialize import construction_format1_from_json, load_path
+from apspec.trigpoly import ProductPoly, TrigPoly, spectrum
 
 EF = ExactFrequency
 
@@ -256,3 +259,19 @@ def test_assemble_wiener_growth_with_blocks(pinned):
     norms.append(math.fsum(w3))
     assert norms[0] < norms[1] < norms[2]
     assert g3.term_count() > pinned.g.term_count()
+
+
+def test_build_instance_gives_the_format1_fixture_numbers():
+    # the committed (1, 32) bundle stores exactly what build_instance derives from its params and n_seq
+    obj = load_path(str(Path(__file__).parent / "data" / "construction_format1_b1_n32.json"))
+    params, n_seq, rho, q_norms, wiener_norms, delta, c, g, *_ = construction_format1_from_json(obj)
+    inst = build_instance(params, n_seq)
+    assert inst.numbers() == (rho, q_norms, wiener_norms, c)
+    assert inst.delta == delta
+    assert TrigPoly.from_rays(inst.g_rays) == g
+
+
+def test_build_instance_gives_the_assembled_numbers(pinned):
+    inst = build_instance(PINNED, pinned.n_seq)
+    assert inst.numbers() == (pinned.rho, pinned.q_norms, pinned.wiener_norms, pinned.c)
+    assert TrigPoly.from_rays(inst.rays) == pinned.s and inst.delta == pinned.delta
