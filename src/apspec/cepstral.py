@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from apspec.certify import certify_lower_bound, check_grid_span, sup_norm_certified
+from apspec.certify import certify_lower_bound, check_grid_span, sup_norm_upper
 from apspec.checks import CheckResult, FactorizationReport, factorization_residual
 from apspec.errors import NotBoundedBelow, WindowTooSmall
 from apspec.frequency import ExactFrequency
@@ -119,7 +119,7 @@ def cepstral_checks(f: TrigPoly, s: SampledFunction, m: float) -> FactorizationR
     times the certified sup of f.
     """
     residual = factorization_residual(f, s)
-    scale = sup_norm_certified(f).upper
+    scale = sup_norm_upper(f)
     min_mod = float(np.min(np.abs(s.values)))
     checks = [
         CheckResult("lower_bound_certified", certify_lower_bound(f, m), float(m), f"m={m!r}"),

@@ -3,20 +3,26 @@
 The upper bounds are rigorous (up to documented floating-point cushions):
 each rational ray of the spectrum is periodic after rescaling, so a dense
 FFT scan over one period plus a Bernstein-type step inflation bounds its
-sup; the triangle inequality sums the rays.  Lower bounds come from direct
-evaluation on a finite window.
+sup; the triangle inequality sums the rays.  `lift_lower_bound` bounds
+|u| from below on all of R for a u with one dominant lowest term, from the
+same FFT grids through the Ehlich-Zeller inequality, with the FFT's
+rounding bounded rather than cushioned.  `certify_lower_bound` bounds a
+function from below by direct evaluation on a finite window.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from apspec.errors import MalformedInput, NonConvergence
 from apspec.frequency import ExactFrequency
 from apspec.trigpoly import (
+    DenseBlock,
     ProductPoly,
     TrigPoly,
     bohr_coefficient,
@@ -33,6 +39,11 @@ FP_CUSHION = 1.0 + 1e-12
 
 MAX_GRID_POINTS = 1 << 23
 
+_U = Fraction(1, 1 << 53)  # unit roundoff of binary64
+_TINY = Fraction(1, 1 << 1074)  # smallest subnormal
+_PI_UP = Fraction(355, 113)  # > pi
+_SQRT2_UP = Fraction(14143, 10000)  # > sqrt(2)
+
 
 def check_grid_span(span: float) -> None:
     """Refuse a sample grid of `span` steps; keeps n + 1 <= MAX_GRID_POINTS
@@ -47,6 +58,37 @@ class NormBracket:
 
     lower: float
     upper: float
+
+
+def lattice_points(maxk: int, rel_gap: float = 1.0 / 16) -> int:
+    """Grid size N of `integer_lattice_sup` for degree maxk.
+
+    N is the power of two above 2*pi*maxk/rel_gap, at least 1024 and at
+    most 2^24; NonConvergence when the step inflation would not apply.
+    """
+    n = 1 << max(10, (int(2 * math.pi * maxk / rel_gap)).bit_length())
+    n = min(n, 1 << 24)  # memory guard; the s*tau check below keeps rigor
+    if 2 * math.pi * maxk / n >= 1:
+        raise NonConvergence(
+            f"degree {maxk} needs more than {1 << 24} certification points"
+        )
+    return n
+
+
+def step_inflated(grid_max: float, maxk: int, n: int) -> float:
+    """`integer_lattice_sup`'s upper bound from a grid max: grid_max / (1 - s*tau) * FP_CUSHION."""
+    s_tau = 2 * math.pi * maxk / n
+    return grid_max / (1 - s_tau) * FP_CUSHION
+
+
+def _lattice_grid(keys: np.ndarray, coeffs: np.ndarray, maxk: int, rel_gap: float) -> tuple[int, float]:
+    """(N, max_j |sum c_k exp(2 pi i j k / N)|) for N = lattice_points(maxk, rel_gap)."""
+    n = lattice_points(maxk, rel_gap)
+    bins = np.zeros(n, dtype=complex)
+    np.add.at(bins, np.mod(keys, n), coeffs)
+    # forward-normalized inverse: no 1/n scaling, so subnormal sums survive
+    vals = np.fft.ifft(bins, norm="forward")
+    return n, float(np.max(np.abs(vals)))
 
 
 def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1.0 / 16) -> NormBracket:
@@ -65,29 +107,122 @@ def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1
     if maxk == 0:
         v = abs(complex(coeffs.sum()))
         return NormBracket(v, v * FP_CUSHION)
-    n = 1 << max(10, (int(2 * math.pi * maxk / rel_gap)).bit_length())
-    n = min(n, 1 << 24)  # memory guard; the s*tau check below keeps rigor
-    if 2 * math.pi * maxk / n >= 1:
-        raise NonConvergence(
-            f"degree {maxk} needs more than {1 << 24} certification points"
-        )
-    bins = np.zeros(n, dtype=complex)
-    np.add.at(bins, np.mod(keys, n), coeffs)
-    # forward-normalized inverse: no 1/n scaling, so subnormal sums survive
-    vals = np.fft.ifft(bins, norm="forward")
-    lower = float(np.max(np.abs(vals)))
-    s_tau = 2 * math.pi * maxk / n
-    upper = lower / (1 - s_tau) * FP_CUSHION
-    return NormBracket(lower, upper)
+    n, lower = _lattice_grid(keys, coeffs, maxk, rel_gap)
+    return NormBracket(lower, step_inflated(lower, maxk, n))
+
+
+def fft_rounding(n: int, l1: float) -> Fraction:
+    """Bound on max_j |computed - exact| for `_lattice_grid`'s n-point FFT of coefficients with sum |c_k| <= l1.
+
+    Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.),
+    Thm 24.2: a radix-2 FFT y = F_n x is computed with
+    ||y_hat - y||_2 <= L eta / (1 - L eta) ||y||_2, where L = log2 n and
+    eta = mu + gamma_4 (sqrt 2 + mu), mu bounding the error of the computed
+    twiddle factors (taken as 2u).  Unscaled, ||y||_2 = sqrt(n) ||x||_2,
+    and ||x||_2 <= l1.  The last term bounds gradual underflow: at most
+    8 n L half-units of the smallest subnormal, which the 2-norm bound
+    does not see.
+    """
+    levels = max(1, n.bit_length() - 1)
+    gamma4 = 4 * _U / (1 - 4 * _U)
+    eta = 2 * _U + gamma4 * (_SQRT2_UP + 2 * _U)
+    rel = levels * eta / (1 - levels * eta)
+    sqrt_n = Fraction(1 << ((levels + 1) // 2))  # >= sqrt(n) for n = 2^levels
+    return rel * sqrt_n * Fraction(l1) * (1 + 2 * _U) + 8 * n * levels * _TINY
+
+
+def ehlich_zeller_sup(grid_max: float, degree: int, n: int, l1: float) -> Fraction:
+    """Certified sup over R of |T| for T = sum c_k exp(i k t), |k| <= degree, sum |c_k| <= l1.
+
+    grid_max is the computed max of |T| on the n points 2 pi j / n, from
+    `_lattice_grid`.  Ehlich & Zeller (Math. Z. 86, 1964): for n > 2 degree,
+    a real trig polynomial obeys sup|T| <= sec(pi degree / n) max_j |T(t_j)|;
+    a complex T follows through Re(e^{-i theta} T) for every theta.  The
+    true grid max is at most grid_max (1 + 2u) (|.| by hypot) plus
+    `fft_rounding`, and sec(theta) <= 1 / (1 - theta^2 / 2) with
+    pi < 355/113 keeps the factor rational; that needs theta^2 < 2, a
+    little more than n > 2 degree (ValueError otherwise).  The equality case
+    cos(degree t + phi), degree dividing n, shows the factor cannot drop.
+    """
+    theta = _PI_UP * degree / n
+    if not (n > 2 * degree and theta * theta < 2):
+        raise ValueError(f"{n} points cannot certify degree {degree}")
+    grid = Fraction(grid_max) * (1 + 2 * _U) + fft_rounding(n, l1)
+    return grid / (1 - theta * theta / 2)
+
+
+def ray_sup(keys: np.ndarray, coeffs: np.ndarray) -> Fraction:
+    """Certified sup over R of |sum c_k exp(i k t)|, keys distinct integers.
+
+    The grid is `integer_lattice_sup`'s (default rel_gap) and the bound
+    `ehlich_zeller_sup`: sec(pi maxk / N) in place of 1/(1 - 2 pi maxk / N),
+    and the FFT's rounding bounded in place of FP_CUSHION.
+    """
+    if len(keys) == 0:
+        return Fraction(0)
+    re, im = np.abs(coeffs.real).tolist(), np.abs(coeffs.imag).tolist()
+    l1 = math.fsum(re + im) * (1 + 2.0**-52)  # fsum rounds once, to nearest
+    maxk = int(np.max(np.abs(keys)))
+    n, grid_max = _lattice_grid(keys, coeffs, maxk, 1.0 / 16)
+    return ehlich_zeller_sup(grid_max, maxk, n, l1)
+
+
+def lift_lower_bound(u: TrigPoly) -> float:
+    """A float b >= 0 with |u| >= b on all of R, from u's lift term.
+
+    Let a be u's coefficient at its lowest frequency (where
+    `construction.build_instance` adds the lift c).  Then
+    |u| >= |a| - |c_0| - sum_j sup|r_j| pointwise, with c_0 u's constant
+    term when a is not it, and r_j ray j of `ray_partition(u)` with a
+    removed; `ray_sup` bounds each sup|r_j|.  The sum B is kept exact
+    (Fraction), and b is a float rounded down: (b + B)^2 <= |a|^2 exactly.
+    """
+    const, rays = ray_partition(u)
+    lows = [b.base * int(b.keys[0]) for b in rays]
+    if not rays or (const != 0 and min(lows).sign() > 0):
+        a, bound, rest = const, Fraction(0), list(rays)
+    else:
+        j = lows.index(min(lows))
+        a, bound = complex(rays[j].coeffs[0]), Fraction(abs(const)) * (1 + 2 * _U)
+        rest = [*rays[:j], DenseBlock(rays[j].base, rays[j].keys[1:], rays[j].coeffs[1:]), *rays[j + 1:]]
+    bound += sum((ray_sup(r.keys, r.coeffs) for r in rest), Fraction(0))
+    a2 = Fraction(a.real) ** 2 + Fraction(a.imag) ** 2
+    if bound * bound >= a2:
+        return 0.0
+    # |a| - B in floats is a few ulps of |a| off: step down until it holds exactly
+    top = min(abs(a), sys.float_info.max)
+    b, step = top - float(min(bound, Fraction(top))), math.ulp(top)
+    while b > 0 and (Fraction(b) + bound) ** 2 > a2:
+        b, step = b - step, 2 * step
+    return max(b, 0.0)
+
+
+def sup_norm_upper(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -> float:
+    """Certified upper bound for sup over the reals of |f|: `sup_norm_certified(f).upper` without its scan.
+
+    |constant| plus the sum of per-ray periodic certificates
+    (`ray_partition`, triangle inequality); for a squared modulus |h|^2 the
+    square of h's bound.
+    """
+    if isinstance(f, ProductPoly):
+        u = sup_norm_upper(f.factor, rel_gap)
+        return u * u
+    return _ray_brackets(f, rel_gap)[1]
+
+
+def _ray_brackets(f: TrigPoly, rel_gap: float) -> tuple[list[NormBracket], float]:
+    """`integer_lattice_sup` of each ray of f, and |constant| * FP_CUSHION plus their upper bounds."""
+    c0, blocks = ray_partition(f)
+    brackets = [integer_lattice_sup(b.keys, b.coeffs, rel_gap) for b in blocks]
+    return brackets, abs(c0) * FP_CUSHION + math.fsum(b.upper for b in brackets)
 
 
 def sup_norm_certified(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -> NormBracket:
     """Certified bracket for sup over the reals of |f|.
 
-    Upper bound: |constant| plus the sum of per-ray periodic certificates
-    (`ray_partition`, triangle inequality).  Lower bound: the certificate's
-    grid max for a single ray with no constant, otherwise max of |f| over a
-    window scan with step 1/(8*tau): one period for a periodic f, else
+    Upper bound: `sup_norm_upper`.  Lower bound: the certificate's grid max
+    for a single ray with no constant, otherwise max of |f| over a window
+    scan with step 1/(8*tau): one period for a periodic f, else
     [-64*pi, 64*pi].  For a squared modulus |h|^2 both sides are the
     squared bracket of h.
     """
@@ -97,13 +232,10 @@ def sup_norm_certified(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -
     if f.is_zero():
         return NormBracket(0.0, 0.0)
     c0, blocks = ray_partition(f)
-    const = abs(c0)
-    upper = const * FP_CUSHION
-    brackets = [integer_lattice_sup(b.keys, b.coeffs, rel_gap) for b in blocks]
-    upper += math.fsum(b.upper for b in brackets)
+    brackets, upper = _ray_brackets(f, rel_gap)
 
     # lower bound by direct scan
-    if len(blocks) == 1 and const == 0:
+    if len(blocks) == 1 and c0 == 0:
         lower = brackets[0].lower
     else:
         if len(blocks) == 1:
@@ -135,7 +267,7 @@ def certify_lower_bound(f: "TrigPoly | ProductPoly", m: float) -> bool:
             raise ValueError("lower-bound certificates need a real-valued input")
     info = spectrum(f)
     tau = float(info.tau)
-    upper = sup_norm_certified(f).upper
+    upper = sup_norm_upper(f)
     window = (-32 * math.pi, 32 * math.pi)
     if tau == 0:
         return bohr_coefficient(f, EF(0)).real >= m

@@ -1,9 +1,8 @@
 """Numeric identity checks shared by every factorization route.
 
 Each check returns concrete numbers alongside its verdict so reports stay
-auditable.  Sup norms feeding inequalities are certified brackets, not raw
-scans: lower bounds come from grid maxima, upper bounds from per-ray
-periodic certificates.
+auditable.  Sup norms feeding inequalities are certified upper bounds
+from per-ray periodic certificates (`sup_norm_upper`), not raw scans.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from apspec.certify import sup_norm_certified
+from apspec.certify import sup_norm_upper
 from apspec.errors import ReciprocalApproximationFailed
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
@@ -76,7 +75,7 @@ def bernstein_check(
     tau = float(spectrum(f).tau)
     if tau == 0.0:
         return BernsteinResult(0.0, 0.0, True)
-    upper = sup_norm_certified(f, rel_gap=rel_gap).upper
+    upper = sup_norm_upper(f, rel_gap=rel_gap)
     rhs = tau * upper
     d = f.derivative()
     step = grid_step if grid_step is not None else 1.0 / (16 * tau)
@@ -205,7 +204,7 @@ def approximate_reciprocal(h: TrigPoly, depth: int = 20) -> tuple[TrigPoly, floa
     h1 = h - TrigPoly.constant(c)
     if abs(c) == 0:
         raise ReciprocalApproximationFailed("no constant term to expand around")
-    ratio_upper = sup_norm_certified(h1).upper / abs(c) if not h1.is_zero() else 0.0
+    ratio_upper = sup_norm_upper(h1) / abs(c)
     if ratio_upper < 1.0:
         base = h1 * (-1.0 / c)
         r = TrigPoly.constant(1.0)
@@ -215,7 +214,7 @@ def approximate_reciprocal(h: TrigPoly, depth: int = 20) -> tuple[TrigPoly, floa
     else:
         r = _sampled_reciprocal(h, depth)
     err_poly = multiply(h, r) - TrigPoly.constant(1.0)
-    err = sup_norm_certified(err_poly).upper if not err_poly.is_zero() else 0.0
+    err = sup_norm_upper(err_poly)
     if err > 1e-4:
         raise ReciprocalApproximationFailed(f"boundary error {err:.3g} exceeds 1e-4")
     return r, err
@@ -276,7 +275,7 @@ def poisson_range_check(f: TrigPoly, zs: list[complex], slack: float = 1e-9) -> 
         n = 1 << 16
         xs = np.linspace(0, span, n, endpoint=False)
         vals = f.evaluate(xs).real
-        upper = sup_norm_certified(f).upper
+        upper = sup_norm_upper(f)
         lip = (span / n) * tau * upper
         lo, hi = float(np.min(vals)) - lip, float(np.max(vals)) + lip
     worst = 0.0

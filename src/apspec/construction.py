@@ -22,6 +22,13 @@ builds an ExactFrequency per term.
 calls it after choosing n_seq; `verify_rays` (s stored by ray) and
 `recheck` (g, h1, h and s stored term by term) call it on a bundle's
 params and n_seq and compare the stored numbers and factor against it.
+
+f >= m is certified on all of R, not on a window: for f = |u|^2,
+|u| >= |a| - sum_j sup|r_j| with a the lift term at u's lowest frequency
+and r_j the rays of u without it (`certify.lift_lower_bound`).  Each
+sup|r_j| comes from the same FFT grid as U_j with the Ehlich-Zeller factor
+sec(pi maxk / N), which is tighter than U_j's 1/(1 - s*tau), so the
+lift c = sqrt(m) + sum_j U_j leaves a few percent of sum_j U_j to spare.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from apspec.certify import certify_lower_bound, integer_lattice_sup
+from apspec.certify import integer_lattice_sup, lattice_points, lift_lower_bound, step_inflated
 from apspec.checks import CheckResult, FactorizationReport, poisson_eval
 from apspec.errors import MalformedInput, OracleTooSmall, SpectraCollision
 from apspec.frequency import MAX_RADICAND, ONE, ExactFrequency, qlin_independent, rational_ratio
@@ -134,10 +141,22 @@ def _block_arrays(big: int, small: int = 0) -> tuple[np.ndarray, np.ndarray]:
 def _deviation(big: int, small: int) -> float:
     """Certified sup of |p_big - p_small| without building the polynomials.
 
-    Coefficient-identical to sup_norm_certified(p_big - p_small): same
-    amplitudes, same FFT certification.
+    The bound `integer_lattice_sup` gives for `_block_arrays(big, small)`,
+    from a real FFT: p_big - p_small is the real sine series
+    sum_k -2 t_k sin(kx), so one `np.fft.irfft` of the positive half i t_k
+    of its spectrum samples it on the same N points as the complex FFT
+    there, and the same grid max / (1 - s*tau) * FP_CUSHION bounds it.  The
+    samples agree with the complex FFT's to rounding, far inside the
+    cushion.
     """
-    return integer_lattice_sup(*_block_arrays(big, small)).upper
+    top = -0.5 * _sine_amplitudes(big)
+    if small:
+        top[: small - 1] += 0.5 * _sine_amplitudes(small)
+    n = lattice_points(big)
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half.imag[2 : big + 1] = top
+    grid = np.fft.irfft(half, n, norm="forward")
+    return step_inflated(float(np.max(np.abs(grid))), big, n)
 
 
 def safety_margin(oracle_n: int) -> float:
@@ -152,8 +171,19 @@ def safety_margin(oracle_n: int) -> float:
 
 
 def select_n_sequence(params: ConstructionParams) -> tuple[int, ...]:
-    """Smallest n_1 < ... < n_{J+1} with certified deviation <= 2^{-j}/3 - margin."""
+    """Smallest n_1 < ... < n_{J+1} with certified deviation <= 2^{-j}/3 - margin.
+
+    Each ||p_oracle - p_n|| is computed once per call: the bisections and
+    the backward walks of later blocks revisit indices.
+    """
     margin = safety_margin(params.oracle_n)
+    seen: dict[int, float] = {}
+
+    def deviation(n: int) -> float:
+        if n not in seen:
+            seen[n] = _deviation(params.oracle_n, n)
+        return seen[n]
+
     out: list[int] = []
     lo = 2
     for j in range(1, params.blocks + 2):
@@ -168,12 +198,12 @@ def select_n_sequence(params: ConstructionParams) -> tuple[int, ...]:
         a, b = lo, hi
         while a < b:
             mid = (a + b) // 2
-            if _deviation(params.oracle_n, mid) <= budget:
+            if deviation(mid) <= budget:
                 b = mid
             else:
                 a = mid + 1
         n = a
-        while n - 1 >= lo and _deviation(params.oracle_n, n - 1) <= budget:
+        while n - 1 >= lo and deviation(n - 1) <= budget:
             n -= 1
         out.append(n)
         lo = n + 1
@@ -279,7 +309,9 @@ def _certificate_battery(
     exact_factorization bounds ||f - |s|^2||_A through f's factor u: since
     |u|^2 - |s|^2 = (u - s) conj(u) + s conj(u - s) and ||.||_A is
     submultiplicative, it is at most ||u - s||_A (||u||_A + ||s||_A), which
-    is 0 exactly when s is u.
+    is 0 exactly when s is u.  lower_bound_certified passes when the float
+    b = `lift_lower_bound(u)` has b^2 >= m exactly, so f = |u|^2 >= m on
+    all of R; its detail, on FAIL, gives b and b^2 - m.
     """
     info_h = spectrum(h)
     checks.append(
@@ -304,8 +336,15 @@ def _certificate_battery(
             "f - |s|^2 at the coefficient level",
         )
     )
-    lower_ok = certify_lower_bound(f, m)
-    checks.append(CheckResult("lower_bound_certified", lower_ok, m))
+    bound = lift_lower_bound(u)
+    margin = Fraction(bound) ** 2 - Fraction(m)
+    lower_ok = margin >= 0
+    checks.append(
+        CheckResult(
+            "lower_bound_certified", lower_ok, m,
+            "" if lower_ok else f"f = |u|^2, |u| >= bound = {bound!r} on R; bound^2 - m = {float(margin)!r}",
+        )
+    )
     # zero-free completion spot check: Re P[h] >= sqrt(m) - 1e-3 in the
     # upper half-plane (harmonic minorant carries the boundary bound inward)
     zs = [complex(0.7 * k - 3.0, 0.4 + 0.45 * k) for k in range(10)]

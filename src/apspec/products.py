@@ -19,7 +19,7 @@ from itertools import groupby
 
 import numpy as np
 
-from apspec.certify import sup_norm_certified
+from apspec.certify import sup_norm_upper
 from apspec.errors import MalformedInput, OddRealMultiplicity
 from apspec.trigpoly import TrigPoly
 
@@ -344,7 +344,7 @@ def log_integrability(f: TrigPoly, cutoff: float) -> float:
 
     if cutoff <= 0:
         raise MalformedInput("cutoff must be positive")
-    upper = sup_norm_certified(f).upper
+    upper = sup_norm_upper(f)
     if upper == 0.0:
         return 0.0
 

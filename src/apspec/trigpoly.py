@@ -353,7 +353,8 @@ def _ray_floats(base: EF, keys: np.ndarray, shift: EF) -> np.ndarray:
     for a, b in [(shift.rational, base.rational), *coords]:
         den = a.denominator * b.denominator
         na, nb = a.numerator * b.denominator, b.numerator * a.denominator
-        if len(rads) > 2 or den >= _EXACT_INT or abs(na) + kmax * abs(nb) >= _EXACT_INT:
+        # nb must fit too: numpy multiplies it into the int64 keys even when kmax is 0
+        if len(rads) > 2 or den >= _EXACT_INT or abs(na) + max(kmax, 1) * abs(nb) >= _EXACT_INT:
             return np.array([float(shift + base * k) for k in keys.tolist()], dtype=float)
         parts.append((na + nb * keys) / den)
     rad = [v * math.sqrt(d) for v, d in zip(parts[1:], rads)]

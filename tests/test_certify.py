@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 from apspec.certify import (
     NormBracket,
     certify_lower_bound,
+    ehlich_zeller_sup,
+    fft_rounding,
     integer_lattice_sup,
+    lattice_points,
+    lift_lower_bound,
+    ray_sup,
     sup_norm_certified,
+    sup_norm_upper,
 )
 from apspec.errors import NonConvergence
 from apspec.frequency import ExactFrequency
@@ -175,3 +182,118 @@ def test_bracket_contains_scan(data):
     dense = float(np.max(np.abs(f.evaluate(xs))))
     assert dense <= b.upper * (1 + 1e-10)
     assert b.lower >= dense - 1e-6 * max(1.0, dense) or b.lower <= dense
+
+
+def test_sup_norm_upper_is_the_bracket_upper():
+    rng = np.random.default_rng(5)
+    polys = [
+        sin_poly(),
+        TrigPoly(),
+        TrigPoly.constant(3 - 4j),
+        TrigPoly([(EF(1), 5e-324)]),
+        TrigPoly.from_cos([(1, 2.0)], constant=2.0),
+        TrigPoly.from_cos([(1, 1.0), (EF.sqrt_of(2), 1.0)], constant=2.0),
+    ]
+    for _ in range(20):
+        keys = rng.choice(np.arange(-12, 13), size=5, replace=False)
+        roots = rng.choice((1, 2, 3), size=5)
+        polys.append(TrigPoly([(EF.sqrt_of(int(r), int(k)), complex(*rng.normal(size=2))) for k, r in zip(keys, roots)]))
+    for f in polys:
+        for p in (f, ProductPoly(f)):
+            assert sup_norm_upper(p) == sup_norm_certified(p).upper
+            assert sup_norm_upper(p, rel_gap=1e-3) == sup_norm_certified(p, rel_gap=1e-3).upper
+
+
+def _dense_sup(keys, coeffs, oversample=64):
+    """max |sum c_k e^{ikt}| over an oversampled grid of one period, by direct sums."""
+    d = max(1, int(np.max(np.abs(keys))))
+    t = np.linspace(0, 2 * math.pi, oversample * (2 * d + 1), endpoint=False)
+    return float(np.max(np.abs(np.exp(1j * np.outer(t, keys)) @ coeffs)))
+
+
+def test_ehlich_zeller_holds_on_random_polynomials():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        d = int(rng.integers(1, 48))
+        keys = np.unique(np.concatenate([[d], rng.integers(-d, d + 1, size=int(rng.integers(1, 12)))]))
+        coeffs = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        if trial % 2:
+            # real: c_{-k} = conj(c_k)
+            keys = np.unique(np.concatenate([keys, -keys]))
+            half = dict(zip(keys.tolist(), rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))))
+            coeffs = np.array([half[k] if k > 0 else np.conj(half[-k]) if k < 0 else half[0].real for k in keys.tolist()])
+        bound = ray_sup(keys, coeffs)
+        dense = _dense_sup(keys, coeffs)
+        assert Fraction(dense) <= bound
+        # sharper than the step inflation it replaces
+        assert bound <= Fraction(integer_lattice_sup(keys, coeffs).upper)
+
+
+def test_ehlich_zeller_is_tight_on_shifted_cosines():
+    # cos(d t + phi) with d | n and phi = pi d / n: every grid point misses a
+    # peak by pi d / n, so the grid max is cos(pi d / n) and sup = 1 needs
+    # the full sec factor
+    for d, n in ((1, 4), (3, 48), (32, 1024), (512, 2**14)):
+        phi = math.pi * d / n
+        bins = np.zeros(n, dtype=complex)
+        bins[d] = 0.5 * np.exp(1j * phi)
+        bins[-d] = 0.5 * np.exp(-1j * phi)
+        grid_max = float(np.max(np.abs(np.fft.ifft(bins, norm="forward"))))
+        assert grid_max == pytest.approx(math.cos(phi), rel=1e-14)
+        bound = ehlich_zeller_sup(grid_max, d, n, 1.0)
+        assert 1 <= bound <= 1 + phi**4
+    with pytest.raises(ValueError):
+        ehlich_zeller_sup(1.0, 8, 16, 1.0)
+
+
+def test_fft_rounding_bounds_the_measured_error():
+    rng = np.random.default_rng(3)
+    for n in (1024, 4096):
+        keys = rng.choice(np.arange(-60, 61), size=20, replace=False)
+        coeffs = rng.normal(size=20) + 1j * rng.normal(size=20)
+        bins = np.zeros(n, dtype=complex)
+        bins[np.mod(keys, n)] = coeffs
+        got = np.fft.ifft(bins, norm="forward")
+        # reference in extended precision: angles 2 pi j k / n reduced exactly first
+        j = np.arange(n)
+        phase = np.mod(np.outer(j, keys), n).astype(np.longdouble) * (2 * np.pi / np.longdouble(n))
+        ref_re = (np.cos(phase) * coeffs.real - np.sin(phase) * coeffs.imag).sum(axis=1)
+        ref_im = (np.sin(phase) * coeffs.real + np.cos(phase) * coeffs.imag).sum(axis=1)
+        err = float(np.max(np.hypot(got.real - ref_re, got.imag - ref_im)))
+        l1 = math.fsum(np.abs(coeffs.real).tolist() + np.abs(coeffs.imag).tolist())
+        assert Fraction(err) <= fft_rounding(n, l1)
+        assert fft_rounding(n, l1) < 1e-11 * l1
+
+
+def test_ray_sup_uses_the_lattice_grid():
+    keys, coeffs = np.array([1, -1]), np.array([-0.5j, 0.5j])
+    assert lattice_points(1) == 1024
+    # sec(pi / 1024) = 1 + 4.7e-6
+    assert 1 <= ray_sup(keys, coeffs) <= 1 + 5e-6
+    assert ray_sup(keys[:0], coeffs[:0]) == 0
+    # the smallest subnormal is not rounded away
+    assert ray_sup(np.array([1]), np.array([5e-324 + 0j])) >= Fraction(5e-324)
+
+
+def test_lift_lower_bound_small_cases():
+    # 3 + e^{ix} + e^{2ix}: the lowest term is the constant, |u| >= 3 - 2 = 1,
+    # less 2 (sec(2 pi / 1024) - 1) = 3.8e-5
+    u = TrigPoly([(EF(0), 3.0), (EF(1), 1.0), (EF(2), 1.0)])
+    b = lift_lower_bound(u)
+    assert 1 - 4e-5 <= b <= 1.0
+    xs = np.linspace(0, 2 * math.pi, 4001)
+    assert b <= float(np.min(np.abs(u.evaluate(xs))))
+    # lowest term off the origin, constant and an incommensurable ray in the rest
+    v = TrigPoly([(EF(-2), 4.0), (EF(0), 0.5), (EF(1), 0.25j), (EF.sqrt_of(2), -0.5)])
+    b = lift_lower_bound(v)
+    assert 2.75 - 1e-5 <= b <= 2.75
+    assert b <= float(np.min(np.abs(v.evaluate(np.linspace(-200, 200, 200001)))))
+    # |a| - B cancels to 5e-6: the float is rounded down, yet within 1e-15 of it
+    w = TrigPoly([(EF(-1), 1.0), (EF(1), 1 - 1e-5)])
+    rest = 1 - ray_sup(np.array([1]), np.array([1 - 1e-5 + 0j]))
+    b = lift_lower_bound(w)
+    assert float(rest) - 1e-15 <= b and Fraction(b) <= rest
+    # a lift that does not dominate certifies nothing; zero has no lift at all
+    assert lift_lower_bound(TrigPoly([(EF(-1), 1.0), (EF(1), 2.0)])) == 0.0
+    assert lift_lower_bound(TrigPoly()) == 0.0
+    assert lift_lower_bound(TrigPoly.constant(2.0)) == 2.0

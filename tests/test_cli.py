@@ -393,6 +393,35 @@ def test_format1_fixture_verifies(capsys):
     assert capsys.readouterr().out.splitlines() == FIXTURE_FORMAT1_LINES
 
 
+# written by `construct --blocks 1 --oracle-n 32` before the lift certificate
+# and the real-FFT n_seq search
+FIXTURE_FORMAT2 = Path(__file__).parent / "data" / "construction_format2_b1_n32.json"
+
+
+def test_construct_writes_the_format2_fixture_bytes(tmp_path, capsys):
+    out = tmp_path / "cons.json"
+    assert run(["construct", "--blocks", "1", "--oracle-n", "32", "--out", str(out)]) == 0
+    assert out.read_bytes() == FIXTURE_FORMAT2.read_bytes()
+    assert run(["verify", "--report", str(FIXTURE_FORMAT2)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "PASS factor_rebuilt value=1.0"
+    assert lines[:1] + lines[2:] == [line for line in FIXTURE_FORMAT1_LINES if "modulation" not in line]
+
+
+def test_verify_names_the_lift_bound_when_it_fails(tmp_path, capsys):
+    # lower the lift of the stored h by sum U_j: the format-1 reader certifies
+    # f >= m on the stored h shifted back, which no longer carries it
+    def lower_lift(b):
+        lift = next(t for t in b["h"]["terms"] if t["freq"] == {"rat": "0", "rad": []})
+        lift["re"] -= math.fsum(b["q_norms"])
+
+    assert _verify_bundle(tmp_path, _edited(load_path(str(FIXTURE_FORMAT1)), lower_lift)) == 3
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    lift = next(line for line in fails if "lower_bound_certified" in line)
+    assert lift.startswith("FAIL lower_bound_certified value=1.0 -- f = |u|^2, |u| >= bound = ")
+    assert "on R; bound^2 - m = -" in lift
+
+
 def test_construct_verify_catches_corruption(tmp_path, capsys):
     out = tmp_path / "cons.json"
     bundle = write_format1(out)

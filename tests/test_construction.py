@@ -5,9 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apspec.certify import certify_lower_bound, sup_norm_certified
+from apspec.certify import certify_lower_bound, integer_lattice_sup, lift_lower_bound, sup_norm_certified
 from apspec.construction import (
+    DEFAULT_PRIMES,
     ConstructionParams,
+    _block_arrays,
+    _certificate_battery,
+    _deviation,
     assemble,
     build_g,
     build_instance,
@@ -21,7 +25,7 @@ from apspec.construction import (
 from apspec.errors import MalformedInput, OracleTooSmall
 from apspec.frequency import ExactFrequency, qlin_independent
 from apspec.serialize import construction_format1_from_json, load_path
-from apspec.trigpoly import ProductPoly, TrigPoly, spectrum
+from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, spectrum
 
 EF = ExactFrequency
 
@@ -275,3 +279,90 @@ def test_build_instance_gives_the_assembled_numbers(pinned):
     inst = build_instance(PINNED, pinned.n_seq)
     assert inst.numbers() == (pinned.rho, pinned.q_norms, pinned.wiener_norms, pinned.c)
     assert TrigPoly.from_rays(inst.rays) == pinned.s and inst.delta == pinned.delta
+
+
+REFERENCE_DEVIATIONS: dict[tuple[int, int], float] = {}
+
+
+def reference_deviation(big, small):
+    """The complex-FFT deviation: integer_lattice_sup of p_big - p_small's arrays (kept per pair)."""
+    if (big, small) not in REFERENCE_DEVIATIONS:
+        REFERENCE_DEVIATIONS[big, small] = integer_lattice_sup(*_block_arrays(big, small)).upper
+    return REFERENCE_DEVIATIONS[big, small]
+
+
+def reference_select(params):
+    """The n_seq search as first written, on `reference_deviation`."""
+    margin = reference_deviation(2 * params.oracle_n, params.oracle_n) / 4.0
+    out, lo = [], 2
+    for j in range(1, params.blocks + 2):
+        budget = 2.0 ** (-j) / 3.0 - margin
+        if budget <= 0:
+            raise OracleTooSmall(f"block {j}")
+        a, b = lo, params.oracle_n
+        while a < b:
+            mid = (a + b) // 2
+            if reference_deviation(params.oracle_n, mid) <= budget:
+                b = mid
+            else:
+                a = mid + 1
+        n = a
+        while n - 1 >= lo and reference_deviation(params.oracle_n, n - 1) <= budget:
+            n -= 1
+        out.append(n)
+        lo = n + 1
+    return tuple(out)
+
+
+@pytest.mark.parametrize("oracle_n", [8, 48, 100, 300, 1000, 1024, 4096])
+def test_real_fft_selection_matches_the_complex_fft_reference(oracle_n):
+    for blocks in (1, 2, 3):
+        params = ConstructionParams(blocks=blocks, oracle_n=oracle_n)
+        try:
+            want = reference_select(params)
+        except OracleTooSmall:
+            with pytest.raises(OracleTooSmall):
+                select_n_sequence(params)
+            continue
+        assert select_n_sequence(params) == want
+    # every deviation the reference searches computed, to 1e-15 relative
+    pairs = [(big, small) for big, small in REFERENCE_DEVIATIONS if oracle_n in (big, small)]
+    assert (2 * oracle_n, oracle_n) in pairs and len(pairs) > 3
+    for big, small in pairs:
+        want = REFERENCE_DEVIATIONS[big, small]
+        assert abs(_deviation(big, small) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("blocks,oracle_n", [(1, 32), (1, 64), (2, 256)])
+def test_lift_bound_lies_below_the_scanned_minimum(blocks, oracle_n):
+    for m, primes in ((1e-6, DEFAULT_PRIMES), (1.0, (5, 7)), (7.5, (11, 13)), (1e4, (3, 2))):
+        res = assemble(ConstructionParams(m=m, blocks=blocks, oracle_n=oracle_n, primes=primes))
+        bound = lift_lower_bound(res.s)
+        assert Fraction(bound) ** 2 >= Fraction(m)
+        # |s| over two periods of its slowest ray, 64x oversampled
+        tau = float(spectrum(res.s).tau)
+        half = 4 * math.pi / min(float(r) for r in res.rho)
+        xs = np.linspace(-half, half, int(2 * half * 64 * tau / math.pi) + 1)
+        assert bound <= float(np.min(np.abs(res.s.evaluate(xs))))
+        # the slack beyond sqrt(m) is a few percent of sum U_j, where the lift put it
+        assert bound - math.sqrt(m) >= 0.02 * math.fsum(res.q_norms)
+        check = next(c for c in res.certificates.checks if c.name == "lower_bound_certified")
+        assert check.passed and check.value == m and check.detail == ""
+
+
+def test_lift_lowered_by_the_block_bounds_is_refused():
+    params = ConstructionParams(m=1.0, blocks=2, oracle_n=256)
+    n_seq = select_n_sequence(params)
+    inst = build_instance(params, n_seq)
+    rays = []
+    for g_ray, s_ray in zip(inst.g_rays, inst.rays):
+        coeffs = s_ray.coeffs.copy()
+        if not np.array_equal(coeffs, g_ray.coeffs):
+            coeffs[0] -= math.fsum(inst.q_norms)  # the lift is now sqrt(m)
+        rays.append(DenseBlock(s_ray.base, s_ray.keys, coeffs))
+    low = TrigPoly.from_rays(rays)
+    assert lift_lower_bound(low) < 1.0
+    report = _certificate_battery(1.0, TrigPoly.from_rays(rays, inst.delta), low, ProductPoly(low), inst.delta, [])
+    check = next(c for c in report.checks if c.name == "lower_bound_certified")
+    assert not check.passed and check.value == 1.0
+    assert check.detail.startswith("f = |u|^2, |u| >= bound = ") and "bound^2 - m = -" in check.detail

@@ -507,6 +507,14 @@ def test_ray_floats_match_exact_frequencies(base, shift, keys):
     assert np.signbit(got).tolist() == [math.copysign(1.0, w) < 0 for w in want]
 
 
+def test_ray_floats_key_zero_with_a_huge_cross_numerator():
+    # b*A = 424194283 * 27378296115 exceeds int64: kmax = 0 must not let it into numpy
+    base, shift = EF(424194283), EF(Fraction(-7, 27378296115))
+    for keys in ([0], [0, 0], [0, 1]):
+        got = _ray_floats(base, np.array(keys, dtype=np.int64), shift)
+        assert got.tolist() == [float(shift + base * k) for k in keys]
+
+
 def test_ray_floats_large_denominators():
     # a denominator past 2**53 is no exact float: such coordinates take the exact route
     keys = np.arange(-300, 300)
