@@ -49,6 +49,7 @@ class BernsteinResult:
     lhs: float
     rhs: float
     passed: bool
+    upper: float  # the certified sup|f| (`sup_norm_upper`) behind rhs
 
     def as_check(self) -> CheckResult:
         return CheckResult(
@@ -72,17 +73,17 @@ def bernstein_check(
     """
     if f.is_zero():
         raise ValueError("bernstein check needs a nonzero input")
+    upper = sup_norm_upper(f, rel_gap=rel_gap)
     tau = float(spectrum(f).tau)
     if tau == 0.0:
-        return BernsteinResult(0.0, 0.0, True)
-    upper = sup_norm_upper(f, rel_gap=rel_gap)
+        return BernsteinResult(0.0, 0.0, True, upper)
     rhs = tau * upper
     d = f.derivative()
     step = grid_step if grid_step is not None else 1.0 / (16 * tau)
     npts = min(1 << 22, max(64, int(32 * math.pi / step) + 1))
     xs = np.linspace(-16 * math.pi, 16 * math.pi, npts)
     lhs = float(np.max(np.abs(d.evaluate(xs))))
-    return BernsteinResult(lhs, rhs, lhs <= rhs * (1 + 1e-6))
+    return BernsteinResult(lhs, rhs, lhs <= rhs * (1 + 1e-6), upper)
 
 
 def factorization_residual(f: TrigPoly, s: "TrigPoly | SampledFunction") -> float:

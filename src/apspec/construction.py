@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -116,29 +115,46 @@ def cesaro_p(n: int) -> TrigPoly:
     return TrigPoly.from_rays([DenseBlock(ONE, *_block_arrays(n))])
 
 
-@lru_cache(maxsize=8)
-def _sine_amplitudes(n: int) -> np.ndarray:
-    # amplitude of sin(kx) in p_n at k = 2..n, one scalar expression per k
-    return np.array([(n + 1 - k) / (n * k * math.log(k)) for k in range(2, n + 1)])
+def _log_table(n: int) -> np.ndarray:
+    """math.log(k) for k = 2..n: libm's log, which np.log can miss by the last bit."""
+    return np.array([math.log(k) for k in range(2, n + 1)])
 
 
-def _block_arrays(big: int, small: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _sine_amplitudes(n: int, logs: np.ndarray) -> np.ndarray:
+    """Amplitude of sin(kx) in p_n at k = 2..n, from logs = `_log_table(m)` for some m >= n.
+
+    Bit for bit the scalar (n + 1 - k) / (n * k * math.log(k)): n + 1 - k
+    and n * k are exact floats, and each array operation rounds once, as
+    Python's float operations do.
+    """
+    ks = np.arange(2, n + 1, dtype=float)
+    return (n + 1 - ks) / (n * ks * logs[: n - 1])
+
+
+def _block_arrays(big: int, small: int = 0, logs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Keys -big..-2, 2..big and coefficients of p_big - p_small (p_0 = 0).
 
     The coefficient at +k is i*(-a_big/2 + a_small/2) and at -k its
     negation, with real part +0.0: bit for bit what the term-by-term sum
-    cesaro_p(big) - cesaro_p(small) of exact frequencies gives.
+    cesaro_p(big) - cesaro_p(small) of exact frequencies gives.  logs is
+    `_log_table(m)` for some m >= big, built here if not given.
     """
-    top = -0.5 * _sine_amplitudes(big)
-    if small:
-        top[: small - 1] += 0.5 * _sine_amplitudes(small)
+    top = _difference_amplitudes(big, small, _log_table(big) if logs is None else logs)
     keys = np.concatenate([np.arange(-big, -1), np.arange(2, big + 1)])
     coeffs = np.zeros(len(keys), dtype=complex)
     coeffs.imag = np.concatenate([-top[::-1], top])
     return keys, coeffs
 
 
-def _deviation(big: int, small: int) -> float:
+def _difference_amplitudes(big: int, small: int, logs: np.ndarray) -> np.ndarray:
+    """-a_big/2 + a_small/2 at k = 2..big, a_n the amplitudes of p_n (a_0 = 0)."""
+    top = -0.5 * _sine_amplitudes(big, logs)
+    if small:
+        top[: small - 1] += 0.5 * _sine_amplitudes(small, logs)
+    return top
+
+
+def _deviation(big: int, small: int, logs: np.ndarray | None = None) -> float:
     """Certified sup of |p_big - p_small| without building the polynomials.
 
     The bound `integer_lattice_sup` gives for `_block_arrays(big, small)`,
@@ -147,11 +163,9 @@ def _deviation(big: int, small: int) -> float:
     of its spectrum samples it on the same N points as the complex FFT
     there, and the same grid max / (1 - s*tau) * FP_CUSHION bounds it.  The
     samples agree with the complex FFT's to rounding, far inside the
-    cushion.
+    cushion.  logs is as for `_block_arrays`.
     """
-    top = -0.5 * _sine_amplitudes(big)
-    if small:
-        top[: small - 1] += 0.5 * _sine_amplitudes(small)
+    top = _difference_amplitudes(big, small, _log_table(big) if logs is None else logs)
     n = lattice_points(big)
     half = np.zeros(n // 2 + 1, dtype=complex)
     half.imag[2 : big + 1] = top
@@ -159,7 +173,7 @@ def _deviation(big: int, small: int) -> float:
     return step_inflated(float(np.max(np.abs(grid))), big, n)
 
 
-def safety_margin(oracle_n: int) -> float:
+def safety_margin(oracle_n: int, logs: np.ndarray | None = None) -> float:
     """Hedge for the distance between the oracle sum and its limit.
 
     Uses a quarter of the certified doubling increment ||p_2N - p_N||.
@@ -167,21 +181,23 @@ def safety_margin(oracle_n: int) -> float:
     oracle leaves a genuine gap; the quarter keeps the hedge positive
     while leaving the documented block budgets reachable.
     """
-    return _deviation(2 * oracle_n, oracle_n) / 4.0
+    return _deviation(2 * oracle_n, oracle_n, logs) / 4.0
 
 
 def select_n_sequence(params: ConstructionParams) -> tuple[int, ...]:
     """Smallest n_1 < ... < n_{J+1} with certified deviation <= 2^{-j}/3 - margin.
 
     Each ||p_oracle - p_n|| is computed once per call: the bisections and
-    the backward walks of later blocks revisit indices.
+    the backward walks of later blocks revisit indices.  The logs behind
+    every amplitude are taken once per call too.
     """
-    margin = safety_margin(params.oracle_n)
+    logs = _log_table(2 * params.oracle_n)
+    margin = safety_margin(params.oracle_n, logs)
     seen: dict[int, float] = {}
 
     def deviation(n: int) -> float:
         if n not in seen:
-            seen[n] = _deviation(params.oracle_n, n)
+            seen[n] = _deviation(params.oracle_n, n, logs)
         return seen[n]
 
     out: list[int] = []
@@ -215,10 +231,10 @@ def block_sizes(n_seq: tuple[int, ...]) -> list[int]:
     return [2 * (n - 1) for n in (n_seq[0], *n_seq[2:])]
 
 
-def _q_arrays(j: int, n_seq: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _q_arrays(j: int, n_seq: tuple[int, ...], logs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     if not (1 <= j <= len(n_seq) - 1):
         raise MalformedInput(f"block index {j} outside 1..{len(n_seq) - 1}")
-    return _block_arrays(n_seq[0]) if j == 1 else _block_arrays(n_seq[j], n_seq[j - 1])
+    return _block_arrays(n_seq[0], 0, logs) if j == 1 else _block_arrays(n_seq[j], n_seq[j - 1], logs)
 
 
 def build_q(j: int, n_seq: tuple[int, ...]) -> TrigPoly:
@@ -255,11 +271,12 @@ def build_instance(params: ConstructionParams, n_seq: tuple[int, ...]) -> Instan
     and c lands there.
     """
     rho = choose_rho(n_seq, params.primes)
+    logs = _log_table(n_seq[-1])
     g_rays: list[DenseBlock] = []
     sup_bounds: list[float] = []
     wiener: list[float] = []
     for j, r in enumerate(rho, start=1):
-        keys, coeffs = _q_arrays(j, n_seq)
+        keys, coeffs = _q_arrays(j, n_seq, logs)
         upper = integer_lattice_sup(keys, coeffs).upper
         if j >= 2 and upper > 2.0 ** (-j):
             raise OracleTooSmall(f"||q_{j}|| certificate {upper:.4g} exceeds 2^-{j}")

@@ -26,15 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from apspec.certify import sup_norm_upper
 from apspec.checks import CheckResult, FactorizationReport, bernstein_check, factorization_residual
 from apspec.errors import IncommensurableSpectrum, NonConvergence, NotNonnegative
 from apspec.frequency import ExactFrequency
-from apspec.trigpoly import TrigPoly, ray_partition, spectrum
+from apspec.trigpoly import DenseBlock, TrigPoly, ray_partition, spectrum
 
 EF = ExactFrequency
 
@@ -260,13 +258,16 @@ def fejer_riesz(f: TrigPoly) -> FactorizationReport:
         c = lf.coeffs[0].real
         if c < 0:
             raise NotNonnegative("negative constant")
-        s = TrigPoly.constant(math.sqrt(c))
-        return roots_check_battery(f, s)
+        return roots_check_battery(f, TrigPoly.from_rays([], const=math.sqrt(c)))
 
     outer = outer_factor(lf, fv)
-    coeffs = outer.tolist() if outer is not None else _roots_factor(lf)
-    # w^j together with the e^{-i n rho x / 2} normalization
-    s = TrigPoly([(rho * Fraction(2 * j - n, 2), c) for j, c in enumerate(coeffs)])
+    coeffs = outer if outer is not None else np.array(_roots_factor(lf))
+    # w^j together with the e^{-i n rho x / 2} normalization: key 2j - n on
+    # the lattice rho/2, the middle key (even n) being the constant
+    keys = np.arange(-n, n + 1, 2)
+    mid = keys == 0
+    const = complex(coeffs[mid][0]) if mid.any() else 0j
+    s = TrigPoly.from_rays([DenseBlock(rho / 2, keys[~mid], coeffs[~mid])], const=const)
     return roots_check_battery(f, s)
 
 
@@ -322,7 +323,16 @@ def _roots_factor(lf: LaurentForm) -> list[complex]:
 
 
 def roots_check_battery(f: TrigPoly, s: TrigPoly) -> FactorizationReport:
-    """Check battery for a polynomial factor s of f; factor and verify both run it."""
+    """Check battery for a polynomial factor s of f; factor and verify both run it.
+
+    In `factor`, s is given by its ray and f's ray partition is known, so
+    every check reads the arrays: the bandwidths come from the end keys,
+    the Bernstein checks from c*i*w on the rays' float frequencies, and the
+    residual from f's coefficients minus |s|^2 on their common lattice.
+    `verify` reads f and s term by term from the bundle and gets the same
+    numbers, bit for bit.  sup|f| is certified once, by f's Bernstein
+    check, and scales the residual.
+    """
     residual = factorization_residual(f, s)
     bf = spectrum(f).bandwidth
     bs = spectrum(s).bandwidth
@@ -335,11 +345,13 @@ def roots_check_battery(f: TrigPoly, s: TrigPoly) -> FactorizationReport:
             f"b(s)={float(bs)!r} b(f)={float(bf)!r}",
         )
     ]
+    scale = 0.0  # sup_norm_upper of the zero polynomial
     if not f.is_zero():
-        checks.append(bernstein_check(f).as_check())
+        bern = bernstein_check(f)
+        checks.append(bern.as_check())
+        scale = bern.upper
     if not s.is_zero():
         checks.append(bernstein_check(s).as_check())
-    scale = sup_norm_upper(f)
     checks.append(
         CheckResult(
             "residual", residual <= 1e-8 * max(scale, 1e-300), residual, f"scale={scale!r}"

@@ -11,17 +11,21 @@ keeps it on the instance (a TrigPoly never changes), so the sup
 certificates, the roots route, products and construction checks all read
 one copy.
 
-A polynomial can also be given by its rays (`TrigPoly.from_rays`): one
-base frequency, int64 keys and complex128 coefficients per ray, times an
-optional character.  Such a polynomial reads its values, float
-frequencies, Wiener norm, spectrum extremes and ray partition from the
-arrays, and builds its exact term dict (one ExactFrequency per term) only
-when a method needs it.
+A polynomial can also be given by its rays (`TrigPoly.from_rays`): a
+constant, and one base frequency, int64 keys and complex128 coefficients
+per ray, times an optional character.  Such a polynomial, and one whose
+ray partition is known, reads its values, float frequencies, sorted
+terms, Wiener norm and spectrum extremes from the arrays, and sums and
+differences of two of them are formed ray by ray; `derivative` and
+`is_real` always read the ray partition.  All of these give bit for bit
+what the exact terms give.  A polynomial given by rays builds its exact
+term dict (one ExactFrequency per term) only when a method needs it.
 
 Every squared modulus |h|^2 is built one way (`ProductPoly(h)`): each ray
 of h is autocorrelated with one convolution.  The ProductPoly is |h|^2
 seen through its factor: values, sup bounds and the spectrum are read
-from h, and `modulus_squared` materializes its coefficients as a TrigPoly.
+from h, and `modulus_squared` materializes its coefficients as a TrigPoly
+(given by one ray when h has one).
 """
 
 from __future__ import annotations
@@ -103,14 +107,15 @@ class TrigPoly:
     # -- construction helpers ---------------------------------------------
 
     @classmethod
-    def from_rays(cls, rays: Iterable["DenseBlock"], shift=ZERO) -> "TrigPoly":
-        """chi_shift * (sum of the rays), kept as arrays until exact terms are needed.
+    def from_rays(cls, rays: Iterable["DenseBlock"], shift=ZERO, const: Scalar = 0j) -> "TrigPoly":
+        """chi_shift * (const + sum of the rays), kept as arrays until exact terms are needed.
 
         Every ray needs a positive base and distinct nonzero keys, and the
         rays must lie on distinct rational directions, so that no two terms
         share a frequency (ValueError otherwise).  Zero coefficients are
         dropped, and each ray is rescaled to keys with gcd 1, so that for
-        shift 0 the rays are the polynomial's `ray_partition`.
+        shift 0 the constant and the rays are the polynomial's
+        `ray_partition`.
         """
         shift = _as_ef(shift)
         blocks: list[DenseBlock] = []
@@ -132,13 +137,14 @@ class TrigPoly:
             keys.setflags(write=False)
             coeffs.setflags(write=False)
             blocks.append(DenseBlock(base, keys, coeffs))
-        if len({_normalized_direction(b.base) for b in blocks}) < len(blocks):
+        if len(blocks) > 1 and len({_normalized_direction(b.base) for b in blocks}) < len(blocks):
             raise ValueError("rays must lie on distinct directions")
         blocks.sort(key=lambda b: float(b.base))
         poly = cls.__new__(cls)
         poly._dict = poly._sorted = poly._arrays = None
-        poly._lazy = (shift, tuple(blocks))
-        poly._rays = (0j, tuple(blocks)) if shift.is_zero() else None
+        const = complex(const)
+        poly._lazy = (shift, const, tuple(blocks))
+        poly._rays = (const, tuple(blocks)) if shift.is_zero() else None
         return poly
 
     @classmethod
@@ -166,16 +172,41 @@ class TrigPoly:
     def _terms(self) -> dict[EF, complex]:
         """The exact term dict; a polynomial given by rays builds it on first use."""
         if self._dict is None:
-            shift, blocks = self._lazy
-            terms = (t for b in blocks for t in b.terms())
-            self._dict = dict(terms) if shift.is_zero() else {shift + w: c for w, c in terms}
+            self._dict = dict(zip(_ray_frequencies(*self._lazy), _ray_coeffs(*self._lazy[1:]).tolist()))
         return self._dict
 
+    def _ray_form(self) -> tuple[EF, complex, tuple["DenseBlock", ...]] | None:
+        """(shift, const, rays) when given by rays or once `ray_partition` has run, else None."""
+        if self._lazy is not None:
+            return self._lazy
+        return None if self._rays is None else (ZERO, *self._rays)
+
     def sorted_terms(self) -> list[tuple[EF, complex]]:
-        """Terms in ascending frequency order (exact comparison)."""
+        """Terms in ascending frequency order.
+
+        With a ray form (`_ray_form`) the order is the float order of
+        `term_arrays`, which certifies it, and each frequency is built from
+        its ray and key; otherwise the exact terms are sorted by exact
+        comparison.
+        """
         if self._sorted is None:
-            self._sorted = sorted(self._terms.items(), key=lambda t: t[0])
+            _, cs, order = self._sorted_arrays()
+            if order is not None:
+                freqs = _ray_frequencies(*self._ray_form())
+                self._sorted = [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
         return list(self._sorted)
+
+    def sorted_terms_json(self) -> list[tuple[dict, complex]]:
+        """(w.to_json(), c) for `sorted_terms`; a ray form forms each w's JSON from its ray and key."""
+        _, cs, order = self._sorted_arrays()
+        rays = self._ray_form()
+        if order is None or not rays[0].is_zero():
+            return [(w.to_json(), c) for w, c in self.sorted_terms()]
+        _, const, blocks = rays
+        freqs = [ZERO.to_json()] if const != 0 else []
+        for b in blocks:
+            freqs += b.base.multiples_json(b.keys.tolist())
+        return [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
 
     def frequencies(self) -> list[EF]:
         return [w for w, _ in self.sorted_terms()]
@@ -184,26 +215,33 @@ class TrigPoly:
         """Float frequencies and coefficients in ascending frequency order (read-only).
 
         Each float is float(w) of the exact frequency w, bit for bit.  A
-        polynomial given by rays takes both from its rays, unless two of
+        polynomial with a ray form takes both from its rays, unless two of
         its frequencies lie too close for their floats to certify the
         order; it then sorts its exact terms.
         """
+        return self._sorted_arrays()[:2]
+
+    def _sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """`term_arrays` and the permutation that sorts the ray form's terms, or None if sorted exactly."""
         if self._arrays is None:
-            pair = _ray_term_arrays(*self._lazy) if self._lazy is not None else None
-            if pair is None:
-                terms = self.sorted_terms()
-                pair = (
-                    np.array([float(w) for w, _ in terms], dtype=float),
-                    np.array([c for _, c in terms], dtype=complex),
+            rays = self._ray_form()
+            found = _ray_term_arrays(*rays) if rays is not None else None
+            if found is None:
+                self._sorted = sorted(self._terms.items(), key=lambda t: t[0])
+                found = (
+                    np.array([float(w) for w, _ in self._sorted], dtype=float),
+                    np.array([c for _, c in self._sorted], dtype=complex),
+                    None,
                 )
-            for a in pair:
+            for a in found[:2]:
                 a.setflags(write=False)
-            self._arrays = pair
+            self._arrays = found
         return self._arrays
 
     def term_count(self) -> int:
         if self._dict is None:
-            return sum(len(b.keys) for b in self._lazy[1])
+            _, const, blocks = self._lazy
+            return sum(len(b.keys) for b in blocks) + (const != 0)
         return len(self._dict)
 
     def is_zero(self) -> bool:
@@ -232,17 +270,7 @@ class TrigPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "TrigPoly":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            v = acc.get(w, 0j) + c
-            if v == 0:
-                acc.pop(w, None)
-            else:
-                acc[w] = v
-        return TrigPoly(acc)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
@@ -250,10 +278,7 @@ class TrigPoly:
         return TrigPoly({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other) -> "TrigPoly":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "TrigPoly":
         return (-self) + other
@@ -280,7 +305,11 @@ class TrigPoly:
         return TrigPoly({-w: c.conjugate() for w, c in self._terms.items()})
 
     def derivative(self) -> "TrigPoly":
-        return TrigPoly({w: c * 1j * float(w) for w, c in self._terms.items()})
+        """sum c*i*float(w)*exp(i*w*x), by ray: each coefficient times i and its ray's float frequency."""
+        _, blocks = ray_partition(self)
+        return TrigPoly.from_rays(
+            [DenseBlock(b.base, b.keys, b.coeffs * 1j * _ray_floats(b.base, b.keys, ZERO)) for b in blocks]
+        )
 
     def modulate(self, w0) -> "TrigPoly":
         """Multiply by exp(i*w0*x): shifts every frequency by w0."""
@@ -304,12 +333,23 @@ class TrigPoly:
         return math.fsum(np.hypot(cs.real, cs.imag).tolist())
 
     def is_real(self, tol: float = 0.0) -> bool:
-        """Hermitian-symmetry test: c(-w) == conj(c(w)) within tol."""
-        terms = self._terms
-        scale = max((abs(c) for c in terms.values()), default=0.0)
-        for w, c in terms.items():
-            d = abs(c - terms.get(-w, 0j).conjugate())
-            if d > tol * scale:
+        """Hermitian-symmetry test: |c(-w) - conj(c(w))| <= tol * max|c| at every w.
+
+        Read from `ray_partition`: -w lies on w's ray, so each ray is
+        compared with its own mirror image, on the union of its keys and
+        their negatives (a key whose mirror is absent meets a zero).
+        """
+        const, blocks = ray_partition(self)
+        mags = [abs(const)] + [np.hypot(b.coeffs.real, b.coeffs.imag).max() for b in blocks]
+        bound = tol * max(mags)
+        if abs(const - const.conjugate()) > bound:
+            return False
+        for b in blocks:
+            keys = _key_union(b.keys, -b.keys)
+            c = np.zeros(len(keys), dtype=complex)
+            c[np.searchsorted(keys, b.keys)] = b.coeffs
+            d = c - np.conjugate(c[::-1])
+            if np.any(np.hypot(d.real, d.imag) > bound):
                 return False
         return True
 
@@ -322,14 +362,92 @@ def _as_poly(x) -> "TrigPoly":
     return NotImplemented
 
 
+def _combine(f: TrigPoly, other, sign: int) -> TrigPoly:
+    """f + other (sign 1) or f - other (sign -1); formed ray by ray when both ray partitions are known.
+
+    Term by term, a frequency of f alone keeps its coefficient a, one of
+    other alone gets 0j +- b, and a shared one a +- b; `_add_rays` forms
+    the same numbers on the rays' common lattices, so both routes agree
+    bit for bit.
+    """
+    other = _as_poly(other)
+    if other is NotImplemented:
+        return NotImplemented
+    if f._rays is not None and other._rays is not None:
+        total = _add_rays(f._rays, other._rays, sign)
+        if total is not None:
+            return total
+    acc = dict(f._terms)
+    for w, c in other._terms.items():
+        v = acc.get(w, 0j) + c if sign > 0 else acc.get(w, 0j) - c
+        if v == 0:
+            acc.pop(w, None)
+        else:
+            acc[w] = v
+    return TrigPoly(acc)
+
+
 def _same_rays(a, b) -> bool:
-    """True when two ray forms (shift, blocks) hold the same arrays."""
-    if a is None or b is None or a[0] != b[0] or len(a[1]) != len(b[1]):
+    """True when two ray forms (shift, const, blocks) hold the same arrays."""
+    if a is None or b is None or a[0] != b[0] or a[1] != b[1] or len(a[2]) != len(b[2]):
         return False
     return all(
         p.base == q.base and np.array_equal(p.keys, q.keys) and np.array_equal(p.coeffs, q.coeffs)
-        for p, q in zip(a[1], b[1])
+        for p, q in zip(a[2], b[2])
     )
+
+
+def _ray_frequencies(shift: EF, const: complex, blocks: Sequence[DenseBlock]) -> list[EF]:
+    """Exact frequencies of a ray form's terms: the constant's if nonzero, then ray by ray."""
+    freqs = [ZERO] if const != 0 else []
+    freqs += [b.base * k for b in blocks for k in b.keys.tolist()]
+    return freqs if shift.is_zero() else [shift + w for w in freqs]
+
+
+def _ray_coeffs(const: complex, blocks: Sequence[DenseBlock]) -> np.ndarray:
+    """Coefficients of a ray form's terms, aligned with `_ray_frequencies`."""
+    head = [np.array([const])] if const != 0 else []
+    return np.concatenate(head + [b.coeffs for b in blocks]) if head or blocks else np.zeros(0, dtype=complex)
+
+
+def _add_rays(a, b, sign: int) -> "TrigPoly | None":
+    """Ray partitions (const, rays) a + sign*b, ray by ray, or None if a key would leave int64.
+
+    Two rays on one direction, with bases p*u and q*u (p/q their ratio),
+    are combined on the lattice u*Z.
+    """
+    groups: dict[tuple, list] = {}
+    for side, (_, blocks) in enumerate((a, b)):
+        for r in blocks:
+            groups.setdefault(_normalized_direction(r.base), [None, None])[side] = r
+    rays = []
+    for x, y in groups.values():
+        if x is None or y is None:
+            p = q = 1
+            unit = (y if x is None else x).base
+        else:
+            p, q = rational_ratio(x.base, y.base).as_integer_ratio()
+            if max(int(np.max(np.abs(x.keys))) * p, int(np.max(np.abs(y.keys))) * q) >= 1 << 62:
+                return None
+            unit = y.base / q
+        kx = np.zeros(0, dtype=np.int64) if x is None else x.keys * p
+        ky = np.zeros(0, dtype=np.int64) if y is None else y.keys * q
+        keys = _key_union(kx, ky)
+        coeffs = np.zeros(len(keys), dtype=complex)
+        if x is not None:
+            coeffs[np.searchsorted(keys, kx)] = x.coeffs
+        if y is not None:
+            at = np.searchsorted(keys, ky)
+            coeffs[at] = coeffs[at] + y.coeffs if sign > 0 else coeffs[at] - y.coeffs
+        rays.append(DenseBlock(unit, keys, coeffs))
+    const = a[0] if b[0] == 0 else a[0] + b[0] if sign > 0 else a[0] - b[0]
+    return TrigPoly.from_rays(rays, const=const)
+
+
+def _key_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys of a and b: np.union1d, without the import of numpy.ma its first call makes."""
+    keys = np.sort(np.concatenate([a, b]))
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
 def _ray_floats(base: EF, keys: np.ndarray, shift: EF) -> np.ndarray:
@@ -361,24 +479,26 @@ def _ray_floats(base: EF, keys: np.ndarray, shift: EF) -> np.ndarray:
     return parts[0] + (rad[0] + rad[1] if len(rad) == 2 else rad[0] if rad else 0.0)
 
 
-def _ray_term_arrays(shift: EF, blocks: Sequence[DenseBlock]) -> tuple[np.ndarray, np.ndarray] | None:
-    """`TrigPoly.term_arrays` of chi_shift * (sum of blocks), or None if floats cannot order it.
+def _ray_term_arrays(
+    shift: EF, const: complex, blocks: Sequence[DenseBlock]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """`TrigPoly.term_arrays` of chi_shift * (const + sum of blocks) and the sorting permutation.
 
-    EF.approx bounds |float(w) - w| by 1e-12*(scale(w) + 1), at most
-    err(shift) + |k|*err(base) for w = shift + base*k; floats that sort
-    further apart than two such bounds are in exact order.
+    The permutation orders the terms as `_ray_frequencies` lists them.
+    None if the floats cannot certify the order: EF.approx bounds
+    |float(w) - w| by 1e-12*(scale(w) + 1), at most err(shift) +
+    |k|*err(base) for w = shift + base*k; floats that sort further apart
+    than two such bounds are in exact order.
     """
-    if not blocks:
-        return np.zeros(0), np.zeros(0, dtype=complex)
-    ws = np.concatenate([_ray_floats(b.base, b.keys, shift) for b in blocks])
-    cs = np.concatenate([b.coeffs for b in blocks])
+    head = [np.array([float(shift)])] if const != 0 else []
+    ws = np.concatenate(head + [_ray_floats(b.base, b.keys, shift) for b in blocks]) if head or blocks else np.zeros(0)
     order = np.argsort(ws, kind="stable")
-    ws, cs = ws[order], cs[order]
+    ws = ws[order]
     err = shift.approx()[1]
-    tol = 2 * max(err + int(np.max(np.abs(b.keys))) * b.base.approx()[1] for b in blocks)
+    tol = 2 * (err + max((int(np.max(np.abs(b.keys))) * b.base.approx()[1] for b in blocks), default=0.0))
     if len(ws) > 1 and not float(np.min(np.diff(ws))) > tol:
         return None
-    return ws, cs
+    return ws, _ray_coeffs(const, blocks)[order], order
 
 
 def _evaluate_arrays(ws: np.ndarray, cs: np.ndarray, x):
@@ -504,21 +624,24 @@ def spectrum(f: "TrigPoly | ProductPoly") -> SpectrumInfo:
     """Spectrum summary: count, extremes, bandwidth, one-sided width tau.
 
     tau is max(|inf|, |sup|), the exponential type of the natural entire
-    extension.  A polynomial given by rays takes its extremes from each
-    ray's end keys.  For a ProductPoly the extremes are +-(bandwidth of the
-    factor) and the count is an upper bound.
+    extension.  A polynomial with a ray form takes its extremes from the
+    constant and each ray's end keys.  For a ProductPoly the extremes are
+    +-(bandwidth of the factor) and the count is an upper bound.
     """
     if isinstance(f, ProductPoly):
         return f.spectrum()
     if f.is_zero():
         return SpectrumInfo.empty()
-    if f._lazy is not None:
-        shift, blocks = f._lazy
-        lo = min(b.base * int(b.keys[0]) for b in blocks) + shift
-        hi = max(b.base * int(b.keys[-1]) for b in blocks) + shift
-    else:
+    rays = f._ray_form()
+    if rays is None:
         freqs = f.frequencies()
         lo, hi = freqs[0], freqs[-1]
+    else:
+        shift, const, blocks = rays
+        lo = min([b.base * int(b.keys[0]) for b in blocks] + ([ZERO] if const != 0 else []))
+        hi = max([b.base * int(b.keys[-1]) for b in blocks] + ([ZERO] if const != 0 else []))
+        if not shift.is_zero():
+            lo, hi = lo + shift, hi + shift
     tau = max(abs(lo), abs(hi))
     return SpectrumInfo(f.term_count(), lo, hi, hi - lo, tau)
 
@@ -596,30 +719,40 @@ def ray_partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
 
 
 def _partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
-    """Group f's terms by ray; `TrigPoly.from_rays` puts each group in canonical form.
+    """Group f's terms by ray in integer arithmetic; `TrigPoly.from_rays` puts each group in canonical form.
 
-    A group's keys are its frequencies over |first member| times the lcm of
-    their denominators, so from_rays finds the lattice's positive generator
-    whichever term comes first.
+    A nonzero w = r + sum_d c_d sqrt(d) has coordinates n_i / den, den the
+    lcm of their denominators; with g = +-gcd(n_i), signed like n_0, w is
+    (g/den) * u for u the primitive integer vector n_i/g read back as a
+    frequency.  u names w's ray.  On one ray with lcm L of the dens, w is
+    the key g*L/den times u/L (both negated if u < 0, so that the base is
+    positive), and from_rays divides the keys by their gcd.
     """
     const = 0j
-    groups: dict[tuple, tuple[EF, list[Fraction], list[complex]]] = {}
+    groups: dict[tuple, tuple[list[int], list[int], list[complex]]] = {}
     for w, c in f._terms.items():
-        if w.is_zero():
+        coords = ([w.rational] if w.rational else []) + [x for _, x in w.radicals]
+        if not coords:
             const = c
             continue
-        key = _normalized_direction(w)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (abs(w), [], [])
-        group[1].append(rational_ratio(w, group[0]))
+        den = math.lcm(*(x.denominator for x in coords))
+        nums = [x.numerator * (den // x.denominator) for x in coords]
+        g = math.gcd(*nums) if nums[0] > 0 else -math.gcd(*nums)
+        key = (w.rational != 0, tuple(d for d, _ in w.radicals), tuple(n // g for n in nums))
+        group = groups.setdefault(key, ([], [], []))
+        group[0].append(g)
+        group[1].append(den)
         group[2].append(c)
     rays = []
-    for unit, ratios, coeffs in groups.values():
-        den = math.lcm(*(t.denominator for t in ratios))
-        keys = np.array([int(t * den) for t in ratios], dtype=np.int64)
-        rays.append(DenseBlock(unit / den, keys, np.array(coeffs, dtype=complex)))
-    return const, ray_partition(TrigPoly.from_rays(rays))[1]
+    for (has_rational, rads, vec), (gs, dens, coeffs) in groups.items():
+        lcm = math.lcm(*dens)
+        keys = np.array([g * (lcm // den) for g, den in zip(gs, dens)], dtype=np.int64)
+        parts = iter(Fraction(v, lcm) for v in vec)
+        unit = EF._canonical(next(parts) if has_rational else Fraction(0), tuple(zip(rads, parts)))
+        if unit.sign() < 0:
+            unit, keys = -unit, -keys
+        rays.append(DenseBlock(unit, keys, np.array(coeffs, dtype=complex)))
+    return TrigPoly.from_rays(rays, const=const)._rays
 
 
 def modulus_squared(f: TrigPoly) -> TrigPoly:
@@ -688,8 +821,20 @@ class ProductPoly:
         base_a*k_i - base_b*k_j.  They are summed once; only the w > 0 side
         is kept and mirrored, and the w = 0 coefficient is made real, so
         c(-w) == conj(c(w)) holds bit for bit (the rank-one products of
-        (a, b) and (b, a) need not be conjugate to the last bit).
+        (a, b) and (b, a) need not be conjugate to the last bit).  With at
+        most one block there are no cross terms, and the same coefficients
+        are returned as one ray (`TrigPoly.from_rays`).
         """
+        if len(self.dense) <= 1:
+            const, rays = 0j, []
+            for d in self.dense:
+                pos, zero = d.keys > 0, d.keys == 0
+                keys, vals = d.keys[pos], d.coeffs[pos]
+                mirrored = np.concatenate([np.conjugate(vals[::-1]), vals])
+                rays.append(DenseBlock(d.base, np.concatenate([-keys[::-1], keys]), mirrored))
+                if zero.any():
+                    const = complex(d.coeffs[zero][0].real, 0.0)
+            return TrigPoly.from_rays(rays, const=const)
         if self.term_count_upper() > MAX_DICT_PAIRS:
             raise ValueError("product too large to materialize as a TrigPoly")
 

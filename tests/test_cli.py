@@ -491,10 +491,15 @@ def _count_partitions(monkeypatch) -> list:
 
 def test_roots_factor_partitions_f_and_s_once_each(f_2p2cos, tmp_path, monkeypatch):
     # the sup certificates, the Bernstein checks, the residual's product and
-    # commensurable_base all read the one split kept on f or s
+    # commensurable_base all read the one split kept on f or s; factor builds
+    # s by its ray, so it splits f alone, and verify splits the stored f and s
     calls = _count_partitions(monkeypatch)
-    assert run(["factor", "--method", "roots", "--input", f_2p2cos, "--out", str(tmp_path / "r.json")]) == 0
-    assert len(calls) == 2
+    out = tmp_path / "r.json"
+    assert run(["factor", "--method", "roots", "--input", f_2p2cos, "--out", str(out)]) == 0
+    assert [p.term_count() for p in calls] == [3]
+    calls.clear()
+    assert run(["verify", "--report", str(out)]) == 0
+    assert sorted(p.term_count() for p in calls) == [2, 3]
 
 
 def test_construction_verify_partitions_once(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,8 @@ from apspec.construction import (
     _block_arrays,
     _certificate_battery,
     _deviation,
+    _log_table,
+    _sine_amplitudes,
     assemble,
     build_g,
     build_instance,
@@ -90,6 +92,15 @@ def test_growth_table_square_increments_shrink():
 def test_growth_table_rejects_small_index():
     with pytest.raises(MalformedInput):
         wiener_growth_table([4, 1])
+
+
+def test_sine_amplitudes_match_the_scalar_expression():
+    # one log table serves every n up to its length, bit for bit the scalar
+    logs = _log_table(8192)
+    for n in (2, 3, 4, 33, 776, 4096, 8192):
+        want = [(n + 1 - k) / (n * k * math.log(k)) for k in range(2, n + 1)]
+        assert _sine_amplitudes(n, logs).tolist() == want
+        assert _sine_amplitudes(n, _log_table(n)).tolist() == want
 
 
 def test_safety_margin_pinned():

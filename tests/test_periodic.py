@@ -2,9 +2,12 @@ import math
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apspec import periodic
 from apspec.cli import run
@@ -17,9 +20,10 @@ from apspec.periodic import (
     fejer_riesz,
     outer_factor,
     polynomial_roots,
+    roots_check_battery,
 )
 from apspec.serialize import dumps, load_path, trigpoly_from_json, trigpoly_to_json
-from apspec.trigpoly import TrigPoly, modulus_squared, multiply, spectrum
+from apspec.trigpoly import DenseBlock, TrigPoly, modulus_squared, multiply, spectrum
 
 EF = ExactFrequency
 
@@ -414,3 +418,59 @@ def test_fejer_riesz_scans_the_outer_factor_samples(monkeypatch):
     calls.clear()
     fejer_riesz(TrigPoly.from_cos([(1, 2.0), (2, 0.5)], constant=3.0))
     assert len(calls) == 1
+
+
+# Bundles and verify lines the roots route wrote when it still built its
+# factor term by term; factor and verify must reproduce them byte for byte
+ROOTS_FIXTURES = Path(__file__).parent / "data" / "roots"
+KERNEL_CASES = ("three_plus_two_cos", "degree7", "degree32", "degree9_radical")
+OTHER_CASES = ("two_plus_two_cos", "constant", "zero")
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES + OTHER_CASES)
+def test_roots_bundles_match_the_term_by_term_route(name, tmp_path, capsys):
+    inp, bundle = ROOTS_FIXTURES / f"{name}.input.json", ROOTS_FIXTURES / f"{name}.bundle.json"
+    out = tmp_path / "s.json"
+    assert run(["factor", "--method", "roots", "--input", str(inp), "--out", str(out)]) == 0
+    assert out.read_bytes() == bundle.read_bytes()
+    capsys.readouterr()
+    assert run(["verify", "--report", str(bundle)]) == 0
+    assert capsys.readouterr().out == (ROOTS_FIXTURES / f"{name}.verify.txt").read_text()
+    # the fixtures cover both routes: the FFT kernel, and the Laurent roots for 2 + 2cos
+    f = trigpoly_from_json(load_path(str(inp)))
+    lf = commensurable_base(f)
+    if lf.n:
+        assert (outer_factor(lf) is not None) == (name in KERNEL_CASES)
+
+
+_BASES = (EF(1), EF(Fraction(1, 3)), EF.sqrt_of(3, Fraction(2, 5)), EF.sqrt_of(2, Fraction(2, 3)))
+_COEFF = st.one_of(st.just(0.0), st.floats(-2, 2))
+
+
+@given(
+    st.sampled_from(_BASES),
+    st.lists(st.builds(complex, _COEFF, _COEFF), min_size=1, max_size=14),
+    st.lists(st.builds(complex, _COEFF, _COEFF), min_size=1, max_size=14),
+)
+@settings(max_examples=60, deadline=None)
+def test_roots_battery_same_for_rays_and_terms(base, coeffs, other):
+    # s laid out by ray as fejer_riesz builds it, and the same s term by term
+    # as verify reads it from a bundle, against f = |t|^2 for some t on the
+    # same lattice: every number the battery reports agrees bit for bit
+    n = len(coeffs) - 1
+    keys = np.arange(-n, n + 1, 2)
+    mid = keys == 0
+    const = coeffs[n // 2] if n % 2 == 0 else 0j
+    s_rays = TrigPoly.from_rays([DenseBlock(base / 2, keys[~mid], np.array(coeffs)[~mid])], const=const)
+    s_terms = TrigPoly([(base * Fraction(2 * j - n, 2), c) for j, c in enumerate(coeffs)])
+    m = len(other) - 1
+    f_rays = modulus_squared(TrigPoly([(base * Fraction(2 * j - m, 2), c) for j, c in enumerate(other)]))
+    f_terms = TrigPoly(f_rays.sorted_terms())
+
+    def numbers(report):
+        checks = [(c.name, c.passed, repr(c.value), c.detail) for c in report.checks]
+        return checks, repr(report.residual_sup), repr(report.bandwidth_ratio)
+
+    got = numbers(roots_check_battery(f_rays, s_rays))
+    assert got == numbers(roots_check_battery(f_terms, s_terms))
+    assert got == numbers(roots_check_battery(TrigPoly(f_rays.sorted_terms()), s_rays))

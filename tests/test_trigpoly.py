@@ -551,6 +551,39 @@ def test_from_rays_matches_term_by_term(case):
     assert lazy.sorted_terms() == ref.sorted_terms()
 
 
+def _is_real_term_by_term(terms: dict, tol: float) -> bool:
+    scale = max((abs(c) for c in terms.values()), default=0.0)
+    return all(abs(c - terms.get(-w, 0j).conjugate()) <= tol * scale for w, c in terms.items())
+
+
+@given(ray_polys(), ray_polys(), st.booleans(), st.sampled_from([0j, 1.5 - 0.5j, -2.0 + 0j]))
+@settings(max_examples=150, deadline=None)
+def test_ray_methods_match_term_by_term(a, b, subtract, const):
+    # sum, difference, derivative, realness and sorted terms read from the
+    # rays give what the exact term dicts give, bit for bit
+    pa, pb = TrigPoly.from_rays(a[0], const=const), TrigPoly.from_rays(b[0])
+    da = TrigPoly(_rays_to_terms(a[0], EF(0)) + [(EF(0), const)])
+    db = TrigPoly(_rays_to_terms(b[0], EF(0)))
+    got = pa - pb if subtract else pa + pb
+    want = da - db if subtract else da + db  # no partition known: the dict route
+    assert got == want
+    for g, w in zip(got.term_arrays(), want.term_arrays()):
+        assert g.tobytes() == w.tobytes()
+    exact = [(w.to_json(), c) for w, c in sorted(want._terms.items(), key=lambda t: t[0])]
+    assert [(w.to_json(), c) for w, c in got.sorted_terms()] == exact
+    assert got.sorted_terms_json() == exact == want.sorted_terms_json()
+    slope = TrigPoly({w: c * 1j * float(w) for w, c in da.sorted_terms()})
+    for g, w in zip(pa.derivative().term_arrays(), slope.term_arrays()):
+        assert g.tobytes() == w.tobytes()
+    real = pa + pa.conj()
+    nearly = real + TrigPoly.from_rays(a[0][:1], const=1e-13j)
+    # 97 is on no drawn ray, so this term's mirror is absent, and it is tiny
+    lopsided = real + TrigPoly.from_rays([DenseBlock(EF(1), np.array([97]), np.array([1e-13 + 0j]))], const=2.0)
+    for p in (pa, real, nearly, lopsided):
+        for tol in (0.0, 1e-12):
+            assert p.is_real(tol) == _is_real_term_by_term(p._terms, tol)
+
+
 def test_from_rays_near_tie_sorts_exactly():
     # 1 < 1 + 1e-20*sqrt(2), but both round to the float 1.0, and the ray of
     # the larger base comes first in a stable sort by float
