@@ -154,7 +154,7 @@ def _difference_amplitudes(big: int, small: int, logs: np.ndarray) -> np.ndarray
     return top
 
 
-def _deviation(big: int, small: int, logs: np.ndarray | None = None) -> float:
+def _deviation(big: int, small: int, logs: np.ndarray) -> float:
     """Certified sup of |p_big - p_small| without building the polynomials.
 
     The bound `integer_lattice_sup` gives for `_block_arrays(big, small)`,
@@ -163,9 +163,9 @@ def _deviation(big: int, small: int, logs: np.ndarray | None = None) -> float:
     of its spectrum samples it on the same N points as the complex FFT
     there, and the same grid max / (1 - s*tau) * FP_CUSHION bounds it.  The
     samples agree with the complex FFT's to rounding, far inside the
-    cushion.  logs is as for `_block_arrays`.
+    cushion.  logs is `_log_table(m)` for some m >= big.
     """
-    top = _difference_amplitudes(big, small, _log_table(big) if logs is None else logs)
+    top = _difference_amplitudes(big, small, logs)
     n = lattice_points(big)
     half = np.zeros(n // 2 + 1, dtype=complex)
     half.imag[2 : big + 1] = top
@@ -173,13 +173,14 @@ def _deviation(big: int, small: int, logs: np.ndarray | None = None) -> float:
     return step_inflated(float(np.max(np.abs(grid))), big, n)
 
 
-def safety_margin(oracle_n: int, logs: np.ndarray | None = None) -> float:
+def safety_margin(oracle_n: int, logs: np.ndarray) -> float:
     """Hedge for the distance between the oracle sum and its limit.
 
     Uses a quarter of the certified doubling increment ||p_2N - p_N||.
     The limit function converges only logarithmically, so any affordable
     oracle leaves a genuine gap; the quarter keeps the hedge positive
-    while leaving the documented block budgets reachable.
+    while leaving the documented block budgets reachable.  logs is
+    `_log_table(m)` for some m >= 2 * oracle_n.
     """
     return _deviation(2 * oracle_n, oracle_n, logs) / 4.0
 

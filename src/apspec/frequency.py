@@ -176,17 +176,6 @@ class ExactFrequency:
 
     __rmul__ = __mul__
 
-    def multiples_json(self, keys: Iterable[int]) -> list[dict]:
-        """[(self * k).to_json() for k in keys], each coordinate's string formed from integers."""
-        rational, radicals = self.rational, self.radicals
-        return [
-            {
-                "rat": _ratio_text(rational.numerator * k, rational.denominator),
-                "rad": [[str(d), _ratio_text(c.numerator * k, c.denominator)] for d, c in radicals] if k else [],
-            }
-            for k in keys
-        ]
-
     def __truediv__(self, other: RationalLike) -> "ExactFrequency":
         q = _as_fraction(other)
         if q == 0:
@@ -322,12 +311,6 @@ class ExactFrequency:
             if d > MAX_RADICAND:
                 raise MalformedInput(f"radicand {d} exceeds {MAX_RADICAND}")
         return cls(rat, rads)
-
-
-def _ratio_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0."""
-    g = math.gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def _fill(obj: ExactFrequency, rational: Fraction, radicals: tuple[tuple[int, Fraction], ...]) -> None:

@@ -42,7 +42,12 @@ def trigpoly_to_json(f: TrigPoly, allow_large: bool = False) -> dict:
         raise MalformedInput(
             f"refusing to serialize {f.term_count()} terms without allow_large"
         )
-    return {"terms": [{"freq": w, "re": c.real, "im": c.imag} for w, c in f.sorted_terms_json()]}
+    return {
+        "terms": [
+            {"freq": w.to_json(), "re": c.real, "im": c.imag}
+            for w, c in f.sorted_terms()
+        ]
+    }
 
 
 def trigpoly_from_json(obj: Any) -> TrigPoly:

@@ -196,18 +196,6 @@ class TrigPoly:
                 self._sorted = [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
         return list(self._sorted)
 
-    def sorted_terms_json(self) -> list[tuple[dict, complex]]:
-        """(w.to_json(), c) for `sorted_terms`; a ray form forms each w's JSON from its ray and key."""
-        _, cs, order = self._sorted_arrays()
-        rays = self._ray_form()
-        if order is None or not rays[0].is_zero():
-            return [(w.to_json(), c) for w, c in self.sorted_terms()]
-        _, const, blocks = rays
-        freqs = [ZERO.to_json()] if const != 0 else []
-        for b in blocks:
-            freqs += b.base.multiples_json(b.keys.tolist())
-        return [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
-
     def frequencies(self) -> list[EF]:
         return [w for w, _ in self.sorted_terms()]
 
@@ -726,7 +714,8 @@ def _partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
     (g/den) * u for u the primitive integer vector n_i/g read back as a
     frequency.  u names w's ray.  On one ray with lcm L of the dens, w is
     the key g*L/den times u/L (both negated if u < 0, so that the base is
-    positive), and from_rays divides the keys by their gcd.
+    positive).  The keys are divided by their gcd G, and the base is
+    G*u/L, before they become int64, so a lone term of any size fits.
     """
     const = 0j
     groups: dict[tuple, tuple[list[int], list[int], list[complex]]] = {}
@@ -746,8 +735,10 @@ def _partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
     rays = []
     for (has_rational, rads, vec), (gs, dens, coeffs) in groups.items():
         lcm = math.lcm(*dens)
-        keys = np.array([g * (lcm // den) for g, den in zip(gs, dens)], dtype=np.int64)
-        parts = iter(Fraction(v, lcm) for v in vec)
+        ints = [g * (lcm // den) for g, den in zip(gs, dens)]
+        step = math.gcd(*ints)
+        keys = np.array([k // step for k in ints], dtype=np.int64)
+        parts = iter(Fraction(v * step, lcm) for v in vec)
         unit = EF._canonical(next(parts) if has_rational else Fraction(0), tuple(zip(rads, parts)))
         if unit.sign() < 0:
             unit, keys = -unit, -keys

@@ -104,20 +104,20 @@ def test_sine_amplitudes_match_the_scalar_expression():
 
 
 def test_safety_margin_pinned():
-    assert safety_margin(4096) == pytest.approx(0.015872887591845776, rel=1e-12)
+    assert safety_margin(4096, _log_table(8192)) == pytest.approx(0.015872887591845776, rel=1e-12)
 
 
 def test_select_pinned_sequence():
     n_seq = select_n_sequence(PINNED)
     assert n_seq == (776, 2094, 3174)
-    margin = safety_margin(4096)
-    from apspec.construction import _deviation
+    logs = _log_table(8192)
+    margin = safety_margin(4096, logs)
 
     for j, n in enumerate(n_seq, start=1):
         budget = 2.0 ** (-j) / 3.0 - margin
-        assert _deviation(4096, n) <= budget <= 2.0 ** (-j) / 3.0
+        assert _deviation(4096, n, logs) <= budget <= 2.0 ** (-j) / 3.0
         # minimality: the index below fails the same budget
-        assert _deviation(4096, n - 1) > budget
+        assert _deviation(4096, n - 1, logs) > budget
     assert list(n_seq) == sorted(set(n_seq))
 
 
@@ -341,7 +341,7 @@ def test_real_fft_selection_matches_the_complex_fft_reference(oracle_n):
     assert (2 * oracle_n, oracle_n) in pairs and len(pairs) > 3
     for big, small in pairs:
         want = REFERENCE_DEVIATIONS[big, small]
-        assert abs(_deviation(big, small) - want) <= 1e-15 * want
+        assert abs(_deviation(big, small, _log_table(big)) - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("blocks,oracle_n", [(1, 32), (1, 64), (2, 256)])

@@ -238,11 +238,3 @@ def test_rational_multiple_matches_public_constructor(a, q):
         assert hash(got) == hash(ref)
         assert float(got) == float(ref)
     assert (a * 0).is_zero() and (a * Fraction(0)).is_zero()
-
-
-@given(frequencies(), st.lists(st.integers(-10**12, 10**12), max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_multiples_json_matches_integer_products(a, keys):
-    # the JSON of a*k formed from the ray key, with k = 0 too
-    keys = keys + [0, 1, -1]
-    assert a.multiples_json(keys) == [(a * k).to_json() for k in keys]

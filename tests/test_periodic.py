@@ -23,7 +23,7 @@ from apspec.periodic import (
     roots_check_battery,
 )
 from apspec.serialize import dumps, load_path, trigpoly_from_json, trigpoly_to_json
-from apspec.trigpoly import DenseBlock, TrigPoly, modulus_squared, multiply, spectrum
+from apspec.trigpoly import DenseBlock, TrigPoly, modulus_squared, multiply, ray_partition, spectrum
 
 EF = ExactFrequency
 
@@ -441,6 +441,26 @@ def test_roots_bundles_match_the_term_by_term_route(name, tmp_path, capsys):
     lf = commensurable_base(f)
     if lf.n:
         assert (outer_factor(lf) is not None) == (name in KERNEL_CASES)
+
+
+@pytest.mark.parametrize("base", [EF(10**19), EF.sqrt_of(2, 10**19), EF.sqrt_of(2, Fraction(10**19, 3))])
+def test_roots_route_takes_a_ray_generator_past_int64(base, tmp_path, capsys):
+    # f = 2 + cos(base*x) is one ray with keys -1, 1 on base, however large
+    # the integers that spell base are
+    f = TrigPoly.from_cos([(base, 1.0)], 2.0)
+    const, (ray,) = ray_partition(f)
+    assert const == 2 and ray.base == base and ray.keys.tolist() == [-1, 1]
+    assert f.is_real()
+    slope = TrigPoly({w: c * 1j * float(w) for w, c in f.sorted_terms()})
+    assert f.derivative() == slope
+    inp, out = tmp_path / "f.json", tmp_path / "s.json"
+    inp.write_text(dumps(trigpoly_to_json(f)))
+    assert run(["factor", "--method", "roots", "--input", str(inp), "--out", str(out)]) == 0
+    assert all(c["passed"] for c in load_path(str(out))["report"]["checks"])
+    capsys.readouterr()
+    assert run(["verify", "--report", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "FAIL" not in printed and printed.count("PASS") == 4
 
 
 _BASES = (EF(1), EF(Fraction(1, 3)), EF.sqrt_of(3, Fraction(2, 5)), EF.sqrt_of(2, Fraction(2, 3)))
