@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from apspec.certify import sup_norm_upper
+from apspec.certify import sup_norm_certified, sup_norm_upper
 from apspec.errors import ReciprocalApproximationFailed
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
@@ -58,18 +58,15 @@ class BernsteinResult:
         )
 
 
-def bernstein_check(
-    f: TrigPoly,
-    grid_step: float | None = None,
-    rel_gap: float = 1.0 / 16,
-) -> BernsteinResult:
+def bernstein_check(f: TrigPoly, rel_gap: float = 1.0 / 16) -> BernsteinResult:
     """Certified check of sup|f'| <= tau * sup|f|.
 
-    lhs is a lower bound for sup|f'| (grid max over [-16*pi, 16*pi], no
-    inflation; default step 1/(16*tau)); rhs is
-    tau times a certified upper bound for sup|f|; pass means
-    lhs <= rhs*(1 + 1e-6).  The slack absorbs certification cushions in
-    the equality case.
+    lhs is a lower bound for sup|f'|: `sup_norm_certified(f').lower`, the
+    grid max of |f'| on the certificate's grid, one period of f' when f
+    has one ray (the grid `sup_norm_upper` uses for f), else a window
+    scan.  rhs is tau times a certified upper bound for sup|f|.  Pass
+    means lhs <= rhs*(1 + 1e-6); the slack absorbs certification cushions
+    in the equality case.
     """
     if f.is_zero():
         raise ValueError("bernstein check needs a nonzero input")
@@ -78,31 +75,25 @@ def bernstein_check(
     if tau == 0.0:
         return BernsteinResult(0.0, 0.0, True, upper)
     rhs = tau * upper
-    d = f.derivative()
-    step = grid_step if grid_step is not None else 1.0 / (16 * tau)
-    npts = min(1 << 22, max(64, int(32 * math.pi / step) + 1))
-    xs = np.linspace(-16 * math.pi, 16 * math.pi, npts)
-    lhs = float(np.max(np.abs(d.evaluate(xs))))
+    lhs = sup_norm_certified(f.derivative(), rel_gap).lower
     return BernsteinResult(lhs, rhs, lhs <= rhs * (1 + 1e-6), upper)
 
 
 def factorization_residual(f: TrigPoly, s: "TrigPoly | SampledFunction") -> float:
-    """sup over a grid of |f(x) - |s(x)|^2|.
+    """A bound on sup |f - |s|^2|.
 
-    Exact-coefficient cancellation is tried first when s is a polynomial,
-    so a symbolically exact factor reports exactly 0; otherwise the
-    difference is scanned on 4097 points of [-32*pi, 32*pi].  Sampled
-    factors are compared on the interior 80% of their own window.
+    For a polynomial s it is the Wiener norm ||f - |s|^2||_A of the
+    computed difference, which bounds that difference on all of R and is
+    exactly 0 when the coefficients cancel.  The bound does not yet cover
+    the rounding of |s|^2's coefficients (`modulus_squared`'s
+    autocorrelation).  Sampled factors are compared on the interior 80% of
+    their own window.
     """
     if isinstance(s, SampledFunction):
         mask = s.interior(0.8)
         xs = s.xs()[mask]
         return float(np.max(np.abs(f.evaluate(xs).real - np.abs(s.values[mask]) ** 2)))
-    diff = f - modulus_squared(s)
-    if diff.is_zero():
-        return 0.0
-    xs = np.linspace(-32 * math.pi, 32 * math.pi, 4097)
-    return float(np.max(np.abs(diff.evaluate(xs))))
+    return (f - modulus_squared(s)).wiener_norm()
 
 
 def poisson_eval(f: TrigPoly, z: complex, mode: str = "closed") -> complex:

@@ -55,14 +55,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="apspec",
-        description="Spectral factorization of almost periodic trigonometric data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("factor", help="factor a nonnegative input as |s|^2")
+def _factor_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", required=True, choices=("roots", "cepstral", "zeros"))
     p.add_argument("--input", required=True, help="TrigPoly JSON (roots/cepstral) or zero-set JSON (zeros)")
     p.add_argument("--m", type=_finite_float, default=None, help="certified lower bound for f (cepstral)")
@@ -73,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true", dest="allow_large")
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("construct", help="build a bounded non-Wiener factorization instance")
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=_finite_float, default=1.0)
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--oracle-n", type=int, default=4096, dest="oracle_n")
@@ -82,12 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true", dest="allow_large")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="re-run the check battery on a stored report")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", required=True)
     p.add_argument("--out", default=None, help="write the re-run report JSON here")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("analyze", help="argument decomposition and almost-period scan")
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="TrigPoly JSON for f")
     p.add_argument("--m", type=_finite_float, required=True, help="certified lower bound for f")
     p.add_argument("--eps", type=_finite_float, default=0.1)
@@ -96,11 +92,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("growth-table", help="Wiener norms of the averaged sine series")
+
+def _growth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", required=True, help="comma list of indices, each >= 2")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_growth)
 
+
+# subcommand: (help line, function adding its arguments), in listing order
+SUBCOMMANDS = {
+    "factor": ("factor a nonnegative input as |s|^2", _factor_args),
+    "construct": ("build a bounded non-Wiener factorization instance", _construct_args),
+    "verify": ("re-run the check battery on a stored report", _verify_args),
+    "analyze": ("argument decomposition and almost-period scan", _analyze_args),
+    "growth-table": ("Wiener norms of the averaged sine series", _growth_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with only `command`'s.
+
+    argparse formats help text for each argument it adds, so a run that
+    names its subcommand builds that one alone.  That parser spells the
+    whole command list as its metavar, so its usage line, and with it
+    every usage error, reads as the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="apspec",
+        description="Spectral factorization of almost periodic trigonometric data.",
+    )
+    names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
+    metavar = "{" + ",".join(SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        text, add_args = SUBCOMMANDS[name]
+        add_args(sub.add_parser(name, help=text))
     return parser
 
 
@@ -338,7 +364,8 @@ def _cmd_growth(args) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

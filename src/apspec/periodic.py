@@ -325,14 +325,17 @@ def _roots_factor(lf: LaurentForm) -> list[complex]:
 def roots_check_battery(f: TrigPoly, s: TrigPoly) -> FactorizationReport:
     """Check battery for a polynomial factor s of f; factor and verify both run it.
 
-    In `factor`, s is given by its ray and f's ray partition is known, so
-    every check reads the arrays: the bandwidths come from the end keys,
-    the Bernstein checks from c*i*w on the rays' float frequencies, and the
-    residual from f's coefficients minus |s|^2 on their common lattice.
-    `verify` reads f and s term by term from the bundle and gets the same
-    numbers, bit for bit.  sup|f| is certified once, by f's Bernstein
-    check, and scales the residual.
+    f is partitioned into rays first, so that f - |s|^2 is formed ray by
+    ray and the bandwidths come from the end keys whether f and s were
+    built by ray (`factor`) or read term by term from a bundle (`verify`):
+    both get the same numbers, bit for bit.  The residual is the Wiener
+    norm of the computed f - |s|^2 (`factorization_residual`), a bound on
+    |f - |s|^2| over all of R.  Each Bernstein check compares the max of
+    |p'| on its certificate's FFT grid, one period of the ray, with tau
+    times the certified sup|p|; sup|f| is certified once, by f's check,
+    and scales the residual.
     """
+    ray_partition(f)
     residual = factorization_residual(f, s)
     bf = spectrum(f).bandwidth
     bs = spectrum(s).bandwidth

@@ -249,7 +249,7 @@ def test_criterion_07_bernstein_battery():
             continue
         all_passed = all_passed and bernstein_check(f).passed
     sin_poly = TrigPoly([(EF(-1), 0.5j), (EF(1), -0.5j)])
-    res = bernstein_check(sin_poly, grid_step=2e-3)
+    res = bernstein_check(sin_poly)
     xs = np.arange(0.0, 16 * math.pi, 1e-3)
     lhs = float(np.max(np.abs(np.cos(xs))))
     rhs = float(np.max(np.abs(np.sin(xs))))  # tau = 1

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apspec.checks import (
     approximate_reciprocal,
@@ -12,10 +15,11 @@ from apspec.checks import (
     poisson_eval,
     poisson_range_check,
 )
+from apspec.certify import MAX_GRID_POINTS, fft_rounding, lattice_points, sup_norm_upper
 from apspec.errors import ReciprocalApproximationFailed
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
-from apspec.trigpoly import TrigPoly, modulus_squared, multiply
+from apspec.trigpoly import TrigPoly, evaluation_error, modulus_squared, multiply, ray_partition, spectrum
 
 EF = ExactFrequency
 
@@ -23,7 +27,7 @@ SIN = TrigPoly([(EF(1), -0.5j), (EF(-1), 0.5j)])
 
 
 def test_bernstein_sin_equality():
-    res = bernstein_check(SIN, grid_step=1e-3, rel_gap=1e-6)
+    res = bernstein_check(SIN, rel_gap=1e-6)
     assert res.passed
     # sup|cos| = 1 = tau * sup|sin|: both sides pinned to 1e-6
     assert abs(res.lhs - 1.0) < 1e-6
@@ -79,6 +83,101 @@ def test_factorization_residual_sampled():
     assert factorization_residual(f, s) < 1e-12
     s_bad = SampledFunction(L, 2 * L / n, vals + 0.05)
     assert factorization_residual(f, s_bad) > 1e-2
+
+
+_ONE_RAY_BASES = (EF(1), EF(Fraction(1, 3)), EF.sqrt_of(3, Fraction(2, 5)))
+_COEFF = st.one_of(st.just(0.0), st.floats(-2, 2))
+_COEFFS = st.lists(st.builds(complex, _COEFF, _COEFF), min_size=2, max_size=12)
+
+
+def _on_ray(base: EF, coeffs: list[complex]) -> TrigPoly:
+    """sum_j coeffs[j] * exp(i*base*(j - n)*x), n = len(coeffs) // 2."""
+    n = len(coeffs) // 2
+    return TrigPoly([(base * (j - n), c) for j, c in enumerate(coeffs)])
+
+
+def _scan(d: TrigPoly, lo: float, hi: float, npts: int) -> float:
+    """max |d| on npts equispaced points of [lo, hi]."""
+    return float(np.max(np.abs(d.evaluate(np.linspace(lo, hi, npts)))))
+
+
+@given(st.sampled_from(_ONE_RAY_BASES), _COEFFS)
+@settings(max_examples=60, deadline=None)
+def test_bernstein_lhs_brackets_sup_of_the_derivative_on_one_ray(base, coeffs):
+    # one ray: lhs is max |f'| on the N points of one period that certify
+    # sup|f|; a scan 64 times finer over the period bounds it from above,
+    # and Ehlich-Zeller, sup <= sec(pi*maxk/N) * grid max, from below
+    f = _on_ray(base, coeffs)
+    assume(not spectrum(f).tau.is_zero())
+    lhs = bernstein_check(f).lhs
+    d = f.derivative()
+    _, (ray,) = ray_partition(d)
+    maxk = int(np.max(np.abs(ray.keys)))
+    n = lattice_points(maxk)
+    period = 2 * math.pi / float(ray.base)
+    scan = _scan(d, 0.0, period, 64 * n + 1)
+    rounding = evaluation_error(d, period) + float(fft_rounding(n, d.wiener_norm()))
+    assert lhs <= scan + rounding
+    assert lhs >= math.cos(math.pi * maxk / n) * scan - rounding
+
+
+@given(_COEFFS, st.lists(st.builds(complex, _COEFF, _COEFF), min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_bernstein_lhs_brackets_sup_of_the_derivative_on_two_rays(coeffs, other):
+    # two rays, 1 and sqrt(2): lhs is max |f'| on the window scan of
+    # `sup_norm_certified`, step h = 1/(8*tau); a scan 64 times finer over
+    # the window bounds it from above.  From below: with M >= sup|f'|, the
+    # Duffin-Schaeffer inequality g'^2 + tau^2 g^2 <= tau^2 M^2 for
+    # g = Re(exp(-i*theta) f') makes arccos(g/M) tau-Lipschitz, so a node
+    # within h/2 of the finer scan's max m has |f'| >= M cos(arccos(m/M) + tau*h/2)
+    f = _on_ray(EF(1), coeffs) + _on_ray(EF.sqrt_of(2), other)
+    assume(len(ray_partition(f)[1]) == 2)
+    lhs = bernstein_check(f).lhs
+    d = f.derivative()
+    tau = float(spectrum(f).tau)
+    lo, hi = -64 * math.pi, 64 * math.pi
+    npts = min(MAX_GRID_POINTS, max(2, int((hi - lo) / (1.0 / (8 * tau))) + 1))
+    scan = _scan(d, lo, hi, 64 * (npts - 1) + 1)
+    rounding = 2 * evaluation_error(d, hi)
+    assert lhs <= scan + rounding
+    top = sup_norm_upper(d)
+    phase = math.acos(min(1.0, max(0.0, (scan - rounding) / top)))
+    h = (hi - lo) / (npts - 1)
+    assert lhs >= top * math.cos(min(math.pi, phase + tau * h / 2)) - rounding
+
+
+@given(
+    st.sampled_from(_ONE_RAY_BASES + (None,)),
+    _COEFFS,
+    st.lists(st.tuples(st.integers(0, 11), st.complex_numbers(max_magnitude=1e-2)), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_factorization_residual_bounds_the_window_scan(base, coeffs, nudges):
+    # ||f - |s|^2||_A >= |f - |s|^2| everywhere, so also on the 4097
+    # points of [-32*pi, 32*pi] the residual used to scan; base None puts s
+    # on two rays, 1 and sqrt(2)
+    def factor(cs):
+        if base is None:
+            return _on_ray(EF(1), cs) + _on_ray(EF.sqrt_of(2), cs[:3])
+        return _on_ray(base, cs)
+
+    f = modulus_squared(factor(coeffs))
+    nudged = list(coeffs)
+    for j, c in nudges:
+        nudged[j % len(nudged)] += c
+    s = factor(nudged)
+    res = factorization_residual(f, s)
+    diff = f - modulus_squared(s)
+    xs = np.linspace(-32 * math.pi, 32 * math.pi, 4097)
+    scan = float(np.max(np.abs(diff.evaluate(xs))))
+    assert res >= scan - evaluation_error(diff, 32 * math.pi)
+
+
+def test_factorization_residual_is_the_wiener_norm_of_the_difference():
+    s = TrigPoly([(EF(0), 1.0), (EF(1), 1.0)])
+    f = modulus_squared(s)
+    # |1 + 1.5 chi_1|^2 - |1 + chi_1|^2 = 0.5 chi_-1 + 1.25 + 0.5 chi_1, exact in binary
+    assert factorization_residual(f, s + TrigPoly([(EF(1), 0.5)])) == 2.25
 
 
 def test_poisson_closed_forms():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apspec import construction, trigpoly
+from apspec import cli, construction, trigpoly
 from apspec.cli import run
 from apspec.frequency import ExactFrequency as EF
 from apspec.serialize import dumps, load_path, report_to_json, trigpoly_to_json
@@ -865,3 +865,41 @@ def test_construct_exits_3_when_its_own_battery_fails(tmp_path, capsys):
     assert rc == 3
     assert not out.exists()
     assert "lower_bound_certified" in capsys.readouterr().err
+
+
+_PARSE_ARGV = (
+    [[name, "--help"] for name in cli.SUBCOMMANDS]
+    + [
+        [],
+        ["--help"],
+        ["bogus"],
+        ["verify"],
+        ["construct", "--blocks", "two"],
+        ["factor", "--method", "nope", "--input", "f.json"],
+        ["factor", "--method", "roots", "--input", "f.json", "--bogus"],
+        ["analyze", "--input", "f.json", "--m", "nan"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", _PARSE_ARGV, ids=" ".join)
+def test_one_subparser_reads_as_the_full_parser(argv, capsys, monkeypatch):
+    # help text, usage errors and exit codes of a run that builds only the
+    # subcommand it names equal those of the parser with every subcommand
+    rc = run(argv)
+    got = capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run(argv) == rc
+    assert capsys.readouterr() == got
+
+
+@pytest.mark.parametrize("argv", [["growth-table", "--n", "2"], ["growth-table", "--help"], [], ["bogus"]], ids=" ".join)
+def test_a_run_builds_only_the_subparser_it_names(argv, capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(real(command)) or built[-1])
+    run(argv)
+    (sub,) = built[0]._subparsers._group_actions
+    named = argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None
+    assert list(sub.choices) == ([named] if named else list(cli.SUBCOMMANDS))

@@ -420,9 +420,13 @@ def test_fejer_riesz_scans_the_outer_factor_samples(monkeypatch):
     assert len(calls) == 1
 
 
-# Bundles and verify lines the roots route wrote when it still built its
-# factor term by term; factor and verify must reproduce them byte for byte
+# Bundles and verify lines of the roots route, whose Bernstein checks read
+# the certificate's FFT grid and whose residual is a Wiener norm; factor and
+# verify must reproduce them byte for byte.  previous/ holds the bundles the
+# route wrote with window scans for both, when it still built its factor
+# term by term
 ROOTS_FIXTURES = Path(__file__).parent / "data" / "roots"
+ROOTS_PREVIOUS = ROOTS_FIXTURES / "previous"
 KERNEL_CASES = ("three_plus_two_cos", "degree7", "degree32", "degree9_radical")
 OTHER_CASES = ("two_plus_two_cos", "constant", "zero")
 
@@ -441,6 +445,56 @@ def test_roots_bundles_match_the_term_by_term_route(name, tmp_path, capsys):
     lf = commensurable_base(f)
     if lf.n:
         assert (outer_factor(lf) is not None) == (name in KERNEL_CASES)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES + OTHER_CASES)
+def test_previous_roots_bundles_still_verify(name, capsys):
+    assert run(["verify", "--report", str(ROOTS_PREVIOUS / f"{name}.bundle.json")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed and all(line.startswith("PASS ") for line in printed)
+
+
+def _without_moved_fields(bundle: dict) -> dict:
+    """The bundle with the numbers the grid Bernstein checks and the Wiener-norm residual moved blanked out."""
+    report = bundle["report"]
+    report["residual_sup"] = None
+    for check in report["checks"]:
+        if check["name"] == "bernstein":
+            check["value"] = check["detail"] = None
+        elif check["name"] == "residual":
+            check["value"] = None
+    return bundle
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES + OTHER_CASES)
+def test_regenerated_roots_bundles_move_only_the_check_numbers(name):
+    old = load_path(str(ROOTS_PREVIOUS / f"{name}.bundle.json"))
+    new = load_path(str(ROOTS_FIXTURES / f"{name}.bundle.json"))
+    assert _without_moved_fields(new) == _without_moved_fields(old)
+
+
+def _count_compares(monkeypatch) -> list[int]:
+    """A one-element counter of ExactFrequency order comparisons made from now on."""
+    count = [0]
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(self, other, _fn=getattr(EF, name)):
+            count[0] += 1
+            return _fn(self, other)
+
+        monkeypatch.setattr(EF, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES + OTHER_CASES)
+def test_verify_sorts_no_more_frequencies_than_factor(name, tmp_path, capsys, monkeypatch):
+    # verify reads f and s term by term; once f is partitioned, f - |s|^2
+    # and f's spectrum read rays, as in factor
+    count = _count_compares(monkeypatch)
+    inp, out = ROOTS_FIXTURES / f"{name}.input.json", tmp_path / "s.json"
+    assert run(["factor", "--method", "roots", "--input", str(inp), "--out", str(out)]) == 0
+    factored, count[0] = count[0], 0
+    assert run(["verify", "--report", str(out)]) == 0
+    assert count[0] <= factored
 
 
 @pytest.mark.parametrize("base", [EF(10**19), EF.sqrt_of(2, 10**19), EF.sqrt_of(2, Fraction(10**19, 3))])
