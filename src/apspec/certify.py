@@ -43,6 +43,8 @@ _U = Fraction(1, 1 << 53)  # unit roundoff of binary64
 _TINY = Fraction(1, 1 << 1074)  # smallest subnormal
 _PI_UP = Fraction(355, 113)  # > pi
 _SQRT2_UP = Fraction(14143, 10000)  # > sqrt(2)
+_GAMMA4 = 4 * _U / (1 - 4 * _U)
+_ETA = 2 * _U + _GAMMA4 * (_SQRT2_UP + 2 * _U)  # `fft_rounding`'s eta, with mu = 2u
 
 
 def check_grid_span(span: float) -> None:
@@ -124,9 +126,7 @@ def fft_rounding(n: int, l1: float) -> Fraction:
     does not see.
     """
     levels = max(1, n.bit_length() - 1)
-    gamma4 = 4 * _U / (1 - 4 * _U)
-    eta = 2 * _U + gamma4 * (_SQRT2_UP + 2 * _U)
-    rel = levels * eta / (1 - levels * eta)
+    rel = levels * _ETA / (1 - levels * _ETA)
     sqrt_n = Fraction(1 << ((levels + 1) // 2))  # >= sqrt(n) for n = 2^levels
     return rel * sqrt_n * Fraction(l1) * (1 + 2 * _U) + 8 * n * levels * _TINY
 
@@ -144,11 +144,21 @@ def ehlich_zeller_sup(grid_max: float, degree: int, n: int, l1: float) -> Fracti
     little more than n > 2 degree (ValueError otherwise).  The equality case
     cos(degree t + phi), degree dividing n, shows the factor cannot drop.
     """
+    scale, shift = ehlich_zeller_affine(degree, n, l1)
+    return Fraction(grid_max) * scale + shift
+
+
+def ehlich_zeller_affine(degree: int, n: int, l1: float) -> tuple[Fraction, Fraction]:
+    """(a, b) with `ehlich_zeller_sup(g, degree, n, l1)` = a g + b for every grid max g.
+
+    a = (1 + 2u) / (1 - theta^2 / 2) and b = `fft_rounding(n, l1)` / (1 - theta^2 / 2);
+    ValueError where `ehlich_zeller_sup` raises it.
+    """
     theta = _PI_UP * degree / n
     if not (n > 2 * degree and theta * theta < 2):
         raise ValueError(f"{n} points cannot certify degree {degree}")
-    grid = Fraction(grid_max) * (1 + 2 * _U) + fft_rounding(n, l1)
-    return grid / (1 - theta * theta / 2)
+    sec = 1 / (1 - theta * theta / 2)
+    return (1 + 2 * _U) * sec, fft_rounding(n, l1) * sec
 
 
 def ray_sup(keys: np.ndarray, coeffs: np.ndarray) -> Fraction:

@@ -40,7 +40,14 @@ from typing import Sequence
 
 import numpy as np
 
-from apspec.certify import integer_lattice_sup, lattice_points, lift_lower_bound, step_inflated
+from apspec.certify import (
+    ehlich_zeller_affine,
+    fft_rounding,
+    integer_lattice_sup,
+    lattice_points,
+    lift_lower_bound,
+    step_inflated,
+)
 from apspec.checks import CheckResult, FactorizationReport, poisson_eval
 from apspec.errors import MalformedInput, OracleTooSmall, SpectraCollision
 from apspec.frequency import MAX_RADICAND, ONE, ExactFrequency, qlin_independent, rational_ratio
@@ -154,23 +161,32 @@ def _difference_amplitudes(big: int, small: int, logs: np.ndarray) -> np.ndarray
     return top
 
 
-def _deviation(big: int, small: int, logs: np.ndarray) -> float:
-    """Certified sup of |p_big - p_small| without building the polynomials.
+def _grid_max(big: int, small: int, logs: np.ndarray, n: int) -> float:
+    """Computed max of |p_big - p_small| on the n points 2 pi j / n, n > 2 big, by one real FFT.
 
-    The bound `integer_lattice_sup` gives for `_block_arrays(big, small)`,
-    from a real FFT: p_big - p_small is the real sine series
-    sum_k -2 t_k sin(kx), so one `np.fft.irfft` of the positive half i t_k
-    of its spectrum samples it on the same N points as the complex FFT
-    there, and the same grid max / (1 - s*tau) * FP_CUSHION bounds it.  The
-    samples agree with the complex FFT's to rounding, far inside the
-    cushion.  logs is `_log_table(m)` for some m >= big.
+    p_big - p_small is the real sine series sum_k -2 t_k sin(kx), so one
+    `np.fft.irfft` of the positive half i t_k of its spectrum samples it on
+    the same n points as the complex FFT there.  logs is `_log_table(m)`
+    for some m >= big.
     """
     top = _difference_amplitudes(big, small, logs)
-    n = lattice_points(big)
     half = np.zeros(n // 2 + 1, dtype=complex)
     half.imag[2 : big + 1] = top
     grid = np.fft.irfft(half, n, norm="forward")
-    return step_inflated(float(np.max(np.abs(grid))), big, n)
+    return float(np.max(np.abs(grid)))
+
+
+def _deviation(big: int, small: int, logs: np.ndarray) -> float:
+    """Certified sup of |p_big - p_small| without building the polynomials.
+
+    The bound `integer_lattice_sup` gives for `_block_arrays(big, small)`:
+    `_grid_max` on its N = `lattice_points(big)` points, then the same
+    grid max / (1 - s*tau) * FP_CUSHION.  The real FFT's samples agree
+    with the complex FFT's to rounding, far inside the cushion.  logs is
+    `_log_table(m)` for some m >= big.
+    """
+    n = lattice_points(big)
+    return step_inflated(_grid_max(big, small, logs, n), big, n)
 
 
 def safety_margin(oracle_n: int, logs: np.ndarray) -> float:
@@ -185,21 +201,96 @@ def safety_margin(oracle_n: int, logs: np.ndarray) -> float:
     return _deviation(2 * oracle_n, oracle_n, logs) / 4.0
 
 
+class _DeviationScreen:
+    """Decides `_deviation(oracle_n, n, logs) <= budget`, on a quarter of its grid where that suffices.
+
+    Let N = `lattice_points(oracle_n)`, g_f the computed max of
+    |p_oracle - p_n| on its N points (what `_deviation` inflates) and g_c
+    the computed max on the N/4 points 2 pi j / (N/4), every fourth point
+    of the same grid.  With r_c and r_f the FFT rounding bounds at the two
+    sizes and EZ = `certify.ehlich_zeller_sup`,
+
+        g_c - r_c - r_f <= g_f <= EZ(g_c, oracle_n, N/4, l1) + r_f:
+
+    the exact grid maxima obey max_c <= max_f <= sup|p_oracle - p_n|
+    <= EZ(g_c), and each computed max lies within its rounding bound of the
+    exact one.  `step_inflated` is monotone, so a query passes when the
+    upper end passes the budget and fails when the lower end fails it,
+    exactly as `_deviation` would decide; only a budget between the two
+    ends runs `_deviation` itself.  Every decision, and so every n_seq, is
+    the full grid's.
+
+    A query costs one `np.fft.irfft` of N/4 points and a few float
+    operations; the constants are worked out once per screen.
+
+    The rounding bound is `certify.fft_rounding` (Higham, Thm 24.2, for a
+    radix-2 FFT), taken to cover `np.fft.irfft` too: for a power-of-two
+    length numpy's pocketfft runs radix-4 and radix-2 passes, and a
+    radix-4 butterfly is two radix-2 levels.  It needs l1 >= the absolute
+    sum 2 sum_k |t_k| of the coefficients.  Exactly, 0 <= a_n(k) <=
+    a_oracle(k), so ||p_oracle - p_n||_A <= ||p_oracle||_A for every n.
+    In floats each amplitude is that ratio rounded twice, so a_n(k) <=
+    a_oracle(k) (1 + 5u), and |t_k|, one rounded difference of two
+    halves, is at most the larger half: l1 = ||p_oracle||_A (1 + 8u)
+    covers every n.  The constants are Fractions rounded up to floats, and
+    `grid_bracket` rounds each float operation outward.
+
+    `seen` keeps, per n, the deviation bracket from g_c, narrowed to the
+    point `_deviation` once the full grid ran.
+    """
+
+    def __init__(self, oracle_n: int, logs: np.ndarray):
+        self.oracle_n, self.logs = oracle_n, logs
+        self.full = lattice_points(oracle_n)
+        self.coarse = self.full // 4
+        # fsum rounds once and the product once: 8u covers 5u and both
+        self.l1 = math.fsum(_sine_amplitudes(oracle_n, logs).tolist()) * (1 + 2.0**-50)
+        # EZ(g) = scale * g + r_c sec, and r_c sec >= r_c: shift serves both ends
+        scale, r_c_sec = ehlich_zeller_affine(oracle_n, self.coarse, self.l1)
+        self.scale = _float_up(scale)
+        self.shift = _float_up(r_c_sec + fft_rounding(self.full, self.l1))
+        self.seen: dict[int, tuple[float, float]] = {}
+
+    def grid_bracket(self, g_c: float) -> tuple[float, float]:
+        """Floats lower <= g_c - r_c - r_f and upper >= EZ(g_c) + r_f, each float operation rounded outward."""
+        upper = math.nextafter(math.nextafter(g_c * self.scale, math.inf) + self.shift, math.inf)
+        return math.nextafter(g_c - self.shift, -math.inf), upper
+
+    def passes(self, n: int, budget: float) -> bool:
+        if n not in self.seen:
+            g_c = _grid_max(self.oracle_n, n, self.logs, self.coarse)
+            self.seen[n] = tuple(step_inflated(g, self.oracle_n, self.full) for g in self.grid_bracket(g_c))
+        lower, upper = self.seen[n]
+        if lower <= budget < upper:
+            dev = _deviation(self.oracle_n, n, self.logs)
+            self.seen[n] = lower, upper = dev, dev
+        return upper <= budget
+
+
+def _float_up(x: Fraction) -> float:
+    """The least float >= x, for 0 <= x <= the largest float."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
 def select_n_sequence(params: ConstructionParams) -> tuple[int, ...]:
     """Smallest n_1 < ... < n_{J+1} with certified deviation <= 2^{-j}/3 - margin.
 
-    Each ||p_oracle - p_n|| is computed once per call: the bisections and
-    the backward walks of later blocks revisit indices.  The logs behind
-    every amplitude are taken once per call too.
+    Each query deviation(n) <= budget goes through one `_DeviationScreen`
+    per call: a real FFT on a quarter of the deviation's grid decides it
+    when the Ehlich-Zeller bracket around the full grid's max lies wholly
+    on one side of the budget, and the full grid decides it otherwise, so
+    the decisions are those of `_deviation` on the full grid.  The
+    bisections and the backward walks of later blocks revisit indices;
+    each grid runs at most once per n.  The logs behind every amplitude
+    are taken once per call, after `lattice_points` has accepted the
+    margin's grid, so an oracle too large for it is refused before its
+    log table is built.  The margin itself is on the full grid.
     """
+    lattice_points(2 * params.oracle_n)
     logs = _log_table(2 * params.oracle_n)
     margin = safety_margin(params.oracle_n, logs)
-    seen: dict[int, float] = {}
-
-    def deviation(n: int) -> float:
-        if n not in seen:
-            seen[n] = _deviation(params.oracle_n, n, logs)
-        return seen[n]
+    screen = _DeviationScreen(params.oracle_n, logs)
 
     out: list[int] = []
     lo = 2
@@ -215,12 +306,12 @@ def select_n_sequence(params: ConstructionParams) -> tuple[int, ...]:
         a, b = lo, hi
         while a < b:
             mid = (a + b) // 2
-            if deviation(mid) <= budget:
+            if screen.passes(mid, budget):
                 b = mid
             else:
                 a = mid + 1
         n = a
-        while n - 1 >= lo and deviation(n - 1) <= budget:
+        while n - 1 >= lo and screen.passes(n - 1, budget):
             n -= 1
         out.append(n)
         lo = n + 1

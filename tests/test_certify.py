@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from apspec.certify import (
     NormBracket,
     certify_lower_bound,
+    ehlich_zeller_affine,
     ehlich_zeller_sup,
     fft_rounding,
     integer_lattice_sup,
@@ -244,6 +245,18 @@ def test_ehlich_zeller_is_tight_on_shifted_cosines():
         assert 1 <= bound <= 1 + phi**4
     with pytest.raises(ValueError):
         ehlich_zeller_sup(1.0, 8, 16, 1.0)
+
+
+def test_ehlich_zeller_sup_is_affine_in_the_grid_max():
+    u = Fraction(1, 1 << 53)
+    for d, n, l1 in ((1, 4, 1.0), (64, 2048, 2.5), (1024, 2**15, 3.25)):
+        a, b = ehlich_zeller_affine(d, n, l1)
+        sec = 1 / (1 - (Fraction(355, 113) * d / n) ** 2 / 2)
+        assert (a, b) == ((1 + 2 * u) * sec, fft_rounding(n, l1) * sec)
+        for g in (0.0, 0.7, 1.0):
+            assert ehlich_zeller_sup(g, d, n, l1) == a * Fraction(g) + b
+    with pytest.raises(ValueError):
+        ehlich_zeller_affine(8, 16, 1.0)
 
 
 def test_fft_rounding_bounds_the_measured_error():

@@ -903,3 +903,35 @@ def test_a_run_builds_only_the_subparser_it_names(argv, capsys, monkeypatch):
     (sub,) = built[0]._subparsers._group_actions
     named = argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None
     assert list(sub.choices) == ([named] if named else list(cli.SUBCOMMANDS))
+
+
+# Bundles and verify lines `construct` wrote before its n_seq search was
+# screened on a quarter-size grid; construct and verify must reproduce them
+# byte for byte
+CONSTRUCT_FIXTURES = Path(__file__).parent / "data" / "construct"
+CONSTRUCT_CASES = {
+    "blocks1_oracle64": ["--m", "1.25", "--blocks", "1", "--oracle-n", "64", "--primes", "3,7"],
+    "blocks2_oracle1024": ["--m", "1.625", "--blocks", "2", "--oracle-n", "1024", "--primes", "3,7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
+def test_construct_bundles_match_the_fixtures(name, tmp_path, capsys):
+    out, bundle = tmp_path / "cons.json", CONSTRUCT_FIXTURES / f"{name}.bundle.json"
+    assert run(["construct", *CONSTRUCT_CASES[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == bundle.read_bytes()
+    capsys.readouterr()
+    assert run(["verify", "--report", str(bundle)]) == 0
+    want = (CONSTRUCT_FIXTURES / f"{name}.verify.txt").read_text().splitlines()
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_construct_refuses_an_oversized_oracle_at_once(tmp_path, capsys):
+    # the margin's grid is refused before the oracle's log table is built
+    out = tmp_path / "cons.json"
+    start = time.perf_counter()
+    assert run(["construct", "--oracle-n", "1000000000", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"error: NonConvergence: degree 2000000000 needs more than {1 << 24} certification points\n"
+    assert not out.exists()

@@ -1,17 +1,31 @@
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apspec.certify import certify_lower_bound, integer_lattice_sup, lift_lower_bound, sup_norm_certified
+from apspec import construction
+from apspec.certify import (
+    certify_lower_bound,
+    ehlich_zeller_sup,
+    fft_rounding,
+    integer_lattice_sup,
+    lift_lower_bound,
+    sup_norm_certified,
+)
 from apspec.construction import (
     DEFAULT_PRIMES,
     ConstructionParams,
     _block_arrays,
     _certificate_battery,
     _deviation,
+    _DeviationScreen,
+    _difference_amplitudes,
+    _grid_max,
     _log_table,
     _sine_amplitudes,
     assemble,
@@ -377,3 +391,115 @@ def test_lift_lowered_by_the_block_bounds_is_refused():
     check = next(c for c in report.checks if c.name == "lower_bound_certified")
     assert not check.passed and check.value == 1.0
     assert check.detail.startswith("f = |u|^2, |u| >= bound = ") and "bound^2 - m = -" in check.detail
+
+
+def full_grid_select(params):
+    """The n_seq search before the quarter-grid screen: every query on `_deviation`'s full grid."""
+    logs = _log_table(2 * params.oracle_n)
+    margin = safety_margin(params.oracle_n, logs)
+    seen = {}
+
+    def deviation(n):
+        if n not in seen:
+            seen[n] = _deviation(params.oracle_n, n, logs)
+        return seen[n]
+
+    out, lo = [], 2
+    for j in range(1, params.blocks + 2):
+        budget = 2.0 ** (-j) / 3.0 - margin
+        if budget <= 0:
+            raise OracleTooSmall(
+                f"block {j} needs deviation <= {budget:.3g}; oracle_n={params.oracle_n} cannot reach it"
+            )
+        a, b = lo, params.oracle_n
+        while a < b:
+            mid = (a + b) // 2
+            if deviation(mid) <= budget:
+                b = mid
+            else:
+                a = mid + 1
+        n = a
+        while n - 1 >= lo and deviation(n - 1) <= budget:
+            n -= 1
+        out.append(n)
+        lo = n + 1
+    return tuple(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(8, 1500), st.integers(1, 3))
+def test_screened_selection_matches_the_full_grid_search(oracle_n, blocks):
+    params = ConstructionParams(blocks=blocks, oracle_n=oracle_n)
+    try:
+        want = full_grid_select(params)
+    except OracleTooSmall as exc:
+        with pytest.raises(OracleTooSmall, match=re.escape(str(exc))):
+            select_n_sequence(params)
+        return
+    assert select_n_sequence(params) == want
+
+
+@pytest.fixture
+def full_grids(monkeypatch):
+    """The (big, small) of every `_deviation` call, the margin's included."""
+    calls, real = [], construction._deviation
+    monkeypatch.setattr(construction, "_deviation", lambda big, small, logs: calls.append((big, small)) or real(big, small, logs))
+    return calls
+
+
+def test_screen_runs_few_full_grids(full_grids):
+    assert select_n_sequence(ConstructionParams(blocks=2, oracle_n=1024)) == (300, 613, 855)
+    assert full_grids[0] == (2048, 1024)  # the margin stays on its full grid
+    queries = [small for big, small in full_grids if big == 1024]
+    assert 1 <= len(queries) <= 6 and len(set(queries)) == len(queries)
+
+
+@pytest.mark.parametrize("oracle_n,n", [(64, 36), (1024, 300), (1024, 855)])
+def test_knife_edge_budget_falls_back_to_the_full_grid(oracle_n, n, full_grids):
+    logs = _log_table(2 * oracle_n)
+    dev = _deviation(oracle_n, n, logs)
+    for budget in (dev, math.nextafter(dev, -math.inf)):
+        screen = _DeviationScreen(oracle_n, logs)
+        full_grids.clear()
+        assert screen.passes(n, budget) == (dev <= budget) == (budget == dev)
+        assert full_grids == [(oracle_n, n)]
+        # a repeated query reads `seen`
+        assert screen.passes(n, budget) == (budget == dev) and len(full_grids) == 1
+
+
+@pytest.mark.parametrize("oracle_n", [8, 64, 1000, 1024])
+def test_grid_bracket_holds_the_full_grid_max(oracle_n):
+    logs = _log_table(2 * oracle_n)
+    screen = _DeviationScreen(oracle_n, logs)
+    full, coarse = screen.full, screen.coarse
+    assert coarse * 4 == full
+    r_c, r_f = fft_rounding(coarse, screen.l1), fft_rounding(full, screen.l1)
+    for n in sorted({2, 3, oracle_n // 3, oracle_n // 2, oracle_n - 1, oracle_n}):
+        # l1 bounds the absolute coefficient sum of p_oracle - p_n
+        assert 2 * math.fsum(np.abs(_difference_amplitudes(oracle_n, n, logs)).tolist()) <= screen.l1
+        g_c, g_f = _grid_max(oracle_n, n, logs, coarse), _grid_max(oracle_n, n, logs, full)
+        lower, upper = screen.grid_bracket(g_c)
+        assert Fraction(lower) <= Fraction(g_c) - r_c - r_f
+        assert Fraction(upper) >= ehlich_zeller_sup(g_c, oracle_n, coarse, screen.l1) + r_f
+        assert lower <= g_f <= upper
+        # every fourth point of the full grid is the coarse grid
+        assert g_c <= g_f * (1 + 1e-12) + 1e-15
+        # no wider than the sec factor needs: the roundings add a few 1e-11
+        assert upper <= g_c * (1 + 2 * (math.pi * oracle_n / coarse) ** 2) + 1e-10
+
+
+def test_fft_rounding_bounds_the_real_fft_error():
+    # the screen takes `fft_rounding` to cover np.fft.irfft as it covers ifft
+    logs = _log_table(128)
+    for big, small, n in ((64, 20, 2048), (64, 20, 8192), (64, 0, 8192)):
+        top = _difference_amplitudes(big, small, logs)
+        half = np.zeros(n // 2 + 1, dtype=complex)
+        half.imag[2 : big + 1] = top
+        got = np.fft.irfft(half, n, norm="forward")
+        # reference in extended precision: sum_k -2 t_k sin(2 pi j k / n), angles reduced exactly first
+        ks = np.arange(2, big + 1)
+        phase = np.mod(np.outer(np.arange(n), ks), n).astype(np.longdouble) * (2 * np.pi / np.longdouble(n))
+        ref = (np.sin(phase) * (-2 * top.astype(np.longdouble))).sum(axis=1)
+        err = float(np.max(np.abs(got - ref)))
+        l1 = 2 * math.fsum(np.abs(top).tolist())
+        assert Fraction(err) <= fft_rounding(n, l1)
