@@ -3,17 +3,15 @@
 The upper bounds are rigorous (up to documented floating-point cushions):
 each rational ray of the spectrum is periodic after rescaling, so a dense
 FFT scan over one period plus a Bernstein-type step inflation bounds its
-sup; the triangle inequality sums the rays.  `lift_lower_bound` bounds
-|u| from below on all of R for a u with one dominant lowest term, from the
-same FFT grids through the Ehlich-Zeller inequality, with the FFT's
-rounding bounded rather than cushioned.  `certify_lower_bound` bounds a
-function from below by direct evaluation on a finite window.
+sup; the triangle inequality sums the rays.  `ray_sup` bounds one ray on
+the smaller `ez_points` grid through the Ehlich-Zeller inequality, with
+the FFT's rounding bounded rather than cushioned.  `certify_lower_bound`
+bounds a function from below by direct evaluation on a finite window.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +20,6 @@ import numpy as np
 from apspec.errors import MalformedInput, NonConvergence
 from apspec.frequency import ExactFrequency
 from apspec.trigpoly import (
-    DenseBlock,
     ProductPoly,
     TrigPoly,
     bohr_coefficient,
@@ -77,20 +74,13 @@ def lattice_points(maxk: int, rel_gap: float = 1.0 / 16) -> int:
     return n
 
 
-def step_inflated(grid_max: float, maxk: int, n: int) -> float:
-    """`integer_lattice_sup`'s upper bound from a grid max: grid_max / (1 - s*tau) * FP_CUSHION."""
-    s_tau = 2 * math.pi * maxk / n
-    return grid_max / (1 - s_tau) * FP_CUSHION
-
-
-def _lattice_grid(keys: np.ndarray, coeffs: np.ndarray, maxk: int, rel_gap: float) -> tuple[int, float]:
-    """(N, max_j |sum c_k exp(2 pi i j k / N)|) for N = lattice_points(maxk, rel_gap)."""
-    n = lattice_points(maxk, rel_gap)
+def _lattice_grid(keys: np.ndarray, coeffs: np.ndarray, n: int) -> float:
+    """max_j |sum c_k exp(2 pi i j k / n)|, by one n-point FFT."""
     bins = np.zeros(n, dtype=complex)
     np.add.at(bins, np.mod(keys, n), coeffs)
     # forward-normalized inverse: no 1/n scaling, so subnormal sums survive
     vals = np.fft.ifft(bins, norm="forward")
-    return n, float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(vals)))
 
 
 def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1.0 / 16) -> NormBracket:
@@ -109,8 +99,9 @@ def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1
     if maxk == 0:
         v = abs(complex(coeffs.sum()))
         return NormBracket(v, v * FP_CUSHION)
-    n, lower = _lattice_grid(keys, coeffs, maxk, rel_gap)
-    return NormBracket(lower, step_inflated(lower, maxk, n))
+    n = lattice_points(maxk, rel_gap)
+    lower = _lattice_grid(keys, coeffs, n)
+    return NormBracket(lower, lower / (1 - 2 * math.pi * maxk / n) * FP_CUSHION)
 
 
 def fft_rounding(n: int, l1: float) -> Fraction:
@@ -135,7 +126,7 @@ def ehlich_zeller_sup(grid_max: float, degree: int, n: int, l1: float) -> Fracti
     """Certified sup over R of |T| for T = sum c_k exp(i k t), |k| <= degree, sum |c_k| <= l1.
 
     grid_max is the computed max of |T| on the n points 2 pi j / n, from
-    `_lattice_grid`.  Ehlich & Zeller (Math. Z. 86, 1964): for n > 2 degree,
+    an FFT of n points.  Ehlich & Zeller (Math. Z. 86, 1964): for n > 2 degree,
     a real trig polynomial obeys sup|T| <= sec(pi degree / n) max_j |T(t_j)|;
     a complex T follows through Re(e^{-i theta} T) for every theta.  The
     true grid max is at most grid_max (1 + 2u) (|.| by hypot) plus
@@ -161,50 +152,43 @@ def ehlich_zeller_affine(degree: int, n: int, l1: float) -> tuple[Fraction, Frac
     return (1 + 2 * _U) * sec, fft_rounding(n, l1) * sec
 
 
+def ez_points(degree: int) -> int:
+    """Grid size N of the Ehlich-Zeller bounds for degree `degree`.
+
+    N is the least power of two >= 16 degree, at least 1024 and at most
+    2^24, so sec(pi degree / N) <= sec(pi / 16) < 1.02 below the cap.
+    NonConvergence where even 2^24 points cannot certify the degree
+    (`ehlich_zeller_affine`).
+    """
+    n = min(max(1024, 1 << (16 * degree - 1).bit_length()), 1 << 24)
+    try:
+        ehlich_zeller_affine(degree, n, 0.0)
+    except ValueError:
+        raise NonConvergence(f"degree {degree} needs more than {1 << 24} certification points") from None
+    return n
+
+
+def float_up(x: Fraction) -> float:
+    """The least float >= x, for 0 <= x <= the largest float."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
 def ray_sup(keys: np.ndarray, coeffs: np.ndarray) -> Fraction:
     """Certified sup over R of |sum c_k exp(i k t)|, keys distinct integers.
 
-    The grid is `integer_lattice_sup`'s (default rel_gap) and the bound
-    `ehlich_zeller_sup`: sec(pi maxk / N) in place of 1/(1 - 2 pi maxk / N),
-    and the FFT's rounding bounded in place of FP_CUSHION.
+    The grid max of `ez_points(maxk)` points, bounded by
+    `ehlich_zeller_sup`: sec(pi maxk / N) and the FFT's rounding, in place
+    of `integer_lattice_sup`'s 1/(1 - 2 pi maxk / N) and FP_CUSHION on a
+    grid 6-8 times as fine.
     """
     if len(keys) == 0:
         return Fraction(0)
     re, im = np.abs(coeffs.real).tolist(), np.abs(coeffs.imag).tolist()
     l1 = math.fsum(re + im) * (1 + 2.0**-52)  # fsum rounds once, to nearest
     maxk = int(np.max(np.abs(keys)))
-    n, grid_max = _lattice_grid(keys, coeffs, maxk, 1.0 / 16)
-    return ehlich_zeller_sup(grid_max, maxk, n, l1)
-
-
-def lift_lower_bound(u: TrigPoly) -> float:
-    """A float b >= 0 with |u| >= b on all of R, from u's lift term.
-
-    Let a be u's coefficient at its lowest frequency (where
-    `construction.build_instance` adds the lift c).  Then
-    |u| >= |a| - |c_0| - sum_j sup|r_j| pointwise, with c_0 u's constant
-    term when a is not it, and r_j ray j of `ray_partition(u)` with a
-    removed; `ray_sup` bounds each sup|r_j|.  The sum B is kept exact
-    (Fraction), and b is a float rounded down: (b + B)^2 <= |a|^2 exactly.
-    """
-    const, rays = ray_partition(u)
-    lows = [b.base * int(b.keys[0]) for b in rays]
-    if not rays or (const != 0 and min(lows).sign() > 0):
-        a, bound, rest = const, Fraction(0), list(rays)
-    else:
-        j = lows.index(min(lows))
-        a, bound = complex(rays[j].coeffs[0]), Fraction(abs(const)) * (1 + 2 * _U)
-        rest = [*rays[:j], DenseBlock(rays[j].base, rays[j].keys[1:], rays[j].coeffs[1:]), *rays[j + 1:]]
-    bound += sum((ray_sup(r.keys, r.coeffs) for r in rest), Fraction(0))
-    a2 = Fraction(a.real) ** 2 + Fraction(a.imag) ** 2
-    if bound * bound >= a2:
-        return 0.0
-    # |a| - B in floats is a few ulps of |a| off: step down until it holds exactly
-    top = min(abs(a), sys.float_info.max)
-    b, step = top - float(min(bound, Fraction(top))), math.ulp(top)
-    while b > 0 and (Fraction(b) + bound) ** 2 > a2:
-        b, step = b - step, 2 * step
-    return max(b, 0.0)
+    n = ez_points(maxk)
+    return ehlich_zeller_sup(_lattice_grid(keys, coeffs, n), maxk, n, l1)
 
 
 def sup_norm_upper(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -> float:

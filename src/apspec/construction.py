@@ -23,12 +23,16 @@ calls it after choosing n_seq; `verify_rays` (s stored by ray) and
 `recheck` (g, h1, h and s stored term by term) call it on a bundle's
 params and n_seq and compare the stored numbers and factor against it.
 
-f >= m is certified on all of R, not on a window: for f = |u|^2,
-|u| >= |a| - sum_j sup|r_j| with a the lift term at u's lowest frequency
-and r_j the rays of u without it (`certify.lift_lower_bound`).  Each
-sup|r_j| comes from the same FFT grid as U_j with the Ehlich-Zeller factor
-sec(pi maxk / N), which is tighter than U_j's 1/(1 - s*tau), so the
-lift c = sqrt(m) + sum_j U_j leaves a few percent of sum_j U_j to spare.
+Every sup bound is taken on one grid per degree: the `ez_points(maxk)`
+points, the least power of two >= 16 maxk, with the Ehlich-Zeller bound
+sec(pi maxk / N) (grid max) plus the FFT's rounding.  That covers the
+n_seq search's deviations, the safety margin, and each block's exact B_j
+>= sup|q_j|, of which U_j is the float rounded up.  f >= m is certified on
+all of R from the same numbers: c is the least float with
+(c - sum_j B_j)^2 >= m, and |s| = |g + c chi_{-Delta}| >= c - sum_j B_j.
+Format-1 and format-2 bundles rebuild U_j and c by their own rule
+(`integer_lattice_sup`, c = sqrt(m) + sum_j U_j); their f >= m check is
+the same c - sum_j B_j one, on their stored c.
 """
 
 from __future__ import annotations
@@ -36,18 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from apspec.certify import (
-    ehlich_zeller_affine,
-    fft_rounding,
-    integer_lattice_sup,
-    lattice_points,
-    lift_lower_bound,
-    step_inflated,
-)
+from apspec.certify import ehlich_zeller_affine, ez_points, float_up, integer_lattice_sup, ray_sup
 from apspec.checks import CheckResult, FactorizationReport, poisson_eval
 from apspec.errors import MalformedInput, OracleTooSmall, SpectraCollision
 from apspec.frequency import MAX_RADICAND, ONE, ExactFrequency, qlin_independent, rational_ratio
@@ -91,6 +88,7 @@ class Instance:
     g_rays: tuple[DenseBlock, ...]  # g by block: ray j holds q_j with base rho_j
     rays: tuple[DenseBlock, ...]  # s by block: g's rays with c added at the lowest key
     delta: EF
+    sup_bounds: tuple[Fraction, ...]  # exact Ehlich-Zeller bounds B_j >= sup|q_j|
 
     def numbers(self) -> tuple:
         """(rho, U_j, ||q_j||_A, c): what a bundle stores besides n_seq, params, Delta and s."""
@@ -176,17 +174,40 @@ def _grid_max(big: int, small: int, logs: np.ndarray, n: int) -> float:
     return float(np.max(np.abs(grid)))
 
 
-def _deviation(big: int, small: int, logs: np.ndarray) -> float:
-    """Certified sup of |p_big - p_small| without building the polynomials.
+def _deviations(big: int, logs: np.ndarray) -> Callable[[int], float]:
+    """small -> a certified float bound on sup|p_big - p_small|, for 0 <= small <= big.
 
-    The bound `integer_lattice_sup` gives for `_block_arrays(big, small)`:
-    `_grid_max` on its N = `lattice_points(big)` points, then the same
-    grid max / (1 - s*tau) * FP_CUSHION.  The real FFT's samples agree
-    with the complex FFT's to rounding, far inside the cushion.  logs is
-    `_log_table(m)` for some m >= big.
+    Each call runs `_grid_max` on the N = `ez_points(big)` points of big's
+    grid and returns EZ(g) = a g + b (`certify.ehlich_zeller_affine`), with
+    a and b rounded up to floats once and each float operation rounded
+    outward.  logs is `_log_table(m)` for some m >= big.
+
+    The rounding bound inside b is `certify.fft_rounding` (Higham, Thm
+    24.2, for a radix-2 FFT), taken to cover `np.fft.irfft` too: for a
+    power-of-two length numpy's pocketfft runs radix-4 and radix-2 passes,
+    and a radix-4 butterfly is two radix-2 levels.  It needs l1 >= the
+    absolute sum 2 sum_k |t_k| of the coefficients.  Exactly,
+    0 <= a_small(k) <= a_big(k), so ||p_big - p_small||_A <= ||p_big||_A.
+    In floats each amplitude is that ratio rounded twice, so
+    a_small(k) <= a_big(k) (1 + 5u), and |t_k|, one rounded difference of
+    two halves, is at most the larger half: l1 = ||p_big||_A (1 + 8u)
+    covers every small.
     """
-    n = lattice_points(big)
-    return step_inflated(_grid_max(big, small, logs, n), big, n)
+    n = ez_points(big)
+    # fsum rounds once and the product once: 8u covers 5u and both
+    l1 = math.fsum(_sine_amplitudes(big, logs).tolist()) * (1 + 2.0**-50)
+    scale, shift = map(float_up, ehlich_zeller_affine(big, n, l1))
+
+    def deviation(small: int) -> float:
+        grid = _grid_max(big, small, logs, n)
+        return math.nextafter(math.nextafter(grid * scale, math.inf) + shift, math.inf)
+
+    return deviation
+
+
+def _deviation(big: int, small: int, logs: np.ndarray) -> float:
+    """Certified sup of |p_big - p_small| without building the polynomials (`_deviations`)."""
+    return _deviations(big, logs)(small)
 
 
 def safety_margin(oracle_n: int, logs: np.ndarray) -> float:
@@ -201,96 +222,27 @@ def safety_margin(oracle_n: int, logs: np.ndarray) -> float:
     return _deviation(2 * oracle_n, oracle_n, logs) / 4.0
 
 
-class _DeviationScreen:
-    """Decides `_deviation(oracle_n, n, logs) <= budget`, on a quarter of its grid where that suffices.
-
-    Let N = `lattice_points(oracle_n)`, g_f the computed max of
-    |p_oracle - p_n| on its N points (what `_deviation` inflates) and g_c
-    the computed max on the N/4 points 2 pi j / (N/4), every fourth point
-    of the same grid.  With r_c and r_f the FFT rounding bounds at the two
-    sizes and EZ = `certify.ehlich_zeller_sup`,
-
-        g_c - r_c - r_f <= g_f <= EZ(g_c, oracle_n, N/4, l1) + r_f:
-
-    the exact grid maxima obey max_c <= max_f <= sup|p_oracle - p_n|
-    <= EZ(g_c), and each computed max lies within its rounding bound of the
-    exact one.  `step_inflated` is monotone, so a query passes when the
-    upper end passes the budget and fails when the lower end fails it,
-    exactly as `_deviation` would decide; only a budget between the two
-    ends runs `_deviation` itself.  Every decision, and so every n_seq, is
-    the full grid's.
-
-    A query costs one `np.fft.irfft` of N/4 points and a few float
-    operations; the constants are worked out once per screen.
-
-    The rounding bound is `certify.fft_rounding` (Higham, Thm 24.2, for a
-    radix-2 FFT), taken to cover `np.fft.irfft` too: for a power-of-two
-    length numpy's pocketfft runs radix-4 and radix-2 passes, and a
-    radix-4 butterfly is two radix-2 levels.  It needs l1 >= the absolute
-    sum 2 sum_k |t_k| of the coefficients.  Exactly, 0 <= a_n(k) <=
-    a_oracle(k), so ||p_oracle - p_n||_A <= ||p_oracle||_A for every n.
-    In floats each amplitude is that ratio rounded twice, so a_n(k) <=
-    a_oracle(k) (1 + 5u), and |t_k|, one rounded difference of two
-    halves, is at most the larger half: l1 = ||p_oracle||_A (1 + 8u)
-    covers every n.  The constants are Fractions rounded up to floats, and
-    `grid_bracket` rounds each float operation outward.
-
-    `seen` keeps, per n, the deviation bracket from g_c, narrowed to the
-    point `_deviation` once the full grid ran.
-    """
-
-    def __init__(self, oracle_n: int, logs: np.ndarray):
-        self.oracle_n, self.logs = oracle_n, logs
-        self.full = lattice_points(oracle_n)
-        self.coarse = self.full // 4
-        # fsum rounds once and the product once: 8u covers 5u and both
-        self.l1 = math.fsum(_sine_amplitudes(oracle_n, logs).tolist()) * (1 + 2.0**-50)
-        # EZ(g) = scale * g + r_c sec, and r_c sec >= r_c: shift serves both ends
-        scale, r_c_sec = ehlich_zeller_affine(oracle_n, self.coarse, self.l1)
-        self.scale = _float_up(scale)
-        self.shift = _float_up(r_c_sec + fft_rounding(self.full, self.l1))
-        self.seen: dict[int, tuple[float, float]] = {}
-
-    def grid_bracket(self, g_c: float) -> tuple[float, float]:
-        """Floats lower <= g_c - r_c - r_f and upper >= EZ(g_c) + r_f, each float operation rounded outward."""
-        upper = math.nextafter(math.nextafter(g_c * self.scale, math.inf) + self.shift, math.inf)
-        return math.nextafter(g_c - self.shift, -math.inf), upper
-
-    def passes(self, n: int, budget: float) -> bool:
-        if n not in self.seen:
-            g_c = _grid_max(self.oracle_n, n, self.logs, self.coarse)
-            self.seen[n] = tuple(step_inflated(g, self.oracle_n, self.full) for g in self.grid_bracket(g_c))
-        lower, upper = self.seen[n]
-        if lower <= budget < upper:
-            dev = _deviation(self.oracle_n, n, self.logs)
-            self.seen[n] = lower, upper = dev, dev
-        return upper <= budget
-
-
-def _float_up(x: Fraction) -> float:
-    """The least float >= x, for 0 <= x <= the largest float."""
-    f = float(x)
-    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
-
-
 def select_n_sequence(params: ConstructionParams) -> tuple[int, ...]:
     """Smallest n_1 < ... < n_{J+1} with certified deviation <= 2^{-j}/3 - margin.
 
-    Each query deviation(n) <= budget goes through one `_DeviationScreen`
-    per call: a real FFT on a quarter of the deviation's grid decides it
-    when the Ehlich-Zeller bracket around the full grid's max lies wholly
-    on one side of the budget, and the full grid decides it otherwise, so
-    the decisions are those of `_deviation` on the full grid.  The
+    Each query deviation(n) = `_deviation(oracle_n, n)` <= budget runs one
+    real FFT on oracle_n's grid of `ez_points(oracle_n)` points.  The
     bisections and the backward walks of later blocks revisit indices;
     each grid runs at most once per n.  The logs behind every amplitude
-    are taken once per call, after `lattice_points` has accepted the
-    margin's grid, so an oracle too large for it is refused before its
-    log table is built.  The margin itself is on the full grid.
+    are taken once per call, after `ez_points` has accepted the margin's
+    grid, so an oracle too large for it is refused before its log table
+    is built.
     """
-    lattice_points(2 * params.oracle_n)
+    ez_points(2 * params.oracle_n)
     logs = _log_table(2 * params.oracle_n)
     margin = safety_margin(params.oracle_n, logs)
-    screen = _DeviationScreen(params.oracle_n, logs)
+    deviation = _deviations(params.oracle_n, logs)
+    seen: dict[int, float] = {}
+
+    def passes(n: int, budget: float) -> bool:
+        if n not in seen:
+            seen[n] = deviation(n)
+        return seen[n] <= budget
 
     out: list[int] = []
     lo = 2
@@ -306,12 +258,12 @@ def select_n_sequence(params: ConstructionParams) -> tuple[int, ...]:
         a, b = lo, hi
         while a < b:
             mid = (a + b) // 2
-            if screen.passes(mid, budget):
+            if passes(mid, budget):
                 b = mid
             else:
                 a = mid + 1
         n = a
-        while n - 1 >= lo and screen.passes(n - 1, budget):
+        while n - 1 >= lo and passes(n - 1, budget):
             n -= 1
         out.append(n)
         lo = n + 1
@@ -352,37 +304,69 @@ def choose_rho(n_seq: tuple[int, ...], primes: tuple[int, ...]) -> tuple[EF, ...
     return tuple(out)
 
 
-def build_instance(params: ConstructionParams, n_seq: tuple[int, ...]) -> Instance:
-    """The instance for n_seq: rho, U_j, ||q_j||_A, c, the rays of g and s, and Delta.
+def build_instance(params: ConstructionParams, n_seq: tuple[int, ...], legacy: bool = False) -> Instance:
+    """The instance for n_seq: rho, U_j, ||q_j||_A, c, the rays of g and s, Delta and B_j.
 
     rho comes from `choose_rho`; each block's arrays are built once and give
-    U_j (`integer_lattice_sup`) and ||q_j||_A (fsum of np.hypot, as
-    `TrigPoly.wiener_norm`).  |chi_Delta g| = |g| <= sum_j U_j pointwise,
-    so c = sqrt(m) + sum_j U_j makes Re h >= sqrt(m) on all of R, not just
-    a scan window.  Delta = -inf Omega(g) is the lowest key of one ray,
-    and c lands there.
+    B_j (`certify.ray_sup`, exact), U_j = B_j rounded up to a float and
+    ||q_j||_A (fsum of np.hypot, as `TrigPoly.wiener_norm`).
+    |chi_Delta g| = |g| <= sum_j B_j pointwise, so c, the least float with
+    (c - sum_j B_j)^2 >= m (`lift_constant`), makes Re h >= sqrt(m) on all
+    of R, not just a scan window.  Delta = -inf Omega(g) is the lowest key
+    of one ray, and c lands there.
+
+    legacy gives U_j and c by the rule of format-1 and format-2 bundles:
+    U_j = `integer_lattice_sup(...).upper` and c = sqrt(m) + sum_j U_j,
+    both in floats.  B_j is the same either way.
     """
     rho = choose_rho(n_seq, params.primes)
     logs = _log_table(n_seq[-1])
     g_rays: list[DenseBlock] = []
-    sup_bounds: list[float] = []
+    bounds: list[Fraction] = []
+    uppers: list[float] = []
     wiener: list[float] = []
     for j, r in enumerate(rho, start=1):
         keys, coeffs = _q_arrays(j, n_seq, logs)
-        upper = integer_lattice_sup(keys, coeffs).upper
+        bounds.append(ray_sup(keys, coeffs))
+        upper = integer_lattice_sup(keys, coeffs).upper if legacy else float_up(bounds[-1])
         if j >= 2 and upper > 2.0 ** (-j):
             raise OracleTooSmall(f"||q_{j}|| certificate {upper:.4g} exceeds 2^-{j}")
-        sup_bounds.append(upper)
+        uppers.append(upper)
         wiener.append(math.fsum(np.hypot(coeffs.real, coeffs.imag).tolist()))
         g_rays.append(DenseBlock(r, keys, coeffs))
-    c = math.sqrt(params.m) + math.fsum(sup_bounds)
+    if legacy:
+        c = math.sqrt(params.m) + math.fsum(uppers)
+    else:
+        c = lift_constant(params.m, sum(bounds, Fraction(0)))
     lows = [r.base * int(r.keys[0]) for r in g_rays]
     j = lows.index(min(lows))
     lifted = g_rays[j].coeffs.copy()
     lifted[0] += c
     rays = list(g_rays)
     rays[j] = DenseBlock(rho[j], g_rays[j].keys, lifted)
-    return Instance(rho, tuple(sup_bounds), tuple(wiener), c, tuple(g_rays), tuple(rays), -lows[j])
+    return Instance(
+        rho, tuple(uppers), tuple(wiener), c, tuple(g_rays), tuple(rays), -lows[j], tuple(bounds)
+    )
+
+
+def _lift_holds(c: float, bound: Fraction, m: float) -> bool:
+    """c - bound >= sqrt(m), decided exactly."""
+    slack = Fraction(c) - bound
+    return slack >= 0 and slack * slack >= Fraction(m)
+
+
+def lift_constant(m: float, bound: Fraction) -> float:
+    """The least float c with c - bound >= sqrt(m) exactly, for a finite m > 0 and bound >= 0.
+
+    sqrt(m) + bound in floats lies within a few ulps of it; the steps up
+    and down settle the last bits by `_lift_holds`.
+    """
+    c = math.sqrt(m) + float(bound)
+    while not _lift_holds(c, bound, m):
+        c = math.nextafter(c, math.inf)
+    while _lift_holds(below := math.nextafter(c, -math.inf), bound, m):
+        c = below
+    return c
 
 
 def build_g(params: ConstructionParams) -> tuple[TrigPoly, tuple[int, ...], tuple[EF, ...], tuple[float, ...], tuple[float, ...]]:
@@ -411,16 +395,22 @@ def _check_rays(p: TrigPoly, rho: tuple[EF, ...]) -> None:
 
 
 def _certificate_battery(
-    m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, delta: EF, checks: list[CheckResult]
+    m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, delta: EF, checks: list[CheckResult],
+    c: float, sup_bounds: Sequence[Fraction],
 ) -> FactorizationReport:
     """The report of factor s: `checks`, then the certificates shared by assemble, verify_rays and recheck.
 
     exact_factorization bounds ||f - |s|^2||_A through f's factor u: since
     |u|^2 - |s|^2 = (u - s) conj(u) + s conj(u - s) and ||.||_A is
     submultiplicative, it is at most ||u - s||_A (||u||_A + ||s||_A), which
-    is 0 exactly when s is u.  lower_bound_certified passes when the float
-    b = `lift_lower_bound(u)` has b^2 >= m exactly, so f = |u|^2 >= m on
-    all of R; its detail, on FAIL, gives b and b^2 - m.
+    is 0 exactly when s is u.  lower_bound_certified passes when
+    c - bound >= sqrt(m) exactly, for bound = sum_j B_j >= sup|g| over
+    the rebuilt block bounds `sup_bounds`: then
+    |g + c chi_{-delta}| >= c - bound >= sqrt(m) on all of R, and f = |u|^2
+    >= m for the u = g + c chi_{-delta} the checks before it tie to the
+    stored numbers.  Its detail, on FAIL, gives b = max(c - bound, 0) and
+    b^2 - m.  The tau of f = |u|^2 is u's bandwidth, read from u, so no
+    check builds f's autocorrelation.
     """
     info_h = spectrum(h)
     checks.append(
@@ -428,13 +418,12 @@ def _certificate_battery(
             "analytic_spectrum", not (info_h.inf_freq < EF(0)), float(info_h.inf_freq), "inf Omega(h) >= 0"
         )
     )
-    info_f = spectrum(f)
+    u = f.factor
     info_s = spectrum(s)
-    half_ok = info_s.tau + info_s.tau == info_f.tau and info_s.inf_freq == -delta
+    half_ok = info_s.tau + info_s.tau == spectrum(u).bandwidth and info_s.inf_freq == -delta
     checks.append(
         CheckResult("halved_bandwidth", half_ok, float(info_s.tau), "tau(s) = tau(f)/2 exactly")
     )
-    u = f.factor
     # u == s compares two polynomials given by rays array by array; only a
     # difference builds their terms
     gap = TrigPoly() if u == s else u - s
@@ -445,13 +434,13 @@ def _certificate_battery(
             "f - |s|^2 at the coefficient level",
         )
     )
-    bound = lift_lower_bound(u)
-    margin = Fraction(bound) ** 2 - Fraction(m)
-    lower_ok = margin >= 0
+    bound = sum(sup_bounds, Fraction(0))
+    lower_ok = _lift_holds(c, bound, m)
+    b = max(Fraction(c) - bound, Fraction(0))
     checks.append(
         CheckResult(
             "lower_bound_certified", lower_ok, m,
-            "" if lower_ok else f"f = |u|^2, |u| >= bound = {bound!r} on R; bound^2 - m = {float(margin)!r}",
+            "" if lower_ok else f"f = |u|^2, |u| >= bound = {float(b)!r} on R; bound^2 - m = {float(b * b - Fraction(m))!r}",
         )
     )
     # zero-free completion spot check: Re P[h] >= sqrt(m) - 1e-3 in the
@@ -470,34 +459,40 @@ def _certificate_battery(
 def assemble(params: ConstructionParams) -> ConstructionResult:
     """Run the full pipeline and certify every step that admits a certificate."""
     n_seq = select_n_sequence(params)
-    inst = build_instance(params, n_seq)
+    return instance_result(params, n_seq, build_instance(params, n_seq))
+
+
+def instance_result(params: ConstructionParams, n_seq: tuple[int, ...], inst: Instance) -> ConstructionResult:
+    """The certified result of an instance `build_instance` gave for (params, n_seq)."""
     s = TrigPoly.from_rays(inst.rays)
     h = TrigPoly.from_rays(inst.rays, inst.delta)
     f = ProductPoly(s)
     return ConstructionResult(
         **vars(inst), params=params, n_seq=n_seq, g=TrigPoly.from_rays(inst.g_rays), h=h, f=f, s=s,
-        certificates=_certificate_battery(params.m, h, s, f, inst.delta, []),
+        certificates=_certificate_battery(params.m, h, s, f, inst.delta, [], inst.c, inst.sup_bounds),
     )
 
 
 def verify_rays(
     params: ConstructionParams, n_seq: tuple[int, ...], rho: tuple[EF, ...], q_norms: tuple[float, ...],
     wiener_norms: tuple[float, ...], delta: EF, c: float, rays: Sequence[tuple[np.ndarray, np.ndarray]],
+    legacy: bool = False,
 ) -> FactorizationReport:
     """Re-run every certificate on a stored construction whose s is kept by ray.
 
     rays[j] holds the keys and coefficients of s on the lattice rho_j * Z.
     Nothing stored is trusted: `build_instance` rebuilds the instance from
-    params and n_seq, and factor_rebuilt requires the stored rho, q_norms,
-    wiener_norms, c and s to equal the rebuilt ones exactly.  f is rebuilt
-    as |u|^2 for the rebuilt s = u, and the battery runs on the stored s and
-    h = chi_Delta s for the stored Delta.  Raises SpectraCollision, before
-    f is built, when the stored rho is not Q-independent, since the rays
-    could then share frequencies.
+    params and n_seq (by the format-2 rule when legacy), and factor_rebuilt
+    requires the stored rho, q_norms, wiener_norms, c and s to equal the
+    rebuilt ones exactly.  f is rebuilt as |u|^2 for the rebuilt s = u, the
+    battery runs on the stored s and h = chi_Delta s for the stored Delta,
+    and lower_bound_certified on the stored c and the rebuilt B_j.  Raises
+    SpectraCollision, before f is built, when the stored rho is not
+    Q-independent, since the rays could then share frequencies.
     """
     if not qlin_independent(rho):
         raise SpectraCollision("stored dilation scales are not Q-independent")
-    built = build_instance(params, n_seq)
+    built = build_instance(params, n_seq, legacy)
     s_rays = [DenseBlock(r, keys, coeffs) for r, (keys, coeffs) in zip(rho, rays)]
     u = TrigPoly.from_rays(built.rays)
     s = TrigPoly.from_rays(s_rays)
@@ -510,25 +505,27 @@ def verify_rays(
             "as rebuilt from params and n_seq",
         ),
     ]
-    return _certificate_battery(params.m, TrigPoly.from_rays(s_rays, delta), s, ProductPoly(u), delta, checks)
+    h = TrigPoly.from_rays(s_rays, delta)
+    return _certificate_battery(params.m, h, s, ProductPoly(u), delta, checks, c, built.sup_bounds)
 
 
 def recheck(
     params: ConstructionParams, n_seq: tuple[int, ...], rho: tuple[EF, ...], q_norms: tuple[float, ...],
     wiener_norms: tuple[float, ...], delta: EF, c: float, g: TrigPoly, h1: TrigPoly, h: TrigPoly, s: TrigPoly,
 ) -> FactorizationReport:
-    """Re-run every certificate on a bundle that stores g, h1, h and s term by term.
+    """Re-run every certificate on a bundle that stores g, h1, h and s term by term (format 1).
 
     Nothing stored is trusted: f is rebuilt as |u|^2 from u = h shifted
     back by delta, exact_factorization bounds f - |s|^2 for the stored s
     through u - s, and the whole battery is recomputed.
     modulation_consistent ties the stored intermediates to each other, and
     requires the stored g, rho, q_norms, wiener_norms and c to equal what
-    `build_instance` rebuilds from params and n_seq.  Raises SpectraCollision,
-    before f is built, when u or the stored s has a spectrum off the
-    lattices rho_j * Z.
+    `build_instance` rebuilds from params and n_seq by the format-1 rule.
+    lower_bound_certified reads the stored c and the rebuilt B_j.  Raises
+    SpectraCollision, before f is built, when u or the stored s has a
+    spectrum off the lattices rho_j * Z.
     """
-    built = build_instance(params, n_seq)
+    built = build_instance(params, n_seq, legacy=True)
     centred = h.modulate(-delta)
     consistent = (
         h1 == g.modulate(delta) and h == h1 + c and s == centred
@@ -547,7 +544,7 @@ def recheck(
     _check_rays(centred, rho)
     if s != centred:
         _check_rays(s, rho)
-    return _certificate_battery(params.m, h, s, ProductPoly(centred), delta, checks)
+    return _certificate_battery(params.m, h, s, ProductPoly(centred), delta, checks, c, built.sup_bounds)
 
 
 def wiener_growth_table(n_list: list[int]) -> list[tuple[int, float]]:

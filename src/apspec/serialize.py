@@ -4,11 +4,13 @@ Exact rationals travel as decimal strings so frequency independence
 survives save/load; floats rely on repr round-tripping.  Emission order is
 the canonical term order, so identical inputs give byte-identical files.
 
-A construction bundle (format 2) stores its factor s once, by ray: ray j
+A construction bundle (format 3) stores its factor s once, by ray: ray j
 is {"keys", "re", "im"} on the lattice rho_j * Z, rho_j given by position,
-so of its frequencies only rho and delta travel as exact strings.  The
-older format 1 stores g, h1, h and s term by term.  The readers of both
-return the stored params (through `ConstructionParams`, so the primes
+so of its frequencies only rho and delta travel as exact strings.  Format
+2 has the same layout, with q_norms and c by the older
+`integer_lattice_sup` rule (`construction.build_instance`'s legacy); the
+older format 1 stores g, h1, h and s term by term.  The readers of all
+three return the stored params (through `ConstructionParams`, so the primes
 are bounded before verify derives rho from them), n_seq, rho, q_norms,
 wiener_norms, delta and c; verify rebuilds the instance from params and
 n_seq and compares the rest against it.
@@ -168,7 +170,7 @@ def factor_bundle_to_json(
 
 
 def construction_to_json(res, allow_large: bool = False) -> dict:
-    """ConstructionResult payload, format 2: s once, by ray; g, h and f implicit.
+    """ConstructionResult payload, format 3: s once, by ray; g, h and f implicit.
 
     Ray j of s holds its keys k and the coefficients at rho_j * k; rho_j is
     the j-th entry of "rho".  verify rebuilds the instance from params and
@@ -184,7 +186,7 @@ def construction_to_json(res, allow_large: bool = False) -> dict:
     f_obj = {"omitted": True, "pairs": res.f.term_count_upper(), "hint": "modulus_squared(h)"}
     return {
         "kind": "construction",
-        "format": 2,
+        "format": 3,
         "params": {
             "m": res.params.m,
             "blocks": res.params.blocks,
@@ -264,7 +266,7 @@ def _construction_header(obj: Any) -> tuple:
 
 
 def construction_from_json(obj: Any) -> tuple:
-    """(params, n_seq, rho, q_norms, wiener_norms, delta, c, rays of s) of a format-2 bundle.
+    """(params, n_seq, rho, q_norms, wiener_norms, delta, c, rays of s) of a format-2 or format-3 bundle.
 
     Ray j must hold the 2(n - 1) keys n_seq gives block j, which bounds the
     rebuild by the size of the bundle.

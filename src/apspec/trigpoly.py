@@ -756,7 +756,8 @@ class ProductPoly:
 
     factor: the polynomial h; its rays are `ray_partition(factor)`.
     dense: one autocorrelation block per ray, the constant riding on the
-           first ray at key 0 (or on a lone base-1 block if h is constant).
+           first ray at key 0 (or on a lone base-1 block if h is constant),
+           built on first use (`term_count_upper`, `to_trigpoly`).
 
     Values are |h(x)|^2, sup bounds come from h's rays (`certify`), and the
     spectrum lies in [-b, b] with b the bandwidth of h.  `to_trigpoly`
@@ -766,7 +767,7 @@ class ProductPoly:
     makes the number of cross terms quadratic in its term count.
     """
 
-    __slots__ = ("factor", "dense", "_blocks")
+    __slots__ = ("factor", "_dense", "_blocks")
 
     def __init__(self, h: TrigPoly):
         const, rays = ray_partition(h)
@@ -779,9 +780,15 @@ class ProductPoly:
             else:
                 blocks = [DenseBlock(EF(1), np.zeros(1, dtype=np.int64), np.array([const]))]
         self.factor = h
-        # autocorrelation of a block: frequencies base*(k_i - k_j)
-        self.dense = tuple(DenseBlock(b.base, *_autocorrelate(b.keys, b.coeffs)) for b in blocks)
         self._blocks = tuple(blocks)
+        self._dense: tuple[DenseBlock, ...] | None = None
+
+    @property
+    def dense(self) -> tuple[DenseBlock, ...]:
+        """The autocorrelation of each block, frequencies base*(k_i - k_j), built on first use."""
+        if self._dense is None:
+            self._dense = tuple(DenseBlock(b.base, *_autocorrelate(b.keys, b.coeffs)) for b in self._blocks)
+        return self._dense
 
     # -- views ---------------------------------------------------------------
 

@@ -14,7 +14,6 @@ from apspec.certify import (
     fft_rounding,
     integer_lattice_sup,
     lattice_points,
-    lift_lower_bound,
     ray_sup,
     sup_norm_certified,
     sup_norm_upper,
@@ -286,27 +285,3 @@ def test_ray_sup_uses_the_lattice_grid():
     assert ray_sup(keys[:0], coeffs[:0]) == 0
     # the smallest subnormal is not rounded away
     assert ray_sup(np.array([1]), np.array([5e-324 + 0j])) >= Fraction(5e-324)
-
-
-def test_lift_lower_bound_small_cases():
-    # 3 + e^{ix} + e^{2ix}: the lowest term is the constant, |u| >= 3 - 2 = 1,
-    # less 2 (sec(2 pi / 1024) - 1) = 3.8e-5
-    u = TrigPoly([(EF(0), 3.0), (EF(1), 1.0), (EF(2), 1.0)])
-    b = lift_lower_bound(u)
-    assert 1 - 4e-5 <= b <= 1.0
-    xs = np.linspace(0, 2 * math.pi, 4001)
-    assert b <= float(np.min(np.abs(u.evaluate(xs))))
-    # lowest term off the origin, constant and an incommensurable ray in the rest
-    v = TrigPoly([(EF(-2), 4.0), (EF(0), 0.5), (EF(1), 0.25j), (EF.sqrt_of(2), -0.5)])
-    b = lift_lower_bound(v)
-    assert 2.75 - 1e-5 <= b <= 2.75
-    assert b <= float(np.min(np.abs(v.evaluate(np.linspace(-200, 200, 200001)))))
-    # |a| - B cancels to 5e-6: the float is rounded down, yet within 1e-15 of it
-    w = TrigPoly([(EF(-1), 1.0), (EF(1), 1 - 1e-5)])
-    rest = 1 - ray_sup(np.array([1]), np.array([1 - 1e-5 + 0j]))
-    b = lift_lower_bound(w)
-    assert float(rest) - 1e-15 <= b and Fraction(b) <= rest
-    # a lift that does not dominate certifies nothing; zero has no lift at all
-    assert lift_lower_bound(TrigPoly([(EF(-1), 1.0), (EF(1), 2.0)])) == 0.0
-    assert lift_lower_bound(TrigPoly()) == 0.0
-    assert lift_lower_bound(TrigPoly.constant(2.0)) == 2.0

@@ -15,7 +15,7 @@ import pytest
 from apspec import cli, construction, trigpoly
 from apspec.cli import run
 from apspec.frequency import ExactFrequency as EF
-from apspec.serialize import dumps, load_path, report_to_json, trigpoly_to_json
+from apspec.serialize import construction_to_json, dumps, load_path, report_to_json, trigpoly_to_json
 from apspec.trigpoly import TrigPoly
 
 
@@ -327,7 +327,7 @@ def test_construct_then_verify_small(tmp_path, capsys):
     assert bundle["kind"] == "construction"
     # f is never written out, only its pair-count marker
     assert bundle["f"]["omitted"] is True
-    assert bundle["f"]["pairs"] == 249
+    assert bundle["f"]["pairs"] == 245
     assert run(["verify", "--report", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "PASS exact_factorization" in printed
@@ -376,15 +376,25 @@ def format1_bundle(res) -> dict:
     }
 
 
+def legacy_result(params, n_seq=None):
+    """The result construct gave before format 3: U_j and c by the format-1/2 rule, n_seq by today's search unless given."""
+    n_seq = construction.select_n_sequence(params) if n_seq is None else n_seq
+    return construction.instance_result(params, n_seq, construction.build_instance(params, n_seq, legacy=True))
+
+
 def write_format1(path, m=1.0, blocks=1, oracle_n=128) -> dict:
-    bundle = format1_bundle(construction.assemble(construction.ConstructionParams(m=m, blocks=blocks, oracle_n=oracle_n)))
+    bundle = format1_bundle(legacy_result(construction.ConstructionParams(m=m, blocks=blocks, oracle_n=oracle_n)))
     path.write_text(dumps(bundle))
     return bundle
 
 
+# n_seq of the (1, 32) fixtures, as the search before the Ehlich-Zeller grids chose it
+FIXTURE_N_SEQ = (21, 28)
+
+
 def test_format1_helper_writes_the_fixture_bytes():
     # the helper's bundles are the ones construct wrote before format 2
-    res = construction.assemble(construction.ConstructionParams(m=1.0, blocks=1, oracle_n=32))
+    res = legacy_result(construction.ConstructionParams(m=1.0, blocks=1, oracle_n=32), FIXTURE_N_SEQ)
     assert dumps(format1_bundle(res)) == FIXTURE_FORMAT1.read_text()
 
 
@@ -398,10 +408,12 @@ def test_format1_fixture_verifies(capsys):
 FIXTURE_FORMAT2 = Path(__file__).parent / "data" / "construction_format2_b1_n32.json"
 
 
-def test_construct_writes_the_format2_fixture_bytes(tmp_path, capsys):
-    out = tmp_path / "cons.json"
-    assert run(["construct", "--blocks", "1", "--oracle-n", "32", "--out", str(out)]) == 0
-    assert out.read_bytes() == FIXTURE_FORMAT2.read_bytes()
+def test_format2_fixture_verifies(capsys):
+    # the fixture is the payload of the legacy result, with format 2
+    res = legacy_result(construction.ConstructionParams(blocks=1, oracle_n=32), FIXTURE_N_SEQ)
+    payload = construction_to_json(res)
+    payload["format"] = 2
+    assert dumps(payload) == FIXTURE_FORMAT2.read_text()
     assert run(["verify", "--report", str(FIXTURE_FORMAT2)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "PASS factor_rebuilt value=1.0"
@@ -409,11 +421,12 @@ def test_construct_writes_the_format2_fixture_bytes(tmp_path, capsys):
 
 
 def test_verify_names_the_lift_bound_when_it_fails(tmp_path, capsys):
-    # lower the lift of the stored h by sum U_j: the format-1 reader certifies
-    # f >= m on the stored h shifted back, which no longer carries it
+    # lower the stored c, and the lift of the stored h, by sum U_j: the
+    # format-1 reader certifies f >= m from the stored c, c - sum_j B_j
     def lower_lift(b):
         lift = next(t for t in b["h"]["terms"] if t["freq"] == {"rat": "0", "rad": []})
         lift["re"] -= math.fsum(b["q_norms"])
+        b["c"] -= math.fsum(b["q_norms"])
 
     assert _verify_bundle(tmp_path, _edited(load_path(str(FIXTURE_FORMAT1)), lower_lift)) == 3
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
@@ -480,6 +493,21 @@ def test_construct_and_verify_build_one_product_each(tmp_path, capsys, monkeypat
     assert run(["verify", "--report", str(out)]) == 0
     assert "PASS exact_factorization" in capsys.readouterr().out
     assert len(built) == 2
+
+
+def test_construction_verify_runs_no_autocorrelation(tmp_path, capsys, monkeypatch):
+    # f's dense blocks are built on first use: construct needs them for the
+    # bundle's "pairs", verify reads f only through its factor
+    calls = []
+    real = trigpoly._autocorrelate
+    monkeypatch.setattr(trigpoly, "_autocorrelate", lambda keys, coeffs: calls.append(len(keys)) or real(keys, coeffs))
+    out = tmp_path / "cons.json"
+    assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "64", "--out", str(out)]) == 0
+    assert len(calls) == 2
+    calls.clear()
+    assert run(["verify", "--report", str(out)]) == 0
+    assert calls == []
+    capsys.readouterr()
 
 
 def _count_partitions(monkeypatch) -> list:
@@ -555,7 +583,7 @@ def _verify_bundle(tmp_path, bundle) -> int:
 
 def test_format2_bundle_keeps_s_once(format2_bundle, capsys):
     b = format2_bundle
-    assert b["format"] == 2 and b["kind"] == "construction"
+    assert b["format"] == 3 and b["kind"] == "construction"
     assert not {"g", "h1", "h", "certificates"} & set(b)
     assert len(b["s"]) == len(b["rho"]) == len(b["n_seq"]) - 1 == 2
     assert [c["name"] for c in b["checks"]] == FORMAT1_CHECKS[2:]
@@ -621,7 +649,7 @@ def _set_format(b, v):
         lambda b: b["rho"].pop(),
         lambda b: b["rho"][0]["rad"][0].__setitem__(1, "-1/100"),
         lambda b: b.pop("s"),
-        lambda b: _set_format(b, 3),
+        lambda b: _set_format(b, 4),
         lambda b: _set_format(b, "2"),
         lambda b: _set_format(b, 2.0),
     ],
@@ -642,14 +670,14 @@ def test_format2_malformed_bundle_exits_1(format2_bundle, tmp_path, capsys, tamp
 
 @pytest.fixture(scope="module")
 def small_bundles(tmp_path_factory):
-    """The (1, 32) instance in format 2 (written by construct) and format 1 (the fixture)."""
+    """The (1, 32) instance in format 3 (written by construct), and formats 2 and 1 (the fixtures)."""
     out = tmp_path_factory.mktemp("small") / "cons.json"
     assert run(["construct", "--m", "1", "--blocks", "1", "--oracle-n", "32", "--out", str(out)]) == 0
-    return {2: load_path(str(out)), 1: load_path(str(FIXTURE_FORMAT1))}
+    return {3: load_path(str(out)), 2: load_path(str(FIXTURE_FORMAT2)), 1: load_path(str(FIXTURE_FORMAT1))}
 
 
 # the check each format fails when a stored number differs from the rebuilt one
-REBUILT_CHECK = {2: "factor_rebuilt", 1: "modulation_consistent"}
+REBUILT_CHECK = {3: "factor_rebuilt", 2: "factor_rebuilt", 1: "modulation_consistent"}
 
 
 def _halve_rho(b):
@@ -674,7 +702,7 @@ def _edited(bundle: dict, *edits) -> dict:
     return b
 
 
-@pytest.mark.parametrize("fmt", [2, 1])
+@pytest.mark.parametrize("fmt", [3, 2, 1])
 def test_edited_norms_and_primes_fail_the_rebuild(small_bundles, tmp_path, capsys, fmt):
     # these three edits together once verified all PASS with exit 0
     bundle = _edited(small_bundles[fmt], *(STORED_EDITS[k] for k in ("q_norms", "wiener_norms", "primes")))
@@ -683,7 +711,7 @@ def test_edited_norms_and_primes_fail_the_rebuild(small_bundles, tmp_path, capsy
     assert f"FAIL {REBUILT_CHECK[fmt]}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("fmt", [2, 1])
+@pytest.mark.parametrize("fmt", [3, 2, 1])
 @pytest.mark.parametrize("field", sorted(STORED_EDITS))
 def test_stored_number_edited_alone_fails_the_rebuild(small_bundles, tmp_path, capsys, fmt, field):
     capsys.readouterr()
@@ -695,7 +723,7 @@ def test_stored_number_edited_alone_fails_the_rebuild(small_bundles, tmp_path, c
     assert lines[1].startswith(f"FAIL {REBUILT_CHECK[fmt]} value=0.0 -- ")
 
 
-@pytest.mark.parametrize("fmt", [2, 1])
+@pytest.mark.parametrize("fmt", [3, 2, 1])
 @pytest.mark.parametrize(
     "edit",
     [
@@ -709,7 +737,7 @@ def test_stored_number_edited_alone_fails_the_rebuild(small_bundles, tmp_path, c
     ids=["oracle_n_7", "oracle_n_below_n_seq", "blocks_2", "blocks_0", "huge_prime", "negative_m"],
 )
 def test_params_that_do_not_fit_n_seq_exit_1(small_bundles, tmp_path, capsys, fmt, edit):
-    # n_seq ends at 28 and makes one block; construct would refuse the last three params
+    # n_seq makes one block; construct would refuse the last three params
     assert _verify_bundle(tmp_path, _edited(small_bundles[fmt], edit)) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
@@ -857,14 +885,28 @@ def test_python_dash_m_apspec_help():
     assert proc.stdout.startswith("usage: apspec")
 
 
-def test_construct_exits_3_when_its_own_battery_fails(tmp_path, capsys):
-    # the lift sqrt(m) + sum U_j rounds to sqrt(m) = 1e154, so the certified
+def test_construct_exits_3_when_its_own_battery_fails(tmp_path, capsys, monkeypatch):
+    # a lift of sqrt(m) alone leaves no room for the blocks, so the certified
     # lower bound f >= m fails on the instance construct just built
+    monkeypatch.setattr(construction, "lift_constant", lambda m, bound: math.sqrt(m))
     out = tmp_path / "cons.json"
-    rc = run(["construct", "--m", "1e308", "--blocks", "1", "--oracle-n", "32", "--out", str(out)])
+    rc = run(["construct", "--m", "2", "--blocks", "1", "--oracle-n", "32", "--out", str(out)])
     assert rc == 3
     assert not out.exists()
     assert "lower_bound_certified" in capsys.readouterr().err
+
+
+def test_construct_m_1e308_verifies(tmp_path, capsys):
+    # c, the least float with c - sum_j B_j >= sqrt(m) = 1e154, is certified
+    # exactly; before, the lift rounded to sqrt(m) and construct exited 3
+    out = tmp_path / "cons.json"
+    assert run(["construct", "--m", "1e308", "--blocks", "1", "--oracle-n", "32", "--out", str(out)]) == 0
+    assert load_path(str(out))["c"] >= math.sqrt(1e308)
+    capsys.readouterr()
+    assert run(["verify", "--report", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all(line.startswith("PASS ") for line in lines)
+    assert "PASS lower_bound_certified value=1e+308" in lines
 
 
 _PARSE_ARGV = (
@@ -905,9 +947,10 @@ def test_a_run_builds_only_the_subparser_it_names(argv, capsys, monkeypatch):
     assert list(sub.choices) == ([named] if named else list(cli.SUBCOMMANDS))
 
 
-# Bundles and verify lines `construct` wrote before its n_seq search was
-# screened on a quarter-size grid; construct and verify must reproduce them
-# byte for byte
+# Bundles and verify lines of `construct` (format 3); construct and verify
+# must reproduce them byte for byte.  previous/ holds the format-2 bundles
+# of the same argv, written before the Ehlich-Zeller grids; verify must
+# still print their lines byte for byte
 CONSTRUCT_FIXTURES = Path(__file__).parent / "data" / "construct"
 CONSTRUCT_CASES = {
     "blocks1_oracle64": ["--m", "1.25", "--blocks", "1", "--oracle-n", "64", "--primes", "3,7"],
@@ -935,3 +978,12 @@ def test_construct_refuses_an_oversized_oracle_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: NonConvergence: degree 2000000000 needs more than {1 << 24} certification points\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
+def test_previous_construct_bundles_still_verify(name, capsys):
+    bundle = CONSTRUCT_FIXTURES / "previous" / f"{name}.bundle.json"
+    assert load_path(str(bundle))["format"] == 2
+    assert run(["verify", "--report", str(bundle)]) == 0
+    want = (CONSTRUCT_FIXTURES / "previous" / f"{name}.verify.txt").read_text().splitlines()
+    assert capsys.readouterr().out.splitlines() == want

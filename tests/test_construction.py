@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -5,16 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from apspec import construction
 from apspec.certify import (
     certify_lower_bound,
     ehlich_zeller_sup,
+    ez_points,
     fft_rounding,
-    integer_lattice_sup,
-    lift_lower_bound,
+    float_up,
+    ray_sup,
     sup_norm_certified,
 )
 from apspec.construction import (
@@ -23,7 +23,7 @@ from apspec.construction import (
     _block_arrays,
     _certificate_battery,
     _deviation,
-    _DeviationScreen,
+    _deviations,
     _difference_amplitudes,
     _grid_max,
     _log_table,
@@ -34,6 +34,7 @@ from apspec.construction import (
     build_q,
     cesaro_p,
     choose_rho,
+    lift_constant,
     safety_margin,
     select_n_sequence,
     wiener_growth_table,
@@ -118,12 +119,12 @@ def test_sine_amplitudes_match_the_scalar_expression():
 
 
 def test_safety_margin_pinned():
-    assert safety_margin(4096, _log_table(8192)) == pytest.approx(0.015872887591845776, rel=1e-12)
+    assert safety_margin(4096, _log_table(8192)) == pytest.approx(0.015378667831690358, rel=1e-12)
 
 
 def test_select_pinned_sequence():
     n_seq = select_n_sequence(PINNED)
-    assert n_seq == (776, 2094, 3174)
+    assert n_seq == (716, 2036, 3132)
     logs = _log_table(8192)
     margin = safety_margin(4096, logs)
 
@@ -138,8 +139,8 @@ def test_select_pinned_sequence():
 def test_select_blocks_are_prefix_stable():
     s1 = select_n_sequence(ConstructionParams(blocks=1, oracle_n=4096))
     s3 = select_n_sequence(ConstructionParams(blocks=3, oracle_n=4096))
-    assert s1 == (776, 2094)
-    assert s3 == (776, 2094, 3174, 3899)
+    assert s1 == (716, 2036)
+    assert s3 == (716, 2036, 3132, 3873)
     assert s3[:2] == s1
 
 
@@ -149,7 +150,7 @@ def test_select_larger_oracle_shifts_indices_up():
     # about its own refinement direction
     small = select_n_sequence(ConstructionParams(blocks=1, oracle_n=4096))
     large = select_n_sequence(ConstructionParams(blocks=1, oracle_n=8192))
-    assert large == (1185, 3858)
+    assert large == (1069, 3733)
     assert large[0] > small[0]
 
 
@@ -202,22 +203,26 @@ def test_build_q_blocks():
 
 def test_build_g_single_block():
     g, n_seq, rho, sup_bounds, wiener = build_g(ConstructionParams(blocks=1, oracle_n=4096))
-    assert n_seq == (776, 2094)
-    assert g == cesaro_p(776).dilate(rho[0])
+    assert n_seq == (716, 2036)
+    assert g == cesaro_p(716).dilate(rho[0])
     assert len(sup_bounds) == len(wiener) == 1
-    assert wiener[0] == pytest.approx(2.5073618241959195, rel=1e-12)
+    assert wiener[0] == pytest.approx(2.492548623634547, rel=1e-12)
 
 
 def test_assemble_pinned_sequence_and_scales(pinned):
-    assert pinned.n_seq == (776, 2094, 3174)
+    assert pinned.n_seq == (716, 2036, 3132)
     assert pinned.rho == (
-        EF.sqrt_of(2, Fraction(1, 2963)),
-        EF.sqrt_of(3, Fraction(1, 5500)),
+        EF.sqrt_of(2, Fraction(1, 2881)),
+        EF.sqrt_of(3, Fraction(1, 5427)),
     )
-    # delta is the edge of block 2: 3174 * sqrt(3)/5500
-    assert pinned.delta == EF.sqrt_of(3, Fraction(3174, 5500))
-    assert pinned.c == pytest.approx(2.1408582446713353, rel=1e-12)
+    # delta is the edge of block 2: 3132 * sqrt(3)/5427
+    assert pinned.delta == EF.sqrt_of(3, Fraction(3132, 5427))
+    assert pinned.c == pytest.approx(2.110257907557848, rel=1e-12)
     assert pinned.c == pytest.approx(math.sqrt(1.0) + math.fsum(pinned.q_norms), rel=1e-15)
+    # c is the least float with c - sum_j B_j >= sqrt(m), and U_j is B_j rounded up
+    bound = sum(pinned.sup_bounds, Fraction(0))
+    assert Fraction(pinned.c) - bound >= 1 > Fraction(math.nextafter(pinned.c, 0.0)) - bound
+    assert pinned.q_norms == tuple(map(float_up, pinned.sup_bounds))
 
 
 def test_assemble_exact_factorization(pinned):
@@ -294,7 +299,7 @@ def test_build_instance_gives_the_format1_fixture_numbers():
     # the committed (1, 32) bundle stores exactly what build_instance derives from its params and n_seq
     obj = load_path(str(Path(__file__).parent / "data" / "construction_format1_b1_n32.json"))
     params, n_seq, rho, q_norms, wiener_norms, delta, c, g, *_ = construction_format1_from_json(obj)
-    inst = build_instance(params, n_seq)
+    inst = build_instance(params, n_seq, legacy=True)
     assert inst.numbers() == (rho, q_norms, wiener_norms, c)
     assert inst.delta == delta
     assert TrigPoly.from_rays(inst.g_rays) == g
@@ -309,10 +314,24 @@ def test_build_instance_gives_the_assembled_numbers(pinned):
 REFERENCE_DEVIATIONS: dict[tuple[int, int], float] = {}
 
 
+def _complex_grid_max(keys, coeffs, n):
+    """max |sum c_k e^{2 pi i j k / n}| over j, by one complex FFT of n points."""
+    bins = np.zeros(n, dtype=complex)
+    bins[np.mod(keys, n)] = coeffs
+    return float(np.max(np.abs(np.fft.ifft(bins, norm="forward"))))
+
+
 def reference_deviation(big, small):
-    """The complex-FFT deviation: integer_lattice_sup of p_big - p_small's arrays (kept per pair)."""
+    """The complex-FFT deviation: the exact Ehlich-Zeller bound on p_big - p_small's arrays (kept per pair).
+
+    Same grid and same l1 = ||p_big||_A (1 + 8u) as `_deviations`, with the
+    grid max from a complex FFT and the bound taken in exact arithmetic.
+    """
     if (big, small) not in REFERENCE_DEVIATIONS:
-        REFERENCE_DEVIATIONS[big, small] = integer_lattice_sup(*_block_arrays(big, small)).upper
+        n = ez_points(big)
+        l1 = math.fsum(_sine_amplitudes(big, _log_table(big)).tolist()) * (1 + 2.0**-50)
+        grid = _complex_grid_max(*_block_arrays(big, small), n)
+        REFERENCE_DEVIATIONS[big, small] = float(ehlich_zeller_sup(grid, big, n, l1))
     return REFERENCE_DEVIATIONS[big, small]
 
 
@@ -358,19 +377,21 @@ def test_real_fft_selection_matches_the_complex_fft_reference(oracle_n):
         assert abs(_deviation(big, small, _log_table(big)) - want) <= 1e-15 * want
 
 
-@pytest.mark.parametrize("blocks,oracle_n", [(1, 32), (1, 64), (2, 256)])
+@pytest.mark.parametrize("blocks,oracle_n", [(1, 8), (1, 16), (1, 32), (1, 64), (2, 256)])
 def test_lift_bound_lies_below_the_scanned_minimum(blocks, oracle_n):
     for m, primes in ((1e-6, DEFAULT_PRIMES), (1.0, (5, 7)), (7.5, (11, 13)), (1e4, (3, 2))):
         res = assemble(ConstructionParams(m=m, blocks=blocks, oracle_n=oracle_n, primes=primes))
-        bound = lift_lower_bound(res.s)
-        assert Fraction(bound) ** 2 >= Fraction(m)
+        # |s| >= c - sum_j B_j >= sqrt(m) on R, exactly; c is the least float that gives it
+        bound = Fraction(res.c) - sum(res.sup_bounds, Fraction(0))
+        assert bound >= 0 and bound**2 >= Fraction(m)
+        assert res.c == lift_constant(m, sum(res.sup_bounds, Fraction(0)))
+        below = Fraction(math.nextafter(res.c, 0.0)) - sum(res.sup_bounds, Fraction(0))
+        assert below < 0 or below**2 < Fraction(m)
         # |s| over two periods of its slowest ray, 64x oversampled
         tau = float(spectrum(res.s).tau)
         half = 4 * math.pi / min(float(r) for r in res.rho)
         xs = np.linspace(-half, half, int(2 * half * 64 * tau / math.pi) + 1)
-        assert bound <= float(np.min(np.abs(res.s.evaluate(xs))))
-        # the slack beyond sqrt(m) is a few percent of sum U_j, where the lift put it
-        assert bound - math.sqrt(m) >= 0.02 * math.fsum(res.q_norms)
+        assert float(bound) <= float(np.min(np.abs(res.s.evaluate(xs))))
         check = next(c for c in res.certificates.checks if c.name == "lower_bound_certified")
         assert check.passed and check.value == m and check.detail == ""
 
@@ -379,31 +400,27 @@ def test_lift_lowered_by_the_block_bounds_is_refused():
     params = ConstructionParams(m=1.0, blocks=2, oracle_n=256)
     n_seq = select_n_sequence(params)
     inst = build_instance(params, n_seq)
+    low_c = inst.c - math.fsum(inst.q_norms)  # the lift is now sqrt(m)
     rays = []
     for g_ray, s_ray in zip(inst.g_rays, inst.rays):
         coeffs = s_ray.coeffs.copy()
         if not np.array_equal(coeffs, g_ray.coeffs):
-            coeffs[0] -= math.fsum(inst.q_norms)  # the lift is now sqrt(m)
+            coeffs[0] -= math.fsum(inst.q_norms)
         rays.append(DenseBlock(s_ray.base, s_ray.keys, coeffs))
     low = TrigPoly.from_rays(rays)
-    assert lift_lower_bound(low) < 1.0
-    report = _certificate_battery(1.0, TrigPoly.from_rays(rays, inst.delta), low, ProductPoly(low), inst.delta, [])
+    report = _certificate_battery(
+        1.0, TrigPoly.from_rays(rays, inst.delta), low, ProductPoly(low), inst.delta, [], low_c, inst.sup_bounds
+    )
     check = next(c for c in report.checks if c.name == "lower_bound_certified")
     assert not check.passed and check.value == 1.0
     assert check.detail.startswith("f = |u|^2, |u| >= bound = ") and "bound^2 - m = -" in check.detail
 
 
-def full_grid_select(params):
-    """The n_seq search before the quarter-grid screen: every query on `_deviation`'s full grid."""
+def linear_select(params):
+    """The n_seq search as a linear scan: block j takes the least n >= n_{j-1} + 1 that passes its budget."""
     logs = _log_table(2 * params.oracle_n)
     margin = safety_margin(params.oracle_n, logs)
-    seen = {}
-
-    def deviation(n):
-        if n not in seen:
-            seen[n] = _deviation(params.oracle_n, n, logs)
-        return seen[n]
-
+    deviation = _deviations(params.oracle_n, logs)
     out, lo = [], 2
     for j in range(1, params.blocks + 2):
         budget = 2.0 ** (-j) / 3.0 - margin
@@ -411,85 +428,69 @@ def full_grid_select(params):
             raise OracleTooSmall(
                 f"block {j} needs deviation <= {budget:.3g}; oracle_n={params.oracle_n} cannot reach it"
             )
-        a, b = lo, params.oracle_n
-        while a < b:
-            mid = (a + b) // 2
-            if deviation(mid) <= budget:
-                b = mid
-            else:
-                a = mid + 1
-        n = a
-        while n - 1 >= lo and deviation(n - 1) <= budget:
-            n -= 1
+        n = lo
+        while n < params.oracle_n and deviation(n) > budget:
+            n += 1
         out.append(n)
         lo = n + 1
     return tuple(out)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(8, 1500), st.integers(1, 3))
-def test_screened_selection_matches_the_full_grid_search(oracle_n, blocks):
-    params = ConstructionParams(blocks=blocks, oracle_n=oracle_n)
-    try:
-        want = full_grid_select(params)
-    except OracleTooSmall as exc:
-        with pytest.raises(OracleTooSmall, match=re.escape(str(exc))):
-            select_n_sequence(params)
-        return
-    assert select_n_sequence(params) == want
+def test_selection_matches_a_linear_scan():
+    for oracle_n, blocks in itertools.product(range(8, 257, 4), (1, 2, 3)):
+        params = ConstructionParams(blocks=blocks, oracle_n=oracle_n)
+        try:
+            want = linear_select(params)
+        except OracleTooSmall as exc:
+            with pytest.raises(OracleTooSmall, match=re.escape(str(exc))):
+                select_n_sequence(params)
+            continue
+        assert select_n_sequence(params) == want, params
 
 
-@pytest.fixture
-def full_grids(monkeypatch):
-    """The (big, small) of every `_deviation` call, the margin's included."""
-    calls, real = [], construction._deviation
-    monkeypatch.setattr(construction, "_deviation", lambda big, small, logs: calls.append((big, small)) or real(big, small, logs))
-    return calls
+def test_search_runs_each_grid_once(monkeypatch):
+    calls, real = [], construction._grid_max
+    monkeypatch.setattr(construction, "_grid_max", lambda big, small, logs, n: calls.append((big, small, n)) or real(big, small, logs, n))
+    assert select_n_sequence(ConstructionParams(blocks=2, oracle_n=1024)) == (285, 600, 845)
+    # the margin first, on the grid of its degree 2048, then the queries on the grid of 1024
+    assert calls[0] == (2048, 1024, ez_points(2048)) == (2048, 1024, 32768)
+    queries = [small for big, small, n in calls[1:]]
+    assert all(big == 1024 and n == 16384 for big, _, n in calls[1:])
+    assert len(set(queries)) == len(queries) <= 40
 
 
-def test_screen_runs_few_full_grids(full_grids):
-    assert select_n_sequence(ConstructionParams(blocks=2, oracle_n=1024)) == (300, 613, 855)
-    assert full_grids[0] == (2048, 1024)  # the margin stays on its full grid
-    queries = [small for big, small in full_grids if big == 1024]
-    assert 1 <= len(queries) <= 6 and len(set(queries)) == len(queries)
+def _scan_max(keys, coeffs, degree):
+    """max |sum c_k e^{ikt}| on 64 (2 degree + 1) or more equispaced points, by one complex FFT.
+
+    The point count is a power of two >= `ez_points(degree)`, so the scan holds that grid.
+    """
+    points = max(1 << (64 * (2 * degree + 1)).bit_length(), ez_points(degree))
+    return _complex_grid_max(keys, coeffs, points)
 
 
-@pytest.mark.parametrize("oracle_n,n", [(64, 36), (1024, 300), (1024, 855)])
-def test_knife_edge_budget_falls_back_to_the_full_grid(oracle_n, n, full_grids):
-    logs = _log_table(2 * oracle_n)
-    dev = _deviation(oracle_n, n, logs)
-    for budget in (dev, math.nextafter(dev, -math.inf)):
-        screen = _DeviationScreen(oracle_n, logs)
-        full_grids.clear()
-        assert screen.passes(n, budget) == (dev <= budget) == (budget == dev)
-        assert full_grids == [(oracle_n, n)]
-        # a repeated query reads `seen`
-        assert screen.passes(n, budget) == (budget == dev) and len(full_grids) == 1
-
-
-@pytest.mark.parametrize("oracle_n", [8, 64, 1000, 1024])
+@pytest.mark.parametrize("oracle_n", [2, 3, 8, 64, 1000, 1024, 4096])
 def test_grid_bracket_holds_the_full_grid_max(oracle_n):
+    # the grid max on ez_points(oracle_n) and the bounds from it bracket the
+    # max of a 64x-oversampled scan: the deviation and the block bound B_j
     logs = _log_table(2 * oracle_n)
-    screen = _DeviationScreen(oracle_n, logs)
-    full, coarse = screen.full, screen.coarse
-    assert coarse * 4 == full
-    r_c, r_f = fft_rounding(coarse, screen.l1), fft_rounding(full, screen.l1)
-    for n in sorted({2, 3, oracle_n // 3, oracle_n // 2, oracle_n - 1, oracle_n}):
-        # l1 bounds the absolute coefficient sum of p_oracle - p_n
-        assert 2 * math.fsum(np.abs(_difference_amplitudes(oracle_n, n, logs)).tolist()) <= screen.l1
-        g_c, g_f = _grid_max(oracle_n, n, logs, coarse), _grid_max(oracle_n, n, logs, full)
-        lower, upper = screen.grid_bracket(g_c)
-        assert Fraction(lower) <= Fraction(g_c) - r_c - r_f
-        assert Fraction(upper) >= ehlich_zeller_sup(g_c, oracle_n, coarse, screen.l1) + r_f
-        assert lower <= g_f <= upper
-        # every fourth point of the full grid is the coarse grid
-        assert g_c <= g_f * (1 + 1e-12) + 1e-15
+    n = ez_points(oracle_n)
+    assert n == max(1024, 1 << (16 * oracle_n - 1).bit_length())
+    for small in sorted({0, 2, oracle_n // 3, oracle_n // 2, oracle_n - 1} - {1}):
+        keys, coeffs = _block_arrays(oracle_n, small, logs)
+        scan = _scan_max(keys, coeffs, oracle_n)
+        lower = _grid_max(oracle_n, small, logs, n)
+        dev = _deviation(oracle_n, small, logs)
+        block = ray_sup(keys, coeffs)
+        # the scan's grid holds the coarse one
+        assert lower <= scan * (1 + 1e-12) + 1e-15
+        assert scan <= dev and Fraction(scan) <= block <= Fraction(float_up(block))
         # no wider than the sec factor needs: the roundings add a few 1e-11
-        assert upper <= g_c * (1 + 2 * (math.pi * oracle_n / coarse) ** 2) + 1e-10
+        for upper in (dev, float(block)):
+            assert upper <= lower * (1 + 2 * (math.pi * oracle_n / n) ** 2) + 1e-10
 
 
 def test_fft_rounding_bounds_the_real_fft_error():
-    # the screen takes `fft_rounding` to cover np.fft.irfft as it covers ifft
+    # `_deviations` takes `fft_rounding` to cover np.fft.irfft as it covers ifft
     logs = _log_table(128)
     for big, small, n in ((64, 20, 2048), (64, 20, 8192), (64, 0, 8192)):
         top = _difference_amplitudes(big, small, logs)
