@@ -18,10 +18,14 @@ import mpmath
 from apspec.errors import MalformedInput
 
 RationalLike = Union[int, Fraction]
+# canonical (rational, radicals) of a frequency: radicands squarefree, ascending, coefficients nonzero
+Coordinates = tuple[Fraction, tuple[tuple[int, Fraction], ...]]
 
 # largest radicand accepted from outside (JSON, construction primes): it
 # keeps a trial-division split under about 0.1 ms
 MAX_RADICAND = 10**6
+
+_FRACTION_ZERO = Fraction(0)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -79,18 +83,7 @@ class ExactFrequency:
         rational: RationalLike = 0,
         radicals: Iterable[tuple[int, RationalLike]] = (),
     ):
-        rat = _as_fraction(rational)
-        acc: dict[int, Fraction] = {}
-        for d, c in radicals:
-            c = _as_fraction(c)
-            if c == 0:
-                continue
-            outer, core = squarefree_split(int(d))
-            if core == 1:
-                rat += c * outer
-            else:
-                acc[core] = acc.get(core, Fraction(0)) + c * outer
-        _fill(self, rat, tuple(sorted((d, c) for d, c in acc.items() if c != 0)))
+        _fill(self, *canonical_coordinates(rational, radicals))
 
     @classmethod
     def _canonical(
@@ -302,15 +295,79 @@ class ExactFrequency:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExactFrequency":
-        try:
-            rat = Fraction(obj["rat"])
-            rads = [(int(d), Fraction(c)) for d, c in obj.get("rad", [])]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed frequency object: {obj!r}") from exc
-        for d, _ in rads:
-            if d > MAX_RADICAND:
-                raise MalformedInput(f"radicand {d} exceeds {MAX_RADICAND}")
-        return cls(rat, rads)
+        return cls._canonical(*coordinates_from_json(obj))
+
+
+def canonical_coordinates(rational: RationalLike, radicals: Iterable[tuple[int, RationalLike]]) -> Coordinates:
+    """Canonical (rational, radicals) of r + sum c*sqrt(d): the parts `ExactFrequency` keeps.
+
+    Each radicand is split into outer**2 * core; a core of 1 moves its
+    term into the rational part, equal cores are summed, and zero
+    coefficients are dropped.  Radicands end squarefree and ascending.
+    """
+    rat = _as_fraction(rational)
+    acc: dict[int, Fraction] = {}
+    for d, c in radicals:
+        c = _as_fraction(c)
+        if c == 0:
+            continue
+        outer, core = squarefree_split(int(d))
+        if outer != 1:
+            c *= outer
+        if core == 1:
+            rat += c
+        else:
+            acc[core] = acc[core] + c if core in acc else c
+    return rat, tuple(sorted((d, c) for d, c in acc.items() if c != 0))
+
+
+def coordinates_from_json(obj: dict) -> Coordinates:
+    """Canonical coordinates of a frequency's JSON object {"rat", "rad"}, without building it.
+
+    Each coordinate is parsed with Fraction; "0", the rational part the
+    writer gives every radical frequency, is read as Fraction(0) without
+    a parse.  A malformed object raises ValueError, and a radicand above
+    MAX_RADICAND MalformedInput.
+    """
+    try:
+        text = obj["rat"]
+        rat = _FRACTION_ZERO if text == "0" else Fraction(text)
+        rads = [(int(d), Fraction(c)) for d, c in obj.get("rad", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed frequency object: {obj!r}") from exc
+    for d, _ in rads:
+        if d > MAX_RADICAND:
+            raise MalformedInput(f"radicand {d} exceeds {MAX_RADICAND}")
+    return canonical_coordinates(rat, rads) if rads else (rat, ())
+
+
+def lattice_json(shift: ExactFrequency, base: ExactFrequency, keys: Iterable[int]) -> list[dict]:
+    """`to_json` of shift + base*k for each key k, in integer arithmetic: no frequency is built.
+
+    The coordinate of shift + base*k at 1 or at sqrt(d) is
+    (a*B + k*b*A)/(A*B), for a/A that of the shift and b/B that of the
+    base.  A radical whose coordinate is 0 is left out, as the canonical
+    form leaves it out.
+    """
+    sd, bd = dict(shift.radicals), dict(base.radicals)
+    rads = sorted(sd.keys() | bd.keys())
+    pairs = [(shift.rational, base.rational)] + [(sd.get(d, Fraction(0)), bd.get(d, Fraction(0))) for d in rads]
+    # (a*B, b*A, A*B) at 1, then at each radicand
+    (na, nb, den), *at_rads = [
+        (a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator) for a, b in pairs
+    ]
+    names = [str(d) for d in rads]
+    out = []
+    for k in keys:
+        rad = [[name, _ratio_text(n, dd)] for name, (da, db, dd) in zip(names, at_rads) if (n := da + k * db)]
+        out.append({"rat": _ratio_text(na + k * nb, den), "rad": rad})
+    return out
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _fill(obj: ExactFrequency, rational: Fraction, radicals: tuple[tuple[int, Fraction], ...]) -> None:

@@ -327,8 +327,8 @@ def roots_check_battery(f: TrigPoly, s: TrigPoly) -> FactorizationReport:
 
     f is partitioned into rays first, so that f - |s|^2 is formed ray by
     ray and the bandwidths come from the end keys whether f and s were
-    built by ray (`factor`) or read term by term from a bundle (`verify`):
-    both get the same numbers, bit for bit.  The residual is the Wiener
+    built by ray (`factor`) or read by ray from a bundle (`verify`): both
+    get the same numbers, bit for bit.  The residual is the Wiener
     norm of the computed f - |s|^2 (`factorization_residual`), a bound on
     |f - |s|^2| over all of R.  Each Bernstein check compares the max of
     |p'| on its certificate's FFT grid, one period of the ray, with tau

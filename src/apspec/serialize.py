@@ -4,6 +4,12 @@ Exact rationals travel as decimal strings so frequency independence
 survives save/load; floats rely on repr round-tripping.  Emission order is
 the canonical term order, so identical inputs give byte-identical files.
 
+A trig polynomial's term list is read into a ray form and written from
+one: the reader parses each freq into canonical coordinates and
+`TrigPoly.from_coordinates` groups them by ray, and the writer forms each
+freq's strings from its ray's base and key (`TrigPoly.sorted_terms_json`).
+ExactFrequency objects are built per ray, not per term.
+
 A construction bundle (format 3) stores its factor s once, by ray: ray j
 is {"keys", "re", "im"} on the lattice rho_j * Z, rho_j given by position,
 so of its frequencies only rho and delta travel as exact strings.  Format
@@ -18,6 +24,7 @@ n_seq and compares the rest against it.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -30,7 +37,7 @@ import numpy as np
 from apspec.checks import CheckResult, FactorizationReport
 from apspec.construction import ConstructionParams, block_sizes
 from apspec.errors import MalformedInput
-from apspec.frequency import ExactFrequency
+from apspec.frequency import ExactFrequency, coordinates_from_json
 from apspec.sampling import SampledFunction
 from apspec.trigpoly import TrigPoly
 
@@ -44,26 +51,27 @@ def trigpoly_to_json(f: TrigPoly, allow_large: bool = False) -> dict:
         raise MalformedInput(
             f"refusing to serialize {f.term_count()} terms without allow_large"
         )
-    return {
-        "terms": [
-            {"freq": w.to_json(), "re": c.real, "im": c.imag}
-            for w, c in f.sorted_terms()
-        ]
-    }
+    return {"terms": [{"freq": w, "re": c.real, "im": c.imag} for w, c in f.sorted_terms_json()]}
 
 
 def trigpoly_from_json(obj: Any) -> TrigPoly:
+    """The polynomial of a {"terms": [{"freq", "re", "im"}, ...]} payload, given by its rays.
+
+    Each freq is read into canonical coordinates (`coordinates_from_json`),
+    which `TrigPoly.from_coordinates` groups by ray, so no frequency is
+    built per term.
+    """
     try:
         terms = [
-            (EF.from_json(t["freq"]), complex(float(t["re"]), float(t["im"])))
+            (coordinates_from_json(t["freq"]), complex(float(t["re"]), float(t["im"])))
             for t in obj["terms"]
         ]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedInput(f"bad trig polynomial payload: {exc}") from exc
-    if not np.isfinite(np.array([c for _, c in terms], dtype=complex)).all():
+    if not all(cmath.isfinite(c) for _, c in terms):
         # json reads NaN, Infinity and overflowing literals such as 1e400
         raise MalformedInput("bad trig polynomial payload: coefficients must be finite")
-    return TrigPoly(terms)
+    return TrigPoly.from_coordinates(terms)
 
 
 def sampled_to_json(s: SampledFunction) -> dict:
@@ -331,8 +339,9 @@ def _write(obj: Any, emit) -> None:
     """json's indent=2 encoder, emitting chunks instead of yielding them.
 
     Before Python 3.13, json.dumps indents through its pure-Python encoder.
-    This one writes a list of floats with one join, and shares its
-    separators (one set per depth) and its '"key": ' strings (one per key).
+    This one writes a list of floats with one join and a trig-polynomial
+    term list row by row (`_term_rows`), and shares its separators (one set
+    per depth) and its '"key": ' strings (one per key).
     """
     levels: list[tuple[str, str, str, str, str]] = []
     keys: dict[str, str] = {}
@@ -376,6 +385,8 @@ def _write(obj: Any, emit) -> None:
                 body = sep.join(map(float.__repr__, o))
             except TypeError:  # a non-float further on
                 pass
+        elif type(o[0]) is dict:
+            body = _term_rows(o, depth, sep)
         emit(opener)
         if body is None or "n" in body:  # item by item: json's error at a bad one
             for i, item in enumerate(o):
@@ -407,6 +418,41 @@ def _write(obj: Any, emit) -> None:
         emit(closer)
 
     value(obj, 0)
+
+
+def _term_rows(items: list, depth: int, sep: str) -> str | None:
+    """The items of a list at `depth` as json's indent=2 text, if each is a trig-polynomial term.
+
+    A term is {"freq": {"rat": str, "rad": [[str, str], ...]}, "re": float,
+    "im": float}, keys in that order and both floats finite.  Each row is
+    formed from one template, which writes what json would.  None if any
+    item differs: the item-by-item encoder then writes the list, and raises
+    json's error where json raises it.
+    """
+    n0, n1, n2, n3, n4 = ("\n" + "  " * (depth + i) for i in range(5))
+    head, rad_head = "{" + n1 + '"freq": {' + n2 + '"rat": ', "," + n2 + '"rad": '
+    re_head, im_head, tail = n1 + "}," + n1 + '"re": ', "," + n1 + '"im": ', n0 + "}"
+    enc = encode_basestring_ascii
+    rows = []
+    for t in items:
+        if type(t) is not dict or len(t) != 3:
+            return None
+        (k_freq, freq), (k_re, re), (k_im, im) = t.items()
+        if (k_freq, k_re, k_im) != ("freq", "re", "im") or type(freq) is not dict or len(freq) != 2:
+            return None
+        if type(re) is not float or type(im) is not float or not (math.isfinite(re) and math.isfinite(im)):
+            return None
+        (k_rat, rat), (k_rad, rad) = freq.items()
+        if k_rat != "rat" or k_rad != "rad" or type(rat) is not str or type(rad) is not list:
+            return None
+        pairs = []
+        for pair in rad:
+            if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str or type(pair[1]) is not str:
+                return None
+            pairs.append(f"[{n4}{enc(pair[0])},{n4}{enc(pair[1])}{n3}]")
+        rad_text = f"[{n3}{(',' + n3).join(pairs)}{n2}]" if pairs else "[]"
+        rows.append(f"{head}{enc(rat)}{rad_head}{rad_text}{re_head}{re!r}{im_head}{im!r}{tail}")
+    return sep.join(rows)
 
 
 def loads(text: str) -> Any:

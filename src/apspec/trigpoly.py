@@ -21,6 +21,12 @@ differences of two of them are formed ray by ray; `derivative` and
 what the exact terms give.  A polynomial given by rays builds its exact
 term dict (one ExactFrequency per term) only when a method needs it.
 
+Terms given by their frequencies' canonical coordinates are grouped into
+rays in integer arithmetic (`TrigPoly.from_coordinates`); the JSON reader
+and `ray_partition` share that one grouping, and build one
+ExactFrequency per ray.  `sorted_terms_json` writes a ray form's
+frequencies as JSON from each ray's base and keys, again per ray.
+
 Every squared modulus |h|^2 is built one way (`ProductPoly(h)`): each ray
 of h is autocorrelated with one convolution.  The ProductPoly is |h|^2
 seen through its factor: values, sup bounds and the spectrum are read
@@ -38,7 +44,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from apspec.frequency import ZERO, ExactFrequency, rational_ratio
+from apspec.frequency import ZERO, Coordinates, ExactFrequency, lattice_json, rational_ratio
 
 EF = ExactFrequency
 Scalar = Union[int, float, complex]
@@ -148,6 +154,59 @@ class TrigPoly:
         return poly
 
     @classmethod
+    def from_coordinates(cls, items: Iterable[tuple[Coordinates, complex]]) -> "TrigPoly":
+        """The sum of (coordinates, coefficient) items, given by its rays.
+
+        Coordinates are an ExactFrequency's canonical (rational, radicals)
+        (`canonical_coordinates`).  The terms are those TrigPoly(items)
+        would hold: coefficients of one frequency sum left to right, and
+        exact zeros drop.  The grouping is integer arithmetic.
+
+        A nonzero w = r + sum_d c_d sqrt(d) has coordinates n_i / den, den
+        the lcm of their denominators; with g = +-gcd(n_i), signed like n_0,
+        w is (g/den) * u for u the primitive integer vector n_i/g read back
+        as a frequency.  u names w's ray, and g/den, a reduced fraction,
+        names w on it.  On one ray with lcm L of the dens, w is the key
+        g*L/den times u/L (both negated if u < 0, so that the base is
+        positive).  The keys are divided by their gcd G, and the base is
+        G*u/L, before they become int64, so a lone term of any size fits.
+        """
+        const = None
+        groups: dict[tuple, dict[tuple[int, int], complex]] = {}
+        for (rat, rads), c in items:
+            coords = [x for _, x in rads]
+            if rat:
+                coords.insert(0, rat)
+            elif not coords:
+                const = c if const is None else const + c
+                continue
+            if len(coords) == 1:
+                g, den, vec = coords[0].numerator, coords[0].denominator, (1,)
+            else:
+                den = math.lcm(*(x.denominator for x in coords))
+                nums = [x.numerator * (den // x.denominator) for x in coords]
+                g = math.gcd(*nums) if nums[0] > 0 else -math.gcd(*nums)
+                vec = tuple(n // g for n in nums)
+            terms = groups.setdefault((rat != 0, tuple([d for d, _ in rads]), vec), {})
+            at = (g, den)
+            terms[at] = terms[at] + c if at in terms else c
+        rays = []
+        for (has_rational, rads, vec), terms in groups.items():
+            kept = [(g, den, c) for (g, den), c in terms.items() if c != 0]
+            if not kept:
+                continue
+            lcm = math.lcm(*(den for _, den, _ in kept))
+            ints = [g * (lcm // den) for g, den, _ in kept]
+            step = math.gcd(*ints)
+            keys = np.array([k // step for k in ints], dtype=np.int64)
+            parts = iter(Fraction(v * step, lcm) for v in vec)
+            unit = EF._canonical(next(parts) if has_rational else Fraction(0), tuple(zip(rads, parts)))
+            if unit.sign() < 0:
+                unit, keys = -unit, -keys
+            rays.append(DenseBlock(unit, keys, np.array([c for *_, c in kept], dtype=complex)))
+        return cls.from_rays(rays, const=0j if const is None or const == 0 else const)
+
+    @classmethod
     def constant(cls, c: Scalar) -> "TrigPoly":
         return cls({EF(0): complex(c)})
 
@@ -195,6 +254,19 @@ class TrigPoly:
                 freqs = _ray_frequencies(*self._ray_form())
                 self._sorted = [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
         return list(self._sorted)
+
+    def sorted_terms_json(self) -> list[tuple[dict, complex]]:
+        """`sorted_terms` with each frequency as its `EF.to_json` object.
+
+        Where `sorted_terms` reads a ray form, the objects are written from
+        each ray's base and keys in integer arithmetic (`lattice_json`), and
+        no frequency is built.
+        """
+        _, cs, order = self._sorted_arrays()
+        if order is None:
+            return [(w.to_json(), c) for w, c in self.sorted_terms()]
+        freqs = _ray_json(*self._ray_form())
+        return [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
 
     def frequencies(self) -> list[EF]:
         return [w for w, _ in self.sorted_terms()]
@@ -390,6 +462,14 @@ def _ray_frequencies(shift: EF, const: complex, blocks: Sequence[DenseBlock]) ->
     freqs = [ZERO] if const != 0 else []
     freqs += [b.base * k for b in blocks for k in b.keys.tolist()]
     return freqs if shift.is_zero() else [shift + w for w in freqs]
+
+
+def _ray_json(shift: EF, const: complex, blocks: Sequence[DenseBlock]) -> list[dict]:
+    """`EF.to_json` of each of `_ray_frequencies`, written from each ray's base and keys (`lattice_json`)."""
+    out = [shift.to_json()] if const != 0 else []
+    for b in blocks:
+        out += lattice_json(shift, b.base, b.keys.tolist())
+    return out
 
 
 def _ray_coeffs(const: complex, blocks: Sequence[DenseBlock]) -> np.ndarray:
@@ -702,48 +782,8 @@ def ray_partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
     read-only, so no caller can change the kept copy.
     """
     if f._rays is None:
-        f._rays = _partition(f)
+        f._rays = TrigPoly.from_coordinates(((w.rational, w.radicals), c) for w, c in f._terms.items())._rays
     return f._rays
-
-
-def _partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
-    """Group f's terms by ray in integer arithmetic; `TrigPoly.from_rays` puts each group in canonical form.
-
-    A nonzero w = r + sum_d c_d sqrt(d) has coordinates n_i / den, den the
-    lcm of their denominators; with g = +-gcd(n_i), signed like n_0, w is
-    (g/den) * u for u the primitive integer vector n_i/g read back as a
-    frequency.  u names w's ray.  On one ray with lcm L of the dens, w is
-    the key g*L/den times u/L (both negated if u < 0, so that the base is
-    positive).  The keys are divided by their gcd G, and the base is
-    G*u/L, before they become int64, so a lone term of any size fits.
-    """
-    const = 0j
-    groups: dict[tuple, tuple[list[int], list[int], list[complex]]] = {}
-    for w, c in f._terms.items():
-        coords = ([w.rational] if w.rational else []) + [x for _, x in w.radicals]
-        if not coords:
-            const = c
-            continue
-        den = math.lcm(*(x.denominator for x in coords))
-        nums = [x.numerator * (den // x.denominator) for x in coords]
-        g = math.gcd(*nums) if nums[0] > 0 else -math.gcd(*nums)
-        key = (w.rational != 0, tuple(d for d, _ in w.radicals), tuple(n // g for n in nums))
-        group = groups.setdefault(key, ([], [], []))
-        group[0].append(g)
-        group[1].append(den)
-        group[2].append(c)
-    rays = []
-    for (has_rational, rads, vec), (gs, dens, coeffs) in groups.items():
-        lcm = math.lcm(*dens)
-        ints = [g * (lcm // den) for g, den in zip(gs, dens)]
-        step = math.gcd(*ints)
-        keys = np.array([k // step for k in ints], dtype=np.int64)
-        parts = iter(Fraction(v * step, lcm) for v in vec)
-        unit = EF._canonical(next(parts) if has_rational else Fraction(0), tuple(zip(rads, parts)))
-        if unit.sign() < 0:
-            unit, keys = -unit, -keys
-        rays.append(DenseBlock(unit, keys, np.array(coeffs, dtype=complex)))
-    return TrigPoly.from_rays(rays, const=const)._rays
 
 
 def modulus_squared(f: TrigPoly) -> TrigPoly:
@@ -804,12 +844,16 @@ class ProductPoly:
         return np.abs(h) ** 2 if isinstance(h, np.ndarray) else abs(h) ** 2
 
     def spectrum(self) -> SpectrumInfo:
-        """Omega(|h|^2) lies in Omega(h) - Omega(h), whose extremes are +-bandwidth(h)."""
+        """Omega(|h|^2) lies in Omega(h) - Omega(h), whose extremes are +-bandwidth(h).
+
+        With n terms in h that set holds at most n(n - 1) + 1 frequencies,
+        the count given; no autocorrelation is built.
+        """
         info = spectrum(self.factor)
         if info.count == 0:
             return SpectrumInfo.empty()
         b = info.bandwidth
-        return SpectrumInfo(self.term_count_upper(), -b, b, b + b, b)
+        return SpectrumInfo(info.count * (info.count - 1) + 1, -b, b, b + b, b)
 
     def to_trigpoly(self) -> TrigPoly:
         """The product materialized term by term, exactly Hermitian.

@@ -511,9 +511,15 @@ def test_construction_verify_runs_no_autocorrelation(tmp_path, capsys, monkeypat
 
 
 def _count_partitions(monkeypatch) -> list:
+    """The polynomials grouped by ray (`TrigPoly.from_coordinates`: the JSON reader and `ray_partition`)."""
     calls = []
-    real = trigpoly._partition
-    monkeypatch.setattr(trigpoly, "_partition", lambda f: calls.append(f) or real(f))
+    real = TrigPoly.from_coordinates.__func__
+
+    def recorded(cls, items):
+        calls.append(real(cls, items))
+        return calls[-1]
+
+    monkeypatch.setattr(TrigPoly, "from_coordinates", classmethod(recorded))
     return calls
 
 
@@ -532,7 +538,8 @@ def test_roots_factor_partitions_f_and_s_once_each(f_2p2cos, tmp_path, monkeypat
 
 def test_construction_verify_partitions_once(tmp_path, capsys, monkeypatch):
     # format 2 stores s by ray, so construct and verify partition nothing;
-    # format 1: _check_rays and the rebuilt ProductPoly share the split of the centred h
+    # format 1: g, h1, h and s are read by ray, and _check_rays and the
+    # rebuilt ProductPoly share the one split of the centred h
     out = tmp_path / "cons.json"
     calls = _count_partitions(monkeypatch)
     assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "256", "--out", str(out)]) == 0
@@ -541,7 +548,7 @@ def test_construction_verify_partitions_once(tmp_path, capsys, monkeypatch):
     write_format1(out, blocks=2, oracle_n=256)
     calls.clear()
     assert run(["verify", "--report", str(out)]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 5
 
 
 FORMAT1_CHECKS = [
@@ -778,6 +785,54 @@ def test_huge_radicand_refused(tmp_path, capsys):
     assert run(["factor", "--method", "roots", "--input", str(inp)]) == 1
     assert run(["construct", "--blocks", "1", "--oracle-n", "32", "--primes", f"2,{big}"]) == 1
     assert "exceeds" in capsys.readouterr().err
+
+
+_ONE = '"re": 1.0, "im": 0.0'
+# each malformed polynomial payload, with the line `factor` prints and its exit code
+POLY_REFUSALS = [
+    ('{"terms": [{%s}]}' % _ONE, "bad trig polynomial payload: 'freq'"),
+    (
+        '{"terms": [{"freq": {"rat": "x", "rad": []}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': 'x', 'rad': []}",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": [["2"]]}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': '0', 'rad': [['2']]}",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": [["2", "1", "3"]]}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': '0', 'rad': [['2', '1', '3']]}",
+    ),
+    ('{"terms": [{"freq": {"rat": "0", "rad": [["1000001", "1"]]}, %s}]}' % _ONE, "radicand 1000001 exceeds 1000000"),
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": [["-2", "1"]]}, %s}]}' % _ONE,
+        "bad trig polynomial payload: radicand must be positive, got -2",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": []}, "re": 1e400, "im": 0.0}]}',
+        "bad trig polynomial payload: coefficients must be finite",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": []}, "re": 1.0, "im": NaN}]}',
+        "bad trig polynomial payload: coefficients must be finite",
+    ),
+    # a malformed term after a NaN one: the parse error comes first
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": []}, "re": NaN, "im": 0.0}, {"freq": {"rat": "x"}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': 'x'}",
+    ),
+    ('{"terms": 5}', "bad trig polynomial payload: 'int' object is not iterable"),
+    ('{"terms": null}', "bad trig polynomial payload: 'NoneType' object is not iterable"),
+]
+
+
+@pytest.mark.parametrize("payload, message", POLY_REFUSALS)
+def test_malformed_polynomials_keep_their_refusals(payload, message, tmp_path, capsys):
+    inp, out = tmp_path / "f.json", tmp_path / "s.json"
+    inp.write_text(payload)
+    assert run(["factor", "--method", "roots", "--input", str(inp), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_cepstral_grid_too_large_refused(f_3p2cos, capsys):

@@ -487,14 +487,52 @@ def _count_compares(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("name", KERNEL_CASES + OTHER_CASES)
 def test_verify_sorts_no_more_frequencies_than_factor(name, tmp_path, capsys, monkeypatch):
-    # verify reads f and s term by term; once f is partitioned, f - |s|^2
-    # and f's spectrum read rays, as in factor
+    # verify reads f and s by ray; f - |s|^2 and f's spectrum read rays, as
+    # in factor
     count = _count_compares(monkeypatch)
     inp, out = ROOTS_FIXTURES / f"{name}.input.json", tmp_path / "s.json"
     assert run(["factor", "--method", "roots", "--input", str(inp), "--out", str(out)]) == 0
     factored, count[0] = count[0], 0
     assert run(["verify", "--report", str(out)]) == 0
     assert count[0] <= factored
+
+
+def _count_frequencies_built(monkeypatch) -> list[int]:
+    """A one-element counter of ExactFrequency objects built from now on (`__init__` and `_canonical`)."""
+    count = [0]
+    init, canonical = EF.__init__, EF._canonical.__func__
+
+    def counted_init(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    def counted_canonical(cls, *args):
+        count[0] += 1
+        return canonical(cls, *args)
+
+    monkeypatch.setattr(EF, "__init__", counted_init)
+    monkeypatch.setattr(EF, "_canonical", classmethod(counted_canonical))
+    return count
+
+
+def test_frequencies_built_do_not_grow_with_degree(tmp_path, capsys, monkeypatch):
+    # f and s are read and written by ray, so a roots factor and its verify
+    # build a fixed number of frequencies, whatever the degree (188 and 124
+    # for degree 32 when the codec built one per term, 64 and 50 for degree 7).
+    # An odd degree's |s|^2 is rescaled to keys of gcd 1, one frequency more
+    count = _count_frequencies_built(monkeypatch)
+    built = {}
+    for name in ("degree32", "degree7"):
+        inp, out = ROOTS_FIXTURES / f"{name}.input.json", tmp_path / f"{name}.json"
+        count[0] = 0
+        assert run(["factor", "--method", "roots", "--input", str(inp), "--out", str(out)]) == 0
+        factored, count[0] = count[0], 0
+        assert run(["verify", "--report", str(out)]) == 0
+        built[name] = (factored, count[0])
+    capsys.readouterr()
+    assert built["degree32"][0] == built["degree7"][0]
+    assert built["degree32"][1] <= built["degree7"][1] <= built["degree32"][1] + 1
+    assert max(built["degree7"]) < 50
 
 
 @pytest.mark.parametrize("base", [EF(10**19), EF.sqrt_of(2, 10**19), EF.sqrt_of(2, Fraction(10**19, 3))])

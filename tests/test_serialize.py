@@ -25,7 +25,7 @@ from apspec.serialize import (
     trigpoly_from_json,
     trigpoly_to_json,
 )
-from apspec.trigpoly import TrigPoly
+from apspec.trigpoly import DenseBlock, TrigPoly, ray_partition
 
 
 def two_two_cos() -> TrigPoly:
@@ -182,6 +182,49 @@ def test_dumps_matches_json_on_edge_values():
         assert dumps(obj) == _reference(obj)
 
 
+_TERM = {"freq": {"rat": "-1/2", "rad": [["2", "3"], ["5", "-1/7"]]}, "re": 0.1, "im": -0.0}
+
+
+def _terms(*edits) -> dict:
+    """A term list whose second term is _TERM with each (path, value) edit applied; a value of None deletes."""
+    odd = json.loads(json.dumps(_TERM))
+    for path, value in edits:
+        *head, last = path
+        target = odd
+        for key in head:
+            target = target[key]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+    return {"terms": [_TERM, odd, {"freq": {"rat": "0", "rad": []}, "re": 2.0, "im": 5e-324}]}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _terms(),
+        _terms((("freq", "rat"), "é\"\n")),
+        _terms((("freq", "rad"), [])),
+        _terms((("freq", "rad"), [["2", "1", "3"]])),
+        _terms((("freq", "rad"), [("2", "3")])),
+        _terms((("freq", "rad"), [[2, "3"]])),
+        _terms((("freq", "rat"), 0)),
+        _terms((("re",), np.float64(0.1))),
+        _terms((("im",), 1)),
+        _terms((("freq",), None), (("freq",), {"rat": "0", "rad": []})),  # "re", "im", "freq"
+        _terms((("re",), None), (("re",), 0.5)),  # "freq", "im", "re"
+        _terms((("freq", "rat"), None), (("freq", "rat"), "1")),  # "rad" before "rat"
+        _terms((("extra",), 1.0)),
+        _terms((("freq", "extra"), [])),
+        {"terms": [_TERM, [1.0, 2.0], _TERM]},
+        {"terms": [_TERM], "more": [[_TERM]]},
+    ],
+)
+def test_dumps_writes_term_lists_as_json_does(obj):
+    assert dumps(obj) == _reference(obj)
+
+
 def _error(fn, obj):
     with pytest.raises((ValueError, TypeError)) as info:
         fn(obj)
@@ -200,6 +243,9 @@ def _error(fn, obj):
         {"a": [object()]},
         [1.0, np.float32(1.0)],
         {"a": np.int64(3)},
+        _terms((("re",), math.nan)),
+        _terms((("im",), math.inf)),
+        _terms((("re",), -math.inf)),
     ],
 )
 def test_dumps_errors_match_json(obj):
@@ -275,3 +321,139 @@ def test_route_bundles_match_json_reference(tmp_path, monkeypatch):
     assert len(written) == len(requests)
     for text, want in written:
         assert text == want
+
+
+# -- the ray codec against the term-by-term one ------------------------------------
+
+# ray directions as (rational, {radicand: coefficient}), pairwise independent
+_UNITS = (
+    (Fraction(1), {}),
+    (Fraction(0), {2: Fraction(1)}),
+    (Fraction(0), {3: Fraction(1)}),
+    (Fraction(1), {2: Fraction(1)}),
+    (Fraction(0), {2: Fraction(1), 3: Fraction(-1)}),
+    (Fraction(1, 3), {5: Fraction(2, 7)}),
+)
+# a radicand d spelled as d*s*s with its coefficient over s: 8, 12 and 50 among them
+_SPELLINGS = {2: (1, 2, 5), 3: (1, 2), 5: (1, 3)}
+_COEFFS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-300]), st.floats(-10, 10))
+
+
+def _ratio_spelled(q: Fraction, m: int) -> str:
+    """q as num/den with both multiplied by m ("2/4" for 1/2), or str(q) for m = 1."""
+    return str(q) if m == 1 else f"{q.numerator * m}/{q.denominator * m}"
+
+
+def _spell(draw, rat: Fraction, rads: dict) -> dict:
+    entries = []
+    for d, c in rads.items():
+        s = draw(st.sampled_from(_SPELLINGS[d]))
+        m = draw(st.sampled_from([1, 2, 3]))
+        if draw(st.booleans()):  # half at radicand d*s*s, half at 4d: c/4 * sqrt(4d) = c/2 * sqrt(d)
+            entries += [[str(d * s * s), _ratio_spelled(c / (2 * s), m)], [str(4 * d), str(c / 4)]]
+        else:
+            entries.append([str(d * s * s), _ratio_spelled(c / s, m)])
+    if draw(st.booleans()):
+        entries.append([str(draw(st.sampled_from([2, 3, 8]))), "0"])  # a zero radical drops
+    order = draw(st.permutations(range(len(entries))))
+    return {"rat": _ratio_spelled(rat, draw(st.sampled_from([1, 2, 3]))), "rad": [entries[i] for i in order]}
+
+
+@st.composite
+def _poly_payloads(draw) -> dict:
+    """1-4 rays plus a constant, with duplicates spelled differently, cancelling pairs and zeros."""
+    units = draw(st.lists(st.sampled_from(range(len(_UNITS))), min_size=1, max_size=4, unique=True))
+    terms = []
+    for u in units:
+        rat, rads = _UNITS[u]
+        scale = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3), Fraction(2**64)]))
+        for k in draw(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=6)):
+            q = scale * k
+            c = complex(draw(_COEFFS), draw(_COEFFS))
+            terms.append((_spell(draw, rat * q, {d: x * q for d, x in rads.items()}), c))
+            if draw(st.integers(0, 3)) == 0:  # the same frequency again, cancelling
+                terms.append((_spell(draw, rat * q, {d: x * q for d, x in rads.items()}), -c))
+    for _ in range(draw(st.integers(0, 2))):
+        terms.append((_spell(draw, Fraction(0), {}), complex(draw(_COEFFS), draw(_COEFFS))))
+    order = draw(st.permutations(range(len(terms))))
+    return {"terms": [{"freq": terms[i][0], "re": terms[i][1].real, "im": terms[i][1].imag} for i in order]}
+
+
+def _term_by_term_text(f: TrigPoly) -> str:
+    """What the writer gave when it built one ExactFrequency per term."""
+    return dumps({"terms": [{"freq": w.to_json(), "re": c.real, "im": c.imag} for w, c in f.sorted_terms()]})
+
+
+def _rays_bits(rays) -> tuple:
+    const, blocks = rays
+    return repr(const), [(b.base, b.keys.tolist(), b.coeffs.tobytes()) for b in blocks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_payloads())
+def test_ray_codec_matches_the_term_by_term_codec(obj):
+    ref = TrigPoly([(EF.from_json(t["freq"]), complex(float(t["re"]), float(t["im"]))) for t in obj["terms"]])
+    ref_terms, ref_arrays, ref_text = ref.sorted_terms(), ref.term_arrays(), _term_by_term_text(ref)
+    got = trigpoly_from_json(obj)
+    assert got.sorted_terms() == ref_terms
+    assert [a.tobytes() for a in got.term_arrays()] == [a.tobytes() for a in ref_arrays]
+    assert dumps(trigpoly_to_json(got)) == ref_text
+    assert _rays_bits(ray_partition(got)) == _rays_bits(ray_partition(ref))
+    assert trigpoly_from_json(trigpoly_to_json(got)) == ref
+
+
+def test_ray_codec_sums_spellings_in_input_order():
+    # 1/2 three ways: 0.1 + 0.2 - 0.3 left to right, as a dict of terms sums it
+    obj = {"terms": [
+        {"freq": {"rat": "1/2", "rad": []}, "re": 0.1, "im": 0.0},
+        {"freq": {"rat": "2/4", "rad": []}, "re": 0.2, "im": 0.0},
+        {"freq": {"rat": "0", "rad": [["4", "1/4"]]}, "re": -0.3, "im": 0.0},
+        {"freq": {"rat": "0", "rad": [["8", "1"]]}, "re": 1.0, "im": 0.0},
+        {"freq": {"rat": "0", "rad": [["2", "2"]]}, "re": -1.0, "im": 0.0},
+        {"freq": {"rat": "0", "rad": []}, "re": 2.0, "im": 0.0},
+        {"freq": {"rat": "0/3", "rad": [["3", "0"]]}, "re": -2.0, "im": 0.0},
+    ]}
+    f = trigpoly_from_json(obj)
+    assert f.sorted_terms() == [(EF(Fraction(1, 2)), complex(0.1 + 0.2 - 0.3, 0.0))]
+    assert ray_partition(f)[0] == 0j
+
+
+@pytest.mark.parametrize("big", [2**63, 3 * 2**63 + 1, 10**30])
+def test_ray_codec_reads_a_generator_past_int64(big):
+    obj = {"terms": [
+        {"freq": {"rat": str(-big), "rad": []}, "re": 0.5, "im": 0.0},
+        {"freq": {"rat": "0", "rad": []}, "re": 2.0, "im": 0.0},
+        {"freq": {"rat": str(big), "rad": []}, "re": 0.5, "im": 0.0},
+    ]}
+    # a term at 1 that cancels leaves no key 1 beside the key big
+    cancelled = [
+        {"freq": {"rat": "1", "rad": []}, "re": 0.25, "im": 0.0},
+        {"freq": {"rat": "2/2", "rad": []}, "re": -0.25, "im": 0.0},
+    ]
+    f = trigpoly_from_json({"terms": cancelled + obj["terms"]})
+    const, (ray,) = ray_partition(f)
+    assert ray.base == EF(big) and ray.keys.tolist() == [-1, 1]
+    assert trigpoly_to_json(f) == obj
+
+
+_SHIFTS = (EF(0), EF(Fraction(1, 3)), EF(1) + EF.sqrt_of(2), EF.sqrt_of(2, Fraction(-2, 3)) + EF.sqrt_of(5, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SHIFTS),
+    st.lists(st.sampled_from(range(len(_UNITS))), min_size=1, max_size=3, unique=True),
+    st.data(),
+)
+def test_ray_writer_matches_the_term_by_term_writer_off_the_origin(shift, units, data):
+    # a radical of the shift cancels at some keys (1 + sqrt2 - sqrt2), which the writer must leave out
+    rays = []
+    for u in units:
+        rat, rads = _UNITS[u]
+        keys = data.draw(st.lists(st.integers(-5, 5).filter(bool), min_size=1, max_size=5, unique=True))
+        coeffs = [complex(data.draw(_COEFFS), data.draw(_COEFFS)) for _ in keys]
+        rays.append(DenseBlock(abs(EF(rat, list(rads.items()))), np.array(keys), np.array(coeffs)))
+    const = complex(data.draw(_COEFFS), 0.0)
+    f = TrigPoly.from_rays(rays, shift=shift, const=const)
+    ref = TrigPoly(f.sorted_terms())
+    assert dumps(trigpoly_to_json(f)) == _term_by_term_text(ref)

@@ -11,6 +11,7 @@ from apspec.sampling import SampledFunction
 from apspec.trigpoly import (
     DenseBlock,
     ProductPoly,
+    SpectrumInfo,
     TrigPoly,
     _grid_rows,
     _normalized_direction,
@@ -214,6 +215,16 @@ def test_product_poly_matches_dict_route():
     assert sd.inf_freq == sl.inf_freq
     assert sd.sup_freq == sl.sup_freq
     assert sl.count >= sd.count
+
+
+def test_product_poly_spectrum_builds_no_autocorrelation():
+    # the count is the bound n(n - 1) + 1 on the differences of h's 6 frequencies
+    f = ProductPoly(_two_ray_poly())
+    info = spectrum(f)
+    assert f._dense is None
+    assert info.count == 31 and info.tau == spectrum(f.factor).bandwidth
+    assert info.count >= spectrum(f.to_trigpoly()).count
+    assert spectrum(ProductPoly(TrigPoly())) == SpectrumInfo.empty()
 
 
 def test_product_poly_exact_self_subtraction():
