@@ -326,14 +326,15 @@ def coordinates_from_json(obj: dict) -> Coordinates:
 
     Each coordinate is parsed with Fraction; "0", the rational part the
     writer gives every radical frequency, is read as Fraction(0) without
-    a parse.  A malformed object raises ValueError, and a radicand above
-    MAX_RADICAND MalformedInput.
+    a parse.  A malformed object, a non-finite number among them (json
+    reads Infinity, NaN and 1e400), raises ValueError, and a radicand
+    above MAX_RADICAND MalformedInput.
     """
     try:
         text = obj["rat"]
         rat = _FRACTION_ZERO if text == "0" else Fraction(text)
         rads = [(int(d), Fraction(c)) for d, c in obj.get("rad", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed frequency object: {obj!r}") from exc
     for d, _ in rads:
         if d > MAX_RADICAND:

@@ -4,6 +4,15 @@ Exact rationals travel as decimal strings so frequency independence
 survives save/load; floats rely on repr round-tripping.  Emission order is
 the canonical term order, so identical inputs give byte-identical files.
 
+A sampled factor's re and im stay float64 arrays in its payload, and
+`dumps` writes a finite one with `floatrepr.repr_join`, as `sampled_csv_text`
+writes its rows with `floatrepr.repr_rows`: a numpy kernel whose text is
+float.__repr__'s, value for value.  Its digits come from Schubfach, whose
+shortest-then-closest decimal (ties to an even digit) is the decimal
+CPython's repr prints (dtoa mode 0); Python has no two-digit minimum, so
+Java's guard for one is left out.  A value with NaN or inf goes through
+json's own path and error.
+
 A trig polynomial's term list is read into a ray form and written from
 one: the reader parses each freq into canonical coordinates and
 `TrigPoly.from_coordinates` groups them by ray, and the writer forms each
@@ -37,6 +46,7 @@ import numpy as np
 from apspec.checks import CheckResult, FactorizationReport
 from apspec.construction import ConstructionParams, block_sizes
 from apspec.errors import MalformedInput
+from apspec.floatrepr import repr_join, repr_rows
 from apspec.frequency import ExactFrequency, coordinates_from_json
 from apspec.sampling import SampledFunction
 from apspec.trigpoly import TrigPoly
@@ -75,12 +85,8 @@ def trigpoly_from_json(obj: Any) -> TrigPoly:
 
 
 def sampled_to_json(s: SampledFunction) -> dict:
-    return {
-        "halfwidth": s.halfwidth,
-        "step": s.step,
-        "re": s.values.real.tolist(),
-        "im": s.values.imag.tolist(),
-    }
+    """The samples' payload; re and im stay float64 arrays, which `dumps` writes as lists."""
+    return {"halfwidth": s.halfwidth, "step": s.step, "re": s.values.real, "im": s.values.imag}
 
 
 def sampled_from_json(obj: Any) -> SampledFunction:
@@ -96,14 +102,17 @@ def sampled_from_json(obj: Any) -> SampledFunction:
 
 
 def sampled_csv_text(s: SampledFunction, allow_large: bool = False) -> str:
+    """x, re and im of each sample as repr strings, in csv.writer's text ("\r\n" line ends)."""
     n = len(s.values)
     if n > MAX_ROWS and not allow_large:
         raise MalformedInput(f"refusing to emit {n} CSV rows without allow_large")
-    buf = io.StringIO()
+    columns = (s.xs(), s.values.real, s.values.imag)
+    if all(np.isfinite(c).all() for c in columns):
+        return "x,re,im\r\n" + repr_rows(columns, (",", ",", "\r\n"))
+    buf = io.StringIO()  # nan and inf, which the kernel does not write
     writer = csv.writer(buf)
     writer.writerow(["x", "re", "im"])
-    for x, v in zip(s.xs(), s.values):
-        writer.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
+    writer.writerows(zip(*(map(float.__repr__, c.tolist()) for c in columns)))
     return buf.getvalue()
 
 
@@ -314,9 +323,10 @@ def dumps(obj: Any) -> str:
     """Canonical text form: two-space indent, trailing newline, no NaN.
 
     The text is byte-identical to json.dumps(obj, indent=2, allow_nan=False)
-    plus a newline, and so are the errors: a nested NaN or inf raises json's
-    ValueError, an unsupported type json's TypeError, and a non-finite top
-    level value MalformedInput.  Dict keys must be strings, as they are in
+    plus a newline, with each numpy array in obj replaced by its tolist(),
+    and so are the errors: a nested NaN or inf raises json's ValueError, an
+    unsupported type json's TypeError, and a non-finite top level value
+    MalformedInput.  Dict keys must be strings, as they are in
     every payload here.  Readers refuse non-finite numbers in turn
     (trigpoly_from_json, sampled_from_json, the construction readers).
     """
@@ -339,9 +349,10 @@ def _write(obj: Any, emit) -> None:
     """json's indent=2 encoder, emitting chunks instead of yielding them.
 
     Before Python 3.13, json.dumps indents through its pure-Python encoder.
-    This one writes a list of floats with one join and a trig-polynomial
-    term list row by row (`_term_rows`), and shares its separators (one set
-    per depth) and its '"key": ' strings (one per key).
+    This one writes a list of floats with one join, a finite 1-D float64
+    array with the `floatrepr` kernel and any other array as its tolist(),
+    and a trig-polynomial term list row by row (`_term_rows`); it shares its
+    separators (one set per depth) and its '"key": ' strings (one per key).
     """
     levels: list[tuple[str, str, str, str, str]] = []
     keys: dict[str, str] = {}
@@ -371,6 +382,14 @@ def _write(obj: Any, emit) -> None:
             array(o, depth + 1)
         elif isinstance(o, dict):
             mapping(o, depth + 1)
+        elif isinstance(o, np.ndarray):
+            if type(o) is np.ndarray and o.ndim == 1 and o.dtype == np.float64 and len(o) and np.isfinite(o).all():
+                opener, _, sep, closer, _ = level(depth + 1)
+                emit(opener)
+                emit(repr_join(o, sep))
+                emit(closer)
+            else:  # json's text, and json's error at a NaN or inf
+                value(o.tolist(), depth)
         else:
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 

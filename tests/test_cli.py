@@ -823,6 +823,39 @@ POLY_REFUSALS = [
     ),
     ('{"terms": 5}', "bad trig polynomial payload: 'int' object is not iterable"),
     ('{"terms": null}', "bad trig polynomial payload: 'NoneType' object is not iterable"),
+    # non-finite frequency coordinates, as json reads Infinity, NaN and 1e400
+    (
+        '{"terms": [{"freq": {"rat": Infinity, "rad": []}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': inf, 'rad': []}",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": -Infinity, "rad": []}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': -inf, 'rad': []}",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": 1e400, "rad": []}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': inf, 'rad': []}",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": NaN, "rad": []}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': nan, 'rad': []}",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": [[Infinity, "1"]]}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': '0', 'rad': [[inf, '1']]}",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": [[NaN, "1"]]}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': '0', 'rad': [[nan, '1']]}",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": [["2", -Infinity]]}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': '0', 'rad': [['2', -inf]]}",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": [["2", NaN]]}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': '0', 'rad': [['2', nan]]}",
+    ),
 ]
 
 
@@ -1042,3 +1075,26 @@ def test_previous_construct_bundles_still_verify(name, capsys):
     assert run(["verify", "--report", str(bundle)]) == 0
     want = (CONSTRUCT_FIXTURES / "previous" / f"{name}.verify.txt").read_text().splitlines()
     assert capsys.readouterr().out.splitlines() == want
+
+
+# Bundles, verify lines, verify --out reports and --csv text of the sampled
+# routes, written when every float went through float.__repr__ one at a
+# time; factor and verify must reproduce them byte for byte
+SAMPLED_FIXTURES = Path(__file__).parent / "data" / "sampled"
+SAMPLED_CASES = {
+    "cepstral": ["--method", "cepstral", "--m", "0.66", "--window-halfwidth", "16"],
+    "zeros": ["--method", "zeros"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_CASES))
+def test_sampled_outputs_match_the_fixtures(name, tmp_path, capsys):
+    inp, bundle = SAMPLED_FIXTURES / f"{name}.input.json", SAMPLED_FIXTURES / f"{name}.bundle.json"
+    out, csv_path, report = tmp_path / "s.json", tmp_path / "s.csv", tmp_path / "report.json"
+    assert run(["factor", *SAMPLED_CASES[name], "--input", str(inp), "--out", str(out), "--csv", str(csv_path)]) == 0
+    assert out.read_bytes() == bundle.read_bytes()
+    assert csv_path.read_bytes() == (SAMPLED_FIXTURES / f"{name}.csv").read_bytes()
+    capsys.readouterr()
+    assert run(["verify", "--report", str(bundle), "--out", str(report)]) == 0
+    assert capsys.readouterr().out == (SAMPLED_FIXTURES / f"{name}.verify.txt").read_text()
+    assert report.read_bytes() == (SAMPLED_FIXTURES / f"{name}.report.json").read_bytes()

@@ -124,6 +124,24 @@ def test_json_round_trip():
         EF.from_json({"rat": "x/y"})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rat": math.inf, "rad": []},
+        {"rat": -math.inf, "rad": []},
+        {"rat": math.nan, "rad": []},
+        {"rat": "0", "rad": [[math.inf, "1"]]},
+        {"rat": "0", "rad": [[math.nan, "1"]]},
+        {"rat": "0", "rad": [["2", math.inf]]},
+        {"rat": "0", "rad": [["2", -math.nan]]},
+    ],
+)
+def test_from_json_refuses_nonfinite_coordinates(obj):
+    # json reads Infinity, NaN and 1e400 as floats; Fraction(inf) raises OverflowError
+    with pytest.raises(ValueError, match="malformed frequency object"):
+        EF.from_json(obj)
+
+
 def test_rational_ratio():
     a = EF.sqrt_of(2, 3)
     b = EF.sqrt_of(2, 2)

@@ -1,5 +1,7 @@
 """JSON/CSV round-trips must be lossless and byte-deterministic."""
 
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -135,8 +137,15 @@ def test_growth_table_text():
 # -- the writer against json's indented encoder ----------------------------------
 
 
+def _array_list(o):
+    """json's default hook with dumps' one extension: a numpy array is written as its tolist()."""
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    return json.JSONEncoder().default(o)
+
+
 def _reference(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False, default=_array_list) + "\n"
 
 
 _floats = st.one_of(
@@ -321,6 +330,54 @@ def test_route_bundles_match_json_reference(tmp_path, monkeypatch):
     assert len(written) == len(requests)
     for text, want in written:
         assert text == want
+
+
+def _csv_reference(s: SampledFunction) -> str:
+    """factor --csv as csv.writer writes it row by row, each float as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["x", "re", "im"])
+    for x, v in zip(s.xs(), s.values):
+        writer.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
+    return buf.getvalue()
+
+
+def test_route_csv_matches_csv_writer(tmp_path, monkeypatch):
+    # the samples each route hands to sampled_csv_text: roots through _as_samples, cepstral and zeros as stored
+    from apspec import cli, serialize
+
+    written = []
+
+    def recording_csv_text(s, allow_large=False):
+        text = sampled_csv_text(s, allow_large)
+        written.append((text, _csv_reference(s)))
+        return text
+
+    monkeypatch.setattr(serialize, "sampled_csv_text", recording_csv_text)
+    poly = tmp_path / "f.json"
+    poly.write_text(dumps(trigpoly_to_json(TrigPoly([(EF(-1), 1.0), (EF(0), 3.0), (EF(1), 1.0)]))))
+    zeros = tmp_path / "zs.json"
+    zeros.write_text(json.dumps({"m": 0, "a": 0.0, "b": 0.1, "p": 1, "zeros": [
+        {"re": 0.5, "im": 1.0, "mult": 1}, {"re": 0.5, "im": -1.0, "mult": 1}, {"re": 2.0, "im": 0.0, "mult": 2},
+    ]}))
+    out, csv_path = str(tmp_path / "out.json"), tmp_path / "s.csv"
+    requests = [
+        ["factor", "--method", "roots", "--input", str(poly)],
+        ["factor", "--method", "roots", "--input", str(poly), "--window-halfwidth", "3.5", "--step", "0.001"],
+        ["factor", "--method", "cepstral", "--input", str(poly), "--m", "0.9", "--window-halfwidth", str(16 * math.pi)],
+        ["factor", "--method", "zeros", "--input", str(zeros)],
+    ]
+    for argv in requests:
+        assert cli.run(argv + ["--out", out, "--csv", str(csv_path)]) == 0
+        text, want = written[-1]
+        assert text == want
+        assert csv_path.read_bytes() == want.encode()
+    assert len(written) == len(requests)
+
+
+def test_csv_writes_nonfinite_samples_as_csv_writer_does():
+    s = SampledFunction(1.0, 0.5, np.array([1.0, complex(math.nan, 0.0), complex(math.inf, -math.inf), 0.5j, -0.0]))
+    assert sampled_csv_text(s) == _csv_reference(s)
 
 
 # -- the ray codec against the term-by-term one ------------------------------------
