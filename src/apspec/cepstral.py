@@ -25,8 +25,10 @@ EF = ExactFrequency
 
 DEFAULT_HALFWIDTH = 256 * math.pi
 
-# almost-period screen: probe indices per translate and translates per
-# chunk; one chunk's deviations take 512 x 256 float64 = 1 MB
+# almost-period screens: probe indices per translate of the coarse and the
+# fine screen, and translates per chunk of the fine one's probes; both
+# screens run their chunks through one buffer of 512 x 256 float64 = 1 MB
+_SCAN_COARSE = 32
 _SCAN_PROBES = 256
 _SCAN_CHUNK = 512
 
@@ -179,21 +181,40 @@ class AlmostPeriodReport:
     note: str = field(default="verdict gap <= L/8 is heuristic", compare=False)
 
 
+def _probes(room: int, count: int) -> tuple[int, int]:
+    """Stride d and number n of the probe indices j = 0, d, ..., (n-1)d <= room, n <= count.
+
+    d is odd, so the probes meet every phase of a period of 2^i samples (the
+    base-1 ray has 128 on the default window) instead of a few of them.
+    """
+    d = max(1, room // (count - 1)) | 1
+    return d, min(count - 1, room // d) + 1
+
+
 def almost_period_test(theta: SampledFunction, eps: float) -> AlmostPeriodReport:
     """Scan translates tau in (0, L] for sup |theta(x+tau) - theta(x)| <= eps.
 
     Translate k*step is accepted when max_j |vals[j+k] - vals[j]| <= eps
     over every j with j + k a sample; a NaN anywhere rejects it.  The scan
-    runs in two stages with the same result as testing every k in full:
+    runs in three stages with the same result as testing every k in full:
 
-    - screen: for _SCAN_CHUNK translates at a time, take the max over a
-      fixed probe set of _SCAN_PROBES indices spread evenly over
-      [0, N-1-kmax], and drop each k whose probe max is > eps or NaN;
-    - confirm: run each survivor through the full-slice test.
+    - coarse screen: every k, against _SCAN_COARSE probe indices j spread
+      evenly over [0, N-1-kmax]; each k whose probe max is > eps or NaN
+      drops;
+    - fine screen: the coarse survivors, the same way against _SCAN_PROBES
+      probe indices;
+    - confirm: each fine survivor through the full-slice test.
 
     Each probe difference is one of the full-slice differences, formed by
     the same floating-point subtraction, so a dropped k would fail the
     full test too: its full max is at least the probe max, or NaN.
+
+    Both screens run in chunks through one buffer of _SCAN_CHUNK x
+    _SCAN_PROBES float64 (1 MB), laid out [probe, translate]: the coarse
+    one reads each chunk from a strided view of the samples, and the fine
+    one gathers its chunk of survivors with np.take, their sample indices
+    in the buffer's second half.  The confirm reuses one buffer of N-1
+    samples.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -202,23 +223,48 @@ def almost_period_test(theta: SampledFunction, eps: float) -> AlmostPeriodReport
     kmax = math.floor(L / theta.step + 1e-9)
     if kmax < 1 or len(vals) < 4:
         raise WindowTooSmall("no candidate translate keeps at least half the window")
-    # probes j = 0, d, 2d, ... <= N-1-kmax, so j + k is a sample for all k <= kmax;
-    # d is odd, so the probes meet every phase of a period of 2^i samples (the
-    # base-1 ray has 128 on the default window) instead of a few of them
+    # probes j <= N-1-kmax, so j + k is a sample for every k <= kmax
     room = len(vals) - 1 - kmax
-    d = max(1, room // (_SCAN_PROBES - 1)) | 1
-    width = min(_SCAN_PROBES - 1, room // d) * d + 1
-    shifted = np.lib.stride_tricks.sliding_window_view(vals, width)[:, ::d]  # [k, i] = vals[k + i*d]
-    probes = shifted[0]
-    buf = np.empty((_SCAN_CHUNK, len(probes)))
-    accepted = []
-    for k0 in range(1, kmax + 1, _SCAN_CHUNK):
-        dev = buf[: min(_SCAN_CHUNK, kmax + 1 - k0)]
-        np.subtract(shifted[k0 : k0 + len(dev)], probes, out=dev)
+    buf = np.empty(_SCAN_CHUNK * _SCAN_PROBES)
+
+    d, n = _probes(room, _SCAN_COARSE)
+    # rows[i, k-1] = vals[i*d + k], a strided view
+    rows = np.lib.stride_tricks.sliding_window_view(vals[1:], kmax)[: (n - 1) * d + 1 : d]
+    base = vals[: (n - 1) * d + 1 : d, None]
+    chunk = len(buf) // n
+    keep = np.empty(kmax, dtype=bool)
+    for k0 in range(0, kmax, chunk):
+        dev = buf[: n * min(chunk, kmax - k0)].reshape(n, -1)
+        np.subtract(rows[:, k0 : k0 + dev.shape[1]], base, out=dev)
         np.abs(dev, out=dev)
-        for k in (k0 + np.flatnonzero(dev.max(axis=1) <= eps)).tolist():
-            if float(np.max(np.abs(vals[k:] - vals[:-k]))) <= eps:
-                accepted.append(k * theta.step)
+        np.less_equal(dev.max(axis=0), eps, out=keep[k0 : k0 + dev.shape[1]])
+    ks = 1 + np.flatnonzero(keep)
+
+    d, n = _probes(room, _SCAN_PROBES)
+    probes = np.arange(0, (n - 1) * d + 1, d)[:, None]
+    base = vals[probes]
+    chunk = len(buf) // (2 * n)
+    keep = np.empty(len(ks), dtype=bool)
+    for k0 in range(0, len(ks), chunk):
+        k = ks[k0 : k0 + chunk]
+        dev = buf[: n * len(k)].reshape(n, -1)
+        at = buf[dev.size : 2 * dev.size].view(np.int64).reshape(dev.shape)
+        np.add(probes, k, out=at)
+        # every j + k is a sample: "clip" never clips, and unlike "raise" it
+        # writes to out without a temporary copy
+        np.take(vals, at, out=dev, mode="clip")
+        np.subtract(dev, base, out=dev)
+        np.abs(dev, out=dev)
+        np.less_equal(dev.max(axis=0), eps, out=keep[k0 : k0 + len(k)])
+
+    full = np.empty(len(vals) - 1)
+    accepted = []
+    for k in ks[keep].tolist():
+        diff = full[: len(vals) - k]
+        np.subtract(vals[k:], vals[:-k], out=diff)
+        np.abs(diff, out=diff)
+        if float(diff.max()) <= eps:
+            accepted.append(k * theta.step)
     # gaps measured against the ends too: a drift that kills all large
     # translates must show up as a huge trailing gap
     knots = [0.0, *accepted, L]

@@ -349,10 +349,11 @@ def _write(obj: Any, emit) -> None:
     """json's indent=2 encoder, emitting chunks instead of yielding them.
 
     Before Python 3.13, json.dumps indents through its pure-Python encoder.
-    This one writes a list of floats with one join, a finite 1-D float64
-    array with the `floatrepr` kernel and any other array as its tolist(),
-    and a trig-polynomial term list row by row (`_term_rows`); it shares its
-    separators (one set per depth) and its '"key": ' strings (one per key).
+    This one writes a list of floats or of plain ints with one join, a
+    finite 1-D float64 array with the `floatrepr` kernel and any other array
+    as its tolist(), and a trig-polynomial term list row by row
+    (`_term_rows`); it shares its separators (one set per depth) and its
+    '"key": ' strings (one per key).
     """
     levels: list[tuple[str, str, str, str, str]] = []
     keys: dict[str, str] = {}
@@ -404,6 +405,9 @@ def _write(obj: Any, emit) -> None:
                 body = sep.join(map(float.__repr__, o))
             except TypeError:  # a non-float further on
                 pass
+        elif type(o[0]) is int:
+            if all(type(x) is int for x in o):  # a bool or int subclass goes item by item
+                body = sep.join(map(int.__repr__, o))
         elif type(o[0]) is dict:
             body = _term_rows(o, depth, sep)
         emit(opener)

@@ -230,18 +230,50 @@ def _scan_reference(theta, eps):
     return AlmostPeriodReport(tuple(accepted), gap, gap <= L / 8)
 
 
-def _probe_stride(n_samples, kmax):
-    # mirrors the probe rule in almost_period_test
-    return max(1, (n_samples - 1 - kmax) // (cepstral._SCAN_PROBES - 1)) | 1
+_SCREENS = {"coarse": cepstral._SCAN_COARSE, "fine": cepstral._SCAN_PROBES}
+
+
+def _probes(n_samples, kmax, screen):
+    # mirrors the probe rule in almost_period_test: a screen's odd stride d and
+    # number of probes j = 0, d, 2d, ... <= N-1-kmax
+    count = _SCREENS[screen]
+    room = n_samples - 1 - kmax
+    d = max(1, room // (count - 1)) | 1
+    return d, min(count - 1, room // d) + 1
+
+
+def _probe_max(vals, k, kmax, screen):
+    # max of |vals[j+k] - vals[j]| over a screen's probes j
+    d, n = _probes(len(vals), kmax, screen)
+    j = d * np.arange(n)
+    return float(np.max(np.abs(vals[j + k] - vals[j])))
+
+
+def _chunk_end_sizes(largest, screen):
+    """The n <= largest whose kmax = n // 2 fills the last chunk of a screen exactly.
+
+    Each screen fills a buffer of _SCAN_CHUNK x _SCAN_PROBES doubles: the
+    coarse one with translates, the fine one with survivors and their
+    sample indices.  A constant input makes every k a survivor.
+    """
+    size = cepstral._SCAN_CHUNK * cepstral._SCAN_PROBES // (1 if screen == "coarse" else 2)
+    return [n for n in range(4, largest + 1) if n // 2 % (size // _probes(n + 1, n // 2, screen)[1]) == 0]
+
+
+# kmax up to 4500: the fine screen's chunk ends, and the coarse one's first at kmax 4228
+_CHUNK_ENDS = {screen: _chunk_end_sizes(9000, screen) for screen in _SCREENS}
 
 
 @st.composite
 def _scan_cases(draw):
-    # kmax = n // 2: below the probe count, below one chunk, or across several chunks
+    # kmax = n // 2: below the probe count, below one chunk, or across several
+    # chunks; around the coarse probe count; or on a chunk end of either screen
     n = draw(st.one_of(
         st.integers(3, 2 * cepstral._SCAN_PROBES - 1),
         st.integers(2 * cepstral._SCAN_PROBES, 2 * cepstral._SCAN_CHUNK - 1),
         st.integers(2 * cepstral._SCAN_CHUNK, 5 * cepstral._SCAN_CHUNK),
+        st.integers(3, 4 * cepstral._SCAN_COARSE + 2),
+        *(st.builds(int.__add__, st.sampled_from(ends), st.integers(-2, 3)) for ends in _CHUNK_ENDS.values()),
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["walk", "sines", "constant"]))
@@ -259,17 +291,24 @@ def _scan_cases(draw):
     theta = SampledFunction(L, 1.0, vals)
     kmax = math.floor(L + 1e-9)
     for bad in draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=2)):
-        if draw(st.booleans()):  # a probe index j, or j + kmax
-            d = _probe_stride(n + 1, kmax)
-            j = d * draw(st.integers(0, (n - kmax) // d)) + draw(st.sampled_from([0, kmax]))
-        else:
+        screen = draw(st.sampled_from([*_SCREENS, None]))
+        if screen is None:
             j = draw(st.integers(0, n))
+        else:  # a probe index j of either screen, or j + kmax
+            d, count = _probes(n + 1, kmax, screen)
+            j = d * draw(st.integers(0, count - 1)) + draw(st.sampled_from([0, kmax]))
         vals[j] = bad
-    if draw(st.booleans()):
-        # eps equal to a translate's attained deviation: that translate is accepted
+    target = draw(st.sampled_from(["full", *_SCREENS, None]))
+    if target is not None:
+        # eps equal to a deviation a translate attains: over the full slice
+        # (the translate is accepted), or over either screen's probes (it
+        # survives that screen)
         k = draw(st.integers(1, kmax))
         with np.errstate(invalid="ignore"):
-            eps = float(np.max(np.abs(vals[k:] - vals[:-k])))
+            if target == "full":
+                eps = float(np.max(np.abs(vals[k:] - vals[:-k])))
+            else:
+                eps = _probe_max(vals, k, kmax, target)
         if not 0 < eps < math.inf:
             eps = 0.1
     else:
@@ -286,6 +325,17 @@ def test_almost_period_screen_matches_full_scan(case):
     ref = _scan_reference(theta, eps)
     assert rep == ref
     assert rep.epsilon_periods == ref.epsilon_periods
+
+
+@pytest.mark.parametrize(
+    "n", [end + shift for ends in _CHUNK_ENDS.values() for end in (ends[0], ends[-1]) for shift in (-2, 0, 2)]
+)
+def test_almost_period_keeps_every_translate_across_chunk_ends(n):
+    # a constant survives both screens at every k: kmax one below, at and one
+    # above a multiple of either screen's chunk
+    theta = SampledFunction(n / 2, 1.0, np.full(n + 1, 0.25))
+    rep = almost_period_test(theta, 1e-12)
+    assert rep.epsilon_periods == tuple(float(k) for k in range(1, n // 2 + 1))
 
 
 def test_almost_period_screen_boundary_is_inclusive():

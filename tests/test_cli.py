@@ -957,6 +957,12 @@ def test_cli_import_skips_scipy_integrate():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_cli_import_skips_mpmath():
+    # only ExactFrequency.sign's precision escalation needs mpmath
+    code = "import sys, apspec.cli; sys.exit(int('mpmath' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "apspec.cli", "growth-table", "--n", "2"],
@@ -1098,3 +1104,21 @@ def test_sampled_outputs_match_the_fixtures(name, tmp_path, capsys):
     assert run(["verify", "--report", str(bundle), "--out", str(report)]) == 0
     assert capsys.readouterr().out == (SAMPLED_FIXTURES / f"{name}.verify.txt").read_text()
     assert report.read_bytes() == (SAMPLED_FIXTURES / f"{name}.report.json").read_bytes()
+
+
+# analyze --eps 0.2 on the cepstral fixture's input, at its window and at the
+# default one (32769 samples, kmax 16384), written when the almost-period scan
+# screened with one probe set; every later scan must reproduce them
+SAMPLED_ANALYSES = {
+    "cepstral": ["--window-halfwidth", "16"],
+    "cepstral.default": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_ANALYSES))
+def test_analyze_matches_the_fixtures(name, tmp_path):
+    out = tmp_path / "analysis.json"
+    inp = SAMPLED_FIXTURES / "cepstral.input.json"
+    argv = ["analyze", "--input", str(inp), "--m", "0.66", "--eps", "0.2", "--out", str(out)]
+    assert run([*argv, *SAMPLED_ANALYSES[name]]) == 0
+    assert out.read_bytes() == (SAMPLED_FIXTURES / f"{name}.analysis.json").read_bytes()

@@ -1,6 +1,7 @@
 """JSON/CSV round-trips must be lossless and byte-deterministic."""
 
 import csv
+import enum
 import io
 import json
 import math
@@ -181,11 +182,17 @@ def test_dumps_matches_json_reference(obj):
     assert dumps(obj) == _reference(obj)
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
 def test_dumps_matches_json_on_edge_values():
     cases = [
         {}, [], (), {"a": [], "b": {}, "c": ()}, [[[]]], "", "é", 10**30, -(10**30), True, None,
         [1.0, 2.0, 3], [1, 2.0, 3.0], [True, 1.0], [1.0, True], [np.float64(0.1), 0.2],
         {"x": -0.0, "y": 5e-324, "z": 1e16, "w": 1e-5, "v": np.float64(2.5)},
+        [1, 2, 3], [1, True], [True, 1], [2**64, -1], [_Level.LOW, 2, _Level.HIGH], [3, _Level.LOW],
     ]
     for obj in cases:
         assert dumps(obj) == _reference(obj)
