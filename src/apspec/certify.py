@@ -25,6 +25,7 @@ from apspec.trigpoly import (
     bohr_coefficient,
     evaluation_error,
     ray_partition,
+    ray_slopes,
     spectrum,
 )
 
@@ -74,34 +75,38 @@ def lattice_points(maxk: int, rel_gap: float = 1.0 / 16) -> int:
     return n
 
 
-def _lattice_grid(keys: np.ndarray, coeffs: np.ndarray, n: int) -> float:
-    """max_j |sum c_k exp(2 pi i j k / n)|, by one n-point FFT."""
-    bins = np.zeros(n, dtype=complex)
-    np.add.at(bins, np.mod(keys, n), coeffs)
+def _lattice_grid(keys: np.ndarray, rows: np.ndarray, n: int) -> list[float]:
+    """max_j |sum c_k exp(2 pi i j k / n)| for each row of coefficients, by one n-point FFT over the rows."""
+    bins = np.zeros((len(rows), n), dtype=complex)
+    np.add.at(bins, (slice(None), np.mod(keys, n)), rows)
     # forward-normalized inverse: no 1/n scaling, so subnormal sums survive
     vals = np.fft.ifft(bins, norm="forward")
-    return float(np.max(np.abs(vals)))
+    return np.max(np.abs(vals), axis=1).tolist()
 
 
-def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1.0 / 16) -> NormBracket:
+def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1.0 / 16):
     """Certified sup of t -> sum c_k exp(i k t) over one 2*pi period.
 
     keys are distinct integers.  The grid max is exact to fp accuracy at
     the sample points (lower bound); the upper bound inflates it by
     1/(1 - s*tau) where s is the grid step and tau = max|k|, and is
-    rigorous for s*tau < 1.
+    rigorous for s*tau < 1.  Coefficients of shape (rows, len(keys)) give
+    a list of brackets, one per row, from one FFT on the grid they share;
+    each is bit for bit the bracket of its row alone.
     """
     keys = np.asarray(keys, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=complex)
+    rows = coeffs if coeffs.ndim == 2 else coeffs[None]
     if len(keys) == 0:
-        return NormBracket(0.0, 0.0)
-    maxk = int(np.max(np.abs(keys)))
-    if maxk == 0:
-        v = abs(complex(coeffs.sum()))
-        return NormBracket(v, v * FP_CUSHION)
-    n = lattice_points(maxk, rel_gap)
-    lower = _lattice_grid(keys, coeffs, n)
-    return NormBracket(lower, lower / (1 - 2 * math.pi * maxk / n) * FP_CUSHION)
+        brackets = [NormBracket(0.0, 0.0)] * len(rows)
+    elif not keys.any():
+        brackets = [NormBracket(v, v * FP_CUSHION) for v in (abs(complex(row.sum())) for row in rows)]
+    else:
+        maxk = int(np.max(np.abs(keys)))
+        n = lattice_points(maxk, rel_gap)
+        room = 1 - 2 * math.pi * maxk / n
+        brackets = [NormBracket(g, g / room * FP_CUSHION) for g in _lattice_grid(keys, rows, n)]
+    return brackets if coeffs.ndim == 2 else brackets[0]
 
 
 def fft_rounding(n: int, l1: float) -> Fraction:
@@ -188,7 +193,7 @@ def ray_sup(keys: np.ndarray, coeffs: np.ndarray) -> Fraction:
     l1 = math.fsum(re + im) * (1 + 2.0**-52)  # fsum rounds once, to nearest
     maxk = int(np.max(np.abs(keys)))
     n = ez_points(maxk)
-    return ehlich_zeller_sup(_lattice_grid(keys, coeffs, n), maxk, n, l1)
+    return ehlich_zeller_sup(_lattice_grid(keys, coeffs[None], n)[0], maxk, n, l1)
 
 
 def sup_norm_upper(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -> float:
@@ -205,10 +210,15 @@ def sup_norm_upper(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -> fl
 
 
 def _ray_brackets(f: TrigPoly, rel_gap: float) -> tuple[list[NormBracket], float]:
-    """`integer_lattice_sup` of each ray of f, and |constant| * FP_CUSHION plus their upper bounds."""
+    """`integer_lattice_sup` of each ray of f, and the upper bound they give (`_upper`)."""
     c0, blocks = ray_partition(f)
     brackets = [integer_lattice_sup(b.keys, b.coeffs, rel_gap) for b in blocks]
-    return brackets, abs(c0) * FP_CUSHION + math.fsum(b.upper for b in brackets)
+    return brackets, _upper(c0, brackets)
+
+
+def _upper(c0: complex, brackets: list[NormBracket]) -> float:
+    """|constant| * FP_CUSHION plus the rays' upper bounds: the triangle inequality."""
+    return abs(c0) * FP_CUSHION + math.fsum(b.upper for b in brackets)
 
 
 def sup_norm_certified(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -> NormBracket:
@@ -244,6 +254,27 @@ def sup_norm_certified(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -
         lower = float(np.max(vals))
     lower = min(lower, upper)  # guard against cushion inversion on constants
     return NormBracket(lower, upper)
+
+
+def bernstein_sides(f: TrigPoly, rel_gap: float = 1.0 / 16) -> tuple[float, float] | None:
+    """`sup_norm_upper(f)` and `sup_norm_certified(f.derivative()).lower` for an f with one ray, by one FFT.
+
+    f' has f's keys with the coefficients `ray_slopes` and no constant, so
+    both come from `integer_lattice_sup` of the two rows on f's grid; f''s
+    lower bound is its row's grid max (its bracket's upper is never
+    below it).  None when f has no ray or several, or when a coefficient
+    of f' rounds to 0: f' then drops that key and can have a grid of its
+    own.
+    """
+    c0, blocks = ray_partition(f)
+    if len(blocks) != 1:
+        return None
+    b = blocks[0]
+    slopes = ray_slopes(b)
+    if not np.all(slopes != 0):
+        return None
+    ray, slope = integer_lattice_sup(b.keys, np.stack([b.coeffs, slopes]), rel_gap)
+    return _upper(c0, [ray]), slope.lower
 
 
 def certify_lower_bound(f: "TrigPoly | ProductPoly", m: float) -> bool:

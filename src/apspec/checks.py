@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from apspec.certify import sup_norm_certified, sup_norm_upper
+from apspec.certify import bernstein_sides, sup_norm_certified, sup_norm_upper
 from apspec.errors import ReciprocalApproximationFailed
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
@@ -64,18 +64,20 @@ def bernstein_check(f: TrigPoly, rel_gap: float = 1.0 / 16) -> BernsteinResult:
     lhs is a lower bound for sup|f'|: `sup_norm_certified(f').lower`, the
     grid max of |f'| on the certificate's grid, one period of f' when f
     has one ray (the grid `sup_norm_upper` uses for f), else a window
-    scan.  rhs is tau times a certified upper bound for sup|f|.  Pass
-    means lhs <= rhs*(1 + 1e-6); the slack absorbs certification cushions
-    in the equality case.
+    scan.  rhs is tau times a certified upper bound for sup|f|.  With one
+    ray, both sides come from one two-row FFT (`certify.bernstein_sides`),
+    and f' is not built.  Pass means lhs <= rhs*(1 + 1e-6); the slack
+    absorbs certification cushions in the equality case.
     """
     if f.is_zero():
         raise ValueError("bernstein check needs a nonzero input")
-    upper = sup_norm_upper(f, rel_gap=rel_gap)
+    sides = bernstein_sides(f, rel_gap)
+    upper = sides[0] if sides is not None else sup_norm_upper(f, rel_gap)
     tau = float(spectrum(f).tau)
     if tau == 0.0:
         return BernsteinResult(0.0, 0.0, True, upper)
     rhs = tau * upper
-    lhs = sup_norm_certified(f.derivative(), rel_gap).lower
+    lhs = sides[1] if sides is not None else sup_norm_certified(f.derivative(), rel_gap).lower
     return BernsteinResult(lhs, rhs, lhs <= rhs * (1 + 1e-6), upper)
 
 

@@ -73,6 +73,8 @@ class ConstructionParams:
             raise MalformedInput("primes must be distinct")
         if len(self.primes) < self.blocks:
             raise MalformedInput("need at least one prime per block")
+        if min(self.primes) < 1:
+            raise MalformedInput("primes must be positive")
         if max(self.primes) > MAX_RADICAND:
             raise MalformedInput(f"primes must not exceed {MAX_RADICAND}")
 

@@ -326,22 +326,36 @@ def canonical_coordinates(rational: RationalLike, radicals: Iterable[tuple[int, 
 def coordinates_from_json(obj: dict) -> Coordinates:
     """Canonical coordinates of a frequency's JSON object {"rat", "rad"}, without building it.
 
-    Each coordinate is parsed with Fraction; "0", the rational part the
-    writer gives every radical frequency, is read as Fraction(0) without
-    a parse.  A malformed object, a non-finite number among them (json
-    reads Infinity, NaN and 1e400), raises ValueError, and a radicand
-    above MAX_RADICAND MalformedInput.
+    Each coordinate is parsed by `fraction_from_text`; "0", the rational
+    part the writer gives every radical frequency, is read as Fraction(0)
+    without a parse.  A malformed object, a zero denominator or a
+    non-finite number among them (json reads Infinity, NaN and 1e400),
+    raises ValueError, and a radicand above MAX_RADICAND MalformedInput.
     """
     try:
         text = obj["rat"]
-        rat = _FRACTION_ZERO if text == "0" else Fraction(text)
-        rads = [(int(d), Fraction(c)) for d, c in obj.get("rad", [])]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rat = _FRACTION_ZERO if text == "0" else fraction_from_text(text)
+        rads = [(int(d), fraction_from_text(c)) for d, c in obj.get("rad", [])]
+    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed frequency object: {obj!r}") from exc
     for d, _ in rads:
         if d > MAX_RADICAND:
             raise MalformedInput(f"radicand {d} exceeds {MAX_RADICAND}")
     return canonical_coordinates(rat, rads) if rads else (rat, ())
+
+
+def fraction_from_text(text) -> Fraction:
+    """Fraction(text), with the writer's own spellings read without Fraction's regex.
+
+    Those are ASCII "k" and "n/d": digits, the numerator with an optional
+    leading "-".  Any other text, or a non-string, goes to Fraction(text),
+    so the value, or the exception, is always Fraction's.
+    """
+    if type(text) is str and text.isascii():
+        num, slash, den = text.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(text)
 
 
 def lattice_json(shift: ExactFrequency, base: ExactFrequency, keys: Iterable[int]) -> list[dict]:

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from apspec.frequency import ZERO, Coordinates, ExactFrequency, lattice_json, rational_ratio
+from apspec.frequency import ONE, ZERO, Coordinates, ExactFrequency, lattice_json, rational_ratio
 
 EF = ExactFrequency
 Scalar = Union[int, float, complex]
@@ -92,7 +92,7 @@ class DenseBlock:
 class TrigPoly:
     """Finite exponential sum with exact frequencies."""
 
-    __slots__ = ("_dict", "_sorted", "_rays", "_arrays", "_lazy")
+    __slots__ = ("_dict", "_sorted", "_rays", "_arrays", "_lazy", "_spec")
 
     def __init__(self, terms: Mapping[EF, complex] | Iterable[tuple[EF, complex]] = ()):
         acc: dict[EF, complex] = {}
@@ -109,6 +109,7 @@ class TrigPoly:
         self._rays = None
         self._arrays = None
         self._lazy = None
+        self._spec = None
 
     # -- construction helpers ---------------------------------------------
 
@@ -147,7 +148,7 @@ class TrigPoly:
             raise ValueError("rays must lie on distinct directions")
         blocks.sort(key=lambda b: float(b.base))
         poly = cls.__new__(cls)
-        poly._dict = poly._sorted = poly._arrays = None
+        poly._dict = poly._sorted = poly._arrays = poly._spec = None
         const = complex(const)
         poly._lazy = (shift, const, tuple(blocks))
         poly._rays = (const, tuple(blocks)) if shift.is_zero() else None
@@ -243,10 +244,9 @@ class TrigPoly:
     def sorted_terms(self) -> list[tuple[EF, complex]]:
         """Terms in ascending frequency order.
 
-        With a ray form (`_ray_form`) the order is the float order of
-        `term_arrays`, which certifies it, and each frequency is built from
-        its ray and key; otherwise the exact terms are sorted by exact
-        comparison.
+        With a ray form (`_ray_form`) the order is that of `term_arrays`,
+        and each frequency is built from its ray and key; otherwise the
+        exact terms are sorted by exact comparison.
         """
         if self._sorted is None:
             _, cs, order = self._sorted_arrays()
@@ -275,18 +275,20 @@ class TrigPoly:
         """Float frequencies and coefficients in ascending frequency order (read-only).
 
         Each float is float(w) of the exact frequency w, bit for bit.  A
-        polynomial with a ray form takes both from its rays, unless two of
-        its frequencies lie too close for their floats to certify the
-        order; it then sorts its exact terms.
+        polynomial with a ray form takes both from its rays, and compares
+        exact frequencies only within runs whose floats lie too close to
+        certify their order (`_ray_term_arrays`); any other polynomial
+        sorts its exact terms.
         """
         return self._sorted_arrays()[:2]
 
     def _sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """`term_arrays` and the permutation that sorts the ray form's terms, or None if sorted exactly."""
+        """`term_arrays` and the permutation that sorts the ray form's terms, or None without a ray form."""
         if self._arrays is None:
             rays = self._ray_form()
-            found = _ray_term_arrays(*rays) if rays is not None else None
-            if found is None:
+            if rays is not None:
+                found = _ray_term_arrays(*rays)
+            else:
                 self._sorted = sorted(self._terms.items(), key=lambda t: t[0])
                 found = (
                     np.array([float(w) for w, _ in self._sorted], dtype=float),
@@ -367,9 +369,7 @@ class TrigPoly:
     def derivative(self) -> "TrigPoly":
         """sum c*i*float(w)*exp(i*w*x), by ray: each coefficient times i and its ray's float frequency."""
         _, blocks = ray_partition(self)
-        return TrigPoly.from_rays(
-            [DenseBlock(b.base, b.keys, b.coeffs * 1j * _ray_floats(b.base, b.keys, ZERO)) for b in blocks]
-        )
+        return TrigPoly.from_rays([DenseBlock(b.base, b.keys, ray_slopes(b)) for b in blocks])
 
     def modulate(self, w0) -> "TrigPoly":
         """Multiply by exp(i*w0*x): shifts every frequency by w0."""
@@ -386,10 +386,17 @@ class TrigPoly:
     def wiener_norm(self) -> float:
         """Sum of coefficient magnitudes (fsum, so exact before one rounding).
 
-        np.hypot is libm's hypot, as abs(complex) is; np.abs differs in the
-        last bit for about a third of complex inputs.
+        fsum's result does not depend on the order of its terms, so the
+        magnitudes are read unsorted: from the constant and the rays of a
+        ray form (`_ray_form`), else from the term dict; no frequency is
+        compared.  np.hypot is libm's hypot, as abs(complex) is; np.abs
+        differs in the last bit for about a third of complex inputs.
         """
-        cs = self.term_arrays()[1]
+        rays = self._ray_form()
+        if rays is not None:
+            cs = _ray_coeffs(*rays[1:])
+        else:
+            cs = np.array(list(self._terms.values()), dtype=complex)
         return math.fsum(np.hypot(cs.real, cs.imag).tolist())
 
     def is_real(self, tol: float = 0.0) -> bool:
@@ -518,7 +525,12 @@ def _key_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
-def _ray_floats(base: EF, keys: np.ndarray, shift: EF) -> np.ndarray:
+def ray_slopes(b: DenseBlock) -> np.ndarray:
+    """Coefficients of the derivative on ray b: each coefficient times i and its float frequency."""
+    return b.coeffs * 1j * _ray_floats(b.base, b.keys, ZERO)
+
+
+def _ray_floats(base: EF, keys: np.ndarray, shift: EF, with_error: bool = False):
     """float(shift + base*k) for each key k, bit for bit, without building the sums.
 
     float(w) is float(r) + fsum(float(c_d)*sqrt(d)) over w's coordinates.
@@ -528,45 +540,99 @@ def _ray_floats(base: EF, keys: np.ndarray, shift: EF) -> np.ndarray:
     and with at most two radicands one float addition is their fsum (a
     radical absent at some k adds 0.0, which changes no nonzero sum).
     Otherwise the sums are built term by term.
+
+    with_error also returns e per key with |float - w| <= e/2, and e/2
+    left over for the rounding of float +- e.  First order (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 2-3): a radical
+    term is one correctly rounded division (or float(c)), times a
+    correctly rounded sqrt(d), one product; the terms are summed with two
+    more roundings (two additions, or fsum's and one addition).  Each
+    term thus passes at most five roundings: |float - w| <= gamma_5 * A
+    for A = |r| + sum |c_d|*sqrt(d).  The magnitudes of the computed
+    terms, summed the same way, give A~ >= (1 - gamma_5) * A, so
+    |float - w| < 6u * A~.  e is 12u * A~ plus 2**-1068 * (1 + sum
+    sqrt(d)) for gradual underflow (half the least subnormal per
+    operation, times sqrt(d) after a product): a few units in the last
+    place of |w| unless its parts nearly cancel.
     """
     if not len(keys):
-        return np.zeros(0)
+        return (np.zeros(0), np.zeros(0)) if with_error else np.zeros(0)
     kmax = int(np.max(np.abs(keys)))
     sd, bd = dict(shift.radicals), dict(base.radicals)
     rads = sorted(sd.keys() | bd.keys())
     coords = [(sd.get(d, Fraction(0)), bd.get(d, Fraction(0))) for d in rads]
+    tiny = 2.0**-1068 * (1 + math.fsum(math.sqrt(d) for d in rads))
     parts = []
     for a, b in [(shift.rational, base.rational), *coords]:
         den = a.denominator * b.denominator
         na, nb = a.numerator * b.denominator, b.numerator * a.denominator
         # nb must fit too: numpy multiplies it into the int64 keys even when kmax is 0
         if len(rads) > 2 or den >= _EXACT_INT or abs(na) + max(kmax, 1) * abs(nb) >= _EXACT_INT:
-            return np.array([float(shift + base * k) for k in keys.tolist()], dtype=float)
+            ws = [shift + base * k for k in keys.tolist()]
+            floats = np.array([float(w) for w in ws], dtype=float)
+            if not with_error:
+                return floats
+            mags = [abs(float(w.rational)) + math.fsum(abs(float(c)) * math.sqrt(d) for d, c in w.radicals) for w in ws]
+            return floats, 12 * UNIT_ROUNDOFF * np.array(mags, dtype=float) + tiny
         parts.append((na + nb * keys) / den)
     rad = [v * math.sqrt(d) for v, d in zip(parts[1:], rads)]
-    return parts[0] + (rad[0] + rad[1] if len(rad) == 2 else rad[0] if rad else 0.0)
+
+    def total(first, rest):
+        return first + (rest[0] + rest[1] if len(rest) == 2 else rest[0] if rest else 0.0)
+
+    floats = total(parts[0], rad)
+    if not with_error:
+        return floats
+    return floats, 12 * UNIT_ROUNDOFF * total(np.abs(parts[0]), [np.abs(v) for v in rad]) + tiny
 
 
 def _ray_term_arrays(
     shift: EF, const: complex, blocks: Sequence[DenseBlock]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`TrigPoly.term_arrays` of chi_shift * (const + sum of blocks) and the sorting permutation.
 
     The permutation orders the terms as `_ray_frequencies` lists them.
-    None if the floats cannot certify the order: EF.approx bounds
-    |float(w) - w| by 1e-12*(scale(w) + 1), at most err(shift) +
-    |k|*err(base) for w = shift + base*k; floats that sort further apart
-    than two such bounds are in exact order.
+    Each float lies within e/2 of its exact frequency (`_ray_floats`'
+    bound).  Sorted by float, a cut after position i is certified when
+    every interval [float - e, float + e] up to i ends below every one
+    after it: then so do the exact frequencies.  Only the runs between
+    certified cuts that hold more than one term are sorted by exact
+    comparison, so the order is the exact one and each float is float(w).
     """
-    head = [np.array([float(shift)])] if const != 0 else []
-    ws = np.concatenate(head + [_ray_floats(b.base, b.keys, shift) for b in blocks]) if head or blocks else np.zeros(0)
+    owners: list[tuple[EF, np.ndarray]] = [(ONE, np.zeros(1, dtype=np.int64))] if const != 0 else []
+    owners += [(b.base, b.keys) for b in blocks]
+    found = [_ray_floats(base, keys, shift, with_error=True) for base, keys in owners]
+    ws = np.concatenate([w for w, _ in found]) if found else np.zeros(0)
+    err = np.concatenate([e for _, e in found]) if found else np.zeros(0)
     order = np.argsort(ws, kind="stable")
-    ws = ws[order]
-    err = shift.approx()[1]
-    tol = 2 * (err + max((int(np.max(np.abs(b.keys))) * b.base.approx()[1] for b in blocks), default=0.0))
-    if len(ws) > 1 and not float(np.min(np.diff(ws))) > tol:
-        return None
-    return ws, _ray_coeffs(const, blocks)[order], order
+    if len(ws) > 1:
+        lo, hi = ws[order] - err[order], ws[order] + err[order]
+        # open[i]: no cut is certified between sorted positions i and i + 1 (NaN leaves it open)
+        open_ = ~(np.maximum.accumulate(hi)[:-1] < np.minimum.accumulate(lo[::-1])[::-1][1:])
+        if open_.any():
+            order = _exact_runs(order, open_, shift, owners)
+    return ws[order], _ray_coeffs(const, blocks)[order], order
+
+
+def _exact_runs(order: np.ndarray, open_: np.ndarray, shift: EF, owners: Sequence[tuple[EF, np.ndarray]]) -> np.ndarray:
+    """order with each run of sorted positions joined by `open_` sorted by exact frequency.
+
+    owners lists (base, keys) in term order; term t is shift + base*k.
+    """
+    keys = np.concatenate([k for _, k in owners])
+    owner = np.repeat(np.arange(len(owners)), [len(k) for _, k in owners])
+
+    def frequency(t: int) -> EF:
+        return shift + owners[owner[t]][0] * int(keys[t])
+
+    order = order.copy()
+    joined = np.flatnonzero(open_)
+    breaks = np.flatnonzero(np.diff(joined) > 1)
+    starts = joined[np.concatenate([[0], breaks + 1])]
+    ends = joined[np.concatenate([breaks, [len(joined) - 1]])] + 2
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        order[a:b] = sorted(order[a:b].tolist(), key=frequency)
+    return order
 
 
 def _evaluate_arrays(ws: np.ndarray, cs: np.ndarray, x):
@@ -693,11 +759,19 @@ def spectrum(f: "TrigPoly | ProductPoly") -> SpectrumInfo:
 
     tau is max(|inf|, |sup|), the exponential type of the natural entire
     extension.  A polynomial with a ray form takes its extremes from the
-    constant and each ray's end keys.  For a ProductPoly the extremes are
-    +-(bandwidth of the factor) and the count is an upper bound.
+    constant and each ray's end keys.  The summary is built once per
+    TrigPoly and kept on it, as `ray_partition` is.  For a ProductPoly the
+    extremes are +-(bandwidth of the factor) and the count is an upper
+    bound.
     """
     if isinstance(f, ProductPoly):
         return f.spectrum()
+    if f._spec is None:
+        f._spec = _spectrum_of(f)
+    return f._spec
+
+
+def _spectrum_of(f: TrigPoly) -> SpectrumInfo:
     if f.is_zero():
         return SpectrumInfo.empty()
     rays = f._ray_form()
@@ -797,7 +871,7 @@ class ProductPoly:
     factor: the polynomial h; its rays are `ray_partition(factor)`.
     dense: one autocorrelation block per ray, the constant riding on the
            first ray at key 0 (or on a lone base-1 block if h is constant),
-           built on first use (`term_count_upper`, `to_trigpoly`).
+           built on first use (`to_trigpoly`).
 
     Values are |h(x)|^2, sup bounds come from h's rays (`certify`), and the
     spectrum lies in [-b, b] with b the bandwidth of h.  `to_trigpoly`
@@ -833,10 +907,16 @@ class ProductPoly:
     # -- views ---------------------------------------------------------------
 
     def term_count_upper(self) -> int:
-        """Upper bound on the number of distinct frequencies."""
+        """Upper bound on the number of distinct frequencies.
+
+        Each block's autocorrelation lies on its difference set K - K
+        (`_difference_count`, counted from the keys, no correlation
+        formed), and each ordered pair of distinct blocks adds at most the
+        product of their sizes.
+        """
         sizes = [len(b.keys) for b in self._blocks]
         cross = sum(sizes) ** 2 - sum(n * n for n in sizes)
-        return sum(len(b.keys) for b in self.dense) + cross
+        return sum(_difference_count(b.keys) for b in self._blocks) + cross
 
     def evaluate(self, x):
         """The real value |h(x)|^2 (scalar or ndarray)."""
@@ -921,3 +1001,32 @@ def _autocorrelate(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np
     deltas = np.arange(-(width - 1), width, dtype=np.int64)
     nz = corr != 0
     return deltas[nz], corr[nz]
+
+
+def _difference_count(keys: np.ndarray) -> int:
+    """|K - K| for the ascending distinct int64 keys K.
+
+    Of the W = span + 1 slots from the least key to the greatest, g are
+    empty.  A difference d in [1, W) is absent only when each of its W - d
+    pairs (k, k + d) meets an empty slot, and one slot meets at most two
+    of them, so every d < W - 2g is present.  The rest are tested one
+    slice of the occupied slots each, or, where that costs more than the
+    n^2 pairs of keys, read from the pairs' differences in row chunks.
+    """
+    n = len(keys)
+    if n == 0:
+        return 0
+    offsets = keys - keys[0]
+    width = int(offsets[-1]) + 1
+    first = max(1, width - 2 * (width - n))
+    if (width - first) ** 2 <= 2 * n * n:
+        slots = np.zeros(width, dtype=bool)
+        slots[offsets] = True
+        found = sum(bool(np.any(slots[d:] & slots[: width - d])) for d in range(first, width))
+        return 2 * (first - 1 + found) + 1
+    seen = np.zeros(width, dtype=bool)
+    rows = max(1, _MAX_TABLE // n)
+    for i in range(0, n, rows):
+        diffs = offsets[None, :] - offsets[i : i + rows, None]
+        seen[diffs[diffs > 0]] = True
+    return 2 * int(np.count_nonzero(seen)) + 1

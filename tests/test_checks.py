@@ -15,11 +15,11 @@ from apspec.checks import (
     poisson_eval,
     poisson_range_check,
 )
-from apspec.certify import MAX_GRID_POINTS, fft_rounding, lattice_points, sup_norm_upper
+from apspec.certify import MAX_GRID_POINTS, bernstein_sides, fft_rounding, lattice_points, sup_norm_certified, sup_norm_upper
 from apspec.errors import ReciprocalApproximationFailed
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
-from apspec.trigpoly import TrigPoly, evaluation_error, modulus_squared, multiply, ray_partition, spectrum
+from apspec.trigpoly import DenseBlock, TrigPoly, evaluation_error, modulus_squared, multiply, ray_partition, spectrum
 
 EF = ExactFrequency
 
@@ -119,6 +119,63 @@ def test_bernstein_lhs_brackets_sup_of_the_derivative_on_one_ray(base, coeffs):
     rounding = evaluation_error(d, period) + float(fft_rounding(n, d.wiener_norm()))
     assert lhs <= scan + rounding
     assert lhs >= math.cos(math.pi * maxk / n) * scan - rounding
+
+
+def _bernstein_by_derivative(f: TrigPoly) -> tuple[float, float, float]:
+    """(lhs, rhs, upper) of `bernstein_check` from f' built and certified on its own grid."""
+    upper = sup_norm_upper(f)
+    tau = float(spectrum(f).tau)
+    if tau == 0.0:
+        return 0.0, 0.0, upper
+    return sup_norm_certified(f.derivative()).lower, tau * upper, upper
+
+
+def _fused(f: TrigPoly) -> tuple[float, float, float]:
+    res = bernstein_check(f)
+    return res.lhs, res.rhs, res.upper
+
+
+@given(st.sampled_from(_ONE_RAY_BASES), _COEFFS, st.sampled_from([0j, 2.5 + 0j, -1e-300j]))
+@settings(max_examples=80, deadline=None)
+def test_bernstein_one_fft_matches_the_derivative_route(base, coeffs, const):
+    # both sides of a one-ray f come from one two-row FFT, bit for bit what
+    # sup_norm_upper(f) and f' built and certified on its own give
+    f = _on_ray(base, coeffs) + const
+    assume(not f.is_zero())
+    assert repr(_fused(f)) == repr(_bernstein_by_derivative(f))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        # the key-1 slope 5e-324 * 1e-3 underflows to 0: f' drops key 1, and its
+        # one key 2000 sits on a grid of its own
+        TrigPoly.from_rays([DenseBlock(EF(Fraction(1, 1000)), np.array([1, 2000]), np.array([5e-324 + 0j, 1.0]))]),
+        TrigPoly.from_rays([DenseBlock(EF(Fraction(1, 1000)), np.array([1, 2000]), np.array([5e-324 + 0j, 1.0]))], const=3.0),
+        # one term
+        TrigPoly.from_rays([DenseBlock(EF.sqrt_of(5, Fraction(1, 7)), np.array([3]), np.array([0.25 - 2j]))]),
+        # keys on one side of 0 only
+        TrigPoly.from_rays([DenseBlock(EF(Fraction(2, 3)), np.array([-7, -4, -1]), np.array([1.0 + 0j, -0.5j, 2.0]))]),
+        TrigPoly.from_rays([DenseBlock(EF(1), np.array([-3]), np.array([5e-324 + 0j]))], const=1.0),
+        # tau = 0
+        TrigPoly.from_rays([], const=-4.0 + 3j),
+    ],
+    ids=["underflow", "underflow_const", "one_term", "negative_keys", "subnormal_one_term", "constant"],
+)
+def test_bernstein_one_fft_edge_cases(f):
+    assert repr(_fused(f)) == repr(_bernstein_by_derivative(f))
+
+
+def test_bernstein_one_fft_builds_no_derivative(monkeypatch):
+    f = _on_ray(EF(Fraction(1, 3)), [1.0, -0.5j, 2.0, 0.25])
+    want = _bernstein_by_derivative(f)
+    monkeypatch.setattr(TrigPoly, "derivative", lambda self: pytest.fail("f' built"))
+    assert bernstein_sides(f) is not None
+    assert repr(_fused(f)) == repr(want)
+    # the underflowing slope, and two rays, keep the route through f'
+    under = TrigPoly.from_rays([DenseBlock(EF(Fraction(1, 1000)), np.array([1, 2000]), np.array([5e-324 + 0j, 1.0]))])
+    two = _on_ray(EF(1), [1.0, 2.0]) + _on_ray(EF.sqrt_of(2), [1.0, 2.0])
+    assert bernstein_sides(under) is None and bernstein_sides(two) is None
 
 
 @given(_COEFFS, st.lists(st.builds(complex, _COEFF, _COEFF), min_size=1, max_size=4))

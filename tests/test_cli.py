@@ -495,16 +495,15 @@ def test_construct_and_verify_build_one_product_each(tmp_path, capsys, monkeypat
     assert len(built) == 2
 
 
-def test_construction_verify_runs_no_autocorrelation(tmp_path, capsys, monkeypatch):
-    # f's dense blocks are built on first use: construct needs them for the
-    # bundle's "pairs", verify reads f only through its factor
+def test_construction_runs_no_autocorrelation(tmp_path, capsys, monkeypatch):
+    # f's dense blocks are built on first use: construct counts the bundle's
+    # "pairs" from the keys, verify reads f only through its factor
     calls = []
     real = trigpoly._autocorrelate
     monkeypatch.setattr(trigpoly, "_autocorrelate", lambda keys, coeffs: calls.append(len(keys)) or real(keys, coeffs))
     out = tmp_path / "cons.json"
     assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "64", "--out", str(out)]) == 0
-    assert len(calls) == 2
-    calls.clear()
+    assert calls == []
     assert run(["verify", "--report", str(out)]) == 0
     assert calls == []
     capsys.readouterr()
@@ -856,6 +855,15 @@ POLY_REFUSALS = [
         '{"terms": [{"freq": {"rat": "0", "rad": [["2", NaN]]}, %s}]}' % _ONE,
         "bad trig polynomial payload: malformed frequency object: {'rat': '0', 'rad': [['2', nan]]}",
     ),
+    # a zero denominator, in either coordinate
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": [["2", "1/0"]]}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': '0', 'rad': [['2', '1/0']]}",
+    ),
+    (
+        '{"terms": [{"freq": {"rat": "-3/0", "rad": []}, %s}]}' % _ONE,
+        "bad trig polynomial payload: malformed frequency object: {'rat': '-3/0', 'rad': []}",
+    ),
 ]
 
 
@@ -866,6 +874,40 @@ def test_malformed_polynomials_keep_their_refusals(payload, message, tmp_path, c
     assert run(["factor", "--method", "roots", "--input", str(inp), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_zero_denominator_refused_by_analyze(tmp_path, capsys):
+    inp = tmp_path / "f.json"
+    inp.write_text('{"terms": [{"freq": {"rat": "0", "rad": [["2", "1/0"]]}, %s}]}' % _ONE)
+    assert run(["analyze", "--input", str(inp), "--m", "0.5", "--eps", "0.2", "--out", str(tmp_path / "a.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad trig polynomial payload: malformed frequency object: {'rat': '0', 'rad': [['2', '1/0']]}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda b: b["rho"][0]["rad"][0].__setitem__(1, "1/0"),
+        lambda b: b["delta"].__setitem__("rat", "1/0"),
+    ],
+    ids=["rho", "delta"],
+)
+def test_construction_zero_denominator_exits_1(small_bundles, tmp_path, capsys, edit):
+    capsys.readouterr()
+    assert _verify_bundle(tmp_path, _edited(small_bundles[3], edit)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_nonpositive_primes_refused(small_bundles, tmp_path, capsys):
+    capsys.readouterr()
+    assert run(["construct", "--blocks", "1", "--oracle-n", "32", "--primes=-3", "--out", str(tmp_path / "c.json")]) == 1
+    assert run(["construct", "--blocks", "2", "--oracle-n", "32", "--primes=5,0", "--out", str(tmp_path / "c.json")]) == 1
+    assert capsys.readouterr().err == "error: primes must be positive\n" * 2
+    assert _verify_bundle(tmp_path, _edited(small_bundles[3], lambda b: b["params"].__setitem__("primes", [-3]))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: primes must be positive\n"
 
 
 def test_cepstral_grid_too_large_refused(f_3p2cos, capsys):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from apspec.frequency import (
     ExactFrequency,
+    coordinates_from_json,
+    fraction_from_text,
     qlin_independent,
     rational_ratio,
     squarefree_split,
@@ -256,3 +258,40 @@ def test_rational_multiple_matches_public_constructor(a, q):
         assert hash(got) == hash(ref)
         assert float(got) == float(ref)
     assert (a * 0).is_zero() and (a * Fraction(0)).is_zero()
+
+
+# pieces of Fraction's text grammar and of what lies just outside it
+_PIECES = ["-", "+", " ", "\t", "_", "/", ".", "e", "E", "0", "1", "5", "9", "007", "\u0663", "\uff11", "\u00b2", "x"]
+_SPELLINGS = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=7).map("".join),
+    st.builds(
+        lambda sign, num, den: f"{sign}{num}" + ("" if den is None else f"/{den}"),
+        st.sampled_from(["", "-", "+", " ", "--"]),
+        st.integers(0, 10**30),
+        st.one_of(st.none(), st.integers(0, 10**20)),
+    ),
+    st.sampled_from(["-0", "0/5", "-0/5", "1/0", "-3/0", "0/0", "1/-2", "", "-", "/", "1/", "/2", "1/2/3", "\u0663/4"]),
+    st.sampled_from([3, -7, 0.5, None, ["1"]]),
+)
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return "raises", type(exc)
+    return type(value), value.numerator, value.denominator
+
+
+@given(_SPELLINGS)
+@settings(max_examples=400, deadline=None)
+def test_fraction_from_text_is_fraction(text):
+    # the same value, or the same exception, as Fraction(text)
+    assert _outcome(fraction_from_text, text) == _outcome(Fraction, text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_zero_denominator_is_a_malformed_frequency(text):
+    for obj in ({"rat": text, "rad": []}, {"rat": "0", "rad": [["2", text]]}):
+        with pytest.raises(ValueError, match="malformed frequency object"):
+            coordinates_from_json(obj)

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apspec.frequency import ExactFrequency
@@ -14,8 +16,10 @@ from apspec.trigpoly import (
     SpectrumInfo,
     TrigPoly,
     _grid_rows,
+    _difference_count,
     _normalized_direction,
     _ray_floats,
+    _spectrum_of,
     bohr_coefficient,
     evaluation_error,
     mean_value_numeric,
@@ -625,3 +629,148 @@ def test_from_rays_normalizes_and_refuses():
     for rays in bad:
         with pytest.raises(ValueError):
             TrigPoly.from_rays(rays)
+
+
+# -- the rays' own readings: Wiener norm, spectrum, float order, pair count ----
+
+
+@given(ray_polys(), st.sampled_from([0j, 1.5 - 0.5j]))
+@settings(max_examples=100, deadline=None)
+def test_wiener_norm_reads_the_rays_unsorted(case, const):
+    rays, shift = case
+    lazy = TrigPoly.from_rays(rays, shift, const)
+    got = lazy.wiener_norm()
+    assert lazy._arrays is None and lazy._dict is None  # nothing sorted, no exact term built
+    cs = lazy.term_arrays()[1]
+    assert got == math.fsum(np.hypot(cs.real, cs.imag).tolist())
+
+
+def test_wiener_norm_unsorted_on_a_near_tie_and_a_dict():
+    # the two rays' floats tie, so term_arrays sorts that run exactly
+    close = EF(1) + EF.sqrt_of(2, Fraction(1, 10**20))
+    tied = TrigPoly.from_rays([
+        DenseBlock(close, np.array([-1, 1]), np.array([3.0 + 1e-17j, 4.0])),
+        DenseBlock(EF(1), np.array([1, 2]), np.array([0.1 + 0.2j, 1e300])),
+    ])
+    from_dict = TrigPoly({EF(3): 0.1 + 0.7j, EF(-2): 1e-300, EF.sqrt_of(2, -1): -2.5j, EF(0): 1 / 3})
+    for f in (tied, from_dict):
+        got = f.wiener_norm()
+        assert f._arrays is None
+        cs = f.term_arrays()[1]
+        assert got == math.fsum(np.hypot(cs.real, cs.imag).tolist())
+
+
+def test_spectrum_is_built_once_and_equals_a_rebuild():
+    polys = [
+        TrigPoly.from_rays([DenseBlock(EF.sqrt_of(3, Fraction(1, 5)), np.array([-4, 2, 9]), np.array([1.0 + 0j, 2j, 3.0]))], const=1.0),
+        TrigPoly.from_rays([DenseBlock(EF(1), np.array([2, 5]), np.array([1.0 + 0j, 1.0]))], shift=EF(Fraction(-7, 2))),
+        TrigPoly({EF(2): 1.0, EF.sqrt_of(2, -3): 2.0}),
+        TrigPoly(),
+    ]
+    for f in polys:
+        first = spectrum(f)
+        assert spectrum(f) is first
+        assert first == _spectrum_of(TrigPoly(dict(f._terms)))
+
+
+@st.composite
+def _near_2_53(draw):
+    """(base, shift, keys): 0-2 radicands in all (3 for the term-by-term route), keys near +-2**53."""
+    rads = draw(st.sampled_from([(), (2,), (5,), (2, 3), (3, 7), (2, 3, 5)]))
+    num = st.one_of(st.integers(-9, 9), st.integers(-(10**18), 10**18))
+    den = st.one_of(st.integers(1, 9), st.integers(1, 10**17))
+
+    def frequency():
+        rat = Fraction(draw(num), draw(den))
+        return EF(rat, [(d, Fraction(draw(num), draw(den))) for d in rads if draw(st.booleans())])
+
+    base = frequency()
+    if base.sign() <= 0:
+        base = EF(1) if base.is_zero() else -base
+    near = st.integers(2**53 - 70, 2**53 + 70)
+    key = st.one_of(near, near.map(lambda k: -k), st.integers(-5, 5), st.integers(-(2**62), 2**62))
+    return base, frequency(), draw(st.lists(key, min_size=1, max_size=12))
+
+
+@given(_near_2_53())
+@settings(max_examples=150, deadline=None)
+def test_ray_float_bound_holds_at_50_digits(case):
+    # |float - w| <= e/2, and the float interval [float - e, float + e] holds w
+    import mpmath
+
+    base, shift, keys = case
+    ws, err = _ray_floats(base, np.array(keys, dtype=np.int64), shift, with_error=True)
+    assert ws.tolist() == [float(shift + base * k) for k in keys]
+    with mpmath.workdps(50):
+        for k, w, e in zip(keys, ws.tolist(), err.tolist()):
+            x = shift + base * k
+            exact = mpmath.mpf(x.rational.numerator) / x.rational.denominator
+            for d, c in x.radicals:
+                exact += mpmath.sqrt(d) * mpmath.mpf(c.numerator) / c.denominator
+            assert abs(mpmath.mpf(w) - exact) <= mpmath.mpf(e) / 2
+            assert mpmath.mpf(w - e) <= exact <= mpmath.mpf(w + e)
+
+
+def test_close_runs_sort_exactly_among_certified_ones():
+    # three runs of tied floats, and a ray whose two parts nearly cancel:
+    # 4.9e-17 * k, whose float is off by up to about 1e-4 at k ~ 1e12, which
+    # is more than the 2.2e-5 steps of the sqrt(5) ray around it; only the
+    # error bounds of all terms on either side of a cut certify it
+    close = EF(1) + EF.sqrt_of(2, Fraction(1, 10**20))
+    cancel = EF(Fraction(14142135623730951, 10**16)) - EF.sqrt_of(2)
+    fine = np.array([k for k in range(-300, 301) if k], dtype=np.int64)
+    rays = [
+        DenseBlock(close, np.array([1, 2, 3]), np.array([1.0 + 0j, 2.0, 3.0])),
+        DenseBlock(EF(1), np.array([1, 2, 3, 40]), np.array([4.0 + 0j, 5.0, 6.0, 7.0])),
+        DenseBlock(cancel, np.array([-2, 1, 5, 10**12, 3 * 10**12]), np.array([8.0 + 0j, 9.0, 10.0, 10.5, 10.75])),
+        DenseBlock(EF.sqrt_of(5, Fraction(1, 10**5)), fine, np.arange(1.0, len(fine) + 1) + 0j),
+        DenseBlock(EF.sqrt_of(3, Fraction(1, 10**16)), np.array([-3, 1, 2]), np.array([11.0 + 0j, 12.0, 13.0])),
+    ]
+    for shift, const in ((EF(0), 0j), (EF(0), 14.0), (EF(Fraction(1, 3)), 15.0)):
+        lazy = TrigPoly.from_rays(rays, shift, const)
+        ref = TrigPoly(_rays_to_terms(rays, shift) + [(shift, const)])
+        for got, want in zip(lazy.term_arrays(), ref.term_arrays()):
+            assert got.tobytes() == want.tobytes()
+        assert lazy.sorted_terms() == ref.sorted_terms()
+
+
+# n consecutive keys from lo with up to 6 of them left out
+_dense_keys = st.integers(1, 80).flatmap(
+    lambda n: st.builds(
+        lambda lo, gaps: sorted(set(range(lo, lo + n)) - {lo + g for g in gaps}),
+        st.integers(-50, 50), st.lists(st.integers(0, n - 1), max_size=6),
+    )
+)
+
+
+@given(st.one_of(st.sets(st.integers(-300, 300), max_size=40).map(sorted), _dense_keys))
+@example([0, 1, 4, 5])  # difference 2 misses every pair, though 2 < W - g
+@settings(max_examples=200, deadline=None)
+def test_difference_count_is_the_size_of_the_difference_set(keys):
+    assert _difference_count(np.array(keys, dtype=np.int64)) == len({a - b for a in keys for b in keys})
+
+
+def _dense_pair_count(pp: ProductPoly) -> int:
+    sizes = [len(b.keys) for b in pp._blocks]
+    return sum(len(d.keys) for d in pp.dense) + sum(sizes) ** 2 - sum(n * n for n in sizes)
+
+
+_DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((_DATA / "construct").glob("**/*.bundle.json")) + sorted(_DATA.glob("construction_format*.json")),
+    ids=lambda p: str(p.relative_to(_DATA)),
+)
+def test_pair_count_from_keys_matches_the_dense_count_on_the_goldens(path):
+    from apspec.serialize import construction_format1_from_json, construction_from_json, load_path
+
+    obj = load_path(str(path))
+    if obj.get("format") in (2, 3):
+        _, _, rho, *_, rays = construction_from_json(obj)
+        s = TrigPoly.from_rays([DenseBlock(r, keys, coeffs) for r, (keys, coeffs) in zip(rho, rays)])
+    else:
+        s = construction_format1_from_json(obj)[-1]
+    pp = ProductPoly(s)
+    assert pp.term_count_upper() == _dense_pair_count(pp) == obj["f"]["pairs"]
