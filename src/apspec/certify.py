@@ -84,29 +84,31 @@ def _lattice_grid(keys: np.ndarray, rows: np.ndarray, n: int) -> list[float]:
     return np.max(np.abs(vals), axis=1).tolist()
 
 
-def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1.0 / 16):
+def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1.0 / 16) -> NormBracket:
     """Certified sup of t -> sum c_k exp(i k t) over one 2*pi period.
 
     keys are distinct integers.  The grid max is exact to fp accuracy at
     the sample points (lower bound); the upper bound inflates it by
     1/(1 - s*tau) where s is the grid step and tau = max|k|, and is
-    rigorous for s*tau < 1.  Coefficients of shape (rows, len(keys)) give
-    a list of brackets, one per row, from one FFT on the grid they share;
-    each is bit for bit the bracket of its row alone.
+    rigorous for s*tau < 1.
+    """
+    return _lattice_brackets(keys, np.asarray(coeffs, dtype=complex)[None], rel_gap)[0]
+
+
+def _lattice_brackets(keys: np.ndarray, rows: np.ndarray, rel_gap: float) -> list[NormBracket]:
+    """`integer_lattice_sup` of each row of coefficients (shape (rows, len(keys))), by one FFT on the grid they share.
+
+    Each bracket is bit for bit that of its row alone.
     """
     keys = np.asarray(keys, dtype=np.int64)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    rows = coeffs if coeffs.ndim == 2 else coeffs[None]
     if len(keys) == 0:
-        brackets = [NormBracket(0.0, 0.0)] * len(rows)
-    elif not keys.any():
-        brackets = [NormBracket(v, v * FP_CUSHION) for v in (abs(complex(row.sum())) for row in rows)]
-    else:
-        maxk = int(np.max(np.abs(keys)))
-        n = lattice_points(maxk, rel_gap)
-        room = 1 - 2 * math.pi * maxk / n
-        brackets = [NormBracket(g, g / room * FP_CUSHION) for g in _lattice_grid(keys, rows, n)]
-    return brackets if coeffs.ndim == 2 else brackets[0]
+        return [NormBracket(0.0, 0.0)] * len(rows)
+    if not keys.any():
+        return [NormBracket(v, v * FP_CUSHION) for v in (abs(complex(row.sum())) for row in rows)]
+    maxk = int(np.max(np.abs(keys)))
+    n = lattice_points(maxk, rel_gap)
+    room = 1 - 2 * math.pi * maxk / n
+    return [NormBracket(g, g / room * FP_CUSHION) for g in _lattice_grid(keys, rows, n)]
 
 
 def fft_rounding(n: int, l1: float) -> Fraction:
@@ -260,7 +262,7 @@ def bernstein_sides(f: TrigPoly, rel_gap: float = 1.0 / 16) -> tuple[float, floa
     """`sup_norm_upper(f)` and `sup_norm_certified(f.derivative()).lower` for an f with one ray, by one FFT.
 
     f' has f's keys with the coefficients `ray_slopes` and no constant, so
-    both come from `integer_lattice_sup` of the two rows on f's grid; f''s
+    both come from `_lattice_brackets` of the two rows on f's grid; f''s
     lower bound is its row's grid max (its bracket's upper is never
     below it).  None when f has no ray or several, or when a coefficient
     of f' rounds to 0: f' then drops that key and can have a grid of its
@@ -273,7 +275,7 @@ def bernstein_sides(f: TrigPoly, rel_gap: float = 1.0 / 16) -> tuple[float, floa
     slopes = ray_slopes(b)
     if not np.all(slopes != 0):
         return None
-    ray, slope = integer_lattice_sup(b.keys, np.stack([b.coeffs, slopes]), rel_gap)
+    ray, slope = _lattice_brackets(b.keys, np.stack([b.coeffs, slopes]), rel_gap)
     return _upper(c0, [ray]), slope.lower
 
 

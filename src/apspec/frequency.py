@@ -23,8 +23,6 @@ Coordinates = tuple[Fraction, tuple[tuple[int, Fraction], ...]]
 # keeps a trial-division split under about 0.1 ms
 MAX_RADICAND = 10**6
 
-_FRACTION_ZERO = Fraction(0)
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -326,15 +324,13 @@ def canonical_coordinates(rational: RationalLike, radicals: Iterable[tuple[int, 
 def coordinates_from_json(obj: dict) -> Coordinates:
     """Canonical coordinates of a frequency's JSON object {"rat", "rad"}, without building it.
 
-    Each coordinate is parsed by `fraction_from_text`; "0", the rational
-    part the writer gives every radical frequency, is read as Fraction(0)
-    without a parse.  A malformed object, a zero denominator or a
-    non-finite number among them (json reads Infinity, NaN and 1e400),
-    raises ValueError, and a radicand above MAX_RADICAND MalformedInput.
+    Each coordinate is parsed by `fraction_from_text`.  A malformed
+    object, a zero denominator or a non-finite number among them (json
+    reads Infinity, NaN and 1e400), raises ValueError, and a radicand
+    above MAX_RADICAND MalformedInput.
     """
     try:
-        text = obj["rat"]
-        rat = _FRACTION_ZERO if text == "0" else fraction_from_text(text)
+        rat = fraction_from_text(obj["rat"])
         rads = [(int(d), fraction_from_text(c)) for d, c in obj.get("rad", [])]
     except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed frequency object: {obj!r}") from exc

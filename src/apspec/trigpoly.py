@@ -1010,8 +1010,9 @@ def _difference_count(keys: np.ndarray) -> int:
     empty.  A difference d in [1, W) is absent only when each of its W - d
     pairs (k, k + d) meets an empty slot, and one slot meets at most two
     of them, so every d < W - 2g is present.  The rest are tested one
-    slice of the occupied slots each, or, where that costs more than the
-    n^2 pairs of keys, read from the pairs' differences in row chunks.
+    slice of the occupied slots each: O(W g) work, at most the O(W^2) of
+    a dense correlation, and O(W) for construction blocks, whose keys
+    leave at most three slots empty.
     """
     n = len(keys)
     if n == 0:
@@ -1019,14 +1020,7 @@ def _difference_count(keys: np.ndarray) -> int:
     offsets = keys - keys[0]
     width = int(offsets[-1]) + 1
     first = max(1, width - 2 * (width - n))
-    if (width - first) ** 2 <= 2 * n * n:
-        slots = np.zeros(width, dtype=bool)
-        slots[offsets] = True
-        found = sum(bool(np.any(slots[d:] & slots[: width - d])) for d in range(first, width))
-        return 2 * (first - 1 + found) + 1
-    seen = np.zeros(width, dtype=bool)
-    rows = max(1, _MAX_TABLE // n)
-    for i in range(0, n, rows):
-        diffs = offsets[None, :] - offsets[i : i + rows, None]
-        seen[diffs[diffs > 0]] = True
-    return 2 * int(np.count_nonzero(seen)) + 1
+    slots = np.zeros(width, dtype=bool)
+    slots[offsets] = True
+    found = sum(bool(np.any(slots[d:] & slots[: width - d])) for d in range(first, width))
+    return 2 * (first - 1 + found) + 1
