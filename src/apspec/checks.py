@@ -16,7 +16,7 @@ from apspec.certify import bernstein_sides, sup_norm_certified, sup_norm_upper
 from apspec.errors import ReciprocalApproximationFailed
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
-from apspec.trigpoly import TrigPoly, modulus_squared, multiply, ray_partition, spectrum
+from apspec.trigpoly import TrigPoly, complex_product, modulus_squared, multiply, ray_partition, spectrum
 
 EF = ExactFrequency
 
@@ -113,12 +113,10 @@ def poisson_eval(f: TrigPoly, z: complex, mode: str = "closed") -> complex:
     if mode == "closed":
         ws, cs = f.term_arrays()
         e = np.exp(1j * ws * np.where(ws >= 0, z, z.conjugate()))
-        # c*e written out: numpy's complex array product can round unlike its
-        # scalar product; this and the running sum from 0j keep the scalar
-        # loop's result bit for bit
+        # c*e as Python multiplies, and the running sum from 0j, keep the
+        # scalar loop's result bit for bit
         terms = np.zeros(len(ws) + 1, dtype=complex)
-        terms[1:].real = cs.real * e.real - cs.imag * e.imag
-        terms[1:].imag = cs.real * e.imag + cs.imag * e.real
+        complex_product(cs, e, out=terms[1:])
         return complex(np.add.accumulate(terms)[-1])
     if mode != "quadrature":
         raise ValueError(f"unknown mode {mode!r}")

@@ -70,12 +70,6 @@ class LaurentForm:
     def n(self) -> int:
         return (len(self.coeffs) - 1) // 2
 
-    def to_trigpoly(self) -> TrigPoly:
-        n = self.n
-        return TrigPoly(
-            [(self.base * (k - n), c) for k, c in enumerate(self.coeffs.tolist()) if c != 0]
-        )
-
 
 def commensurable_base(f: TrigPoly) -> LaurentForm:
     """Largest common base frequency and dense Laurent coefficients.

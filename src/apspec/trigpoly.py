@@ -1,31 +1,30 @@
 """Trigonometric polynomials with exact frequencies.
 
 A TrigPoly is a finite sum  sum_w c_w * exp(i*w*x)  with ExactFrequency
-frequencies and complex coefficients.  Canonical form: frequencies are
-distinct and kept in a dict; exact zero coefficients are dropped; iteration
-order is ascending by frequency value.
+frequencies and complex coefficients.  It is kept in one form,
+chi_shift * (const + sum of rays): a shift, a constant, and per rational
+direction one ray, a positive base frequency with ascending int64 keys
+of gcd 1 and complex128 coefficients (`DenseBlock`).  Frequencies are
+distinct and exact zero coefficients are dropped.  Terms given by
+frequencies (`TrigPoly(terms)`, `constant`, `character`, `from_cos`) or
+by their canonical coordinates (`TrigPoly.from_coordinates`, which the
+JSON reader calls) are grouped into rays in integer arithmetic, and a
+ray whose keys leave int64 raises MalformedInput.
 
-A polynomial is a constant plus finitely many rational rays, each one
-periodic.  `ray_partition` computes that split once per polynomial and
-keeps it on the instance (a TrigPoly never changes), so the sup
-certificates, the roots route, products and construction checks all read
-one copy.
-
-A polynomial can also be given by its rays (`TrigPoly.from_rays`): a
-constant, and one base frequency, int64 keys and complex128 coefficients
-per ray, times an optional character.  Such a polynomial, and one whose
-ray partition is known, reads its values, float frequencies, sorted
-terms, Wiener norm and spectrum extremes from the arrays, and sums and
-differences of two of them are formed ray by ray; `derivative` and
-`is_real` always read the ray partition.  All of these give bit for bit
-what the exact terms give.  A polynomial given by rays builds its exact
-term dict (one ExactFrequency per term) only when a method needs it.
-
-Terms given by their frequencies' canonical coordinates are grouped into
-rays in integer arithmetic (`TrigPoly.from_coordinates`); the JSON reader
-and `ray_partition` share that one grouping, and build one
-ExactFrequency per ray.  `sorted_terms_json` writes a ray form's
-frequencies as JSON from each ray's base and keys, again per ray.
+The form reads values, float frequencies, sorted terms, Wiener norm and
+spectrum extremes from its arrays; exact frequencies are compared only
+where floats cannot certify the order.  `modulate`, `dilate`, `conj`,
+negation and scalar products act on the shift, bases, keys and
+coefficients.  For shift 0 the constant and the rays are the
+polynomial's `ray_partition`, which sums, differences, `derivative` and
+`is_real` read; a shifted form's partition is computed once and kept.
+All of these give bit for bit what the exact terms give.  The exact
+terms themselves, one ExactFrequency each, are built only on request:
+as a read-only dict view, on first use, for `coefficient`, for `==` of
+forms whose arrays differ and for the partition of a shifted form, and
+as `sorted_terms`, which `multiply` and `mean_value_numeric` read.
+`sorted_terms_json` writes frequencies as JSON from each ray's base and
+keys.
 
 Every squared modulus |h|^2 is built one way (`ProductPoly(h)`): each ray
 of h is autocorrelated with one convolution.  The ProductPoly is |h|^2
@@ -40,10 +39,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
+from apspec.errors import MalformedInput
 from apspec.frequency import ONE, ZERO, Coordinates, ExactFrequency, lattice_json, rational_ratio
 
 EF = ExactFrequency
@@ -90,32 +91,29 @@ class DenseBlock:
 
 
 class TrigPoly:
-    """Finite exponential sum with exact frequencies."""
+    """Finite exponential sum with exact frequencies, kept as chi_shift * (const + rays)."""
 
-    __slots__ = ("_dict", "_sorted", "_rays", "_arrays", "_lazy", "_spec")
+    __slots__ = ("_form", "_rays", "_view", "_sorted", "_arrays", "_spec")
 
     def __init__(self, terms: Mapping[EF, complex] | Iterable[tuple[EF, complex]] = ()):
-        acc: dict[EF, complex] = {}
+        """The sum of (frequency, coefficient) terms, grouped by ray as `from_coordinates` groups them."""
         items = terms.items() if isinstance(terms, Mapping) else terms
+        coords = []
         for w, c in items:
             w = _as_ef(w)
-            c = complex(c)
-            if w in acc:
-                acc[w] += c
-            else:
-                acc[w] = c
-        self._dict = {w: c for w, c in acc.items() if c != 0}
-        self._sorted = None
-        self._rays = None
-        self._arrays = None
-        self._lazy = None
-        self._spec = None
+            coords.append(((w.rational, w.radicals), complex(c)))
+        self._fill(ZERO, *_ray_groups(coords))
+
+    def _fill(self, shift: EF, const: complex, rays: Iterable["DenseBlock"]) -> None:
+        self._form = (shift, 0j if const == 0 else const, _normalized_rays(rays))
+        self._rays = self._form[1:] if shift.is_zero() else None
+        self._view = self._sorted = self._arrays = self._spec = None
 
     # -- construction helpers ---------------------------------------------
 
     @classmethod
     def from_rays(cls, rays: Iterable["DenseBlock"], shift=ZERO, const: Scalar = 0j) -> "TrigPoly":
-        """chi_shift * (const + sum of the rays), kept as arrays until exact terms are needed.
+        """chi_shift * (const + sum of the rays).
 
         Every ray needs a positive base and distinct nonzero keys, and the
         rays must lie on distinct rational directions, so that no two terms
@@ -124,88 +122,16 @@ class TrigPoly:
         shift 0 the constant and the rays are the polynomial's
         `ray_partition`.
         """
-        shift = _as_ef(shift)
-        blocks: list[DenseBlock] = []
-        for b in rays:
-            if b.base.sign() <= 0:
-                raise ValueError("ray bases must be positive")
-            keep = b.coeffs != 0
-            order = np.argsort(b.keys[keep], kind="stable")
-            keys = b.keys[keep][order].astype(np.int64)
-            coeffs = b.coeffs[keep][order].astype(complex)
-            if not len(keys):
-                continue
-            if np.any(keys == 0) or np.any(np.diff(keys) == 0):
-                raise ValueError("ray keys must be distinct and nonzero")
-            step = int(np.gcd.reduce(keys))
-            base = b.base
-            if step > 1:
-                base, keys = base * step, keys // step
-            keys.setflags(write=False)
-            coeffs.setflags(write=False)
-            blocks.append(DenseBlock(base, keys, coeffs))
-        if len(blocks) > 1 and len({_normalized_direction(b.base) for b in blocks}) < len(blocks):
-            raise ValueError("rays must lie on distinct directions")
-        blocks.sort(key=lambda b: float(b.base))
         poly = cls.__new__(cls)
-        poly._dict = poly._sorted = poly._arrays = poly._spec = None
-        const = complex(const)
-        poly._lazy = (shift, const, tuple(blocks))
-        poly._rays = (const, tuple(blocks)) if shift.is_zero() else None
+        poly._fill(_as_ef(shift), complex(const), rays)
         return poly
 
     @classmethod
     def from_coordinates(cls, items: Iterable[tuple[Coordinates, complex]]) -> "TrigPoly":
-        """The sum of (coordinates, coefficient) items, given by its rays.
-
-        Coordinates are an ExactFrequency's canonical (rational, radicals)
-        (`canonical_coordinates`).  The terms are those TrigPoly(items)
-        would hold: coefficients of one frequency sum left to right, and
-        exact zeros drop.  The grouping is integer arithmetic.
-
-        A nonzero w = r + sum_d c_d sqrt(d) has coordinates n_i / den, den
-        the lcm of their denominators; with g = +-gcd(n_i), signed like n_0,
-        w is (g/den) * u for u the primitive integer vector n_i/g read back
-        as a frequency.  u names w's ray, and g/den, a reduced fraction,
-        names w on it.  On one ray with lcm L of the dens, w is the key
-        g*L/den times u/L (both negated if u < 0, so that the base is
-        positive).  The keys are divided by their gcd G, and the base is
-        G*u/L, before they become int64, so a lone term of any size fits.
-        """
-        const = None
-        groups: dict[tuple, dict[tuple[int, int], complex]] = {}
-        for (rat, rads), c in items:
-            coords = [x for _, x in rads]
-            if rat:
-                coords.insert(0, rat)
-            elif not coords:
-                const = c if const is None else const + c
-                continue
-            if len(coords) == 1:
-                g, den, vec = coords[0].numerator, coords[0].denominator, (1,)
-            else:
-                den = math.lcm(*(x.denominator for x in coords))
-                nums = [x.numerator * (den // x.denominator) for x in coords]
-                g = math.gcd(*nums) if nums[0] > 0 else -math.gcd(*nums)
-                vec = tuple(n // g for n in nums)
-            terms = groups.setdefault((rat != 0, tuple([d for d, _ in rads]), vec), {})
-            at = (g, den)
-            terms[at] = terms[at] + c if at in terms else c
-        rays = []
-        for (has_rational, rads, vec), terms in groups.items():
-            kept = [(g, den, c) for (g, den), c in terms.items() if c != 0]
-            if not kept:
-                continue
-            lcm = math.lcm(*(den for _, den, _ in kept))
-            ints = [g * (lcm // den) for g, den, _ in kept]
-            step = math.gcd(*ints)
-            keys = np.array([k // step for k in ints], dtype=np.int64)
-            parts = iter(Fraction(v * step, lcm) for v in vec)
-            unit = EF._canonical(next(parts) if has_rational else Fraction(0), tuple(zip(rads, parts)))
-            if unit.sign() < 0:
-                unit, keys = -unit, -keys
-            rays.append(DenseBlock(unit, keys, np.array([c for *_, c in kept], dtype=complex)))
-        return cls.from_rays(rays, const=0j if const is None or const == 0 else const)
+        """The sum of (coordinates, coefficient) items, given by its rays (`_ray_groups`)."""
+        poly = cls.__new__(cls)
+        poly._fill(ZERO, *_ray_groups(items))
+        return poly
 
     @classmethod
     def constant(cls, c: Scalar) -> "TrigPoly":
@@ -229,43 +155,28 @@ class TrigPoly:
     # -- basic views --------------------------------------------------------
 
     @property
-    def _terms(self) -> dict[EF, complex]:
-        """The exact term dict; a polynomial given by rays builds it on first use."""
-        if self._dict is None:
-            self._dict = dict(zip(_ray_frequencies(*self._lazy), _ray_coeffs(*self._lazy[1:]).tolist()))
-        return self._dict
-
-    def _ray_form(self) -> tuple[EF, complex, tuple["DenseBlock", ...]] | None:
-        """(shift, const, rays) when given by rays or once `ray_partition` has run, else None."""
-        if self._lazy is not None:
-            return self._lazy
-        return None if self._rays is None else (ZERO, *self._rays)
+    def _terms(self) -> Mapping[EF, complex]:
+        """The exact terms as a read-only {frequency: coefficient} view, built on first use."""
+        if self._view is None:
+            self._view = MappingProxyType(dict(zip(_ray_frequencies(*self._form), _ray_coeffs(*self._form[1:]).tolist())))
+        return self._view
 
     def sorted_terms(self) -> list[tuple[EF, complex]]:
-        """Terms in ascending frequency order.
-
-        With a ray form (`_ray_form`) the order is that of `term_arrays`,
-        and each frequency is built from its ray and key; otherwise the
-        exact terms are sorted by exact comparison.
-        """
+        """Terms in ascending frequency order: that of `term_arrays`, each frequency built from its ray and key."""
         if self._sorted is None:
             _, cs, order = self._sorted_arrays()
-            if order is not None:
-                freqs = _ray_frequencies(*self._ray_form())
-                self._sorted = [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
+            freqs = _ray_frequencies(*self._form)
+            self._sorted = [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
         return list(self._sorted)
 
     def sorted_terms_json(self) -> list[tuple[dict, complex]]:
         """`sorted_terms` with each frequency as its `EF.to_json` object.
 
-        Where `sorted_terms` reads a ray form, the objects are written from
-        each ray's base and keys in integer arithmetic (`lattice_json`), and
-        no frequency is built.
+        The objects are written from each ray's base and keys in integer
+        arithmetic (`lattice_json`), and no frequency is built.
         """
         _, cs, order = self._sorted_arrays()
-        if order is None:
-            return [(w.to_json(), c) for w, c in self.sorted_terms()]
-        freqs = _ray_json(*self._ray_form())
+        freqs = _ray_json(*self._form)
         return [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
 
     def frequencies(self) -> list[EF]:
@@ -274,37 +185,25 @@ class TrigPoly:
     def term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Float frequencies and coefficients in ascending frequency order (read-only).
 
-        Each float is float(w) of the exact frequency w, bit for bit.  A
-        polynomial with a ray form takes both from its rays, and compares
-        exact frequencies only within runs whose floats lie too close to
-        certify their order (`_ray_term_arrays`); any other polynomial
-        sorts its exact terms.
+        Each float is float(w) of the exact frequency w, bit for bit.  Both
+        are taken from the rays, and exact frequencies are compared only
+        within runs whose floats lie too close to certify their order
+        (`_ray_term_arrays`).
         """
         return self._sorted_arrays()[:2]
 
-    def _sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """`term_arrays` and the permutation that sorts the ray form's terms, or None without a ray form."""
+    def _sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`term_arrays` and the permutation that sorts the form's terms."""
         if self._arrays is None:
-            rays = self._ray_form()
-            if rays is not None:
-                found = _ray_term_arrays(*rays)
-            else:
-                self._sorted = sorted(self._terms.items(), key=lambda t: t[0])
-                found = (
-                    np.array([float(w) for w, _ in self._sorted], dtype=float),
-                    np.array([c for _, c in self._sorted], dtype=complex),
-                    None,
-                )
+            found = _ray_term_arrays(*self._form)
             for a in found[:2]:
                 a.setflags(write=False)
             self._arrays = found
         return self._arrays
 
     def term_count(self) -> int:
-        if self._dict is None:
-            _, const, blocks = self._lazy
-            return sum(len(b.keys) for b in blocks) + (const != 0)
-        return len(self._dict)
+        _, const, blocks = self._form
+        return sum(len(b.keys) for b in blocks) + (const != 0)
 
     def is_zero(self) -> bool:
         return self.term_count() == 0
@@ -315,7 +214,7 @@ class TrigPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        if self is other or _same_rays(self._lazy, other._lazy):
+        if self is other or _same_rays(self._form, other._form):
             return True
         return self._terms == other._terms
 
@@ -337,7 +236,8 @@ class TrigPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly({w: -c for w, c in self._terms.items()})
+        shift, const, blocks = self._form
+        return TrigPoly.from_rays([DenseBlock(b.base, b.keys, -b.coeffs) for b in blocks], shift, -const)
 
     def __sub__(self, other) -> "TrigPoly":
         return _combine(self, other, -1)
@@ -346,10 +246,14 @@ class TrigPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "TrigPoly":
+        """Product with a scalar (each coefficient times it, as Python multiplies complex numbers) or a TrigPoly."""
         if isinstance(other, (int, float, complex)):
             if other == 0:
                 return TrigPoly()
-            return TrigPoly({w: c * other for w, c in self._terms.items()})
+            z = complex(other)
+            shift, const, blocks = self._form
+            rays = [DenseBlock(b.base, b.keys, complex_product(b.coeffs, z)) for b in blocks]
+            return TrigPoly.from_rays(rays, shift, const * z)
         if isinstance(other, TrigPoly):
             return multiply(self, other)
         return NotImplemented
@@ -363,8 +267,10 @@ class TrigPoly:
         return _evaluate_arrays(*self.term_arrays(), x)
 
     def conj(self) -> "TrigPoly":
-        """Pointwise complex conjugate (for real x)."""
-        return TrigPoly({-w: c.conjugate() for w, c in self._terms.items()})
+        """Pointwise complex conjugate (for real x): every frequency negated, every coefficient conjugated."""
+        shift, const, blocks = self._form
+        rays = [DenseBlock(b.base, -b.keys, np.conjugate(b.coeffs)) for b in blocks]
+        return TrigPoly.from_rays(rays, -shift, const.conjugate())
 
     def derivative(self) -> "TrigPoly":
         """sum c*i*float(w)*exp(i*w*x), by ray: each coefficient times i and its ray's float frequency."""
@@ -373,30 +279,32 @@ class TrigPoly:
 
     def modulate(self, w0) -> "TrigPoly":
         """Multiply by exp(i*w0*x): shifts every frequency by w0."""
-        w0 = _as_ef(w0)
-        return TrigPoly({w + w0: c for w, c in self._terms.items()})
+        shift, const, blocks = self._form
+        return TrigPoly.from_rays(blocks, shift + _as_ef(w0), const)
 
     def dilate(self, rho) -> "TrigPoly":
-        """x -> rho*x rescaling: multiplies every frequency by rho."""
+        """x -> rho*x rescaling: multiplies every frequency by rho.
+
+        Each base becomes base*|rho|, and a negative rho negates the keys.
+        """
         rho = _as_ef(rho)
-        if rho.is_zero():
+        sign = rho.sign()
+        if sign == 0:
             raise ValueError("dilation scale must be nonzero")
-        return TrigPoly({w * rho: c for w, c in self._terms.items()})
+        shift, const, blocks = self._form
+        rays = [DenseBlock(b.base * abs(rho), b.keys * sign, b.coeffs) for b in blocks]
+        return TrigPoly.from_rays(rays, shift * rho, const)
 
     def wiener_norm(self) -> float:
         """Sum of coefficient magnitudes (fsum, so exact before one rounding).
 
         fsum's result does not depend on the order of its terms, so the
-        magnitudes are read unsorted: from the constant and the rays of a
-        ray form (`_ray_form`), else from the term dict; no frequency is
-        compared.  np.hypot is libm's hypot, as abs(complex) is; np.abs
-        differs in the last bit for about a third of complex inputs.
+        magnitudes are read unsorted, from the constant and the rays; no
+        frequency is compared.  np.hypot is libm's hypot, as abs(complex)
+        is; np.abs differs in the last bit for about a third of complex
+        inputs.
         """
-        rays = self._ray_form()
-        if rays is not None:
-            cs = _ray_coeffs(*rays[1:])
-        else:
-            cs = np.array(list(self._terms.values()), dtype=complex)
+        cs = _ray_coeffs(*self._form[1:])
         return math.fsum(np.hypot(cs.real, cs.imag).tolist())
 
     def is_real(self, tol: float = 0.0) -> bool:
@@ -429,34 +337,104 @@ def _as_poly(x) -> "TrigPoly":
     return NotImplemented
 
 
-def _combine(f: TrigPoly, other, sign: int) -> TrigPoly:
-    """f + other (sign 1) or f - other (sign -1); formed ray by ray when both ray partitions are known.
+def _normalized_rays(rays: Iterable[DenseBlock]) -> tuple[DenseBlock, ...]:
+    """The rays of `TrigPoly.from_rays`, checked and normalized.
 
-    Term by term, a frequency of f alone keeps its coefficient a, one of
-    other alone gets 0j +- b, and a shared one a +- b; `_add_rays` forms
-    the same numbers on the rays' common lattices, so both routes agree
-    bit for bit.
+    Zero coefficients drop, keys end ascending with gcd 1 (the base times
+    their gcd), the arrays read-only, and the rays ordered by float base.
     """
+    blocks: list[DenseBlock] = []
+    for b in rays:
+        if b.base.sign() <= 0:
+            raise ValueError("ray bases must be positive")
+        keep = b.coeffs != 0
+        order = np.argsort(b.keys[keep], kind="stable")
+        keys = b.keys[keep][order].astype(np.int64)
+        coeffs = b.coeffs[keep][order].astype(complex)
+        if not len(keys):
+            continue
+        if np.any(keys == 0) or np.any(np.diff(keys) == 0):
+            raise ValueError("ray keys must be distinct and nonzero")
+        step = int(np.gcd.reduce(keys))
+        base = b.base
+        if step > 1:
+            base, keys = base * step, keys // step
+        keys.setflags(write=False)
+        coeffs.setflags(write=False)
+        blocks.append(DenseBlock(base, keys, coeffs))
+    if len(blocks) > 1 and len({_normalized_direction(b.base) for b in blocks}) < len(blocks):
+        raise ValueError("rays must lie on distinct directions")
+    blocks.sort(key=lambda b: float(b.base))
+    return tuple(blocks)
+
+
+def _ray_groups(items: Iterable[tuple[Coordinates, complex]]) -> tuple[complex, list[DenseBlock]]:
+    """The constant and the rays of the sum of (coordinates, coefficient) items.
+
+    Coordinates are an ExactFrequency's canonical (rational, radicals)
+    (`canonical_coordinates`).  Coefficients of one frequency sum left to
+    right, and exact zeros drop.  The grouping is integer arithmetic.
+
+    A nonzero w = r + sum_d c_d sqrt(d) has coordinates n_i / den, den
+    the lcm of their denominators; with g = +-gcd(n_i), signed like n_0,
+    w is (g/den) * u for u the primitive integer vector n_i/g read back
+    as a frequency.  u names w's ray, and g/den, a reduced fraction,
+    names w on it.  On one ray with lcm L of the dens, w is the key
+    g*L/den times u/L (both negated if u < 0, so that the base is
+    positive).  The keys are divided by their gcd G, and the base is
+    G*u/L, before they become int64, so a lone term of any size fits; a
+    ray whose keys still leave int64 raises MalformedInput.
+    """
+    const = None
+    groups: dict[tuple, dict[tuple[int, int], complex]] = {}
+    for (rat, rads), c in items:
+        coords = [x for _, x in rads]
+        if rat:
+            coords.insert(0, rat)
+        elif not coords:
+            const = c if const is None else const + c
+            continue
+        if len(coords) == 1:
+            g, den, vec = coords[0].numerator, coords[0].denominator, (1,)
+        else:
+            den = math.lcm(*(x.denominator for x in coords))
+            nums = [x.numerator * (den // x.denominator) for x in coords]
+            g = math.gcd(*nums) if nums[0] > 0 else -math.gcd(*nums)
+            vec = tuple(n // g for n in nums)
+        terms = groups.setdefault((rat != 0, tuple([d for d, _ in rads]), vec), {})
+        at = (g, den)
+        terms[at] = terms[at] + c if at in terms else c
+    rays = []
+    for (has_rational, rads, vec), terms in groups.items():
+        kept = [(g, den, c) for (g, den), c in terms.items() if c != 0]
+        if not kept:
+            continue
+        lcm = math.lcm(*(den for _, den, _ in kept))
+        ints = [g * (lcm // den) for g, den, _ in kept]
+        step = math.gcd(*ints)
+        ints = [k // step for k in ints]
+        if max(map(abs, ints)) >= 1 << 63:
+            raise MalformedInput(f"a ray of the polynomial needs a key past int64: {max(map(abs, ints))}")
+        keys = np.array(ints, dtype=np.int64)
+        parts = iter(Fraction(v * step, lcm) for v in vec)
+        unit = EF._canonical(next(parts) if has_rational else Fraction(0), tuple(zip(rads, parts)))
+        if unit.sign() < 0:
+            unit, keys = -unit, -keys
+        rays.append(DenseBlock(unit, keys, np.array([c for *_, c in kept], dtype=complex)))
+    return 0j if const is None else const, rays
+
+
+def _combine(f: TrigPoly, other, sign: int) -> TrigPoly:
+    """f + other (sign 1) or f - other (sign -1), formed ray by ray on the two ray partitions (`_add_rays`)."""
     other = _as_poly(other)
     if other is NotImplemented:
         return NotImplemented
-    if f._rays is not None and other._rays is not None:
-        total = _add_rays(f._rays, other._rays, sign)
-        if total is not None:
-            return total
-    acc = dict(f._terms)
-    for w, c in other._terms.items():
-        v = acc.get(w, 0j) + c if sign > 0 else acc.get(w, 0j) - c
-        if v == 0:
-            acc.pop(w, None)
-        else:
-            acc[w] = v
-    return TrigPoly(acc)
+    return _add_rays(ray_partition(f), ray_partition(other), sign)
 
 
 def _same_rays(a, b) -> bool:
-    """True when two ray forms (shift, const, blocks) hold the same arrays."""
-    if a is None or b is None or a[0] != b[0] or a[1] != b[1] or len(a[2]) != len(b[2]):
+    """True when two forms (shift, const, blocks) hold the same arrays."""
+    if a[0] != b[0] or a[1] != b[1] or len(a[2]) != len(b[2]):
         return False
     return all(
         p.base == q.base and np.array_equal(p.keys, q.keys) and np.array_equal(p.coeffs, q.coeffs)
@@ -465,7 +443,7 @@ def _same_rays(a, b) -> bool:
 
 
 def _ray_frequencies(shift: EF, const: complex, blocks: Sequence[DenseBlock]) -> list[EF]:
-    """Exact frequencies of a ray form's terms: the constant's if nonzero, then ray by ray."""
+    """Exact frequencies of a form's terms: the constant's if nonzero, then ray by ray."""
     freqs = [ZERO] if const != 0 else []
     freqs += [b.base * k for b in blocks for k in b.keys.tolist()]
     return freqs if shift.is_zero() else [shift + w for w in freqs]
@@ -480,16 +458,18 @@ def _ray_json(shift: EF, const: complex, blocks: Sequence[DenseBlock]) -> list[d
 
 
 def _ray_coeffs(const: complex, blocks: Sequence[DenseBlock]) -> np.ndarray:
-    """Coefficients of a ray form's terms, aligned with `_ray_frequencies`."""
+    """Coefficients of a form's terms, aligned with `_ray_frequencies`."""
     head = [np.array([const])] if const != 0 else []
     return np.concatenate(head + [b.coeffs for b in blocks]) if head or blocks else np.zeros(0, dtype=complex)
 
 
-def _add_rays(a, b, sign: int) -> "TrigPoly | None":
-    """Ray partitions (const, rays) a + sign*b, ray by ray, or None if a key would leave int64.
+def _add_rays(a, b, sign: int) -> TrigPoly:
+    """Ray partitions (const, rays) a + sign*b, ray by ray.
 
     Two rays on one direction, with bases p*u and q*u (p/q their ratio),
-    are combined on the lattice u*Z.
+    are combined on the lattice u*Z; MalformedInput if a key there would
+    leave int64.  A frequency of a alone keeps its coefficient x, one of b
+    alone gets 0j +- y, and a shared one x +- y.
     """
     groups: dict[tuple, list] = {}
     for side, (_, blocks) in enumerate((a, b)):
@@ -503,7 +483,7 @@ def _add_rays(a, b, sign: int) -> "TrigPoly | None":
         else:
             p, q = rational_ratio(x.base, y.base).as_integer_ratio()
             if max(int(np.max(np.abs(x.keys))) * p, int(np.max(np.abs(y.keys))) * q) >= 1 << 62:
-                return None
+                raise MalformedInput(f"the sum of two rays on one direction needs keys past int64 (base ratio {p}/{q})")
             unit = y.base / q
         kx = np.zeros(0, dtype=np.int64) if x is None else x.keys * p
         ky = np.zeros(0, dtype=np.int64) if y is None else y.keys * q
@@ -523,6 +503,21 @@ def _key_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted distinct keys of a and b: np.union1d, without the import of numpy.ma its first call makes."""
     keys = np.sort(np.concatenate([a, b]))
     return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+
+
+def complex_product(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
+    """a * b elementwise, written out as Python multiplies two complex numbers.
+
+    numpy's complex array product can round unlike Python's scalar one;
+    this form gives Python's product bit for bit.  b is an array of a's
+    shape or a Python complex; out, a complex array of a's shape, takes
+    the product in place of a new array.
+    """
+    if out is None:
+        out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def ray_slopes(b: DenseBlock) -> np.ndarray:
@@ -758,8 +753,8 @@ def spectrum(f: "TrigPoly | ProductPoly") -> SpectrumInfo:
     """Spectrum summary: count, extremes, bandwidth, one-sided width tau.
 
     tau is max(|inf|, |sup|), the exponential type of the natural entire
-    extension.  A polynomial with a ray form takes its extremes from the
-    constant and each ray's end keys.  The summary is built once per
+    extension.  A polynomial's extremes are read from its constant and
+    each ray's end keys.  The summary is built once per
     TrigPoly and kept on it, as `ray_partition` is.  For a ProductPoly the
     extremes are +-(bandwidth of the factor) and the count is an upper
     bound.
@@ -774,16 +769,11 @@ def spectrum(f: "TrigPoly | ProductPoly") -> SpectrumInfo:
 def _spectrum_of(f: TrigPoly) -> SpectrumInfo:
     if f.is_zero():
         return SpectrumInfo.empty()
-    rays = f._ray_form()
-    if rays is None:
-        freqs = f.frequencies()
-        lo, hi = freqs[0], freqs[-1]
-    else:
-        shift, const, blocks = rays
-        lo = min([b.base * int(b.keys[0]) for b in blocks] + ([ZERO] if const != 0 else []))
-        hi = max([b.base * int(b.keys[-1]) for b in blocks] + ([ZERO] if const != 0 else []))
-        if not shift.is_zero():
-            lo, hi = lo + shift, hi + shift
+    shift, const, blocks = f._form
+    lo = min([b.base * int(b.keys[0]) for b in blocks] + ([ZERO] if const != 0 else []))
+    hi = max([b.base * int(b.keys[-1]) for b in blocks] + ([ZERO] if const != 0 else []))
+    if not shift.is_zero():
+        lo, hi = lo + shift, hi + shift
     tau = max(abs(lo), abs(hi))
     return SpectrumInfo(f.term_count(), lo, hi, hi - lo, tau)
 
@@ -853,7 +843,9 @@ def ray_partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
     keys with gcd 1; block frequencies base*k enumerate one commensurable
     class of the spectrum.  Blocks are ordered by base.  The split is
     computed once per polynomial and kept on it; the blocks' arrays are
-    read-only, so no caller can change the kept copy.
+    read-only, so no caller can change the kept copy.  For shift 0 the
+    polynomial's form is its partition; a shifted form is partitioned from
+    its exact terms.
     """
     if f._rays is None:
         f._rays = TrigPoly.from_coordinates(((w.rational, w.radicals), c) for w, c in f._terms.items())._rays
@@ -936,50 +928,45 @@ class ProductPoly:
         return SpectrumInfo(info.count * (info.count - 1) + 1, -b, b, b + b, b)
 
     def to_trigpoly(self) -> TrigPoly:
-        """The product materialized term by term, exactly Hermitian.
+        """The product materialized, exactly Hermitian.
 
-        The dense blocks' terms come first, then for each ordered pair
-        (a, b) of distinct blocks the terms a_i * conj(b_j) at
-        base_a*k_i - base_b*k_j.  They are summed once; only the w > 0 side
-        is kept and mirrored, and the w = 0 coefficient is made real, so
-        c(-w) == conj(c(w)) holds bit for bit (the rank-one products of
-        (a, b) and (b, a) need not be conjugate to the last bit).  With at
-        most one block there are no cross terms, and the same coefficients
-        are returned as one ray (`TrigPoly.from_rays`).
+        With one block, its autocorrelation is the product.  Otherwise the
+        dense blocks' terms come first, then for each ordered pair (a, b)
+        of distinct blocks the terms a_i * conj(b_j) at base_a*k_i -
+        base_b*k_j, and they are summed once, by ray.  Of each ray only the
+        w > 0 side is kept and mirrored, and the w = 0 coefficient is made
+        real, so c(-w) == conj(c(w)) holds bit for bit (the rank-one
+        products of (a, b) and (b, a) need not be conjugate to the last
+        bit).
         """
         if len(self.dense) <= 1:
-            const, rays = 0j, []
-            for d in self.dense:
-                pos, zero = d.keys > 0, d.keys == 0
-                keys, vals = d.keys[pos], d.coeffs[pos]
-                mirrored = np.concatenate([np.conjugate(vals[::-1]), vals])
-                rays.append(DenseBlock(d.base, np.concatenate([-keys[::-1], keys]), mirrored))
+            const, rays = 0j, self.dense
+            for d in rays:
+                zero = d.keys == 0
                 if zero.any():
-                    const = complex(d.coeffs[zero][0].real, 0.0)
-            return TrigPoly.from_rays(rays, const=const)
-        if self.term_count_upper() > MAX_DICT_PAIRS:
-            raise ValueError("product too large to materialize as a TrigPoly")
+                    const = complex(d.coeffs[zero][0])
+        else:
+            if self.term_count_upper() > MAX_DICT_PAIRS:
+                raise ValueError("product too large to materialize as a TrigPoly")
 
-        def cross(a: DenseBlock, b: DenseBlock) -> Iterator[tuple[EF, complex]]:
-            vals = np.outer(a.coeffs, np.conjugate(b.coeffs))
-            for ka, row in zip(a.keys.tolist(), vals.tolist()):
-                wa = a.base * ka
-                for kb, v in zip(b.keys.tolist(), row):
-                    if v != 0:
-                        yield wa - b.base * kb, v
+            def cross(a: DenseBlock, b: DenseBlock) -> Iterator[tuple[EF, complex]]:
+                vals = np.outer(a.coeffs, np.conjugate(b.coeffs))
+                for ka, row in zip(a.keys.tolist(), vals.tolist()):
+                    wa = a.base * ka
+                    for kb, v in zip(b.keys.tolist(), row):
+                        if v != 0:
+                            yield wa - b.base * kb, v
 
-        blocks = self._blocks
-        dense = (t for d in self.dense for t in d.terms())
-        pairs = (t for a in blocks for b in blocks if a is not b for t in cross(a, b))
-        out: dict[EF, complex] = {}
-        for w, c in TrigPoly(itertools.chain(dense, pairs))._terms.items():
-            sign = w.sign()
-            if sign > 0:
-                out[w] = c
-                out[-w] = c.conjugate()
-            elif sign == 0:
-                out[w] = complex(c.real, 0.0)
-        return TrigPoly(out)
+            blocks = self._blocks
+            dense = (t for d in self.dense for t in d.terms())
+            pairs = (t for a in blocks for b in blocks if a is not b for t in cross(a, b))
+            const, rays = ray_partition(TrigPoly(itertools.chain(dense, pairs)))
+        mirrored = []
+        for d in rays:
+            pos = d.keys > 0
+            keys, vals = d.keys[pos], d.coeffs[pos]
+            mirrored.append(DenseBlock(d.base, np.concatenate([-keys[::-1], keys]), np.concatenate([np.conjugate(vals[::-1]), vals])))
+        return TrigPoly.from_rays(mirrored, const=complex(const.real, 0.0))
 
 
 def _autocorrelate(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

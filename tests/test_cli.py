@@ -787,6 +787,9 @@ def test_huge_radicand_refused(tmp_path, capsys):
 
 
 _ONE = '"re": 1.0, "im": 0.0'
+_BIG_KEYS = '{"terms": [%s, {"freq": {"rat": "0", "rad": []}, "re": 3.0, "im": 0.0}]}' % ", ".join(
+    '{"freq": {"rat": "%d", "rad": []}, %s}' % (k, _ONE) for k in (-(10**30), -1, 1, 10**30)
+)
 # each malformed polynomial payload, with the line `factor` prints and its exit code
 POLY_REFUSALS = [
     ('{"terms": [{%s}]}' % _ONE, "bad trig polynomial payload: 'freq'"),
@@ -864,6 +867,13 @@ POLY_REFUSALS = [
         '{"terms": [{"freq": {"rat": "-3/0", "rad": []}, %s}]}' % _ONE,
         "bad trig polynomial payload: malformed frequency object: {'rat': '-3/0', 'rad': []}",
     ),
+    # terms on one ray whose keys leave int64: 1 and 10**30, and sqrt(2)/10**30 and sqrt(2)
+    (_BIG_KEYS, "a ray of the polynomial needs a key past int64: %d" % 10**30),
+    (
+        '{"terms": [{"freq": {"rat": "0", "rad": [["2", "1/%d"]]}, %s}, {"freq": {"rat": "0", "rad": [["2", "-1"]]}, %s}]}'
+        % (10**30, _ONE, _ONE),
+        "a ray of the polynomial needs a key past int64: %d" % 10**30,
+    ),
 ]
 
 
@@ -873,6 +883,19 @@ def test_malformed_polynomials_keep_their_refusals(payload, message, tmp_path, c
     inp.write_text(payload)
     assert run(["factor", "--method", "roots", "--input", str(inp), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--m", "0.5", "--eps", "0.2"], ["factor", "--method", "cepstral", "--m", "0.5"]],
+    ids=["analyze", "cepstral"],
+)
+def test_keys_past_int64_refused_by_analyze_and_cepstral(argv, tmp_path, capsys):
+    inp, out = tmp_path / "f.json", tmp_path / "out.json"
+    inp.write_text(_BIG_KEYS)
+    assert run(argv + ["--input", str(inp), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: a ray of the polynomial needs a key past int64: %d\n" % 10**30
     assert not out.exists()
 
 

@@ -34,7 +34,9 @@ def test_commensurable_base_cosine():
     assert lf.base == EF(1)
     assert lf.coeffs.tolist() == [1.0, 2.0, 1.0]
     assert lf.n == 1
-    assert lf.to_trigpoly() == f
+    const, (ray,) = ray_partition(f)
+    assert lf.base == ray.base and lf.coeffs[lf.n] == const
+    assert lf.coeffs[ray.keys + lf.n].tolist() == ray.coeffs.tolist()
 
 
 def test_commensurable_base_radical_ray():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apspec.errors import MalformedInput
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
 from apspec.trigpoly import (
@@ -15,11 +16,11 @@ from apspec.trigpoly import (
     ProductPoly,
     SpectrumInfo,
     TrigPoly,
+    _evaluate_arrays,
     _grid_rows,
     _difference_count,
     _normalized_direction,
     _ray_floats,
-    _spectrum_of,
     bohr_coefficient,
     evaluation_error,
     mean_value_numeric,
@@ -98,6 +99,13 @@ def test_modulate_and_dilate():
     rho = EF.sqrt_of(2) / 3
     assert np.allclose(f.dilate(rho).evaluate(xs), f.evaluate(float(rho) * xs))
     assert f.dilate(rho).frequencies() == [-rho, rho]
+    # negative and radical scales keep every ray's base positive
+    g = TrigPoly([(EF(0), 2.0), (EF(1), 1 + 1j), (EF(-3), 0.5), (EF.sqrt_of(2), -1j)])
+    for rho in (EF(-2), -EF.sqrt_of(2) / 3, EF(1) - EF.sqrt_of(2)):
+        assert np.allclose(g.dilate(rho).evaluate(xs), g.evaluate(float(rho) * xs))
+        assert all(b.base.sign() > 0 for b in ray_partition(g.dilate(rho))[1])
+    with pytest.raises(ValueError):
+        g.dilate(0)
 
 
 def test_modulus_squared_exact_small():
@@ -475,6 +483,68 @@ def test_direct_sum_unchanged_off_grid():
 # -- polynomials given by rays ---------------------------------------------
 
 
+class _Oracle:
+    """Reference for a TrigPoly: its exact terms in a dict {ExactFrequency: complex}.
+
+    Coefficients of one frequency sum left to right and exact zeros drop;
+    every reading sorts the terms by exact comparison and takes float(w)
+    of each frequency.  A TrigPoly must give the same readings bit for bit.
+    """
+
+    def __init__(self, terms):
+        acc = {}
+        for w, c in terms:
+            w, c = (w if isinstance(w, EF) else EF(w)), complex(c)
+            acc[w] = acc[w] + c if w in acc else c
+        self.terms = {w: c for w, c in acc.items() if c != 0}
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: t[0])
+
+    def frequencies(self):
+        return [w for w, _ in self.sorted_terms()]
+
+    def term_arrays(self):
+        terms = self.sorted_terms()
+        return np.array([float(w) for w, _ in terms], dtype=float), np.array([c for _, c in terms], dtype=complex)
+
+    def sorted_terms_json(self):
+        return [(w.to_json(), c) for w, c in self.sorted_terms()]
+
+    def wiener_norm(self):
+        cs = np.array(list(self.terms.values()), dtype=complex)
+        return math.fsum(np.hypot(cs.real, cs.imag).tolist())
+
+    def spectrum(self):
+        if not self.terms:
+            return SpectrumInfo.empty()
+        freqs = self.frequencies()
+        lo, hi = freqs[0], freqs[-1]
+        return SpectrumInfo(len(freqs), lo, hi, hi - lo, max(abs(lo), abs(hi)))
+
+    def evaluate(self, x):
+        return _evaluate_arrays(*self.term_arrays(), x)
+
+    def map(self, freq, coeff):
+        return _Oracle((freq(w), coeff(c)) for w, c in self.terms.items())
+
+    def plus(self, other, sign):
+        acc = dict(self.terms)
+        for w, c in other.terms.items():
+            acc[w] = acc.get(w, 0j) + c if sign > 0 else acc.get(w, 0j) - c
+        return _Oracle(acc.items())
+
+
+def _assert_matches_oracle(f, ref):
+    for got, want in zip(f.term_arrays(), ref.term_arrays()):
+        assert got.tobytes() == want.tobytes()
+    assert f.sorted_terms_json() == ref.sorted_terms_json()
+    assert f.wiener_norm() == ref.wiener_norm()
+    assert spectrum(f) == ref.spectrum()
+    assert f.term_count() == len(ref.terms)
+    assert dict(f._terms) == ref.terms
+
+
 def _rays_to_terms(rays, shift):
     return [(shift + b.base * k, c) for b in rays for k, c in zip(b.keys.tolist(), b.coeffs.tolist())]
 
@@ -544,26 +614,108 @@ def test_ray_floats_large_denominators():
 def test_from_rays_matches_term_by_term(case):
     rays, shift = case
     lazy = TrigPoly.from_rays(rays, shift)
-    ref = TrigPoly(_rays_to_terms(rays, shift))
-    assert lazy.term_count() == ref.term_count()
-    assert lazy.is_zero() == ref.is_zero()
+    ref = _Oracle(_rays_to_terms(rays, shift))
+    assert lazy.term_count() == len(ref.terms)
+    assert lazy.is_zero() == (not ref.terms)
     # read from the arrays, bit for bit what the exact terms give
     for got, want in zip(lazy.term_arrays(), ref.term_arrays()):
         assert got.tobytes() == want.tobytes()
     assert lazy.wiener_norm() == ref.wiener_norm()
     xs = np.linspace(-7.0, 9.0, 33)
     assert lazy.evaluate(xs).tobytes() == ref.evaluate(xs).tobytes()
-    assert spectrum(lazy) == spectrum(ref)
+    assert spectrum(lazy) == ref.spectrum()
     if shift.is_zero():
         const, blocks = ray_partition(lazy)
-        ref_const, ref_blocks = ray_partition(ref)
+        ref_const, ref_blocks = ray_partition(TrigPoly(ref.terms))
         assert const == ref_const and len(blocks) == len(ref_blocks)
         for b, r in zip(blocks, ref_blocks):
             assert b.base == r.base
             assert b.keys.tolist() == r.keys.tolist() and b.coeffs.tolist() == r.coeffs.tolist()
-        assert lazy._dict is None  # nothing above needed the exact terms
-    assert lazy == ref and ref == lazy
+    assert lazy._view is None  # nothing above built the exact terms
+    assert lazy == TrigPoly(ref.terms) and TrigPoly(ref.terms) == lazy
     assert lazy.sorted_terms() == ref.sorted_terms()
+
+
+_FREQS = [
+    EF(0), EF(1), EF(-1), EF(3), EF(Fraction(1, 3)), EF(Fraction(-5, 6)), EF.sqrt_of(2), -EF.sqrt_of(2),
+    EF.sqrt_of(2, Fraction(3, 2)), EF.sqrt_of(3), EF(1) + EF.sqrt_of(2), EF(Fraction(1, 2)) - EF.sqrt_of(5, 2),
+]
+# exact zeros of both signs, and magnitudes whose products underflow to zero
+_term_coeffs = st.one_of(
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 0j, -1 + 0j, 0.5j, 1e-200 + 0j, -3e-170j]),
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+)
+_frequencies = st.one_of(st.sampled_from(_FREQS), exact_frequencies())
+
+
+@st.composite
+def term_lists(draw):
+    """(frequency, coefficient) terms with repeated frequencies, some of which cancel."""
+    terms = draw(st.lists(st.tuples(_frequencies, _term_coeffs), max_size=10))
+    cancel = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+    return terms + [(w, -c) for w, c in cancel]
+
+
+@given(term_lists(), _term_coeffs, _frequencies, st.lists(st.tuples(_frequencies, st.floats(-3, 3)), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_constructors_match_the_oracle(terms, c, w, pairs):
+    _assert_matches_oracle(TrigPoly(terms), _Oracle(terms))
+    _assert_matches_oracle(TrigPoly(dict(terms)), _Oracle(dict(terms).items()))
+    _assert_matches_oracle(TrigPoly.constant(c), _Oracle([(EF(0), c)]))
+    _assert_matches_oracle(TrigPoly.character(w, c), _Oracle([(w, c)]))
+    cos_terms = [(EF(0), c.real)] + [t for v, a in pairs for t in ((v, a / 2), (-v, a / 2))]
+    _assert_matches_oracle(TrigPoly.from_cos(pairs, constant=c.real), _Oracle(cos_terms))
+
+
+_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-3, 3),
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-300, -1e-300j, complex(-0.0, 1.0)]),
+)
+_nonzero = exact_frequencies().filter(lambda w: not w.is_zero())
+_operations = st.one_of(
+    st.tuples(st.just("modulate"), _frequencies),
+    # negative and radical scales, and a negative rational one
+    st.tuples(st.just("dilate"), st.one_of(_nonzero, st.sampled_from([-EF.sqrt_of(2) / 3, EF(-2), EF.sqrt_of(5)]))),
+    st.tuples(st.just("conj"), st.none()),
+    st.tuples(st.just("neg"), st.none()),
+    st.tuples(st.just("mul"), _scalars),
+)
+
+
+def _apply(op, arg, f, ref):
+    if op == "modulate":
+        return f.modulate(arg), ref.map(lambda w: w + arg, lambda c: c)
+    if op == "dilate":
+        return f.dilate(arg), ref.map(lambda w: w * arg, lambda c: c)
+    if op == "conj":
+        return f.conj(), ref.map(lambda w: -w, lambda c: c.conjugate())
+    if op == "neg":
+        return -f, ref.map(lambda w: w, lambda c: -c)
+    return f * arg, (_Oracle(()) if arg == 0 else ref.map(lambda w: w, lambda c: c * arg))
+
+
+@given(term_lists(), st.lists(_operations, min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_form_operations_match_the_oracle(terms, ops):
+    # each operation acts on (shift, const, rays) and must give what the
+    # exact terms give; chains reach shifted forms and signs flipped by dilate
+    f, ref = TrigPoly(terms), _Oracle(terms)
+    for op, arg in ops:
+        f, ref = _apply(op, arg, f, ref)
+        _assert_matches_oracle(f, ref)
+
+
+def test_keys_past_int64_are_refused():
+    # 1 and 10**30 on one ray need the key 10**30
+    with pytest.raises(MalformedInput, match="int64"):
+        TrigPoly([(EF(1), 1.0), (EF(-1), 1.0), (EF(10**30), 1.0), (EF(0), 3.0)])
+    # a sum of two rays on one direction whose common lattice leaves int64
+    a = TrigPoly.from_rays([DenseBlock(EF(1), np.array([1]), np.array([1.0 + 0j]))])
+    b = TrigPoly.from_rays([DenseBlock(EF(Fraction(1, 2**62)), np.array([1]), np.array([1.0 + 0j]))])
+    with pytest.raises(MalformedInput, match="int64"):
+        a + b
 
 
 def _is_real_term_by_term(terms: dict, tol: float) -> bool:
@@ -577,16 +729,16 @@ def test_ray_methods_match_term_by_term(a, b, subtract, const):
     # sum, difference, derivative, realness and sorted terms read from the
     # rays give what the exact term dicts give, bit for bit
     pa, pb = TrigPoly.from_rays(a[0], const=const), TrigPoly.from_rays(b[0])
-    da = TrigPoly(_rays_to_terms(a[0], EF(0)) + [(EF(0), const)])
-    db = TrigPoly(_rays_to_terms(b[0], EF(0)))
+    da = _Oracle(_rays_to_terms(a[0], EF(0)) + [(EF(0), const)])
+    db = _Oracle(_rays_to_terms(b[0], EF(0)))
     got = pa - pb if subtract else pa + pb
-    want = da - db if subtract else da + db  # no partition known: the dict route
-    assert got == want
+    want = da.plus(db, -1 if subtract else 1)  # term by term
+    assert got == TrigPoly(want.terms) and dict(got._terms) == want.terms
     for g, w in zip(got.term_arrays(), want.term_arrays()):
         assert g.tobytes() == w.tobytes()
-    exact = [(w.to_json(), c) for w, c in sorted(want._terms.items(), key=lambda t: t[0])]
+    exact = [(w.to_json(), c) for w, c in want.sorted_terms()]
     assert [(w.to_json(), c) for w, c in got.sorted_terms()] == exact
-    slope = TrigPoly({w: c * 1j * float(w) for w, c in da.sorted_terms()})
+    slope = _Oracle((w, c * 1j * float(w)) for w, c in da.sorted_terms())
     for g, w in zip(pa.derivative().term_arrays(), slope.term_arrays()):
         assert g.tobytes() == w.tobytes()
     real = pa + pa.conj()
@@ -607,7 +759,7 @@ def test_from_rays_near_tie_sorts_exactly():
     lazy = TrigPoly.from_rays(rays)
     ws, cs = lazy.term_arrays()
     assert cs.tolist() == [3.0, 1.0, 4.0, 2.0]
-    assert ws.tolist() == [float(w) for w in TrigPoly(_rays_to_terms(rays, EF(0))).frequencies()]
+    assert ws.tolist() == [float(w) for w in _Oracle(_rays_to_terms(rays, EF(0))).frequencies()]
 
 
 def test_from_rays_normalizes_and_refuses():
@@ -640,7 +792,7 @@ def test_wiener_norm_reads_the_rays_unsorted(case, const):
     rays, shift = case
     lazy = TrigPoly.from_rays(rays, shift, const)
     got = lazy.wiener_norm()
-    assert lazy._arrays is None and lazy._dict is None  # nothing sorted, no exact term built
+    assert lazy._arrays is None and lazy._view is None  # nothing sorted, no exact term built
     cs = lazy.term_arrays()[1]
     assert got == math.fsum(np.hypot(cs.real, cs.imag).tolist())
 
@@ -655,9 +807,10 @@ def test_wiener_norm_unsorted_on_a_near_tie_and_a_dict():
     from_dict = TrigPoly({EF(3): 0.1 + 0.7j, EF(-2): 1e-300, EF.sqrt_of(2, -1): -2.5j, EF(0): 1 / 3})
     for f in (tied, from_dict):
         got = f.wiener_norm()
-        assert f._arrays is None
+        assert f._arrays is None and f._view is None
         cs = f.term_arrays()[1]
         assert got == math.fsum(np.hypot(cs.real, cs.imag).tolist())
+        assert got == _Oracle(f._terms.items()).wiener_norm()
 
 
 def test_spectrum_is_built_once_and_equals_a_rebuild():
@@ -670,7 +823,7 @@ def test_spectrum_is_built_once_and_equals_a_rebuild():
     for f in polys:
         first = spectrum(f)
         assert spectrum(f) is first
-        assert first == _spectrum_of(TrigPoly(dict(f._terms)))
+        assert first == _Oracle(f._terms.items()).spectrum()
 
 
 @st.composite
@@ -728,7 +881,7 @@ def test_close_runs_sort_exactly_among_certified_ones():
     ]
     for shift, const in ((EF(0), 0j), (EF(0), 14.0), (EF(Fraction(1, 3)), 15.0)):
         lazy = TrigPoly.from_rays(rays, shift, const)
-        ref = TrigPoly(_rays_to_terms(rays, shift) + [(shift, const)])
+        ref = _Oracle(_rays_to_terms(rays, shift) + [(shift, const)])
         for got, want in zip(lazy.term_arrays(), ref.term_arrays()):
             assert got.tobytes() == want.tobytes()
         assert lazy.sorted_terms() == ref.sorted_terms()
