@@ -152,15 +152,17 @@ def arg_decompose(v: SampledFunction) -> ArgDecomposition:
     """Least-squares linear slope of v and the mean-centered remainder.
 
     fit_residual is the rms of theta, a diagnostic only: theta need not be
-    small, it only needs to carry no linear trend.
+    small, it only needs to carry no linear trend.  Both dot products of
+    the slope are summed by fsum, correctly rounded, so the slope does not
+    depend on how a threaded BLAS splits a dot product.
     """
     if not v.is_real(tol=1e-9):
         raise ValueError("arg decomposition needs a real-valued input")
     xs = v.xs()
     ys = v.values.real
     xc = xs - xs.mean()
-    denom = float(xc @ xc)
-    c = float(xc @ (ys - ys.mean()) / denom) if denom > 0 else 0.0
+    denom = math.fsum((xc * xc).tolist())
+    c = math.fsum((xc * (ys - ys.mean())).tolist()) / denom if denom > 0 else 0.0
     theta = ys - c * xs
     theta = theta - theta.mean()
     rms = float(np.sqrt(np.mean(theta**2)))

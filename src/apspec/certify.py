@@ -1,11 +1,14 @@
 """Certified sup-norm brackets and lower-bound certificates.
 
-The upper bounds are rigorous (up to documented floating-point cushions):
-each rational ray of the spectrum is periodic after rescaling, so a dense
-FFT scan over one period plus a Bernstein-type step inflation bounds its
-sup; the triangle inequality sums the rays.  `ray_sup` bounds one ray on
-the smaller `ez_points` grid through the Ehlich-Zeller inequality, with
-the FFT's rounding bounded rather than cushioned.  `certify_lower_bound`
+The upper bounds are rigorous: each rational ray of the spectrum is
+periodic after rescaling, so the max of one FFT over a period on the
+`ez_points` grid, times the Ehlich-Zeller factor sec(pi maxk / N) plus a
+stated bound on the FFT's rounding, bounds its sup; the triangle
+inequality sums the rays.  `ray_sup` gives that bound exactly, as a
+Fraction; the live routes take it in floats with every step rounded up
+(`ehlich_zeller_floats`).  `integer_lattice_sup`, a step inflation on a
+finer grid times FP_CUSHION, is kept only as the rule by which format-1
+and format-2 construction bundles are rebuilt.  `certify_lower_bound`
 bounds a function from below by direct evaluation on a finite window.
 """
 
@@ -31,8 +34,8 @@ from apspec.trigpoly import (
 
 EF = ExactFrequency
 
-# multiplicative cushion applied to certified upper bounds to absorb the
-# last-ulp effects of FFT evaluation; scans use ~1e-15-accurate values
+# `integer_lattice_sup`'s multiplicative cushion for the last-ulp effects
+# of its FFT: the rule of format-1 and format-2 construction bundles only
 FP_CUSHION = 1.0 + 1e-12
 
 MAX_GRID_POINTS = 1 << 23
@@ -60,13 +63,13 @@ class NormBracket:
     upper: float
 
 
-def lattice_points(maxk: int, rel_gap: float = 1.0 / 16) -> int:
+def lattice_points(maxk: int) -> int:
     """Grid size N of `integer_lattice_sup` for degree maxk.
 
-    N is the power of two above 2*pi*maxk/rel_gap, at least 1024 and at
-    most 2^24; NonConvergence when the step inflation would not apply.
+    N is the power of two above 32*pi*maxk, at least 1024 and at most
+    2^24; NonConvergence when the step inflation would not apply.
     """
-    n = 1 << max(10, (int(2 * math.pi * maxk / rel_gap)).bit_length())
+    n = 1 << max(10, (int(32 * math.pi * maxk)).bit_length())
     n = min(n, 1 << 24)  # memory guard; the s*tau check below keeps rigor
     if 2 * math.pi * maxk / n >= 1:
         raise NonConvergence(
@@ -84,31 +87,34 @@ def _lattice_grid(keys: np.ndarray, rows: np.ndarray, n: int) -> list[float]:
     return np.max(np.abs(vals), axis=1).tolist()
 
 
-def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray, rel_gap: float = 1.0 / 16) -> NormBracket:
-    """Certified sup of t -> sum c_k exp(i k t) over one 2*pi period.
+def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray) -> NormBracket:
+    """Bracket for the sup of t -> sum c_k exp(i k t) over one 2*pi period, by the format-1/2 rule.
 
-    keys are distinct integers.  The grid max is exact to fp accuracy at
-    the sample points (lower bound); the upper bound inflates it by
-    1/(1 - s*tau) where s is the grid step and tau = max|k|, and is
-    rigorous for s*tau < 1.
-    """
-    return _lattice_brackets(keys, np.asarray(coeffs, dtype=complex)[None], rel_gap)[0]
-
-
-def _lattice_brackets(keys: np.ndarray, rows: np.ndarray, rel_gap: float) -> list[NormBracket]:
-    """`integer_lattice_sup` of each row of coefficients (shape (rows, len(keys))), by one FFT on the grid they share.
-
-    Each bracket is bit for bit that of its row alone.
+    keys are distinct integers.  The grid max on `lattice_points(maxk)`
+    points is the lower bound; the upper bound inflates it by
+    1/(1 - s*tau), s the grid step and tau = max|k|, rigorous for
+    s*tau < 1, and multiplies by FP_CUSHION in place of a rounding bound.
+    Format-1 and format-2 construction bundles store their U_j by this
+    rule (`construction.build_instance`'s legacy); every live bound is
+    `ehlich_zeller_floats`'.
     """
     keys = np.asarray(keys, dtype=np.int64)
     if len(keys) == 0:
-        return [NormBracket(0.0, 0.0)] * len(rows)
+        return NormBracket(0.0, 0.0)
+    coeffs = np.asarray(coeffs, dtype=complex)
     if not keys.any():
-        return [NormBracket(v, v * FP_CUSHION) for v in (abs(complex(row.sum())) for row in rows)]
+        v = abs(complex(coeffs.sum()))
+        return NormBracket(v, v * FP_CUSHION)
     maxk = int(np.max(np.abs(keys)))
-    n = lattice_points(maxk, rel_gap)
-    room = 1 - 2 * math.pi * maxk / n
-    return [NormBracket(g, g / room * FP_CUSHION) for g in _lattice_grid(keys, rows, n)]
+    n = lattice_points(maxk)
+    g = _lattice_grid(keys, coeffs[None], n)[0]
+    return NormBracket(g, g / (1 - 2 * math.pi * maxk / n) * FP_CUSHION)
+
+
+def float_up(x: Fraction) -> float:
+    """The least float >= x, for 0 <= x <= the largest float."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
 def fft_rounding(n: int, l1: float) -> Fraction:
@@ -127,6 +133,13 @@ def fft_rounding(n: int, l1: float) -> Fraction:
     rel = levels * _ETA / (1 - levels * _ETA)
     sqrt_n = Fraction(1 << ((levels + 1) // 2))  # >= sqrt(n) for n = 2^levels
     return rel * sqrt_n * Fraction(l1) * (1 + 2 * _U) + 8 * n * levels * _TINY
+
+
+# fft_rounding(n, l1) = P l1 + Q: (P, Q) rounded up to floats once, for n = 2^1 ... 2^24
+_FFT_FLOATS = {
+    n: (float_up(fft_rounding(n, 1.0) - fft_rounding(n, 0.0)), float_up(fft_rounding(n, 0.0)))
+    for n in (1 << k for k in range(1, 25))
+}
 
 
 def ehlich_zeller_sup(grid_max: float, degree: int, n: int, l1: float) -> Fraction:
@@ -164,85 +177,127 @@ def ez_points(degree: int) -> int:
 
     N is the least power of two >= 16 degree, at least 1024 and at most
     2^24, so sec(pi degree / N) <= sec(pi / 16) < 1.02 below the cap.
-    NonConvergence where even 2^24 points cannot certify the degree
-    (`ehlich_zeller_affine`).
+    NonConvergence where even 2^24 points cannot certify the degree:
+    `ehlich_zeller_affine` needs (355 degree / 113 N)^2 < 2, decided here
+    in integers.
     """
     n = min(max(1024, 1 << (16 * degree - 1).bit_length()), 1 << 24)
-    try:
-        ehlich_zeller_affine(degree, n, 0.0)
-    except ValueError:
-        raise NonConvergence(f"degree {degree} needs more than {1 << 24} certification points") from None
+    if (355 * degree) ** 2 >= 2 * (113 * n) ** 2:
+        raise NonConvergence(f"degree {degree} needs more than {1 << 24} certification points")
     return n
 
 
-def float_up(x: Fraction) -> float:
-    """The least float >= x, for 0 <= x <= the largest float."""
-    f = float(x)
-    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+def _up(x: float) -> float:
+    """The next float above x: >= the exact result of the correctly rounded operation that gave x."""
+    return math.nextafter(x, math.inf)
+
+
+def ehlich_zeller_floats(degree: int, n: int, l1: float) -> tuple[float, float]:
+    """Floats (A, B) >= `ehlich_zeller_affine(degree, n, l1)`, for an n = `ez_points(degree)`.
+
+    up(up(g A) + B) is then >= `ehlich_zeller_sup(g, degree, n, l1)` for
+    every grid max g, up being `math.nextafter` toward +inf.  Every step
+    rounds up.  With theta = 355 degree / (113 n) and t = 2 (113 n)^2,
+    a = (1 + 2u) / (1 - theta^2 / 2) is the ratio of the integers
+    t (2^52 + 1) and (t - (355 degree)^2) 2^52, and A the least float
+    above it (`float_up`: one correctly rounded int division and a check).
+    B is (P l1 + Q) A, with `fft_rounding(n, l1)` = P l1 + Q, P and Q
+    rounded up at import (`_FFT_FLOATS`), and A >= the factor sec of b.
+    An overflow gives inf, still an upper bound; a subnormal product
+    still gains a unit from up.
+    """
+    p, q = _FFT_FLOATS[n]
+    top = 2 * (113 * n) ** 2
+    a = float_up(Fraction(top * ((1 << 52) + 1), (top - (355 * degree) ** 2) << 52))
+    return a, _up(_up(_up(p * l1) + q) * a)
+
+
+def _l1(coeffs: np.ndarray) -> float:
+    """A float >= sum_k |Re c_k| + |Im c_k|: fsum rounds once, to nearest, and the product by 1 + 2u lifts it past the sum."""
+    re, im = np.abs(coeffs.real).tolist(), np.abs(coeffs.imag).tolist()
+    return math.fsum(re + im) * (1 + 2.0**-52)
 
 
 def ray_sup(keys: np.ndarray, coeffs: np.ndarray) -> Fraction:
-    """Certified sup over R of |sum c_k exp(i k t)|, keys distinct integers.
+    """Certified sup over R of |sum c_k exp(i k t)|, keys distinct integers, exactly.
 
     The grid max of `ez_points(maxk)` points, bounded by
-    `ehlich_zeller_sup`: sec(pi maxk / N) and the FFT's rounding, in place
-    of `integer_lattice_sup`'s 1/(1 - 2 pi maxk / N) and FP_CUSHION on a
-    grid 6-8 times as fine.
+    `ehlich_zeller_sup`: sec(pi maxk / N) and the FFT's rounding.
+    Construction's B_j; the live routes take the same bound in floats
+    (`ehlich_zeller_floats`), never below this one.
     """
     if len(keys) == 0:
         return Fraction(0)
-    re, im = np.abs(coeffs.real).tolist(), np.abs(coeffs.imag).tolist()
-    l1 = math.fsum(re + im) * (1 + 2.0**-52)  # fsum rounds once, to nearest
     maxk = int(np.max(np.abs(keys)))
     n = ez_points(maxk)
-    return ehlich_zeller_sup(_lattice_grid(keys, coeffs[None], n)[0], maxk, n, l1)
+    return ehlich_zeller_sup(_lattice_grid(keys, coeffs[None], n)[0], maxk, n, _l1(coeffs))
 
 
-def sup_norm_upper(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -> float:
+def _ray_upper(keys: np.ndarray, rows: np.ndarray) -> tuple[float, list[float]]:
+    """A float >= `ray_sup(keys, rows[0])`, and the grid max of every row, by one FFT of the rows.
+
+    The grid is `ez_points(maxk)`'s, and the bound `ehlich_zeller_floats`'
+    up(up(g A) + B) for rows[0]'s grid max g.
+    """
+    maxk = int(np.max(np.abs(keys)))
+    n = ez_points(maxk)
+    grid = _lattice_grid(keys, rows, n)
+    a, b = ehlich_zeller_floats(maxk, n, _l1(rows[0]))
+    return _up(_up(grid[0] * a) + b), grid
+
+
+def _triangle_upper(c0: complex, ray_uppers: list[float]) -> float:
+    """A float >= |c0| + sum of ray_uppers: the triangle inequality, every step rounded up.
+
+    |c0| is one hypot, within an ulp, so up(|c0| (1 + 2u)) covers it; each
+    addition is rounded up.  0.0 for no terms.
+    """
+    terms = ([_up(abs(c0) * (1 + 2.0**-52))] if c0 else []) + ray_uppers
+    total = terms[0] if terms else 0.0
+    for t in terms[1:]:
+        total = _up(total + t)
+    return total
+
+
+def _square_up(u: float) -> float:
+    """A float >= u*u, rounded up; 0.0 for u = 0."""
+    return _up(u * u) if u else 0.0
+
+
+def sup_norm_upper(f: "TrigPoly | ProductPoly") -> float:
     """Certified upper bound for sup over the reals of |f|: `sup_norm_certified(f).upper` without its scan.
 
-    |constant| plus the sum of per-ray periodic certificates
-    (`ray_partition`, triangle inequality); for a squared modulus |h|^2 the
-    square of h's bound.
+    |constant| plus each ray's Ehlich-Zeller bound (`ray_partition`,
+    `_ray_upper`, `_triangle_upper`), in floats rounded up; for a squared
+    modulus |h|^2 the square of h's bound, rounded up.
     """
     if isinstance(f, ProductPoly):
-        u = sup_norm_upper(f.factor, rel_gap)
-        return u * u
-    return _ray_brackets(f, rel_gap)[1]
-
-
-def _ray_brackets(f: TrigPoly, rel_gap: float) -> tuple[list[NormBracket], float]:
-    """`integer_lattice_sup` of each ray of f, and the upper bound they give (`_upper`)."""
+        return _square_up(sup_norm_upper(f.factor))
     c0, blocks = ray_partition(f)
-    brackets = [integer_lattice_sup(b.keys, b.coeffs, rel_gap) for b in blocks]
-    return brackets, _upper(c0, brackets)
+    return _triangle_upper(c0, [_ray_upper(b.keys, b.coeffs[None])[0] for b in blocks])
 
 
-def _upper(c0: complex, brackets: list[NormBracket]) -> float:
-    """|constant| * FP_CUSHION plus the rays' upper bounds: the triangle inequality."""
-    return abs(c0) * FP_CUSHION + math.fsum(b.upper for b in brackets)
-
-
-def sup_norm_certified(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -> NormBracket:
+def sup_norm_certified(f: "TrigPoly | ProductPoly") -> NormBracket:
     """Certified bracket for sup over the reals of |f|.
 
-    Upper bound: `sup_norm_upper`.  Lower bound: the certificate's grid max
-    for a single ray with no constant, otherwise max of |f| over a window
-    scan with step 1/(8*tau): one period for a periodic f, else
-    [-64*pi, 64*pi].  For a squared modulus |h|^2 both sides are the
-    squared bracket of h.
+    Upper bound: `sup_norm_upper`.  Lower bound: the grid max of the
+    upper bound's FFT for a single ray with no constant, otherwise max of
+    |f| over a window scan with step 1/(8*tau): one period for a periodic
+    f, else [-64*pi, 64*pi].  For a squared modulus |h|^2 both sides are
+    the squared bracket of h.
     """
     if isinstance(f, ProductPoly):
-        b = sup_norm_certified(f.factor, rel_gap)
-        return NormBracket(b.lower * b.lower, b.upper * b.upper)
+        b = sup_norm_certified(f.factor)
+        return NormBracket(b.lower * b.lower, _square_up(b.upper))
     if f.is_zero():
         return NormBracket(0.0, 0.0)
     c0, blocks = ray_partition(f)
-    brackets, upper = _ray_brackets(f, rel_gap)
+    rays = [_ray_upper(b.keys, b.coeffs[None]) for b in blocks]
+    upper = _triangle_upper(c0, [u for u, _ in rays])
 
     # lower bound by direct scan
     if len(blocks) == 1 and c0 == 0:
-        lower = brackets[0].lower
+        lower = rays[0][1][0]
     else:
         if len(blocks) == 1:
             window = (0.0, 2 * math.pi / float(blocks[0].base))
@@ -254,19 +309,18 @@ def sup_norm_certified(f: "TrigPoly | ProductPoly", rel_gap: float = 1.0 / 16) -
         xs = np.linspace(window[0], window[1], npts)
         vals = np.abs(f.evaluate(xs))
         lower = float(np.max(vals))
-    lower = min(lower, upper)  # guard against cushion inversion on constants
+    lower = min(lower, upper)  # the scan's own rounding can lift it past upper
     return NormBracket(lower, upper)
 
 
-def bernstein_sides(f: TrigPoly, rel_gap: float = 1.0 / 16) -> tuple[float, float] | None:
+def bernstein_sides(f: TrigPoly) -> tuple[float, float] | None:
     """`sup_norm_upper(f)` and `sup_norm_certified(f.derivative()).lower` for an f with one ray, by one FFT.
 
     f' has f's keys with the coefficients `ray_slopes` and no constant, so
-    both come from `_lattice_brackets` of the two rows on f's grid; f''s
-    lower bound is its row's grid max (its bracket's upper is never
-    below it).  None when f has no ray or several, or when a coefficient
-    of f' rounds to 0: f' then drops that key and can have a grid of its
-    own.
+    both come from one FFT of the two rows on f's grid (`_ray_upper`):
+    f's bound, and f''s lower bound as its row's grid max.  None when f
+    has no ray or several, or when a coefficient of f' rounds to 0: f'
+    then drops that key and can have a grid of its own.
     """
     c0, blocks = ray_partition(f)
     if len(blocks) != 1:
@@ -275,8 +329,8 @@ def bernstein_sides(f: TrigPoly, rel_gap: float = 1.0 / 16) -> tuple[float, floa
     slopes = ray_slopes(b)
     if not np.all(slopes != 0):
         return None
-    ray, slope = _lattice_brackets(b.keys, np.stack([b.coeffs, slopes]), rel_gap)
-    return _upper(c0, [ray]), slope.lower
+    upper, (_, slope) = _ray_upper(b.keys, np.stack([b.coeffs, slopes]))
+    return _triangle_upper(c0, [upper]), slope
 
 
 def certify_lower_bound(f: "TrigPoly | ProductPoly", m: float) -> bool:

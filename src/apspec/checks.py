@@ -2,7 +2,7 @@
 
 Each check returns concrete numbers alongside its verdict so reports stay
 auditable.  Sup norms feeding inequalities are certified upper bounds
-from per-ray periodic certificates (`sup_norm_upper`), not raw scans.
+from per-ray Ehlich-Zeller certificates (`sup_norm_upper`), not raw scans.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class BernsteinResult:
         )
 
 
-def bernstein_check(f: TrigPoly, rel_gap: float = 1.0 / 16) -> BernsteinResult:
+def bernstein_check(f: TrigPoly) -> BernsteinResult:
     """Certified check of sup|f'| <= tau * sup|f|.
 
     lhs is a lower bound for sup|f'|: `sup_norm_certified(f').lower`, the
@@ -67,17 +67,17 @@ def bernstein_check(f: TrigPoly, rel_gap: float = 1.0 / 16) -> BernsteinResult:
     scan.  rhs is tau times a certified upper bound for sup|f|.  With one
     ray, both sides come from one two-row FFT (`certify.bernstein_sides`),
     and f' is not built.  Pass means lhs <= rhs*(1 + 1e-6); the slack
-    absorbs certification cushions in the equality case.
+    covers the rounding of lhs's FFT or scan and of tau and tau * upper.
     """
     if f.is_zero():
         raise ValueError("bernstein check needs a nonzero input")
-    sides = bernstein_sides(f, rel_gap)
-    upper = sides[0] if sides is not None else sup_norm_upper(f, rel_gap)
+    sides = bernstein_sides(f)
+    upper = sides[0] if sides is not None else sup_norm_upper(f)
     tau = float(spectrum(f).tau)
     if tau == 0.0:
         return BernsteinResult(0.0, 0.0, True, upper)
     rhs = tau * upper
-    lhs = sides[1] if sides is not None else sup_norm_certified(f.derivative(), rel_gap).lower
+    lhs = sides[1] if sides is not None else sup_norm_certified(f.derivative()).lower
     return BernsteinResult(lhs, rhs, lhs <= rhs * (1 + 1e-6), upper)
 
 

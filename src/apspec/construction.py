@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from apspec.certify import ehlich_zeller_affine, ez_points, float_up, integer_lattice_sup, ray_sup
+from apspec.certify import ehlich_zeller_floats, ez_points, float_up, integer_lattice_sup, ray_sup
 from apspec.checks import CheckResult, FactorizationReport, poisson_eval
 from apspec.errors import MalformedInput, OracleTooSmall, SpectraCollision
 from apspec.frequency import MAX_RADICAND, ONE, ExactFrequency, qlin_independent, rational_ratio
@@ -180,9 +180,9 @@ def _deviations(big: int, logs: np.ndarray) -> Callable[[int], float]:
     """small -> a certified float bound on sup|p_big - p_small|, for 0 <= small <= big.
 
     Each call runs `_grid_max` on the N = `ez_points(big)` points of big's
-    grid and returns EZ(g) = a g + b (`certify.ehlich_zeller_affine`), with
-    a and b rounded up to floats once and each float operation rounded
-    outward.  logs is `_log_table(m)` for some m >= big.
+    grid and returns up(up(g A) + B) >= EZ(g) = a g + b
+    (`certify.ehlich_zeller_floats`, A >= a and B >= b taken once, every
+    step rounded up).  logs is `_log_table(m)` for some m >= big.
 
     The rounding bound inside b is `certify.fft_rounding` (Higham, Thm
     24.2, for a radix-2 FFT), taken to cover `np.fft.irfft` too: for a
@@ -198,7 +198,7 @@ def _deviations(big: int, logs: np.ndarray) -> Callable[[int], float]:
     n = ez_points(big)
     # fsum rounds once and the product once: 8u covers 5u and both
     l1 = math.fsum(_sine_amplitudes(big, logs).tolist()) * (1 + 2.0**-50)
-    scale, shift = map(float_up, ehlich_zeller_affine(big, n, l1))
+    scale, shift = ehlich_zeller_floats(big, n, l1)
 
     def deviation(small: int) -> float:
         grid = _grid_max(big, small, logs, n)

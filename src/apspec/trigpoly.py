@@ -715,20 +715,27 @@ def _grid_sum(ws: np.ndarray, cs: np.ndarray, starts: np.ndarray, offsets: np.nd
 def evaluation_error(f: "TrigPoly | ProductPoly", x_max: float) -> float:
     """A-priori bound on the rounding error of evaluating f at real |x| <= x_max.
 
-    For a TrigPoly it bounds f.evaluate (E of `_evaluate_arrays`).  For a
-    ProductPoly |h|^2 it bounds f.evaluate: | |h~|^2 - |h|^2 | <=
-    2*E_h*||h||_A + E_h^2, plus 6u*(||h||_A + E_h)^2 for the rounding of
-    abs and the square.
+    For a TrigPoly it bounds f.evaluate (E of `_evaluate_arrays`), plus
+    8N * 2^-1074 for gradual underflow: a product that underflows is off
+    by up to half the least subnormal, whatever its size, which E's
+    relative terms do not see.  Each of the N terms passes through fewer
+    than 16 such products in either kernel (the grid kernel's c * E1 and
+    its BLAS dot take 12), and additions of subnormals are exact.  For a
+    ProductPoly |h|^2 it bounds
+    f.evaluate: | |h~|^2 - |h|^2 | <= 2*E_h*||h||_A + E_h^2, plus
+    6u*(||h||_A + E_h)^2 for the rounding of abs and the square, and
+    2^-1072 for their underflow.
     """
     if isinstance(f, ProductPoly):
         e = evaluation_error(f.factor, x_max)
         a = f.factor.wiener_norm()
-        return 2 * e * a + e * e + 6 * UNIT_ROUNDOFF * (a + e) ** 2
+        return 2 * e * a + e * e + 6 * UNIT_ROUNDOFF * (a + e) ** 2 + 2.0**-1072
     ws = f.term_arrays()[0]
     if not len(ws):
         return 0.0
     w_max = float(np.max(np.abs(ws)))
-    return UNIT_ROUNDOFF * (16 * w_max * abs(x_max) + 3 * len(ws) + 8) * f.wiener_norm()
+    n = len(ws)
+    return UNIT_ROUNDOFF * (16 * w_max * abs(x_max) + 3 * n + 8) * f.wiener_norm() + 8 * n * 2.0**-1074
 
 
 # -- spectrum ----------------------------------------------------------------

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apspec.certify import (
     NormBracket,
     certify_lower_bound,
     ehlich_zeller_affine,
+    ehlich_zeller_floats,
     ehlich_zeller_sup,
+    ez_points,
     fft_rounding,
     integer_lattice_sup,
     lattice_points,
@@ -20,7 +22,7 @@ from apspec.certify import (
 )
 from apspec.errors import NonConvergence
 from apspec.frequency import ExactFrequency
-from apspec.trigpoly import ProductPoly, TrigPoly, modulus_squared, ray_partition
+from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, modulus_squared, ray_partition
 
 EF = ExactFrequency
 
@@ -36,12 +38,6 @@ def test_integer_lattice_sup_sin():
     assert b.lower > 0.99
 
 
-def test_integer_lattice_sup_tightens_with_gap():
-    b = integer_lattice_sup(np.array([1, -1]), np.array([-0.5j, 0.5j]), rel_gap=1e-5)
-    assert abs(b.upper - 1.0) < 1e-4
-    assert abs(b.lower - 1.0) < 1e-4
-
-
 def test_integer_lattice_sup_constant():
     b = integer_lattice_sup(np.array([0]), np.array([3 - 4j]))
     assert b.lower == 5.0
@@ -55,7 +51,7 @@ def test_integer_lattice_sup_empty():
 
 def test_integer_lattice_sup_nonconvergence():
     with pytest.raises(NonConvergence):
-        integer_lattice_sup(np.array([10**9]), np.array([1.0 + 0j]), rel_gap=0.999999)
+        integer_lattice_sup(np.array([10**9]), np.array([1.0 + 0j]))
 
 
 def test_integer_lattice_sup_subnormal():
@@ -99,10 +95,20 @@ def test_sup_norm_certified_periodic():
     assert b.upper < 4.05
 
 
+U = Fraction(1, 1 << 53)
+
+
 def test_sup_norm_certified_sin_tight():
-    b = sup_norm_certified(sin_poly(), rel_gap=1e-6)
-    assert abs(b.lower - 1.0) < 1e-5
-    assert abs(b.upper - 1.0) < 1e-5
+    # keys +-1 on ez_points(1) = 1024 points: the grid holds the peak at pi/2,
+    # and the upper bound is the Ehlich-Zeller one, sec(pi/1024) = 1 + 4.7e-6
+    # (taken as 1/(1 - theta^2/2), theta = 355/(113*1024)) plus the FFT's
+    # rounding, a few float steps above its exact value
+    b = sup_norm_certified(sin_poly())
+    assert b.lower == 1.0
+    sec = 1 / (1 - Fraction(355, 113 * 1024) ** 2 / 2)
+    assert ehlich_zeller_sup(1.0, 1, 1024, 1.0) <= Fraction(b.upper)
+    assert Fraction(b.upper) <= (sec + fft_rounding(1024, 1.0) * sec) * (1 + 8 * U)
+    assert b.upper < 1 + 5e-6
 
 
 def test_sup_norm_certified_incommensurable():
@@ -201,7 +207,6 @@ def test_sup_norm_upper_is_the_bracket_upper():
     for f in polys:
         for p in (f, ProductPoly(f)):
             assert sup_norm_upper(p) == sup_norm_certified(p).upper
-            assert sup_norm_upper(p, rel_gap=1e-3) == sup_norm_certified(p, rel_gap=1e-3).upper
 
 
 def _dense_sup(keys, coeffs, oversample=64):
@@ -285,3 +290,61 @@ def test_ray_sup_uses_the_lattice_grid():
     assert ray_sup(keys[:0], coeffs[:0]) == 0
     # the smallest subnormal is not rounded away
     assert ray_sup(np.array([1]), np.array([5e-324 + 0j])) >= Fraction(5e-324)
+
+
+# magnitudes from the least subnormal to 1e300, so that sums and products
+# underflow and l1 reaches 1e300 without overflowing
+_MAGNITUDE = st.one_of(
+    st.floats(0, 4),
+    st.floats(5e-324, 1e-300),
+    st.floats(1e250, 1e300),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e300]),
+)
+_SIGNED = st.builds(lambda m, neg: -m if neg else m, _MAGNITUDE, st.booleans())
+
+
+@given(st.integers(1, 1 << 22), _MAGNITUDE, _MAGNITUDE)
+@example(1, 5e-324, 1.0)
+@example(1 << 22, 1e300, 1e300)
+@settings(max_examples=300, deadline=None)
+def test_ehlich_zeller_floats_cover_the_exact_bound(degree, l1, grid_max):
+    # every float step rounds up: A >= a, B >= b, and the float bound of a
+    # grid max is never below the exact one
+    n = ez_points(degree)
+    a, b = ehlich_zeller_affine(degree, n, l1)
+    fa, fb = ehlich_zeller_floats(degree, n, l1)
+    assert Fraction(fa) >= a and Fraction(fb) >= b
+    bound = math.nextafter(math.nextafter(grid_max * fa, math.inf) + fb, math.inf)
+    assert Fraction(bound) >= ehlich_zeller_sup(grid_max, degree, n, l1)
+
+
+# one base per rational direction
+_RAY_BASES = (EF(Fraction(1, 3)), EF.sqrt_of(2), EF.sqrt_of(3, Fraction(2, 5)), EF.sqrt_of(5))
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.integers(-40, 40).filter(bool), st.builds(complex, _SIGNED, _SIGNED), min_size=1, max_size=8),
+        max_size=len(_RAY_BASES),
+    ),
+    st.builds(complex, _SIGNED, _SIGNED),
+)
+@example([{1: complex(5e-324, 0.0)}], 0j)
+@example([{1: complex(1e300, -1e300), -7: 1e300 + 0j}, {2: complex(0.0, 5e-324)}], complex(1e300, 5e-324))
+@settings(max_examples=100, deadline=None)
+def test_sup_norm_upper_covers_the_exact_ray_bounds(rays, const):
+    # sup_norm_upper(f) >= |c0| + sum of the exact per-ray bounds `ray_sup`,
+    # checked exactly (|c0|^2 as the rational re^2 + im^2); for |f|^2 the
+    # float bound is >= the exact square of f's
+    blocks = [
+        DenseBlock(base, np.array(sorted(terms), dtype=np.int64), np.array([terms[k] for k in sorted(terms)]))
+        for base, terms in zip(_RAY_BASES, rays)
+    ]
+    f = TrigPoly.from_rays(blocks, const=const)
+    c0, parts = ray_partition(f)
+    upper = sup_norm_upper(f)
+    rest = Fraction(upper) - sum((ray_sup(p.keys, p.coeffs) for p in parts), Fraction(0))
+    assert rest >= 0 and rest * rest >= Fraction(c0.real) ** 2 + Fraction(c0.imag) ** 2
+    square = sup_norm_upper(ProductPoly(f))
+    assert square == math.inf or Fraction(square) >= Fraction(upper) ** 2
+    assert square == sup_norm_certified(ProductPoly(f)).upper

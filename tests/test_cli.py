@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -1186,4 +1187,18 @@ def test_analyze_matches_the_fixtures(name, tmp_path):
     inp = SAMPLED_FIXTURES / "cepstral.input.json"
     argv = ["analyze", "--input", str(inp), "--m", "0.66", "--eps", "0.2", "--out", str(out)]
     assert run([*argv, *SAMPLED_ANALYSES[name]]) == 0
+    assert out.read_bytes() == (SAMPLED_FIXTURES / f"{name}.analysis.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_ANALYSES))
+def test_analyze_matches_the_fixtures_on_one_blas_thread(name, tmp_path):
+    # the slope's dot products are summed by fsum, so a BLAS that splits them
+    # across threads, or does not, writes the same bytes
+    out = tmp_path / "analysis.json"
+    inp = SAMPLED_FIXTURES / "cepstral.input.json"
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = ["analyze", "--input", str(inp), "--m", "0.66", "--eps", "0.2", "--out", str(out), *SAMPLED_ANALYSES[name]]
+    proc = subprocess.run([sys.executable, "-m", "apspec", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (SAMPLED_FIXTURES / f"{name}.analysis.json").read_bytes()

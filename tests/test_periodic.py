@@ -457,14 +457,14 @@ def test_previous_roots_bundles_still_verify(name, capsys):
 
 
 def _without_moved_fields(bundle: dict) -> dict:
-    """The bundle with the numbers the grid Bernstein checks and the Wiener-norm residual moved blanked out."""
+    """The bundle with the numbers the grid Bernstein checks, the Wiener-norm residual and its Ehlich-Zeller scale moved blanked out."""
     report = bundle["report"]
     report["residual_sup"] = None
     for check in report["checks"]:
         if check["name"] == "bernstein":
             check["value"] = check["detail"] = None
         elif check["name"] == "residual":
-            check["value"] = None
+            check["value"] = check["detail"] = None
     return bundle
 
 
