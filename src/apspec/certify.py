@@ -6,10 +6,9 @@ periodic after rescaling, so the max of one FFT over a period on the
 stated bound on the FFT's rounding, bounds its sup; the triangle
 inequality sums the rays.  `ray_sup` gives that bound exactly, as a
 Fraction; the live routes take it in floats with every step rounded up
-(`ehlich_zeller_floats`).  `integer_lattice_sup`, a step inflation on a
-finer grid times FP_CUSHION, is kept only as the rule by which format-1
-and format-2 construction bundles are rebuilt.  `certify_lower_bound`
-bounds a function from below by direct evaluation on a finite window.
+(`ehlich_zeller_floats`).  No bound leans on an assumed cushion: every
+rounding step is bounded or rounded up.  `certify_lower_bound` bounds a
+function from below by direct evaluation on a finite window.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ from apspec.trigpoly import (
 )
 
 EF = ExactFrequency
-
-# `integer_lattice_sup`'s multiplicative cushion for the last-ulp effects
-# of its FFT: the rule of format-1 and format-2 construction bundles only
-FP_CUSHION = 1.0 + 1e-12
 
 MAX_GRID_POINTS = 1 << 23
 
@@ -63,21 +58,6 @@ class NormBracket:
     upper: float
 
 
-def lattice_points(maxk: int) -> int:
-    """Grid size N of `integer_lattice_sup` for degree maxk.
-
-    N is the power of two above 32*pi*maxk, at least 1024 and at most
-    2^24; NonConvergence when the step inflation would not apply.
-    """
-    n = 1 << max(10, (int(32 * math.pi * maxk)).bit_length())
-    n = min(n, 1 << 24)  # memory guard; the s*tau check below keeps rigor
-    if 2 * math.pi * maxk / n >= 1:
-        raise NonConvergence(
-            f"degree {maxk} needs more than {1 << 24} certification points"
-        )
-    return n
-
-
 def _lattice_grid(keys: np.ndarray, rows: np.ndarray, n: int) -> list[float]:
     """max_j |sum c_k exp(2 pi i j k / n)| for each row of coefficients, by one n-point FFT over the rows."""
     bins = np.zeros((len(rows), n), dtype=complex)
@@ -85,30 +65,6 @@ def _lattice_grid(keys: np.ndarray, rows: np.ndarray, n: int) -> list[float]:
     # forward-normalized inverse: no 1/n scaling, so subnormal sums survive
     vals = np.fft.ifft(bins, norm="forward")
     return np.max(np.abs(vals), axis=1).tolist()
-
-
-def integer_lattice_sup(keys: np.ndarray, coeffs: np.ndarray) -> NormBracket:
-    """Bracket for the sup of t -> sum c_k exp(i k t) over one 2*pi period, by the format-1/2 rule.
-
-    keys are distinct integers.  The grid max on `lattice_points(maxk)`
-    points is the lower bound; the upper bound inflates it by
-    1/(1 - s*tau), s the grid step and tau = max|k|, rigorous for
-    s*tau < 1, and multiplies by FP_CUSHION in place of a rounding bound.
-    Format-1 and format-2 construction bundles store their U_j by this
-    rule (`construction.build_instance`'s legacy); every live bound is
-    `ehlich_zeller_floats`'.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    if len(keys) == 0:
-        return NormBracket(0.0, 0.0)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if not keys.any():
-        v = abs(complex(coeffs.sum()))
-        return NormBracket(v, v * FP_CUSHION)
-    maxk = int(np.max(np.abs(keys)))
-    n = lattice_points(maxk)
-    g = _lattice_grid(keys, coeffs[None], n)[0]
-    return NormBracket(g, g / (1 - 2 * math.pi * maxk / n) * FP_CUSHION)
 
 
 def float_up(x: Fraction) -> float:

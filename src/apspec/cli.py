@@ -278,14 +278,7 @@ def _reverify(obj) -> FactorizationReport:
         raise MalformedInput("report file must hold a JSON object")
     kind = obj.get("kind")
     if kind == "construction":
-        fmt = obj.get("format", 1)
-        if type(fmt) is not int or fmt not in (1, 2, 3):
-            raise MalformedInput(f"unknown construction format {fmt!r}")
-        if fmt > 1:
-            # format 2 has format 3's layout, with q_norms and c by the older rule
-            return construction.verify_rays(*serialize.construction_from_json(obj), legacy=fmt == 2)
-        # format 1 has no "format" key and stores g, h1, h and s term by term
-        return construction.recheck(*serialize.construction_format1_from_json(obj))
+        return construction.verify_rays(*serialize.construction_from_json(obj))
     if kind == "factor":
         report = serialize.report_from_json(obj.get("report"))
         if report.method == "roots":

@@ -19,9 +19,9 @@ f = |s|^2 are read from the same rays (`TrigPoly.from_rays`), so no step
 builds an ExactFrequency per term.
 
 `build_instance` derives the instance from (params, n_seq).  `assemble`
-calls it after choosing n_seq; `verify_rays` (s stored by ray) and
-`recheck` (g, h1, h and s stored term by term) call it on a bundle's
-params and n_seq and compare the stored numbers and factor against it.
+calls it after choosing n_seq; `verify_rays` calls it on a bundle's params
+and n_seq and compares the stored numbers and factor, kept by ray, against
+it.
 
 Every sup bound is taken on one grid per degree: the `ez_points(maxk)`
 points, the least power of two >= 16 maxk, with the Ehlich-Zeller bound
@@ -30,9 +30,6 @@ n_seq search's deviations, the safety margin, and each block's exact B_j
 >= sup|q_j|, of which U_j is the float rounded up.  f >= m is certified on
 all of R from the same numbers: c is the least float with
 (c - sum_j B_j)^2 >= m, and |s| = |g + c chi_{-Delta}| >= c - sum_j B_j.
-Format-1 and format-2 bundles rebuild U_j and c by their own rule
-(`integer_lattice_sup`, c = sqrt(m) + sum_j U_j); their f >= m check is
-the same c - sum_j B_j one, on their stored c.
 """
 
 from __future__ import annotations
@@ -44,11 +41,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from apspec.certify import ehlich_zeller_floats, ez_points, float_up, integer_lattice_sup, ray_sup
+from apspec.certify import ehlich_zeller_floats, ez_points, float_up, ray_sup
 from apspec.checks import CheckResult, FactorizationReport, poisson_eval
 from apspec.errors import MalformedInput, OracleTooSmall, SpectraCollision
-from apspec.frequency import MAX_RADICAND, ONE, ExactFrequency, qlin_independent, rational_ratio
-from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, ray_partition, spectrum
+from apspec.frequency import MAX_RADICAND, ONE, ExactFrequency, qlin_independent
+from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, spectrum
 
 EF = ExactFrequency
 
@@ -306,7 +303,7 @@ def choose_rho(n_seq: tuple[int, ...], primes: tuple[int, ...]) -> tuple[EF, ...
     return tuple(out)
 
 
-def build_instance(params: ConstructionParams, n_seq: tuple[int, ...], legacy: bool = False) -> Instance:
+def build_instance(params: ConstructionParams, n_seq: tuple[int, ...]) -> Instance:
     """The instance for n_seq: rho, U_j, ||q_j||_A, c, the rays of g and s, Delta and B_j.
 
     rho comes from `choose_rho`; each block's arrays are built once and give
@@ -316,10 +313,6 @@ def build_instance(params: ConstructionParams, n_seq: tuple[int, ...], legacy: b
     (c - sum_j B_j)^2 >= m (`lift_constant`), makes Re h >= sqrt(m) on all
     of R, not just a scan window.  Delta = -inf Omega(g) is the lowest key
     of one ray, and c lands there.
-
-    legacy gives U_j and c by the rule of format-1 and format-2 bundles:
-    U_j = `integer_lattice_sup(...).upper` and c = sqrt(m) + sum_j U_j,
-    both in floats.  B_j is the same either way.
     """
     rho = choose_rho(n_seq, params.primes)
     logs = _log_table(n_seq[-1])
@@ -330,16 +323,13 @@ def build_instance(params: ConstructionParams, n_seq: tuple[int, ...], legacy: b
     for j, r in enumerate(rho, start=1):
         keys, coeffs = _q_arrays(j, n_seq, logs)
         bounds.append(ray_sup(keys, coeffs))
-        upper = integer_lattice_sup(keys, coeffs).upper if legacy else float_up(bounds[-1])
+        upper = float_up(bounds[-1])
         if j >= 2 and upper > 2.0 ** (-j):
             raise OracleTooSmall(f"||q_{j}|| certificate {upper:.4g} exceeds 2^-{j}")
         uppers.append(upper)
         wiener.append(math.fsum(np.hypot(coeffs.real, coeffs.imag).tolist()))
         g_rays.append(DenseBlock(r, keys, coeffs))
-    if legacy:
-        c = math.sqrt(params.m) + math.fsum(uppers)
-    else:
-        c = lift_constant(params.m, sum(bounds, Fraction(0)))
+    c = lift_constant(params.m, sum(bounds, Fraction(0)))
     lows = [r.base * int(r.keys[0]) for r in g_rays]
     j = lows.index(min(lows))
     lifted = g_rays[j].coeffs.copy()
@@ -382,25 +372,11 @@ def build_g(params: ConstructionParams) -> tuple[TrigPoly, tuple[int, ...], tupl
     return TrigPoly.from_rays(inst.g_rays), n_seq, inst.rho, inst.q_norms, inst.wiener_norms
 
 
-def _check_rays(p: TrigPoly, rho: tuple[EF, ...]) -> None:
-    """Refuse a polynomial whose spectrum does not lie on the lattices rho_j * Z.
-
-    This validates a format-1 bundle's stored rho against its h and s before
-    f is built. Each ray has keys with gcd 1, so by Bezout all of its
-    frequencies are integer multiples of rho_j exactly when its base is.
-    """
-    _, rays = ray_partition(p)
-    for b in rays:
-        ratios = (rational_ratio(b.base, r) for r in rho)
-        if not any(q is not None and q.denominator == 1 for q in ratios):
-            raise SpectraCollision(f"ray base {b.base!r} fits no block lattice")
-
-
 def _certificate_battery(
     m: float, h: TrigPoly, s: TrigPoly, f: ProductPoly, delta: EF, checks: list[CheckResult],
     c: float, sup_bounds: Sequence[Fraction],
 ) -> FactorizationReport:
-    """The report of factor s: `checks`, then the certificates shared by assemble, verify_rays and recheck.
+    """The report of factor s: `checks`, then the certificates shared by assemble and verify_rays.
 
     exact_factorization bounds ||f - |s|^2||_A through f's factor u: since
     |u|^2 - |s|^2 = (u - s) conj(u) + s conj(u - s) and ||.||_A is
@@ -461,11 +437,7 @@ def _certificate_battery(
 def assemble(params: ConstructionParams) -> ConstructionResult:
     """Run the full pipeline and certify every step that admits a certificate."""
     n_seq = select_n_sequence(params)
-    return instance_result(params, n_seq, build_instance(params, n_seq))
-
-
-def instance_result(params: ConstructionParams, n_seq: tuple[int, ...], inst: Instance) -> ConstructionResult:
-    """The certified result of an instance `build_instance` gave for (params, n_seq)."""
+    inst = build_instance(params, n_seq)
     s = TrigPoly.from_rays(inst.rays)
     h = TrigPoly.from_rays(inst.rays, inst.delta)
     f = ProductPoly(s)
@@ -478,23 +450,22 @@ def instance_result(params: ConstructionParams, n_seq: tuple[int, ...], inst: In
 def verify_rays(
     params: ConstructionParams, n_seq: tuple[int, ...], rho: tuple[EF, ...], q_norms: tuple[float, ...],
     wiener_norms: tuple[float, ...], delta: EF, c: float, rays: Sequence[tuple[np.ndarray, np.ndarray]],
-    legacy: bool = False,
 ) -> FactorizationReport:
     """Re-run every certificate on a stored construction whose s is kept by ray.
 
     rays[j] holds the keys and coefficients of s on the lattice rho_j * Z.
     Nothing stored is trusted: `build_instance` rebuilds the instance from
-    params and n_seq (by the format-2 rule when legacy), and factor_rebuilt
-    requires the stored rho, q_norms, wiener_norms, c and s to equal the
-    rebuilt ones exactly.  f is rebuilt as |u|^2 for the rebuilt s = u, the
-    battery runs on the stored s and h = chi_Delta s for the stored Delta,
-    and lower_bound_certified on the stored c and the rebuilt B_j.  Raises
-    SpectraCollision, before f is built, when the stored rho is not
-    Q-independent, since the rays could then share frequencies.
+    params and n_seq, and factor_rebuilt requires the stored rho, q_norms,
+    wiener_norms, c and s to equal the rebuilt ones exactly.  f is rebuilt
+    as |u|^2 for the rebuilt s = u, the battery runs on the stored s and
+    h = chi_Delta s for the stored Delta, and lower_bound_certified on the
+    stored c and the rebuilt B_j.  Raises SpectraCollision, before f is
+    built, when the stored rho is not Q-independent, since the rays could
+    then share frequencies.
     """
     if not qlin_independent(rho):
         raise SpectraCollision("stored dilation scales are not Q-independent")
-    built = build_instance(params, n_seq, legacy)
+    built = build_instance(params, n_seq)
     s_rays = [DenseBlock(r, keys, coeffs) for r, (keys, coeffs) in zip(rho, rays)]
     u = TrigPoly.from_rays(built.rays)
     s = TrigPoly.from_rays(s_rays)
@@ -509,44 +480,6 @@ def verify_rays(
     ]
     h = TrigPoly.from_rays(s_rays, delta)
     return _certificate_battery(params.m, h, s, ProductPoly(u), delta, checks, c, built.sup_bounds)
-
-
-def recheck(
-    params: ConstructionParams, n_seq: tuple[int, ...], rho: tuple[EF, ...], q_norms: tuple[float, ...],
-    wiener_norms: tuple[float, ...], delta: EF, c: float, g: TrigPoly, h1: TrigPoly, h: TrigPoly, s: TrigPoly,
-) -> FactorizationReport:
-    """Re-run every certificate on a bundle that stores g, h1, h and s term by term (format 1).
-
-    Nothing stored is trusted: f is rebuilt as |u|^2 from u = h shifted
-    back by delta, exact_factorization bounds f - |s|^2 for the stored s
-    through u - s, and the whole battery is recomputed.
-    modulation_consistent ties the stored intermediates to each other, and
-    requires the stored g, rho, q_norms, wiener_norms and c to equal what
-    `build_instance` rebuilds from params and n_seq by the format-1 rule.
-    lower_bound_certified reads the stored c and the rebuilt B_j.  Raises
-    SpectraCollision, before f is built, when u or the stored s has a
-    spectrum off the lattices rho_j * Z.
-    """
-    built = build_instance(params, n_seq, legacy=True)
-    centred = h.modulate(-delta)
-    consistent = (
-        h1 == g.modulate(delta) and h == h1 + c and s == centred
-        and built.numbers() == (rho, q_norms, wiener_norms, c) and g == TrigPoly.from_rays(built.g_rays)
-    )
-    checks = [
-        CheckResult(
-            "delta_matches_spectrum", spectrum(g).inf_freq == -delta, float(delta), "delta = -inf Omega(g)"
-        ),
-        CheckResult(
-            "modulation_consistent", consistent, 1.0 if consistent else 0.0,
-            "h1 = g shifted by delta; h = h1 + c; s = h shifted back; "
-            "g, rho, q_norms, wiener_norms and c as rebuilt from params and n_seq",
-        ),
-    ]
-    _check_rays(centred, rho)
-    if s != centred:
-        _check_rays(s, rho)
-    return _certificate_battery(params.m, h, s, ProductPoly(centred), delta, checks, c, built.sup_bounds)
 
 
 def wiener_growth_table(n_list: list[int]) -> list[tuple[int, float]]:

@@ -21,14 +21,13 @@ ExactFrequency objects are built per ray, not per term.
 
 A construction bundle (format 3) stores its factor s once, by ray: ray j
 is {"keys", "re", "im"} on the lattice rho_j * Z, rho_j given by position,
-so of its frequencies only rho and delta travel as exact strings.  Format
-2 has the same layout, with q_norms and c by the older
-`integer_lattice_sup` rule (`construction.build_instance`'s legacy); the
-older format 1 stores g, h1, h and s term by term.  The readers of all
-three return the stored params (through `ConstructionParams`, so the primes
-are bounded before verify derives rho from them), n_seq, rho, q_norms,
-wiener_norms, delta and c; verify rebuilds the instance from params and
-n_seq and compares the rest against it.
+so of its frequencies only rho and delta travel as exact strings.  Its
+reader returns the stored params (through `ConstructionParams`, so the
+primes are bounded before verify derives rho from them), n_seq, rho,
+q_norms, wiener_norms, delta, c and the rays of s; verify rebuilds the
+instance from params and n_seq and compares the rest against it.  Formats
+1 and 2, which older versions wrote, are refused: `construct` rebuilds
+such a bundle in format 3.
 """
 
 from __future__ import annotations
@@ -69,7 +68,9 @@ def trigpoly_from_json(obj: Any) -> TrigPoly:
 
     Each freq is read into canonical coordinates (`coordinates_from_json`),
     which `TrigPoly.from_coordinates` groups by ray, so no frequency is
-    built per term.
+    built per term.  Coefficients must be finite, and so must their
+    Wiener norm (the sum of their magnitudes), which the certificates of
+    every route read.
     """
     try:
         terms = [
@@ -81,7 +82,14 @@ def trigpoly_from_json(obj: Any) -> TrigPoly:
     if not all(cmath.isfinite(c) for _, c in terms):
         # json reads NaN, Infinity and overflowing literals such as 1e400
         raise MalformedInput("bad trig polynomial payload: coefficients must be finite")
-    return TrigPoly.from_coordinates(terms)
+    f = TrigPoly.from_coordinates(terms)
+    try:
+        finite = math.isfinite(f.wiener_norm())
+    except OverflowError:  # fsum's partial sums passed the largest float
+        finite = False
+    if not finite:
+        raise MalformedInput("bad trig polynomial payload: the sum of |coefficients| exceeds the largest float")
+    return f
 
 
 def sampled_to_json(s: SampledFunction) -> dict:
@@ -245,12 +253,22 @@ def _ray_from_json(obj: Any) -> tuple[np.ndarray, np.ndarray]:
     return keys, coeffs
 
 
-def _construction_header(obj: Any) -> tuple:
-    """(params, n_seq, rho, q_norms, wiener_norms, delta, c) of a construction bundle.
+def construction_from_json(obj: dict) -> tuple:
+    """(params, n_seq, rho, q_norms, wiener_norms, delta, c, rays of s) of a format-3 bundle.
 
     n_seq must increase strictly from 2 or more, give params.blocks blocks,
     and end at or below params.oracle_n, where `select_n_sequence` stops.
+    Ray j must hold the 2(n - 1) keys n_seq gives block j, which bounds the
+    rebuild by the size of the bundle.  A bundle of format 1 (no "format"
+    key) or 2 is refused with a pointer to `construct`.
     """
+    fmt = obj.get("format", 1)
+    if type(fmt) is int and fmt in (1, 2):
+        raise MalformedInput(
+            f"construction format {fmt} is no longer read; rebuild the bundle with `apspec construct`"
+        )
+    if type(fmt) is not int or fmt != 3:
+        raise MalformedInput(f"unknown construction format {fmt!r}")
     try:
         p = obj["params"]
         params = ConstructionParams(
@@ -265,6 +283,7 @@ def _construction_header(obj: Any) -> tuple:
         wiener_norms = tuple(float(x) for x in obj["wiener_norms"])
         delta = EF.from_json(obj["delta"])
         c = float(obj["c"])
+        rays = [_ray_from_json(r) for r in obj["s"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad construction payload: {exc}") from exc
     if not all(map(math.isfinite, (c, *q_norms, *wiener_norms))):
@@ -279,44 +298,12 @@ def _construction_header(obj: Any) -> tuple:
         raise MalformedInput(
             f"bad construction payload: n_seq ends at {n_seq[-1]}, past oracle_n {params.oracle_n}"
         )
-    return params, n_seq, rho, q_norms, wiener_norms, delta, c
-
-
-def construction_from_json(obj: Any) -> tuple:
-    """(params, n_seq, rho, q_norms, wiener_norms, delta, c, rays of s) of a format-2 or format-3 bundle.
-
-    Ray j must hold the 2(n - 1) keys n_seq gives block j, which bounds the
-    rebuild by the size of the bundle.
-    """
-    header = _construction_header(obj)
-    try:
-        rays = [_ray_from_json(r) for r in obj["s"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedInput(f"bad construction payload: {exc}") from exc
-    _, n_seq, rho, *_ = header
     sizes = block_sizes(n_seq)
     if len(rho) != len(sizes) or [len(keys) for keys, _ in rays] != sizes:
         raise MalformedInput(
             f"bad construction payload: n_seq needs {len(sizes)} rho and rays of s of {sizes} keys"
         )
-    return (*header, rays)
-
-
-def construction_format1_from_json(obj: Any) -> tuple:
-    """(params, n_seq, rho, q_norms, wiener_norms, delta, c, g, h1, h, s) of a format-1 bundle.
-
-    s must hold the sum of the 2(n - 1) terms n_seq gives its blocks.
-    """
-    header = _construction_header(obj)
-    try:
-        g, h1, h, s = (trigpoly_from_json(obj[name]) for name in ("g", "h1", "h", "s"))
-    except KeyError as exc:
-        raise MalformedInput(f"bad construction payload: missing {exc}") from exc
-    _, n_seq, *_ = header
-    terms = sum(block_sizes(n_seq))
-    if s.term_count() != terms:
-        raise MalformedInput(f"bad construction payload: s holds {s.term_count()} terms; n_seq gives {terms}")
-    return (*header, g, h1, h, s)
+    return params, n_seq, rho, q_norms, wiener_norms, delta, c, rays
 
 
 def dumps(obj: Any) -> str:

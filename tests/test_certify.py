@@ -14,8 +14,6 @@ from apspec.certify import (
     ehlich_zeller_sup,
     ez_points,
     fft_rounding,
-    integer_lattice_sup,
-    lattice_points,
     ray_sup,
     sup_norm_certified,
     sup_norm_upper,
@@ -31,34 +29,48 @@ def sin_poly():
     return TrigPoly([(EF(1), -0.5j), (EF(-1), 0.5j)])
 
 
-def test_integer_lattice_sup_sin():
-    b = integer_lattice_sup(np.array([1, -1]), np.array([-0.5j, 0.5j]))
-    assert b.lower <= 1.0 <= b.upper
-    assert b.upper < 1.01
-    assert b.lower > 0.99
+def test_sup_norm_certified_subnormal():
+    # the smallest subnormal must not be rounded away by the FFT scaling
+    assert sup_norm_certified(TrigPoly([(EF(1), 5e-324)])).upper >= 5e-324
 
 
-def test_integer_lattice_sup_constant():
-    b = integer_lattice_sup(np.array([0]), np.array([3 - 4j]))
+def test_sup_norm_certified_constant():
+    b = sup_norm_certified(TrigPoly([(EF(0), 3 - 4j)]))
     assert b.lower == 5.0
     assert b.upper == pytest.approx(5.0, rel=1e-11)
 
 
-def test_integer_lattice_sup_empty():
-    b = integer_lattice_sup(np.array([], dtype=np.int64), np.array([], dtype=complex))
-    assert b == NormBracket(0.0, 0.0)
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda: ray_sup(np.array([10**9]), np.array([1.0 + 0j])),
+        lambda: sup_norm_upper(TrigPoly([(EF(1), 1.0), (EF(10**9), 1.0)])),
+        lambda: sup_norm_certified(TrigPoly([(EF(1), 1.0), (EF(10**9), 1.0)])),
+    ],
+    ids=["ray_sup", "sup_norm_upper", "sup_norm_certified"],
+)
+def test_sup_bounds_refuse_a_degree_no_grid_certifies(bound):
+    # ez_points decides in integers, before any grid is allocated
+    with pytest.raises(NonConvergence, match="degree 1000000000 needs more than 16777216"):
+        bound()
 
 
-def test_integer_lattice_sup_nonconvergence():
+# the largest degree the 2^24-point grid certifies: (355 d)^2 < 2 (113 2^24)^2
+_EZ_LAST = math.isqrt(2 * (113 << 24) ** 2 - 1) // 355
+
+
+@pytest.mark.parametrize(
+    "degree, n",
+    [(0, 1024), (1, 1024), (64, 1024), (65, 2048), (1 << 20, 1 << 24), (_EZ_LAST, 1 << 24)],
+)
+def test_ez_points_grid_sizes(degree, n):
+    assert ez_points(degree) == n
+
+
+def test_ez_points_refuses_past_the_last_grid():
+    assert (355 * _EZ_LAST) ** 2 < 2 * (113 << 24) ** 2 <= (355 * (_EZ_LAST + 1)) ** 2
     with pytest.raises(NonConvergence):
-        integer_lattice_sup(np.array([10**9]), np.array([1.0 + 0j]))
-
-
-def test_integer_lattice_sup_subnormal():
-    # the smallest subnormal must not be rounded away by the FFT scaling
-    b = integer_lattice_sup(np.array([1]), np.array([5e-324 + 0j]))
-    assert b.upper >= 5e-324
-    assert sup_norm_certified(TrigPoly([(EF(1), 5e-324)])).upper >= 5e-324
+        ez_points(_EZ_LAST + 1)
 
 
 def test_ray_partition_splits_incommensurables():
@@ -230,8 +242,6 @@ def test_ehlich_zeller_holds_on_random_polynomials():
         bound = ray_sup(keys, coeffs)
         dense = _dense_sup(keys, coeffs)
         assert Fraction(dense) <= bound
-        # sharper than the step inflation it replaces
-        assert bound <= Fraction(integer_lattice_sup(keys, coeffs).upper)
 
 
 def test_ehlich_zeller_is_tight_on_shifted_cosines():
@@ -284,7 +294,7 @@ def test_fft_rounding_bounds_the_measured_error():
 
 def test_ray_sup_uses_the_lattice_grid():
     keys, coeffs = np.array([1, -1]), np.array([-0.5j, 0.5j])
-    assert lattice_points(1) == 1024
+    assert ez_points(1) == 1024
     # sec(pi / 1024) = 1 + 4.7e-6
     assert 1 <= ray_sup(keys, coeffs) <= 1 + 5e-6
     assert ray_sup(keys[:0], coeffs[:0]) == 0

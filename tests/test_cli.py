@@ -16,7 +16,7 @@ import pytest
 from apspec import cli, construction, trigpoly
 from apspec.cli import run
 from apspec.frequency import ExactFrequency as EF
-from apspec.serialize import construction_to_json, dumps, load_path, report_to_json, trigpoly_to_json
+from apspec.serialize import dumps, load_path, trigpoly_to_json
 from apspec.trigpoly import TrigPoly
 
 
@@ -338,124 +338,6 @@ def test_construct_then_verify_small(tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
-FIXTURE_FORMAT1 = Path(__file__).parent / "data" / "construction_format1_b1_n32.json"
-
-# `verify` of the format-1 fixture, as printed before format 2 existed
-FIXTURE_FORMAT1_LINES = [
-    "PASS delta_matches_spectrum value=0.7071067811865476",
-    "PASS modulation_consistent value=1.0",
-    "PASS analytic_spectrum value=0.0",
-    "PASS halved_bandwidth value=0.7071067811865476",
-    "PASS exact_factorization value=0.0",
-    "PASS lower_bound_certified value=1.0",
-    "PASS halfplane_real_part value=1.9610948463055502",
-]
-
-
-def format1_bundle(res) -> dict:
-    """The format-1 construction payload: g, h1, h and s term by term."""
-    return {
-        "kind": "construction",
-        "params": {
-            "m": res.params.m,
-            "blocks": res.params.blocks,
-            "oracle_n": res.params.oracle_n,
-            "primes": list(res.params.primes),
-        },
-        "n_seq": list(res.n_seq),
-        "rho": [r.to_json() for r in res.rho],
-        "q_norms": list(res.q_norms),
-        "wiener_norms": list(res.wiener_norms),
-        "delta": res.delta.to_json(),
-        "c": res.c,
-        "g": trigpoly_to_json(res.g),
-        "h1": trigpoly_to_json(res.g.modulate(res.delta)),
-        "h": trigpoly_to_json(res.h),
-        "s": trigpoly_to_json(res.s),
-        "f": {"omitted": True, "pairs": res.f.term_count_upper(), "hint": "modulus_squared(h)"},
-        "certificates": report_to_json(res.certificates),
-    }
-
-
-def legacy_result(params, n_seq=None):
-    """The result construct gave before format 3: U_j and c by the format-1/2 rule, n_seq by today's search unless given."""
-    n_seq = construction.select_n_sequence(params) if n_seq is None else n_seq
-    return construction.instance_result(params, n_seq, construction.build_instance(params, n_seq, legacy=True))
-
-
-def write_format1(path, m=1.0, blocks=1, oracle_n=128) -> dict:
-    bundle = format1_bundle(legacy_result(construction.ConstructionParams(m=m, blocks=blocks, oracle_n=oracle_n)))
-    path.write_text(dumps(bundle))
-    return bundle
-
-
-# n_seq of the (1, 32) fixtures, as the search before the Ehlich-Zeller grids chose it
-FIXTURE_N_SEQ = (21, 28)
-
-
-def test_format1_helper_writes_the_fixture_bytes():
-    # the helper's bundles are the ones construct wrote before format 2
-    res = legacy_result(construction.ConstructionParams(m=1.0, blocks=1, oracle_n=32), FIXTURE_N_SEQ)
-    assert dumps(format1_bundle(res)) == FIXTURE_FORMAT1.read_text()
-
-
-def test_format1_fixture_verifies(capsys):
-    assert run(["verify", "--report", str(FIXTURE_FORMAT1)]) == 0
-    assert capsys.readouterr().out.splitlines() == FIXTURE_FORMAT1_LINES
-
-
-# written by `construct --blocks 1 --oracle-n 32` before the lift certificate
-# and the real-FFT n_seq search
-FIXTURE_FORMAT2 = Path(__file__).parent / "data" / "construction_format2_b1_n32.json"
-
-
-def test_format2_fixture_verifies(capsys):
-    # the fixture is the payload of the legacy result, with format 2
-    res = legacy_result(construction.ConstructionParams(blocks=1, oracle_n=32), FIXTURE_N_SEQ)
-    payload = construction_to_json(res)
-    payload["format"] = 2
-    assert dumps(payload) == FIXTURE_FORMAT2.read_text()
-    assert run(["verify", "--report", str(FIXTURE_FORMAT2)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "PASS factor_rebuilt value=1.0"
-    assert lines[:1] + lines[2:] == [line for line in FIXTURE_FORMAT1_LINES if "modulation" not in line]
-
-
-def test_verify_names_the_lift_bound_when_it_fails(tmp_path, capsys):
-    # lower the stored c, and the lift of the stored h, by sum U_j: the
-    # format-1 reader certifies f >= m from the stored c, c - sum_j B_j
-    def lower_lift(b):
-        lift = next(t for t in b["h"]["terms"] if t["freq"] == {"rat": "0", "rad": []})
-        lift["re"] -= math.fsum(b["q_norms"])
-        b["c"] -= math.fsum(b["q_norms"])
-
-    assert _verify_bundle(tmp_path, _edited(load_path(str(FIXTURE_FORMAT1)), lower_lift)) == 3
-    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
-    lift = next(line for line in fails if "lower_bound_certified" in line)
-    assert lift.startswith("FAIL lower_bound_certified value=1.0 -- f = |u|^2, |u| >= bound = ")
-    assert "on R; bound^2 - m = -" in lift
-
-
-def test_construct_verify_catches_corruption(tmp_path, capsys):
-    out = tmp_path / "cons.json"
-    bundle = write_format1(out)
-    bundle["s"]["terms"][3]["im"] += 1e-3
-    out.write_text(dumps(bundle))
-    assert run(["verify", "--report", str(out)]) == 3
-    capsys.readouterr()
-
-
-def test_construct_verify_refuses_tampered_rho(tmp_path, capsys):
-    out = tmp_path / "cons.json"
-    bundle = write_format1(out)
-    rad = bundle["rho"][0]["rad"]
-    assert rad[0][0] == "2"
-    rad[0][0] = "5"  # sqrt(5) in place of sqrt(2): s no longer fits rho * Z
-    out.write_text(dumps(bundle))
-    assert run(["verify", "--report", str(out)]) == 2
-    assert "SpectraCollision" in capsys.readouterr().err
-
-
 def _shift_rat(freq: dict, by: Fraction) -> None:
     freq["rat"] = str(Fraction(freq["rat"]) + by)
 
@@ -465,24 +347,6 @@ def _record_products(monkeypatch) -> list:
     real_product = construction.ProductPoly
     monkeypatch.setattr(construction, "ProductPoly", lambda h: built.append(h) or real_product(h))
     return built
-
-
-@pytest.mark.parametrize("tamper", ["delta", "s"])
-def test_construct_verify_refuses_off_lattice_factor(tmp_path, capsys, monkeypatch, tamper):
-    # a spectrum off rho * Z does not fit the stored rho: verify refuses the
-    # bundle with SpectraCollision before any product is built
-    out = tmp_path / "cons.json"
-    bundle = write_format1(out, blocks=2, oracle_n=256)
-    if tamper == "delta":
-        _shift_rat(bundle["delta"], Fraction(1, 7))
-    else:
-        for term in bundle["s"]["terms"]:
-            _shift_rat(term["freq"], Fraction(1, 7))
-    out.write_text(dumps(bundle))
-    built = _record_products(monkeypatch)
-    assert run(["verify", "--report", str(out)]) == 2
-    assert "SpectraCollision" in capsys.readouterr().err
-    assert built == []
 
 
 def test_construct_and_verify_build_one_product_each(tmp_path, capsys, monkeypatch):
@@ -537,47 +401,29 @@ def test_roots_factor_partitions_f_and_s_once_each(f_2p2cos, tmp_path, monkeypat
 
 
 def test_construction_verify_partitions_once(tmp_path, capsys, monkeypatch):
-    # format 2 stores s by ray, so construct and verify partition nothing;
-    # format 1: g, h1, h and s are read by ray, and _check_rays and the
-    # rebuilt ProductPoly share the one split of the centred h
+    # the bundle stores s by ray, so construct and verify partition nothing
     out = tmp_path / "cons.json"
     calls = _count_partitions(monkeypatch)
     assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "256", "--out", str(out)]) == 0
     assert run(["verify", "--report", str(out)]) == 0
     assert calls == []
-    write_format1(out, blocks=2, oracle_n=256)
-    calls.clear()
-    assert run(["verify", "--report", str(out)]) == 0
-    assert len(calls) == 5
+    capsys.readouterr()
 
 
-FORMAT1_CHECKS = [
-    "delta_matches_spectrum", "modulation_consistent", "analytic_spectrum", "halved_bandwidth",
+# the checks verify prints for a construction bundle, in order; construct's
+# own battery is the last five
+FORMAT3_CHECKS = [
+    "delta_matches_spectrum", "factor_rebuilt", "analytic_spectrum", "halved_bandwidth",
     "exact_factorization", "lower_bound_certified", "halfplane_real_part",
 ]
-FORMAT2_CHECKS = ["delta_matches_spectrum", "factor_rebuilt", *FORMAT1_CHECKS[2:]]
 
 
-def test_tampered_construction_fails_its_checks(tmp_path, capsys):
-    # a changed coefficient of s is a failed check, not a crash: every check prints
-    out = tmp_path / "cons.json"
-    bundle = write_format1(out, blocks=2, oracle_n=1024)
-    bundle["s"]["terms"][3]["re"] += 1e-3
-    out.write_text(dumps(bundle))
-    capsys.readouterr()
-    assert run(["verify", "--report", str(out)]) == 3
-    printed = capsys.readouterr().out
-    assert "FAIL modulation_consistent" in printed
-    assert "FAIL exact_factorization" in printed
-    assert [line.split()[1] for line in printed.splitlines()] == FORMAT1_CHECKS
-
-
-# -- format 2: s stored once, by ray ------------------------------------------------
+# -- format 3: s stored once, by ray ------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def format2_bundle(tmp_path_factory):
-    out = tmp_path_factory.mktemp("f2") / "cons.json"
+def format3_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("f3") / "cons.json"
     assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "256", "--out", str(out)]) == 0
     return load_path(str(out))
 
@@ -588,12 +434,12 @@ def _verify_bundle(tmp_path, bundle) -> int:
     return run(["verify", "--report", str(out)])
 
 
-def test_format2_bundle_keeps_s_once(format2_bundle, capsys):
-    b = format2_bundle
+def test_format3_bundle_keeps_s_once(format3_bundle, capsys):
+    b = format3_bundle
     assert b["format"] == 3 and b["kind"] == "construction"
     assert not {"g", "h1", "h", "certificates"} & set(b)
     assert len(b["s"]) == len(b["rho"]) == len(b["n_seq"]) - 1 == 2
-    assert [c["name"] for c in b["checks"]] == FORMAT1_CHECKS[2:]
+    assert [c["name"] for c in b["checks"]] == FORMAT3_CHECKS[2:]
     # ray j: keys of the block's lattice rho_j * Z, c merged at the lowest key of one ray
     for ray, n_hi in zip(b["s"], (b["n_seq"][0], b["n_seq"][2])):
         assert ray["keys"] == list(range(-n_hi, -1)) + list(range(2, n_hi + 1))
@@ -602,19 +448,23 @@ def test_format2_bundle_keeps_s_once(format2_bundle, capsys):
     capsys.readouterr()
 
 
-def test_format2_tampered_coefficient_fails_its_checks(format2_bundle, tmp_path, capsys):
-    bundle = json.loads(json.dumps(format2_bundle))
-    bundle["s"][1]["re"][3] += 1e-3
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("ray", [0, 1])
+def test_format3_tampered_coefficient_fails_its_checks(format3_bundle, tmp_path, capsys, ray, part):
+    # a changed coefficient of s, in either ray and either part, is a failed
+    # check, not a crash: every check prints
+    bundle = json.loads(json.dumps(format3_bundle))
+    bundle["s"][ray][part][3] += 1e-3
     capsys.readouterr()
     assert _verify_bundle(tmp_path, bundle) == 3
     printed = capsys.readouterr().out
-    assert [line.split()[1] for line in printed.splitlines()] == FORMAT2_CHECKS
+    assert [line.split()[1] for line in printed.splitlines()] == FORMAT3_CHECKS
     assert "FAIL factor_rebuilt" in printed
     assert "FAIL exact_factorization" in printed
 
 
-def test_format2_commensurable_rho_refused_before_any_product(format2_bundle, tmp_path, capsys, monkeypatch):
-    bundle = json.loads(json.dumps(format2_bundle))
+def test_format3_commensurable_rho_refused_before_any_product(format3_bundle, tmp_path, capsys, monkeypatch):
+    bundle = json.loads(json.dumps(format3_bundle))
     assert bundle["rho"][1]["rad"][0][0] == "3"
     bundle["rho"][1]["rad"][0][0] = "2"  # both rays on sqrt(2) * Q: their spectra could collide
     built = _record_products(monkeypatch)
@@ -623,14 +473,44 @@ def test_format2_commensurable_rho_refused_before_any_product(format2_bundle, tm
     assert built == []
 
 
-def test_format2_changed_delta_fails_delta_matches_spectrum(format2_bundle, tmp_path, capsys):
-    bundle = json.loads(json.dumps(format2_bundle))
+def test_format3_changed_delta_fails_delta_matches_spectrum(format3_bundle, tmp_path, capsys):
+    bundle = json.loads(json.dumps(format3_bundle))
     _shift_rat(bundle["delta"], Fraction(1, 7))
     capsys.readouterr()
     assert _verify_bundle(tmp_path, bundle) == 3
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[1] for line in lines] == FORMAT2_CHECKS
+    assert [line.split()[1] for line in lines] == FORMAT3_CHECKS
     assert lines[0].startswith("FAIL delta_matches_spectrum")
+
+
+def test_construct_verify_refuses_tampered_rho(format3_bundle, tmp_path, capsys, monkeypatch):
+    # sqrt(5) in place of sqrt(2): the rays stay incommensurable, so verify
+    # rebuilds the instance and the rebuilt rho differs from the stored one
+    bundle = json.loads(json.dumps(format3_bundle))
+    rad = bundle["rho"][0]["rad"]
+    assert rad[0][0] == "2"
+    rad[0][0] = "5"
+    capsys.readouterr()
+    assert _verify_bundle(tmp_path, bundle) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == FORMAT3_CHECKS
+    assert lines[1].startswith("FAIL factor_rebuilt value=0.0 -- ")
+
+
+def test_verify_names_the_lift_bound_when_it_fails(format3_bundle, tmp_path, capsys):
+    # lower the stored c, and the lift in s, by sum U_j: lower_bound_certified
+    # reads the stored c against the rebuilt B_j, so c - sum_j B_j < sqrt(m)
+    def lower_lift(b):
+        drop = math.fsum(b["q_norms"])
+        ray = next(r for r in b["s"] if b["c"] in r["re"])
+        ray["re"][ray["re"].index(b["c"])] -= drop
+        b["c"] -= drop
+
+    assert _verify_bundle(tmp_path, _edited(format3_bundle, lower_lift)) == 3
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    lift = next(line for line in fails if "lower_bound_certified" in line)
+    assert lift.startswith("FAIL lower_bound_certified value=1.0 -- f = |u|^2, |u| >= bound = ")
+    assert "on R; bound^2 - m = -" in lift
 
 
 def _set_format(b, v):
@@ -659,32 +539,76 @@ def _set_format(b, v):
         lambda b: _set_format(b, 4),
         lambda b: _set_format(b, "2"),
         lambda b: _set_format(b, 2.0),
+        # formats 1 (no "format" key) and 2, which older versions wrote, are refused
+        lambda b: b.pop("format"),
+        lambda b: _set_format(b, 1),
+        lambda b: _set_format(b, 2),
     ],
 )
-def test_format2_malformed_bundle_exits_1(format2_bundle, tmp_path, capsys, tamper):
-    bundle = json.loads(json.dumps(format2_bundle))
+def test_format3_malformed_bundle_exits_1(format3_bundle, tmp_path, capsys, tamper):
+    bundle = json.loads(json.dumps(format3_bundle))
     tamper(bundle)
     out = tmp_path / "bad.json"
     # json writes NaN and Infinity literals, which the reader must refuse
     out.write_text(json.dumps(bundle))
     assert run(["verify", "--report", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    fmt = bundle.get("format", 1)
+    if type(fmt) is int and fmt < 3:
+        assert f"construction format {fmt} is no longer read; rebuild the bundle with `apspec construct`" in captured.err
+
+
+def _format1_shape(b):
+    # format 1 had no "format" key and stored g, h1, h and s term by term
+    del b["format"]
+    s = TrigPoly([(EF(2), 0.5), (EF(-2), 0.5j)])
+    b.update({name: trigpoly_to_json(s) for name in ("g", "h1", "h", "s")})
+
+
+def _keep_only(b, *keys):
+    for k in set(b) - set(keys):
+        del b[k]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        _format1_shape,
+        lambda b: _set_format(b, 2),
+        # the refusal reads the format alone: the rest of the payload is never read
+        lambda b: _keep_only(b, "kind"),
+        lambda b: (_keep_only(b, "kind"), _set_format(b, 2)),
+    ],
+    ids=["format1", "format2", "format1_bare", "format2_bare"],
+)
+def test_retired_format_refused_before_any_rebuild(format3_bundle, tmp_path, capsys, monkeypatch, shape):
+    bundle = _edited(format3_bundle, shape)
+    fmt = bundle.get("format", 1)
+    built, partitions = _record_products(monkeypatch), _count_partitions(monkeypatch)
+    capsys.readouterr()
+    assert _verify_bundle(tmp_path, bundle) == 1
+    assert built == [] and partitions == []
+    assert capsys.readouterr() == (
+        "", f"error: construction format {fmt} is no longer read; rebuild the bundle with `apspec construct`\n"
+    )
 
 
 # -- stored numbers: verify rebuilds the instance from params and n_seq ---------------
 
 
 @pytest.fixture(scope="module")
-def small_bundles(tmp_path_factory):
-    """The (1, 32) instance in format 3 (written by construct), and formats 2 and 1 (the fixtures)."""
+def small_bundle(tmp_path_factory):
+    """The (1, 32) instance, as construct writes it."""
     out = tmp_path_factory.mktemp("small") / "cons.json"
     assert run(["construct", "--m", "1", "--blocks", "1", "--oracle-n", "32", "--out", str(out)]) == 0
-    return {3: load_path(str(out)), 2: load_path(str(FIXTURE_FORMAT2)), 1: load_path(str(FIXTURE_FORMAT1))}
+    return load_path(str(out))
 
 
-# the check each format fails when a stored number differs from the rebuilt one
-REBUILT_CHECK = {3: "factor_rebuilt", 2: "factor_rebuilt", 1: "modulation_consistent"}
+@pytest.fixture(scope="module", params=["small_bundle", "format3_bundle"], ids=["blocks1", "blocks2"])
+def any_bundle(request):
+    """The (1, 32) instance and the two-block (1, 256) one, as construct writes them."""
+    return request.getfixturevalue(request.param)
 
 
 def _halve_rho(b):
@@ -695,10 +619,10 @@ def _halve_rho(b):
 
 STORED_EDITS = {
     "rho": _halve_rho,
-    "q_norms": lambda b: b.__setitem__("q_norms", [123.0]),
-    "wiener_norms": lambda b: b.__setitem__("wiener_norms", [0.5]),
+    "q_norms": lambda b: b["q_norms"].__setitem__(0, 123.0),
+    "wiener_norms": lambda b: b["wiener_norms"].__setitem__(0, 0.5),
     "c": lambda b: b.__setitem__("c", b["c"] + 1e-9),
-    "primes": lambda b: b["params"].__setitem__("primes", [97]),
+    "primes": lambda b: b["params"].__setitem__("primes", [97, 101][: b["params"]["blocks"]]),
 }
 
 
@@ -709,28 +633,25 @@ def _edited(bundle: dict, *edits) -> dict:
     return b
 
 
-@pytest.mark.parametrize("fmt", [3, 2, 1])
-def test_edited_norms_and_primes_fail_the_rebuild(small_bundles, tmp_path, capsys, fmt):
+def test_edited_norms_and_primes_fail_the_rebuild(any_bundle, tmp_path, capsys):
     # these three edits together once verified all PASS with exit 0
-    bundle = _edited(small_bundles[fmt], *(STORED_EDITS[k] for k in ("q_norms", "wiener_norms", "primes")))
+    bundle = _edited(any_bundle, *(STORED_EDITS[k] for k in ("q_norms", "wiener_norms", "primes")))
     capsys.readouterr()
     assert _verify_bundle(tmp_path, bundle) == 3
-    assert f"FAIL {REBUILT_CHECK[fmt]}" in capsys.readouterr().out
+    assert "FAIL factor_rebuilt" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("fmt", [3, 2, 1])
 @pytest.mark.parametrize("field", sorted(STORED_EDITS))
-def test_stored_number_edited_alone_fails_the_rebuild(small_bundles, tmp_path, capsys, fmt, field):
+def test_stored_number_edited_alone_fails_the_rebuild(any_bundle, tmp_path, capsys, field):
     capsys.readouterr()
-    assert _verify_bundle(tmp_path, small_bundles[fmt]) == 0
+    assert _verify_bundle(tmp_path, any_bundle) == 0
     capsys.readouterr()
-    assert _verify_bundle(tmp_path, _edited(small_bundles[fmt], STORED_EDITS[field])) == 3
+    assert _verify_bundle(tmp_path, _edited(any_bundle, STORED_EDITS[field])) == 3
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 7
-    assert lines[1].startswith(f"FAIL {REBUILT_CHECK[fmt]} value=0.0 -- ")
+    assert lines[1].startswith("FAIL factor_rebuilt value=0.0 -- ")
 
 
-@pytest.mark.parametrize("fmt", [3, 2, 1])
 @pytest.mark.parametrize(
     "edit",
     [
@@ -743,35 +664,24 @@ def test_stored_number_edited_alone_fails_the_rebuild(small_bundles, tmp_path, c
     ],
     ids=["oracle_n_7", "oracle_n_below_n_seq", "blocks_2", "blocks_0", "huge_prime", "negative_m"],
 )
-def test_params_that_do_not_fit_n_seq_exit_1(small_bundles, tmp_path, capsys, fmt, edit):
+def test_params_that_do_not_fit_n_seq_exit_1(small_bundle, tmp_path, capsys, edit):
     # n_seq makes one block; construct would refuse the last three params
-    assert _verify_bundle(tmp_path, _edited(small_bundles[fmt], edit)) == 1
+    assert _verify_bundle(tmp_path, _edited(small_bundle, edit)) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-def test_format1_factor_edited_throughout_fails_the_rebuild(small_bundles, tmp_path, capsys):
-    # one coefficient changed alike in g, h1, h and s keeps them consistent with each other
-    # and with f = |u|^2; only the comparison with the rebuilt g catches it
-    def edit(b):
-        for name in ("g", "h1", "h", "s"):
-            b[name]["terms"][3]["im"] += 1e-3
-
-    capsys.readouterr()
-    assert _verify_bundle(tmp_path, _edited(small_bundles[1], edit)) == 3
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["PASS", "FAIL", "PASS", "PASS", "PASS", "PASS", "PASS"]
-
-
-def test_format1_n_seq_that_misses_the_term_count_exits_1_at_once(tmp_path, capsys):
-    # s holds 40 terms; n_seq [2, 10^9] gives its one block 2, and is refused before any rebuild
-    bundle = _edited(load_path(str(FIXTURE_FORMAT1)), lambda b: b.__setitem__("n_seq", [2, 10**9]))
+def test_format3_n_seq_that_misses_the_ray_length_exits_1_at_once(small_bundle, tmp_path, capsys):
+    # the ray holds 38 keys; n_seq [2, 10^9] gives its one block 2, and is refused before any rebuild
+    bundle = _edited(small_bundle, lambda b: b.__setitem__("n_seq", [2, 10**9]))
     bundle["params"]["oracle_n"] = 10**9
     start = time.perf_counter()
     assert _verify_bundle(tmp_path, bundle) == 1
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
-    assert captured.out == "" and "s holds 40 terms" in captured.err
+    assert captured.out == "" and captured.err == (
+        "error: bad construction payload: n_seq needs 1 rho and rays of s of [2] keys\n"
+    )
 
 
 def test_huge_radicand_refused(tmp_path, capsys):
@@ -900,6 +810,39 @@ def test_keys_past_int64_refused_by_analyze_and_cepstral(argv, tmp_path, capsys)
     assert not out.exists()
 
 
+def _real_term(rat: str, rad: list, re: float) -> dict:
+    return {"freq": {"rat": rat, "rad": rad}, "re": re, "im": 0.0}
+
+
+# 1.5e308 + 5e307 cos x, and the same plus 5e307 cos(sqrt(2) x): every
+# coefficient is finite, but the Wiener norm (2.0e308 and 2.5e308) passes
+# the largest float; each route once ended in an OverflowError traceback or
+# a NaN
+_COS_X = [_real_term("-1", [], 2.5e307), _real_term("0", [], 1.5e308), _real_term("1", [], 2.5e307)]
+_COS_SQRT2X = [_real_term("0", [["2", "-1"]], 2.5e307), _real_term("0", [["2", "1"]], 2.5e307)]
+HUGE_NORMS = {"cos_x": {"terms": _COS_X}, "cos_x_cos_sqrt2x": {"terms": _COS_X + _COS_SQRT2X}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "--method", "roots"],
+        ["factor", "--method", "cepstral", "--m", "0.5"],
+        ["analyze", "--m", "0.5", "--eps", "0.2"],
+    ],
+    ids=["roots", "cepstral", "analyze"],
+)
+@pytest.mark.parametrize("name", sorted(HUGE_NORMS))
+def test_wiener_norm_past_the_largest_float_refused(argv, name, tmp_path, capsys):
+    inp, out = tmp_path / "f.json", tmp_path / "out.json"
+    inp.write_text(json.dumps(HUGE_NORMS[name]))
+    assert run(argv + ["--input", str(inp), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad trig polynomial payload: the sum of |coefficients| exceeds the largest float\n"
+    )
+    assert not out.exists()
+
+
 def test_zero_denominator_refused_by_analyze(tmp_path, capsys):
     inp = tmp_path / "f.json"
     inp.write_text('{"terms": [{"freq": {"rat": "0", "rad": [["2", "1/0"]]}, %s}]}' % _ONE)
@@ -917,19 +860,19 @@ def test_zero_denominator_refused_by_analyze(tmp_path, capsys):
     ],
     ids=["rho", "delta"],
 )
-def test_construction_zero_denominator_exits_1(small_bundles, tmp_path, capsys, edit):
+def test_construction_zero_denominator_exits_1(any_bundle, tmp_path, capsys, edit):
     capsys.readouterr()
-    assert _verify_bundle(tmp_path, _edited(small_bundles[3], edit)) == 1
+    assert _verify_bundle(tmp_path, _edited(any_bundle, edit)) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_nonpositive_primes_refused(small_bundles, tmp_path, capsys):
+def test_nonpositive_primes_refused(small_bundle, tmp_path, capsys):
     capsys.readouterr()
     assert run(["construct", "--blocks", "1", "--oracle-n", "32", "--primes=-3", "--out", str(tmp_path / "c.json")]) == 1
     assert run(["construct", "--blocks", "2", "--oracle-n", "32", "--primes=5,0", "--out", str(tmp_path / "c.json")]) == 1
     assert capsys.readouterr().err == "error: primes must be positive\n" * 2
-    assert _verify_bundle(tmp_path, _edited(small_bundles[3], lambda b: b["params"].__setitem__("primes", [-3]))) == 1
+    assert _verify_bundle(tmp_path, _edited(small_bundle, lambda b: b["params"].__setitem__("primes", [-3]))) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: primes must be positive\n"
 
@@ -1108,9 +1051,7 @@ def test_a_run_builds_only_the_subparser_it_names(argv, capsys, monkeypatch):
 
 
 # Bundles and verify lines of `construct` (format 3); construct and verify
-# must reproduce them byte for byte.  previous/ holds the format-2 bundles
-# of the same argv, written before the Ehlich-Zeller grids; verify must
-# still print their lines byte for byte
+# must reproduce them byte for byte
 CONSTRUCT_FIXTURES = Path(__file__).parent / "data" / "construct"
 CONSTRUCT_CASES = {
     "blocks1_oracle64": ["--m", "1.25", "--blocks", "1", "--oracle-n", "64", "--primes", "3,7"],
@@ -1138,15 +1079,6 @@ def test_construct_refuses_an_oversized_oracle_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: NonConvergence: degree 2000000000 needs more than {1 << 24} certification points\n"
     assert not out.exists()
-
-
-@pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
-def test_previous_construct_bundles_still_verify(name, capsys):
-    bundle = CONSTRUCT_FIXTURES / "previous" / f"{name}.bundle.json"
-    assert load_path(str(bundle))["format"] == 2
-    assert run(["verify", "--report", str(bundle)]) == 0
-    want = (CONSTRUCT_FIXTURES / "previous" / f"{name}.verify.txt").read_text().splitlines()
-    assert capsys.readouterr().out.splitlines() == want
 
 
 # Bundles, verify lines, verify --out reports and --csv text of the sampled

@@ -1,8 +1,9 @@
+import importlib
+import inspect
 import itertools
 import math
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ from apspec.construction import (
 )
 from apspec.errors import MalformedInput, OracleTooSmall
 from apspec.frequency import ExactFrequency, qlin_independent
-from apspec.serialize import construction_format1_from_json, load_path
 from apspec.trigpoly import DenseBlock, ProductPoly, TrigPoly, spectrum
 
 EF = ExactFrequency
@@ -295,14 +295,26 @@ def test_assemble_wiener_growth_with_blocks(pinned):
     assert g3.term_count() > pinned.g.term_count()
 
 
-def test_build_instance_gives_the_format1_fixture_numbers():
-    # the committed (1, 32) bundle stores exactly what build_instance derives from its params and n_seq
-    obj = load_path(str(Path(__file__).parent / "data" / "construction_format1_b1_n32.json"))
-    params, n_seq, rho, q_norms, wiener_norms, delta, c, g, *_ = construction_format1_from_json(obj)
-    inst = build_instance(params, n_seq, legacy=True)
-    assert inst.numbers() == (rho, q_norms, wiener_norms, c)
-    assert inst.delta == delta
-    assert TrigPoly.from_rays(inst.g_rays) == g
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("apspec", "integer_lattice_sup"),
+        ("apspec", "recheck"),
+        ("apspec.certify", "integer_lattice_sup"),
+        ("apspec.certify", "lattice_points"),
+        ("apspec.certify", "FP_CUSHION"),
+        ("apspec.construction", "recheck"),
+        ("apspec.serialize", "construction_format1_from_json"),
+    ],
+)
+def test_format1_and_2_routes_are_gone(module, name):
+    # formats 1 and 2 are refused on reading; nothing that only rebuilt them stays
+    assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("func", [construction.build_instance, construction.verify_rays], ids=lambda f: f.__name__)
+def test_no_legacy_option(func):
+    assert "legacy" not in inspect.signature(func).parameters
 
 
 def test_build_instance_gives_the_assembled_numbers(pinned):

@@ -17,6 +17,7 @@ from apspec.frequency import ExactFrequency as EF
 from apspec.periodic import fejer_riesz
 from apspec.sampling import SampledFunction
 from apspec.serialize import (
+    construction_from_json,
     dumps,
     growth_table_text,
     loads,
@@ -80,6 +81,22 @@ def test_trigpoly_bad_payloads():
         trigpoly_from_json({"terms": [{"freq": {"rat": "x/y", "rad": []}, "re": 0, "im": 0}]})
     with pytest.raises(MalformedInput):
         loads("{not json")
+
+
+@pytest.mark.parametrize("obj", [{}, {"format": 1}, {"format": 2}], ids=["no_format", "format1", "format2"])
+def test_construction_reader_refuses_formats_1_and_2(obj):
+    fmt = obj.get("format", 1)
+    with pytest.raises(MalformedInput) as exc:
+        construction_from_json(obj)
+    assert str(exc.value) == f"construction format {fmt} is no longer read; rebuild the bundle with `apspec construct`"
+
+
+@pytest.mark.parametrize("fmt", [True, 3.0, "3", None, 0, 4])
+def test_construction_reader_names_an_unknown_format(fmt):
+    # only the int 3 is read: True == 1 and 3.0 == 3 are not formats
+    with pytest.raises(MalformedInput) as exc:
+        construction_from_json({"format": fmt})
+    assert str(exc.value) == f"unknown construction format {fmt!r}"
 
 
 def test_sampled_roundtrip_and_csv():

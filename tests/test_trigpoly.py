@@ -913,17 +913,13 @@ _DATA = Path(__file__).parent / "data"
 
 @pytest.mark.parametrize(
     "path",
-    sorted((_DATA / "construct").glob("**/*.bundle.json")) + sorted(_DATA.glob("construction_format*.json")),
+    sorted((_DATA / "construct").glob("*.bundle.json")),
     ids=lambda p: str(p.relative_to(_DATA)),
 )
 def test_pair_count_from_keys_matches_the_dense_count_on_the_goldens(path):
-    from apspec.serialize import construction_format1_from_json, construction_from_json, load_path
+    from apspec.serialize import construction_from_json, load_path
 
     obj = load_path(str(path))
-    if obj.get("format") in (2, 3):
-        _, _, rho, *_, rays = construction_from_json(obj)
-        s = TrigPoly.from_rays([DenseBlock(r, keys, coeffs) for r, (keys, coeffs) in zip(rho, rays)])
-    else:
-        s = construction_format1_from_json(obj)[-1]
-    pp = ProductPoly(s)
+    _, _, rho, *_, rays = construction_from_json(obj)
+    pp = ProductPoly(TrigPoly.from_rays([DenseBlock(r, keys, coeffs) for r, (keys, coeffs) in zip(rho, rays)]))
     assert pp.term_count_upper() == _dense_pair_count(pp) == obj["f"]["pairs"]
