@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from apspec.certify import check_grid_span
 from apspec.checks import CheckResult, FactorizationReport, bernstein_check, factorization_residual
 from apspec.errors import IncommensurableSpectrum, NonConvergence, NotNonnegative
 from apspec.frequency import ExactFrequency
@@ -75,7 +76,9 @@ def commensurable_base(f: TrigPoly) -> LaurentForm:
     """Largest common base frequency and dense Laurent coefficients.
 
     Raises IncommensurableSpectrum unless every frequency is a rational
-    multiple of every other (the constant term rides along at k = 0).
+    multiple of every other (the constant term rides along at k = 0), and
+    MalformedInput, before it allocates, if `period_samples`' grid, the
+    least power of two >= 8(2n+1), would pass MAX_GRID_POINTS.
     """
     const, blocks = ray_partition(f)
     if len(blocks) > 1:
@@ -86,6 +89,7 @@ def commensurable_base(f: TrigPoly) -> LaurentForm:
         return LaurentForm(EF(1), np.array([const], dtype=complex))
     b = blocks[0]
     n = int(max(np.max(b.keys), -np.min(b.keys)))
+    check_grid_span(8 * (2 * n + 1))
     coeffs = np.zeros(2 * n + 1, dtype=complex)
     coeffs[b.keys + n] = b.coeffs
     coeffs[n] += const

@@ -22,25 +22,25 @@ All of these give bit for bit what the exact terms give.  The exact
 terms themselves, one ExactFrequency each, are built only on request:
 as a read-only dict view, on first use, for `coefficient`, for `==` of
 forms whose arrays differ and for the partition of a shifted form, and
-as `sorted_terms`, which `multiply` and `mean_value_numeric` read.
+as `sorted_terms`, which `mean_value_numeric` reads.
 `sorted_terms_json` writes frequencies as JSON from each ray's base and
 keys.
 
-Every squared modulus |h|^2 is built one way (`ProductPoly(h)`): each ray
-of h is autocorrelated with one convolution.  The ProductPoly is |h|^2
-seen through its factor: values, sup bounds and the spectrum are read
-from h, and `modulus_squared` materializes its coefficients as a TrigPoly
-(given by one ray when h has one).
+Every product is formed pair of rays by pair of rays (`_products`), with
+one ExactFrequency per resulting ray: `multiply`, behind `TrigPoly *
+TrigPoly`, and `modulus_squared` (|h|^2 of one ray is one convolution).  The
+ProductPoly is |h|^2 seen through its factor: values, sup bounds and the
+spectrum are read from h, and `to_trigpoly` is `modulus_squared`.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -50,8 +50,13 @@ from apspec.frequency import ONE, ZERO, Coordinates, ExactFrequency, lattice_jso
 EF = ExactFrequency
 Scalar = Union[int, float, complex]
 
-# beyond this many terms, products refuse to materialize as a TrigPoly
-MAX_DICT_PAIRS = 3_000_000
+# a product refuses past these convolution multiply-adds (|s|^2 of any roots
+# factor of degree <= 2**15 passes) or outer-product pairs (`_products`)
+MAX_CONVOLUTION = 1 << 32
+MAX_OUTER_PAIRS = 3_000_000
+# two blocks on one direction convolve unless their key spans hold more
+# multiply-adds than this many per coefficient pair
+DENSE_RATIO = 64
 
 # elements in one exp table of the evaluation kernels
 _MAX_TABLE = 4_000_000
@@ -82,12 +87,6 @@ class DenseBlock:
     def __post_init__(self):
         if len(self.keys) != len(self.coeffs):
             raise ValueError("keys and coeffs must align")
-
-    def terms(self) -> Iterator[tuple[EF, complex]]:
-        """(frequency, coefficient) pairs, zero coefficients skipped."""
-        for k, c in zip(self.keys.tolist(), self.coeffs.tolist()):
-            if c != 0:
-                yield self.base * k, c
 
 
 class TrigPoly:
@@ -425,11 +424,11 @@ def _ray_groups(items: Iterable[tuple[Coordinates, complex]]) -> tuple[complex, 
 
 
 def _combine(f: TrigPoly, other, sign: int) -> TrigPoly:
-    """f + other (sign 1) or f - other (sign -1), formed ray by ray on the two ray partitions (`_add_rays`)."""
+    """f + other (sign 1) or f - other (sign -1), formed ray by ray on the two ray partitions (`_sum_rays`)."""
     other = _as_poly(other)
     if other is NotImplemented:
         return NotImplemented
-    return _add_rays(ray_partition(f), ray_partition(other), sign)
+    return _sum_rays([ray_partition(f), ray_partition(other)], sign)
 
 
 def _same_rays(a, b) -> bool:
@@ -463,40 +462,42 @@ def _ray_coeffs(const: complex, blocks: Sequence[DenseBlock]) -> np.ndarray:
     return np.concatenate(head + [b.coeffs for b in blocks]) if head or blocks else np.zeros(0, dtype=complex)
 
 
-def _add_rays(a, b, sign: int) -> TrigPoly:
-    """Ray partitions (const, rays) a + sign*b, ray by ray.
+def _sum_rays(parts: Sequence[tuple[complex, Sequence[DenseBlock]]], sign: int = 1, shift: EF = ZERO) -> TrigPoly:
+    """chi_shift * (parts[0] + sign*parts[1] + sign*parts[2] + ...) for (const, rays) parts, ray by ray.
 
-    Two rays on one direction, with bases p*u and q*u (p/q their ratio),
-    are combined on the lattice u*Z; MalformedInput if a key there would
-    leave int64.  A frequency of a alone keeps its coefficient x, one of b
-    alone gets 0j +- y, and a shared one x +- y.
+    Rays on one direction, bases m_i*u for integers m_i, are summed on the
+    lattice u*Z (MalformedInput if a key there leaves int64): the first
+    part's coefficients as they are, each later part's added or subtracted
+    in order, from 0j where no earlier part has the frequency.
     """
-    groups: dict[tuple, list] = {}
-    for side, (_, blocks) in enumerate((a, b)):
+    groups: dict[tuple, list[tuple[int, DenseBlock]]] = {}
+    for i, (_, blocks) in enumerate(parts):
         for r in blocks:
-            groups.setdefault(_normalized_direction(r.base), [None, None])[side] = r
+            if len(r.keys):
+                groups.setdefault(_normalized_direction(r.base), []).append((i, r))
     rays = []
-    for x, y in groups.values():
-        if x is None or y is None:
-            p = q = 1
-            unit = (y if x is None else x).base
-        else:
-            p, q = rational_ratio(x.base, y.base).as_integer_ratio()
-            if max(int(np.max(np.abs(x.keys))) * p, int(np.max(np.abs(y.keys))) * q) >= 1 << 62:
-                raise MalformedInput(f"the sum of two rays on one direction needs keys past int64 (base ratio {p}/{q})")
-            unit = y.base / q
-        kx = np.zeros(0, dtype=np.int64) if x is None else x.keys * p
-        ky = np.zeros(0, dtype=np.int64) if y is None else y.keys * q
-        keys = _key_union(kx, ky)
+    for members in groups.values():
+        if len(members) == 1 and members[0][0] == 0:
+            rays.append(members[0][1])
+            continue
+        first = members[0][1].base
+        ratios = [rational_ratio(r.base, first) for _, r in members]
+        lcm = math.lcm(*(q.denominator for q in ratios))
+        steps = [int(q * lcm) for q in ratios]
+        if len(members) > 1 and max(int(np.max(np.abs(r.keys))) * m for (_, r), m in zip(members, steps)) >= 1 << 62:
+            raise MalformedInput(f"the sum of rays on one direction needs keys past int64 (base steps {steps})")
+        scaled = [r.keys * m for (_, r), m in zip(members, steps)]
+        keys = functools.reduce(_key_union, scaled)
         coeffs = np.zeros(len(keys), dtype=complex)
-        if x is not None:
-            coeffs[np.searchsorted(keys, kx)] = x.coeffs
-        if y is not None:
-            at = np.searchsorted(keys, ky)
-            coeffs[at] = coeffs[at] + y.coeffs if sign > 0 else coeffs[at] - y.coeffs
-        rays.append(DenseBlock(unit, keys, coeffs))
-    const = a[0] if b[0] == 0 else a[0] + b[0] if sign > 0 else a[0] - b[0]
-    return TrigPoly.from_rays(rays, const=const)
+        for (i, r), k in zip(members, scaled):
+            at = np.searchsorted(keys, k)
+            coeffs[at] = r.coeffs if i == 0 else coeffs[at] + r.coeffs if sign > 0 else coeffs[at] - r.coeffs
+        rays.append(DenseBlock(first / lcm, keys, coeffs))
+    const = parts[0][0]
+    for c, _ in parts[1:]:
+        if c != 0:
+            const = const + c if sign > 0 else const - c
+    return TrigPoly.from_rays(rays, shift, const)
 
 
 def _key_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -819,20 +820,125 @@ def mean_value_numeric(f: TrigPoly, w, halfwidth: float) -> tuple[complex, float
 
 
 def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    """Exact product; deterministic accumulation order."""
-    ta, tb = f.sorted_terms(), g.sorted_terms()
-    if len(ta) * len(tb) > MAX_DICT_PAIRS:
+    """f*g on pairs of blocks (`_products`), since chi_s*F times chi_t*G is chi_{s+t}*(F*G).
+
+    The parts are summed once (`_sum_rays`); a constant factor only
+    scales the other.
+    """
+    (s, fc, fr), (t, gc, gr) = f._form, g._form
+    if not fr or not gr:
+        return (g * fc).modulate(s) if not fr else (f * gc).modulate(t)
+    return _sum_rays(_products(_blocks(fc, fr), _blocks(gc, gr)), shift=s + t)
+
+
+def _blocks(const: complex, rays: Sequence[DenseBlock]) -> list[DenseBlock]:
+    """The rays with the constant riding on the first at key 0, or on a lone base-1 block if there is no ray."""
+    if const == 0:
+        return list(rays)
+    if not rays:
+        return [DenseBlock(ONE, np.zeros(1, dtype=np.int64), np.array([const]))]
+    b, i = rays[0], int(np.searchsorted(rays[0].keys, 0))
+    keys, coeffs = np.concatenate([b.keys[:i], [0], b.keys[i:]]), np.concatenate([b.coeffs[:i], [const], b.coeffs[i:]])
+    return [DenseBlock(b.base, keys, coeffs), *rays[1:]]
+
+
+def _products(xs: Sequence[DenseBlock], ys: Sequence[DenseBlock]) -> list[tuple[complex, list[DenseBlock]]]:
+    """(const, rays) of x*y for every x in xs and y in ys.
+
+    Blocks on one direction, whose key spans on the common lattice hold
+    at most DENSE_RATIO multiply-adds per coefficient pair, convolve
+    (`_convolve_rays`); the rest form one outer product (`_outer_rays`).
+    Before anything is allocated, ValueError past MAX_CONVOLUTION
+    multiply-adds (span_x * span_y per convolution) or MAX_OUTER_PAIRS
+    outer-product pairs, and MalformedInput if a key on the common lattice
+    would leave int64.
+    """
+    pairs, macs, outer = [], 0, 0
+    for x in xs:
+        for y in ys:
+            ratio, mac = rational_ratio(x.base, y.base), math.inf
+            if ratio is not None:
+                px, py = ratio.numerator, ratio.denominator
+                if max(-int(x.keys[0]), int(x.keys[-1])) * px + max(-int(y.keys[0]), int(y.keys[-1])) * py >= 1 << 62:
+                    raise MalformedInput(f"the product of two rays on one direction needs keys past int64 (base ratio {ratio})")
+                mac = _span(x, px) * _span(y, py)
+            if mac <= DENSE_RATIO * len(x.keys) * len(y.keys):
+                macs += mac
+                pairs.append((_convolve_rays, x, y, ratio))
+            else:
+                outer += len(x.keys) * len(y.keys)
+                pairs.append((_outer_rays, x, y, ratio))
+    if macs > MAX_CONVOLUTION or outer > MAX_OUTER_PAIRS:
         raise ValueError(
-            f"product would touch {len(ta) * len(tb)} coefficient pairs; "
-            "use ProductPoly for a squared modulus"
+            f"product would take {macs} convolution multiply-adds and {outer} outer-product pairs "
+            f"(bounds {MAX_CONVOLUTION} and {MAX_OUTER_PAIRS})"
         )
-    acc: dict[EF, complex] = {}
-    for wa, ca in ta:
-        for wb, cb in tb:
-            w = wa + wb
-            v = acc.get(w)
-            acc[w] = ca * cb if v is None else v + ca * cb
-    return TrigPoly(acc)
+    return [route(x, y, ratio) for route, x, y, ratio in pairs]
+
+
+def _span(b: DenseBlock, step: int) -> int:
+    return (int(b.keys[-1]) - int(b.keys[0])) * step + 1
+
+
+def _dense(b: DenseBlock, step: int) -> np.ndarray:
+    """b's coefficients on its key span, keys times step."""
+    dense = np.zeros(_span(b, step), dtype=complex)
+    dense[(b.keys - b.keys[0]) * step] = b.coeffs
+    return dense
+
+
+def _convolve_rays(x: DenseBlock, y: DenseBlock, ratio: Fraction) -> tuple[complex, list[DenseBlock]]:
+    """(const, rays) of x*y for x.base/y.base = ratio = px/py: one np.convolve of the dense key spans.
+
+    x sits at keys px*k and y at py*l of the lattice u*Z, u = x.base/px.
+    """
+    px, py = ratio.numerator, ratio.denominator
+    vals = np.convolve(_dense(x, px), _dense(y, py))
+    keys = np.arange(len(vals), dtype=np.int64) + (int(x.keys[0]) * px + int(y.keys[0]) * py)
+    keep = (vals != 0) & (keys != 0)
+    return complex(vals[keys == 0].sum()), [DenseBlock(x.base / px, keys[keep], vals[keep])]
+
+
+def _outer_rays(x: DenseBlock, y: DenseBlock, ratio: Fraction | None) -> tuple[complex, list[DenseBlock]]:
+    """(const, rays) of x*y from one np.outer, its pairs (k, l) grouped in integers.
+
+    On one direction, x.base/y.base = ratio = px/py, pair (k, l) sits at
+    key px*k + py*l of the lattice u*Z, u = x.base/px, and the pairs of
+    one key are summed in key order: one ray.  On two, a = x.base and
+    b = y.base are Q-independent, so (k, l) sits at a*k + b*l, distinct
+    for each pair, and (0, 0) is the constant; the pairs of one primitive
+    (k', l') = (k, l)/g, g = +-gcd(k, l) signed to make its first nonzero
+    positive, form one ray of base |a*k' + b*l'|: one ExactFrequency per ray.
+    """
+    vals = np.outer(x.coeffs, y.coeffs).ravel()
+    if ratio is not None:
+        keys = np.add.outer(x.keys * ratio.numerator, y.keys * ratio.denominator).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[order]
+        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        keys, vals = keys[first], np.add.reduceat(vals, first)
+        keep = (vals != 0) & (keys != 0)
+        return complex(vals[keys == 0].sum()), [DenseBlock(x.base / ratio.numerator, keys[keep], vals[keep])]
+    k, l = np.repeat(x.keys, len(y.keys)), np.tile(y.keys, len(x.keys))
+    g = np.gcd(k, l)
+    const = complex(vals[g == 0].sum())
+    keep = (vals != 0) & (g != 0)
+    k, l, g, vals = k[keep], l[keep], g[keep], vals[keep]
+    g = np.where((k < 0) | ((k == 0) & (l < 0)), -g, g)
+    k, l = k // g, l // g
+    order = np.lexsort((g, l, k))
+    k, l, g, vals = k[order], l[order], g[order], vals[order]
+    first = np.ones(len(k), dtype=bool)
+    first[1:] = (k[1:] != k[:-1]) | (l[1:] != l[:-1])
+    starts = np.flatnonzero(first).tolist()
+    rays = []
+    for lo, hi in zip(starts, [*starts[1:], len(k)]):
+        base = x.base * int(k[lo]) + y.base * int(l[lo])
+        keys, coeffs = g[lo:hi], vals[lo:hi]
+        if base.sign() < 0:
+            base, keys, coeffs = -base, -keys[::-1], coeffs[::-1]
+        rays.append(DenseBlock(base, keys, coeffs))
+    return const, rays
 
 
 def _normalized_direction(w: EF) -> tuple:
@@ -859,49 +965,42 @@ def ray_partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
     return f._rays
 
 
-def modulus_squared(f: TrigPoly) -> TrigPoly:
-    """|f|^2 materialized as a TrigPoly with c(-w) == conj(c(w)) exactly."""
-    return ProductPoly(f).to_trigpoly()
+def modulus_squared(h: TrigPoly) -> TrigPoly:
+    """|h|^2 = h * conj(h), made exactly Hermitian: c(-w) == conj(c(w)).
+
+    |chi_s*F|^2 = |F|^2, so F's blocks (`_blocks`) multiply their
+    conjugates, keys negated and reversed (`_products`); one block's part
+    is its autocorrelation, one np.convolve.  Of each ray only the w > 0
+    side is kept and mirrored, and the constant made real: the products
+    of two distinct rays taken in either order need not be conjugate to
+    the last bit.
+    """
+    xs = _blocks(*h._form[1:])
+    parts = _products(xs, [DenseBlock(b.base, -b.keys[::-1], np.conjugate(b.coeffs[::-1])) for b in xs])
+    if not parts:
+        return TrigPoly()
+    const, rays = parts[0] if len(parts) == 1 else _sum_rays(parts)._form[1:]
+    mirrored = []
+    for d in rays:
+        pos = d.keys > 0
+        keys, vals = d.keys[pos], d.coeffs[pos]
+        mirrored.append(DenseBlock(d.base, np.concatenate([-keys[::-1], keys]), np.concatenate([np.conjugate(vals[::-1]), vals])))
+    return TrigPoly.from_rays(mirrored, const=complex(const.real, 0.0))
 
 
 class ProductPoly:
     """|h|^2 seen through its factor h.
 
-    factor: the polynomial h; its rays are `ray_partition(factor)`.
-    dense: one autocorrelation block per ray, the constant riding on the
-           first ray at key 0 (or on a lone base-1 block if h is constant),
-           built on first use (`to_trigpoly`).
-
     Values are |h(x)|^2, sup bounds come from h's rays (`certify`), and the
-    spectrum lies in [-b, b] with b the bandwidth of h.  `to_trigpoly`
-    adds to the dense blocks the rank-one cross terms of each ordered pair
-    of distinct rays.  Pass the origin-centred factor: |chi_a * h|^2 = |h|^2,
-    and an h moved off the origin can split into one ray per term, which
-    makes the number of cross terms quadratic in its term count.
+    spectrum lies in [-b, b] with b the bandwidth of h.  `term_count_upper`
+    counts from the blocks (`_blocks`), and `to_trigpoly` is `modulus_squared`.
     """
 
-    __slots__ = ("factor", "_dense", "_blocks")
+    __slots__ = ("factor", "_blocks")
 
     def __init__(self, h: TrigPoly):
-        const, rays = ray_partition(h)
-        blocks = list(rays)
-        if const != 0:
-            if blocks:
-                b = blocks[0]
-                i = int(np.searchsorted(b.keys, 0))
-                blocks[0] = DenseBlock(b.base, np.insert(b.keys, i, 0), np.insert(b.coeffs, i, const))
-            else:
-                blocks = [DenseBlock(EF(1), np.zeros(1, dtype=np.int64), np.array([const]))]
         self.factor = h
-        self._blocks = tuple(blocks)
-        self._dense: tuple[DenseBlock, ...] | None = None
-
-    @property
-    def dense(self) -> tuple[DenseBlock, ...]:
-        """The autocorrelation of each block, frequencies base*(k_i - k_j), built on first use."""
-        if self._dense is None:
-            self._dense = tuple(DenseBlock(b.base, *_autocorrelate(b.keys, b.coeffs)) for b in self._blocks)
-        return self._dense
+        self._blocks = tuple(_blocks(*ray_partition(h)))
 
     # -- views ---------------------------------------------------------------
 
@@ -935,66 +1034,8 @@ class ProductPoly:
         return SpectrumInfo(info.count * (info.count - 1) + 1, -b, b, b + b, b)
 
     def to_trigpoly(self) -> TrigPoly:
-        """The product materialized, exactly Hermitian.
-
-        With one block, its autocorrelation is the product.  Otherwise the
-        dense blocks' terms come first, then for each ordered pair (a, b)
-        of distinct blocks the terms a_i * conj(b_j) at base_a*k_i -
-        base_b*k_j, and they are summed once, by ray.  Of each ray only the
-        w > 0 side is kept and mirrored, and the w = 0 coefficient is made
-        real, so c(-w) == conj(c(w)) holds bit for bit (the rank-one
-        products of (a, b) and (b, a) need not be conjugate to the last
-        bit).
-        """
-        if len(self.dense) <= 1:
-            const, rays = 0j, self.dense
-            for d in rays:
-                zero = d.keys == 0
-                if zero.any():
-                    const = complex(d.coeffs[zero][0])
-        else:
-            if self.term_count_upper() > MAX_DICT_PAIRS:
-                raise ValueError("product too large to materialize as a TrigPoly")
-
-            def cross(a: DenseBlock, b: DenseBlock) -> Iterator[tuple[EF, complex]]:
-                vals = np.outer(a.coeffs, np.conjugate(b.coeffs))
-                for ka, row in zip(a.keys.tolist(), vals.tolist()):
-                    wa = a.base * ka
-                    for kb, v in zip(b.keys.tolist(), row):
-                        if v != 0:
-                            yield wa - b.base * kb, v
-
-            blocks = self._blocks
-            dense = (t for d in self.dense for t in d.terms())
-            pairs = (t for a in blocks for b in blocks if a is not b for t in cross(a, b))
-            const, rays = ray_partition(TrigPoly(itertools.chain(dense, pairs)))
-        mirrored = []
-        for d in rays:
-            pos = d.keys > 0
-            keys, vals = d.keys[pos], d.coeffs[pos]
-            mirrored.append(DenseBlock(d.base, np.concatenate([-keys[::-1], keys]), np.concatenate([np.conjugate(vals[::-1]), vals])))
-        return TrigPoly.from_rays(mirrored, const=complex(const.real, 0.0))
-
-
-def _autocorrelate(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and coefficients of |sum c_k e^{i k t}|^2 on the integer lattice.
-
-    Returns (delta_keys ascending, values) with values[d] = sum_k c_{k+d} * conj(c_k),
-    computed by one dense complex convolution (deterministic given its inputs).
-    The convolution is dense over the key span k1 - k0 + 1, not the key
-    count: O(span^2).  Every caller in apspec has a span about equal to its
-    term count: Laurent factors from the roots route and construction blocks.
-    """
-    if len(keys) == 0:
-        return keys.copy(), coeffs.copy()
-    k0, k1 = int(keys[0]), int(keys[-1])
-    width = k1 - k0 + 1
-    dense = np.zeros(width, dtype=complex)
-    dense[keys - k0] = coeffs
-    corr = np.convolve(dense, np.conjugate(dense[::-1]))
-    deltas = np.arange(-(width - 1), width, dtype=np.int64)
-    nz = corr != 0
-    return deltas[nz], corr[nz]
+        """The product materialized: `modulus_squared` of the factor."""
+        return modulus_squared(self.factor)
 
 
 def _difference_count(keys: np.ndarray) -> int:

@@ -361,11 +361,12 @@ def test_construct_and_verify_build_one_product_each(tmp_path, capsys, monkeypat
 
 
 def test_construction_runs_no_autocorrelation(tmp_path, capsys, monkeypatch):
-    # f's dense blocks are built on first use: construct counts the bundle's
-    # "pairs" from the keys, verify reads f only through its factor
+    # f is never materialized: construct counts the bundle's "pairs" from
+    # the keys, verify reads f only through its factor, and neither forms a product
     calls = []
-    real = trigpoly._autocorrelate
-    monkeypatch.setattr(trigpoly, "_autocorrelate", lambda keys, coeffs: calls.append(len(keys)) or real(keys, coeffs))
+    for name in ("_convolve_rays", "_outer_rays"):
+        real = getattr(trigpoly, name)
+        monkeypatch.setattr(trigpoly, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     out = tmp_path / "cons.json"
     assert run(["construct", "--m", "1", "--blocks", "2", "--oracle-n", "64", "--out", str(out)]) == 0
     assert calls == []
@@ -1134,3 +1135,33 @@ def test_analyze_matches_the_fixtures_on_one_blas_thread(name, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "apspec", *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (SAMPLED_FIXTURES / f"{name}.analysis.json").read_bytes()
+
+
+def _run_limited(argv, tmp_path, timeout=60):
+    """The CLI in a fresh process with 4 GB of address space (the shell's ulimit), one BLAS thread and a timeout."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    limited = ["/bin/sh", "-c", 'ulimit -v 4000000 && exec "$0" "$@"', sys.executable, "-m", "apspec", *argv]
+    return subprocess.run(limited, env=env, capture_output=True, text=True, timeout=timeout, cwd=tmp_path)
+
+
+def test_verify_of_a_factor_with_a_wide_sparse_ray_ends_in_a_fail(tmp_path):
+    # one term at 250000 on the factor's lattice 1/2: |s|^2 is 9 coefficient
+    # pairs, not one convolution over 5e5 keys, and the bandwidth check fails
+    bundle = load_path(str(Path(__file__).parent / "data" / "roots" / "three_plus_two_cos.bundle.json"))
+    bundle["report"]["factor"]["terms"].append({"freq": {"rat": "250000", "rad": []}, "re": 1e-9, "im": 0.0})
+    path = tmp_path / "wide.bundle.json"
+    path.write_text(dumps(bundle))
+    proc = _run_limited(["verify", "--report", str(path)], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout.startswith("FAIL halved_bandwidth") and proc.stderr == ""
+
+
+def test_roots_factor_refuses_a_degree_past_the_period_grid(tmp_path):
+    # 3 + cos x + 0.1 cos(1e7 x): degree 1e7 needs a period grid of 2**28 points
+    inp, out = tmp_path / "f.json", tmp_path / "s.json"
+    write_poly(inp, [(EF(0), 3.0)] + [(EF(s * k), a) for k, a in ((1, 0.5), (10**7, 0.05)) for s in (-1, 1)])
+    proc = _run_limited(["factor", "--method", "roots", "--input", str(inp), "--out", str(out)], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: grid of") and proc.stderr.count("\n") == 1
+    assert proc.stdout == "" and not out.exists()

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apspec import checks, trigpoly
 from apspec.errors import MalformedInput
 from apspec.frequency import ExactFrequency
 from apspec.sampling import SampledFunction
+from apspec.serialize import load_path, report_from_json
 from apspec.trigpoly import (
+    MAX_CONVOLUTION,
+    MAX_OUTER_PAIRS,
     DenseBlock,
     ProductPoly,
     SpectrumInfo,
@@ -151,9 +155,67 @@ def test_shift_invariance_of_modulus_squared():
 
 
 def test_multiply_guard():
+    # two 2000-key rays on distinct directions: 4e6 outer-product pairs
+    keys = np.arange(1, 2001, dtype=np.int64)
+    a = TrigPoly.from_rays([DenseBlock(EF(1), keys, np.ones(2000, dtype=complex))])
+    b = TrigPoly.from_rays([DenseBlock(EF.sqrt_of(2), keys, np.ones(2000, dtype=complex))])
+    assert 2000 * 2000 > MAX_OUTER_PAIRS
+    with pytest.raises(ValueError, match="outer-product pairs"):
+        multiply(a, b)
+    # two dense 70000-key rays: one convolution of 4.9e9 multiply-adds
+    keys = np.arange(1, 70001, dtype=np.int64)
+    wide = TrigPoly.from_rays([DenseBlock(EF(1), keys, np.ones(70000, dtype=complex))])
+    assert 70000 * 70000 > MAX_CONVOLUTION
+    with pytest.raises(ValueError, match="convolution multiply-adds"):
+        modulus_squared(wide)
+    # a 2000-term one-ray product is one 4001-key convolution
     big = TrigPoly([(EF(k), 1.0) for k in range(2000)])
-    with pytest.raises(ValueError):
-        multiply(big, big)
+    assert multiply(big, big).term_count() == 3999
+
+
+def test_sparse_rays_on_one_direction_multiply_pair_by_pair(monkeypatch):
+    # key spans of 2e9 and 5e6 hold a handful of terms: no dense span is allocated
+    calls = _count_products(monkeypatch)
+    wide = TrigPoly([(EF(0), 1.0), (EF(1), 1.0 + 1j), (EF(2 * 10**9), 0.5)])
+    for g in (TrigPoly.character(EF(1), 2.0), wide, TrigPoly([(EF(Fraction(-1, 2)), 1.0), (EF(2500000), 1e-9)])):
+        got, ref = multiply(wide, g), _pair_product(wide, g)
+        assert got.frequencies() == ref.frequencies()
+        assert np.all(np.abs(got.term_arrays()[1] - ref.term_arrays()[1]) <= 1e-12 * wide.wiener_norm() * g.wiener_norm())
+    assert set(calls) == {"_outer_rays"}
+    assert wide * TrigPoly.constant(2.0) == wide * 2.0
+    assert modulus_squared(wide) == _pair_sum_modsq(wide)
+
+
+def test_approximate_reciprocal_of_a_sparse_ray_matches_the_pair_sum(monkeypatch):
+    # 3 + cos x + 0.5 cos(1e5 x): each Neumann step multiplies rays of key span up to 2e6
+    h = TrigPoly.from_cos([(EF(1), 1.0), (EF(10**5), 0.5)], constant=3.0)
+    r, err = checks.approximate_reciprocal(h)
+    monkeypatch.setattr(checks, "multiply", _pair_product)
+    ref, ref_err = checks.approximate_reciprocal(h)
+    assert r.frequencies() == ref.frequencies()
+    assert np.all(np.abs(r.term_arrays()[1] - ref.term_arrays()[1]) <= 1e-12)
+    assert err == pytest.approx(ref_err, rel=1e-6) and err < 1e-6
+
+
+def test_multiply_a_constant_by_a_ray_of_any_base():
+    # a constant factor scales a ray of any base: no lattice to align, even at a ratio past int64
+    ray = TrigPoly([(EF(0), 1.0), (EF(Fraction(1, 2**70)), 1.0 - 1j)])
+    for f, g in ((TrigPoly.constant(2.0), ray), (ray, TrigPoly.constant(2.0))):
+        assert multiply(f, g) == ray * 2.0
+    assert modulus_squared(ray) == _pair_sum_modsq(ray)
+
+
+def test_the_guard_lets_every_roots_factor_up_to_degree_2_15_form_its_square(monkeypatch):
+    # s of degree n has keys -n, -n + 2, ..., n on rho/2: a span of 2n + 1 for odd n once reduced
+    monkeypatch.setattr(trigpoly, "_convolve_rays", lambda x, y, ratio: (0j, []))
+    for n in (2**15 - 1, 2**15, 2**15 + 1):
+        keys = np.arange(-n, n + 1, 2, dtype=np.int64)
+        s = TrigPoly.from_rays([DenseBlock(EF(Fraction(1, 2)), keys[keys != 0], np.ones(n + 1 - (n % 2 == 0)) + 0j)], const=1.0)
+        if n <= 2**15:
+            modulus_squared(s)
+        else:
+            with pytest.raises(ValueError, match="convolution multiply-adds"):
+                modulus_squared(s)
 
 
 def test_spectrum_info():
@@ -229,11 +291,22 @@ def test_product_poly_matches_dict_route():
     assert sl.count >= sd.count
 
 
-def test_product_poly_spectrum_builds_no_autocorrelation():
+def _count_products(monkeypatch) -> list:
+    """Every partial product the kernel forms: one per convolution and per outer product."""
+    calls = []
+    for name in ("_convolve_rays", "_outer_rays"):
+        real = getattr(trigpoly, name)
+        monkeypatch.setattr(trigpoly, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
+def test_product_poly_spectrum_builds_no_autocorrelation(monkeypatch):
     # the count is the bound n(n - 1) + 1 on the differences of h's 6 frequencies
+    calls = _count_products(monkeypatch)
     f = ProductPoly(_two_ray_poly())
     info = spectrum(f)
-    assert f._dense is None
+    f.term_count_upper()
+    assert calls == []
     assert info.count == 31 and info.tau == spectrum(f.factor).bandwidth
     assert info.count >= spectrum(f.to_trigpoly()).count
     assert spectrum(ProductPoly(TrigPoly())) == SpectrumInfo.empty()
@@ -313,6 +386,119 @@ def _pair_sum_modsq(h):
             w = wi - wj
             acc[w] = acc.get(w, 0j) + ci * cj.conjugate()
     return TrigPoly(acc)
+
+
+def _pair_product(f, g):
+    """Reference f*g: one exact frequency sum per coefficient pair, summed in a dict."""
+    acc = {}
+    for wa, ca in f.sorted_terms():
+        for wb, cb in g.sorted_terms():
+            w = wa + wb
+            v = acc.get(w)
+            acc[w] = ca * cb if v is None else v + ca * cb
+    return TrigPoly(acc)
+
+
+def _autocorrelate(keys, coeffs):
+    """Reference autocorrelation of one ray: (delta keys, values) with values[d] = sum_k c_{k+d} * conj(c_k).
+
+    One dense complex convolution of the ray with its reversed conjugate.
+    """
+    if len(keys) == 0:
+        return keys.copy(), coeffs.copy()
+    k0, k1 = int(keys[0]), int(keys[-1])
+    width = k1 - k0 + 1
+    dense = np.zeros(width, dtype=complex)
+    dense[keys - k0] = coeffs
+    corr = np.convolve(dense, np.conjugate(dense[::-1]))
+    deltas = np.arange(-(width - 1), width, dtype=np.int64)
+    nz = corr != 0
+    return deltas[nz], corr[nz]
+
+
+def _autocorrelation_modsq(h):
+    """Reference |h|^2 of a one-ray h: the constant at key 0, one `_autocorrelate`, its w > 0 side mirrored."""
+    (b,) = ProductPoly(h)._blocks
+    keys, vals = _autocorrelate(b.keys, b.coeffs)
+    zero = keys == 0
+    const = complex(vals[zero][0]) if zero.any() else 0j
+    pos = keys > 0
+    k, v = keys[pos], vals[pos]
+    ray = DenseBlock(b.base, np.concatenate([-k[::-1], k]), np.concatenate([np.conjugate(v[::-1]), v]))
+    return TrigPoly.from_rays([ray], const=complex(const.real, 0.0))
+
+
+# 1 and sqrt 2 multiply onto the direction of 1 + sqrt 2, and sqrt 2 / 3 shares sqrt 2's
+_RADICAL_BASES = [EF(1), EF.sqrt_of(2), EF.sqrt_of(2) / 3, EF(1) + EF.sqrt_of(2), EF.sqrt_of(3) / 5]
+
+
+@st.composite
+def product_operands(draw):
+    """Two polynomials with Gaussian coefficients, so that no coefficient of the product is exactly 0 by chance."""
+    kind = draw(st.sampled_from(["one ray", "one direction", "radical rays", "constants", "shifted", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(bases):
+        terms = []
+        if not bases or draw(st.booleans()):
+            terms.append((EF(0), complex(*rng.normal(size=2))))
+        if bases:
+            for base in draw(st.lists(st.sampled_from(bases), unique=True, min_size=1, max_size=3)):
+                keys = sorted(draw(st.sets(st.integers(-12, 12).filter(bool), min_size=1, max_size=8)))
+                terms += [(base * k, complex(*rng.normal(size=2))) for k in keys]
+        return TrigPoly(terms)
+
+    if kind == "one direction":
+        f, g = operand([EF(Fraction(1, 2))]), operand([EF(Fraction(1, 3))])
+    elif kind == "constants":
+        f, g = operand([]), operand([])
+    elif kind in ("one ray", "zero"):
+        f, g = operand([EF(1)]), operand([EF(1)])
+    else:
+        f, g = operand(_RADICAL_BASES), operand(_RADICAL_BASES)
+    if kind == "shifted":
+        shifts = [EF(0), EF(Fraction(1, 7)), EF.sqrt_of(5) - EF(3)]
+        f, g = f.modulate(draw(st.sampled_from(shifts))), g.modulate(draw(st.sampled_from(shifts)))
+    if kind == "zero":
+        f = TrigPoly()
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+@given(product_operands())
+@settings(max_examples=150, deadline=None)
+def test_multiply_matches_the_pair_sum(operands):
+    f, g = operands
+    got, ref = multiply(f, g), _pair_product(f, g)
+    assert got.frequencies() == ref.frequencies()
+    tol = 1e-12 * f.wiener_norm() * g.wiener_norm()
+    assert np.all(np.abs(got.term_arrays()[1] - ref.term_arrays()[1]) <= tol)
+    assert f * g == got
+
+
+def _one_ray_factors() -> dict:
+    """One-ray h with and without a constant, real and complex, and the factor of every one-ray roots golden."""
+    rng = np.random.default_rng(5)
+    keys = np.array([-7, -3, -2, 1, 4, 9, 10], dtype=np.int64)
+    cases = {}
+    for const in (0j, 0.7 - 0.2j):
+        for real in (False, True):
+            coeffs = rng.normal(size=len(keys)) + (0 if real else 1j * rng.normal(size=len(keys)))
+            cases[f"const={const} real={real}"] = TrigPoly.from_rays([DenseBlock(EF(Fraction(2, 3)), keys, coeffs)], const=const)
+    for path in sorted((Path(__file__).parent / "data" / "roots").glob("*.bundle.json")):
+        s = report_from_json(load_path(str(path))["report"]).factor
+        if len(ray_partition(s)[1]) == 1:
+            cases[path.name] = s
+    return cases
+
+
+_ONE_RAY_FACTORS = _one_ray_factors()
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_RAY_FACTORS))
+def test_modulus_squared_of_one_ray_is_the_autocorrelation_bit_for_bit(name):
+    h = _ONE_RAY_FACTORS[name]
+    for got, want in zip(modulus_squared(h).term_arrays(), _autocorrelation_modsq(h).term_arrays()):
+        assert got.tobytes() == want.tobytes()
 
 
 _coeffs = st.complex_numbers(min_magnitude=1e-3, max_magnitude=3, allow_nan=False, allow_infinity=False)
@@ -905,7 +1091,7 @@ def test_difference_count_is_the_size_of_the_difference_set(keys):
 
 def _dense_pair_count(pp: ProductPoly) -> int:
     sizes = [len(b.keys) for b in pp._blocks]
-    return sum(len(d.keys) for d in pp.dense) + sum(sizes) ** 2 - sum(n * n for n in sizes)
+    return sum(len(_autocorrelate(b.keys, b.coeffs)[0]) for b in pp._blocks) + sum(sizes) ** 2 - sum(n * n for n in sizes)
 
 
 _DATA = Path(__file__).parent / "data"
