@@ -59,7 +59,12 @@ class NormBracket:
 
 
 def _lattice_grid(keys: np.ndarray, rows: np.ndarray, n: int) -> list[float]:
-    """max_j |sum c_k exp(2 pi i j k / n)| for each row of coefficients, by one n-point FFT over the rows."""
+    """max_j |sum c_k exp(2 pi i j k / n)| for each row of coefficients, by one n-point FFT over the rows.
+
+    MalformedInput, before anything is allocated, when n passes MAX_GRID_POINTS.
+    """
+    if n > MAX_GRID_POINTS:
+        raise MalformedInput(f"grid of {n:.3g} steps exceeds {MAX_GRID_POINTS} samples")
     bins = np.zeros((len(rows), n), dtype=complex)
     np.add.at(bins, (slice(None), np.mod(keys, n)), rows)
     # forward-normalized inverse: no 1/n scaling, so subnormal sums survive

@@ -1137,11 +1137,11 @@ def test_analyze_matches_the_fixtures_on_one_blas_thread(name, tmp_path):
     assert out.read_bytes() == (SAMPLED_FIXTURES / f"{name}.analysis.json").read_bytes()
 
 
-def _run_limited(argv, tmp_path, timeout=60):
-    """The CLI in a fresh process with 4 GB of address space (the shell's ulimit), one BLAS thread and a timeout."""
+def _run_limited(argv, tmp_path, timeout=60, kib=4000000):
+    """The CLI in a fresh process with `kib` KiB of address space (the shell's ulimit), one BLAS thread and a timeout."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    limited = ["/bin/sh", "-c", 'ulimit -v 4000000 && exec "$0" "$@"', sys.executable, "-m", "apspec", *argv]
+    limited = ["/bin/sh", "-c", f'ulimit -v {kib} && exec "$0" "$@"', sys.executable, "-m", "apspec", *argv]
     return subprocess.run(limited, env=env, capture_output=True, text=True, timeout=timeout, cwd=tmp_path)
 
 
@@ -1155,6 +1155,18 @@ def test_verify_of_a_factor_with_a_wide_sparse_ray_ends_in_a_fail(tmp_path):
     proc = _run_limited(["verify", "--report", str(path)], tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout.startswith("FAIL halved_bandwidth") and proc.stderr == ""
+
+
+def test_verify_refuses_a_factor_ray_past_the_certificate_grid(tmp_path):
+    # a term at 2500000 needs a Bernstein grid of 2**24 points: refused before
+    # it is allocated, where it once ended in a MemoryError under 2 GiB
+    bundle = load_path(str(Path(__file__).parent / "data" / "roots" / "three_plus_two_cos.bundle.json"))
+    bundle["report"]["factor"]["terms"].append({"freq": {"rat": "2500000", "rad": []}, "re": 1e-9, "im": 0.0})
+    path = tmp_path / "wider.bundle.json"
+    path.write_text(dumps(bundle))
+    proc = _run_limited(["verify", "--report", str(path)], tmp_path, kib=2 * 1024 * 1024)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: grid of 1.68e+07 steps exceeds 8388608 samples\n" and proc.stdout == ""
 
 
 def test_roots_factor_refuses_a_degree_past_the_period_grid(tmp_path):
