@@ -59,12 +59,7 @@ class NormBracket:
 
 
 def _lattice_grid(keys: np.ndarray, rows: np.ndarray, n: int) -> list[float]:
-    """max_j |sum c_k exp(2 pi i j k / n)| for each row of coefficients, by one n-point FFT over the rows.
-
-    MalformedInput, before anything is allocated, when n passes MAX_GRID_POINTS.
-    """
-    if n > MAX_GRID_POINTS:
-        raise MalformedInput(f"grid of {n:.3g} steps exceeds {MAX_GRID_POINTS} samples")
+    """max_j |sum c_k exp(2 pi i j k / n)| for each row of coefficients, by one n-point FFT over the rows."""
     bins = np.zeros((len(rows), n), dtype=complex)
     np.add.at(bins, (slice(None), np.mod(keys, n)), rows)
     # forward-normalized inverse: no 1/n scaling, so subnormal sums survive
@@ -96,10 +91,10 @@ def fft_rounding(n: int, l1: float) -> Fraction:
     return rel * sqrt_n * Fraction(l1) * (1 + 2 * _U) + 8 * n * levels * _TINY
 
 
-# fft_rounding(n, l1) = P l1 + Q: (P, Q) rounded up to floats once, for n = 2^1 ... 2^24
+# fft_rounding(n, l1) = P l1 + Q: (P, Q) rounded up to floats once, for n = 2^1 ... MAX_GRID_POINTS
 _FFT_FLOATS = {
     n: (float_up(fft_rounding(n, 1.0) - fft_rounding(n, 0.0)), float_up(fft_rounding(n, 0.0)))
-    for n in (1 << k for k in range(1, 25))
+    for n in (1 << k for k in range(1, MAX_GRID_POINTS.bit_length()))
 }
 
 
@@ -137,14 +132,16 @@ def ez_points(degree: int) -> int:
     """Grid size N of the Ehlich-Zeller bounds for degree `degree`.
 
     N is the least power of two >= 16 degree, at least 1024 and at most
-    2^24, so sec(pi degree / N) <= sec(pi / 16) < 1.02 below the cap.
-    NonConvergence where even 2^24 points cannot certify the degree:
-    `ehlich_zeller_affine` needs (355 degree / 113 N)^2 < 2, decided here
-    in integers.
+    MAX_GRID_POINTS, so sec(pi degree / N) <= sec(pi / 16) < 1.02 below
+    the cap; past it the factor grows with the degree, so every grid
+    that any route allocates stays within MAX_GRID_POINTS.
+    NonConvergence where even MAX_GRID_POINTS points cannot certify the
+    degree: `ehlich_zeller_affine` needs (355 degree / 113 N)^2 < 2,
+    decided here in integers.
     """
-    n = min(max(1024, 1 << (16 * degree - 1).bit_length()), 1 << 24)
+    n = min(max(1024, 1 << (16 * degree - 1).bit_length()), MAX_GRID_POINTS)
     if (355 * degree) ** 2 >= 2 * (113 * n) ** 2:
-        raise NonConvergence(f"degree {degree} needs more than {1 << 24} certification points")
+        raise NonConvergence(f"degree {degree} needs more than {MAX_GRID_POINTS} certification points")
     return n
 
 

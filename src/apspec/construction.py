@@ -15,8 +15,8 @@ Every step keeps the construction as what it is: one ray per block j, the
 keys and coefficients of q_j on the lattice rho_j * Z (a `DenseBlock` with
 base rho_j).  s = g + c chi_{-Delta} is g with c added at its lowest
 frequency, which is the first key of one ray; h = chi_Delta s and
-f = |s|^2 are read from the same rays (`TrigPoly.from_rays` turns them
-into key rows), so no step builds an ExactFrequency per term.
+f = |s|^2 are read from the same rays (`TrigPoly.from_rays`), so no step
+builds an ExactFrequency per term.
 
 `build_instance` derives the instance from (params, n_seq).  `assemble`
 calls it after choosing n_seq; `verify_rays` calls it on a bundle's params

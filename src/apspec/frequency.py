@@ -354,6 +354,35 @@ def fraction_from_text(text) -> Fraction:
     return Fraction(text)
 
 
+def lattice_json(shift: ExactFrequency, base: ExactFrequency, keys: Iterable[int]) -> list[dict]:
+    """`to_json` of shift + base*k for each key k, in integer arithmetic: no frequency is built.
+
+    The coordinate of shift + base*k at 1 or at sqrt(d) is
+    (a*B + k*b*A)/(A*B), for a/A that of the shift and b/B that of the
+    base.  A radical whose coordinate is 0 is left out, as the canonical
+    form leaves it out.
+    """
+    sd, bd = dict(shift.radicals), dict(base.radicals)
+    rads = sorted(sd.keys() | bd.keys())
+    pairs = [(shift.rational, base.rational)] + [(sd.get(d, Fraction(0)), bd.get(d, Fraction(0))) for d in rads]
+    # (a*B, b*A, A*B) at 1, then at each radicand
+    (na, nb, den), *at_rads = [
+        (a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator) for a, b in pairs
+    ]
+    names = [str(d) for d in rads]
+    out = []
+    for k in keys:
+        rad = [[name, _ratio_text(n, dd)] for name, (da, db, dd) in zip(names, at_rads) if (n := da + k * db)]
+        out.append({"rat": _ratio_text(na + k * nb, den), "rad": rad})
+    return out
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _fill(obj: ExactFrequency, rational: Fraction, radicals: tuple[tuple[int, Fraction], ...]) -> None:
     object.__setattr__(obj, "rational", rational)
     object.__setattr__(obj, "radicals", radicals)

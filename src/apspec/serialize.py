@@ -13,9 +13,11 @@ CPython's repr prints (dtoa mode 0); Python has no two-digit minimum, so
 Java's guard for one is left out.  A value with NaN or inf goes through
 json's own path and error.
 
-A trig polynomial's term list is read into key rows, each freq parsed
-into canonical coordinates (`TrigPoly.from_coordinates`), and written
-from them (`TrigPoly.sorted_terms_json`): no ExactFrequency is built.
+A trig polynomial's term list is read into a ray form and written from
+one: the reader parses each freq into canonical coordinates and
+`TrigPoly.from_coordinates` groups them by ray, and the writer forms each
+freq's strings from its ray's base and key (`TrigPoly.sorted_terms_json`).
+ExactFrequency objects are built per ray, not per term.
 
 A construction bundle (format 3) stores its factor s once, by ray: ray j
 is {"keys", "re", "im"} on the lattice rho_j * Z, rho_j given by position,
@@ -65,8 +67,8 @@ def trigpoly_from_json(obj: Any) -> TrigPoly:
     """The polynomial of a {"terms": [{"freq", "re", "im"}, ...]} payload, given by its rays.
 
     Each freq is read into canonical coordinates (`coordinates_from_json`),
-    which `TrigPoly.from_coordinates` turns into key rows, so no frequency
-    is built.  Coefficients must be finite, and so must their
+    which `TrigPoly.from_coordinates` groups by ray, so no frequency is
+    built per term.  Coefficients must be finite, and so must their
     Wiener norm (the sum of their magnitudes), which the certificates of
     every route read.
     """

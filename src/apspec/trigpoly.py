@@ -1,31 +1,36 @@
-"""Trigonometric polynomials with exact frequencies, kept on integer keys.
+"""Trigonometric polynomials with exact frequencies.
 
-A TrigPoly is a finite sum  sum_w c_w * exp(i*w*x)  with frequencies in
-the Z-module spanned by 1 and square roots of squarefree integers, kept
-in one form: columns (1, then each radicand d ascending, each with a
-rational unit u_d), an int64 key matrix with one row per term, row k
-being the frequency sum_d k_d * u_d * sqrt(d), and complex128
-coefficients.  The columns are Q-independent, so each frequency has one
-row.  The form is canonical: rows distinct and in lexicographic order,
-the constant the zero row, exact zeros dropped, each unit the gcd of its
-coordinate over the terms (0 for a rational column of zeros; a radical
-one drops), so == compares arrays.  Keys are reduced in Python ints
-before they become int64, and one past int64 raises MalformedInput.
+A TrigPoly is a finite sum  sum_w c_w * exp(i*w*x)  with ExactFrequency
+frequencies and complex coefficients.  It is kept in one form,
+chi_shift * (const + sum of rays): a shift, a constant, and per rational
+direction one ray, a positive base frequency with ascending int64 keys
+of gcd 1 and complex128 coefficients (`DenseBlock`).  Frequencies are
+distinct and exact zero coefficients are dropped.  Terms given by
+frequencies (`TrigPoly(terms)`, `constant`, `character`, `from_cos`) or
+by their canonical coordinates (`TrigPoly.from_coordinates`, which the
+JSON reader calls) are grouped into rays in integer arithmetic, and a
+ray whose keys leave int64 raises MalformedInput.
 
-Sums align the columns (radicands united, units' gcd, keys rescaled by
-integers) and merge rows; `modulate` adds a row, `conj` negates the rows,
-`dilate` maps the columns.  Values, float frequencies, the JSON terms,
-the Wiener norm, `coefficient`, `derivative` and `is_real` are read from
-the rows, bit for bit what the exact terms give.  An ExactFrequency is
-built only where floats cannot certify an order, for the spectrum's
-extremes, for each of `sorted_terms`, and for each ray's base in
-`ray_partition`, the per-ray view (`DenseBlock`) the certificates read.
+The form reads values, float frequencies, sorted terms, Wiener norm and
+spectrum extremes from its arrays; exact frequencies are compared only
+where floats cannot certify the order.  `modulate`, `dilate`, `conj`,
+negation and scalar products act on the shift, bases, keys and
+coefficients.  For shift 0 the constant and the rays are the
+polynomial's `ray_partition`, which sums, differences, `derivative` and
+`is_real` read; a shifted form's partition is computed once and kept.
+All of these give bit for bit what the exact terms give.  The exact
+terms themselves, one ExactFrequency each, are built only on request:
+as a read-only dict view, on first use, for `coefficient`, for `==` of
+forms whose arrays differ and for the partition of a shifted form, and
+as `sorted_terms`, which `mean_value_numeric` reads.
+`sorted_terms_json` writes frequencies as JSON from each ray's base and
+keys.
 
-Every product is formed pair of rays by pair of rays (`_products`):
-`multiply`, behind `TrigPoly * TrigPoly`, and `modulus_squared` (|h|^2 of
-one ray is one convolution).  The ProductPoly is |h|^2 seen through its
-factor: values, sup bounds and the spectrum are read from h, and
-`to_trigpoly` is `modulus_squared`.
+Every product is formed pair of rays by pair of rays (`_products`), with
+one ExactFrequency per resulting ray: `multiply`, behind `TrigPoly *
+TrigPoly`, and `modulus_squared` (|h|^2 of one ray is one convolution).  The
+ProductPoly is |h|^2 seen through its factor: values, sup bounds and the
+spectrum are read from h, and `to_trigpoly` is `modulus_squared`.
 """
 
 from __future__ import annotations
@@ -34,17 +39,16 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from apspec.errors import MalformedInput
-from apspec.frequency import ZERO, Coordinates, ExactFrequency
+from apspec.frequency import ONE, ZERO, Coordinates, ExactFrequency, lattice_json, rational_ratio
 
 EF = ExactFrequency
 Scalar = Union[int, float, complex]
-# the (radicand, unit) pairs of a form: (1, u_1) first, then radicands ascending
-Columns = tuple[tuple[int, Fraction], ...]
 
 # a product refuses past these convolution multiply-adds (|s|^2 of any roots
 # factor of degree <= 2**15 passes) or outer-product pairs (`_products`)
@@ -62,9 +66,6 @@ UNIT_ROUNDOFF = 2.0**-53
 
 # integers up to this bound convert to float exactly
 _EXACT_INT = 1 << 53
-
-# keys stay below this bound in magnitude
-_KEY_LIMIT = 1 << 63
 
 
 def _as_ef(w) -> EF:
@@ -88,30 +89,24 @@ class DenseBlock:
             raise ValueError("keys and coeffs must align")
 
 
-class _Ray(NamedTuple):
-    """A ray in integers: terms at key * base, base a key row, keys ascending (0 only for a riding constant)."""
-
-    base: tuple[int, ...]
-    keys: np.ndarray
-    coeffs: np.ndarray
-
-
 class TrigPoly:
-    """Finite exponential sum with exact frequencies, kept as (columns, int64 key rows, coefficients)."""
+    """Finite exponential sum with exact frequencies, kept as chi_shift * (const + rays)."""
 
-    __slots__ = ("_cols", "_keys", "_coeffs", "_split", "_rays", "_sorted", "_arrays", "_spec")
+    __slots__ = ("_form", "_rays", "_view", "_sorted", "_arrays", "_spec")
 
     def __init__(self, terms: Mapping[EF, complex] | Iterable[tuple[EF, complex]] = ()):
-        """The sum of (frequency, coefficient) terms, read as `from_coordinates` reads them."""
+        """The sum of (frequency, coefficient) terms, grouped by ray as `from_coordinates` groups them."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        p = _from_coordinates(((w.rational, w.radicals), complex(c)) for w, c in ((_as_ef(w), c) for w, c in items))
-        self._set(p._cols, p._keys, p._coeffs)
+        coords = []
+        for w, c in items:
+            w = _as_ef(w)
+            coords.append(((w.rational, w.radicals), complex(c)))
+        self._fill(ZERO, *_ray_groups(coords))
 
-    def _set(self, cols: Columns, keys: np.ndarray, coeffs: np.ndarray) -> None:
-        keys.setflags(write=False)
-        coeffs.setflags(write=False)
-        self._cols, self._keys, self._coeffs = cols, keys, coeffs
-        self._split = self._rays = self._sorted = self._arrays = self._spec = None
+    def _fill(self, shift: EF, const: complex, rays: Iterable["DenseBlock"]) -> None:
+        self._form = (shift, 0j if const == 0 else const, _normalized_rays(rays))
+        self._rays = self._form[1:] if shift.is_zero() else None
+        self._view = self._sorted = self._arrays = self._spec = None
 
     # -- construction helpers ---------------------------------------------
 
@@ -120,54 +115,31 @@ class TrigPoly:
         """chi_shift * (const + sum of the rays).
 
         Every ray needs a positive base and distinct nonzero keys, and the
-        rays must lie on distinct rational directions (ValueError
-        otherwise).  Zero coefficients drop.  A term's row is its key times
-        its base's row plus the shift's; MalformedInput if it leaves int64.
+        rays must lie on distinct rational directions, so that no two terms
+        share a frequency (ValueError otherwise).  Zero coefficients are
+        dropped, and each ray is rescaled to keys with gcd 1, so that for
+        shift 0 the constant and the rays are the polynomial's
+        `ray_partition`.
         """
-        shift, kept = _as_ef(shift), []
-        for b in rays:
-            if b.base.sign() <= 0:
-                raise ValueError("ray bases must be positive")
-            keep = b.coeffs != 0
-            if keep.any():
-                kept.append((b.base, b.keys[keep].astype(np.int64), b.coeffs[keep].astype(complex)))
-        cols, (*bases, at) = _key_rows([(w.rational, w.radicals) for w, _, _ in kept] + [(shift.rational, shift.radicals)])
-        if len({tuple(x // math.gcd(*b) for x in b) for b in bases}) < len(bases):
-            raise ValueError("rays must lie on distinct directions")
-        rows, coeffs = [np.array([at], dtype=np.int64)], [np.array([complex(const)])]
-        for b, (_, keys, c) in zip(bases, kept):
-            if np.any(keys == 0) or len(np.unique(keys)) < len(keys):
-                raise ValueError("ray keys must be distinct and nonzero")
-            if int(np.max(np.abs(keys))) * max(map(abs, b)) + max(map(abs, at)) >= _KEY_LIMIT:
-                raise MalformedInput("a ray of the polynomial needs a key past int64")
-            rows.append(keys[:, None] * np.array(b, dtype=np.int64) + rows[0])
-            coeffs.append(c)
-        return _normalized(cols, np.concatenate(rows), np.concatenate(coeffs), ordered=False)
+        poly = cls.__new__(cls)
+        poly._fill(_as_ef(shift), complex(const), rays)
+        return poly
 
     @classmethod
     def from_coordinates(cls, items: Iterable[tuple[Coordinates, complex]]) -> "TrigPoly":
-        """The sum of (coordinates, coefficient) items.
-
-        Coordinates are an ExactFrequency's canonical (rational, radicals)
-        (`canonical_coordinates`).  Coefficients of one frequency sum left to
-        right and exact zeros drop; the rest become key rows (`_key_rows`),
-        and a key that leaves int64 raises MalformedInput.
-        """
-        return _from_coordinates(items)
+        """The sum of (coordinates, coefficient) items, given by its rays (`_ray_groups`)."""
+        poly = cls.__new__(cls)
+        poly._fill(ZERO, *_ray_groups(items))
+        return poly
 
     @classmethod
     def constant(cls, c: Scalar) -> "TrigPoly":
-        return cls.character(ZERO, c)
+        return cls({EF(0): complex(c)})
 
     @classmethod
     def character(cls, w, coeff: Scalar = 1.0) -> "TrigPoly":
         """coeff * exp(i*w*x)."""
-        coeff = complex(coeff)
-        if coeff == 0:
-            return cls()
-        w = _as_ef(w)
-        cols, rows = _key_rows([(w.rational, w.radicals)])
-        return _make(cols, np.array(rows, dtype=np.int64), np.array([coeff]))
+        return cls({_as_ef(w): complex(coeff)})
 
     @classmethod
     def from_cos(cls, pairs: Iterable[tuple[object, float]], constant: float = 0.0) -> "TrigPoly":
@@ -181,18 +153,30 @@ class TrigPoly:
 
     # -- basic views --------------------------------------------------------
 
+    @property
+    def _terms(self) -> Mapping[EF, complex]:
+        """The exact terms as a read-only {frequency: coefficient} view, built on first use."""
+        if self._view is None:
+            self._view = MappingProxyType(dict(zip(_ray_frequencies(*self._form), _ray_coeffs(*self._form[1:]).tolist())))
+        return self._view
+
     def sorted_terms(self) -> list[tuple[EF, complex]]:
-        """Terms in ascending frequency order: that of `term_arrays`, each frequency built from its row."""
+        """Terms in ascending frequency order: that of `term_arrays`, each frequency built from its ray and key."""
         if self._sorted is None:
             _, cs, order = self._sorted_arrays()
-            rows = self._keys[order].tolist()
-            self._sorted = [(_row_frequency(self._cols, r), c) for r, c in zip(rows, cs.tolist())]
+            freqs = _ray_frequencies(*self._form)
+            self._sorted = [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
         return list(self._sorted)
 
     def sorted_terms_json(self) -> list[tuple[dict, complex]]:
-        """`sorted_terms` with each frequency as its `EF.to_json` object, written from its row: no frequency is built."""
+        """`sorted_terms` with each frequency as its `EF.to_json` object.
+
+        The objects are written from each ray's base and keys in integer
+        arithmetic (`lattice_json`), and no frequency is built.
+        """
         _, cs, order = self._sorted_arrays()
-        return list(zip(_rows_json(self._cols, self._keys[order].tolist()), cs.tolist()))
+        freqs = _ray_json(*self._form)
+        return [(freqs[i], c) for i, c in zip(order.tolist(), cs.tolist())]
 
     def frequencies(self) -> list[EF]:
         return [w for w, _ in self.sorted_terms()]
@@ -200,61 +184,38 @@ class TrigPoly:
     def term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Float frequencies and coefficients in ascending frequency order (read-only).
 
-        Each float is float(w) of the exact frequency w, bit for bit, read
-        from the rows (`_row_floats`); exact frequencies are compared only
-        within runs whose floats lie too close to certify their order.
+        Each float is float(w) of the exact frequency w, bit for bit.  Both
+        are taken from the rays, and exact frequencies are compared only
+        within runs whose floats lie too close to certify their order
+        (`_ray_term_arrays`).
         """
         return self._sorted_arrays()[:2]
 
     def _sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`term_arrays` and the permutation that sorts the rows.
-
-        With one column the rows ascend as their frequencies do.  Otherwise
-        each float lies within e/2 of its exact frequency (`_row_floats`'
-        bound).  Sorted by float, a cut after position i is certified when
-        every interval [float - e, float + e] up to i ends below every one
-        after it: then so do the exact frequencies.  Only the runs between
-        certified cuts that hold more than one term are sorted by exact
-        comparison, so the order is the exact one.
-        """
+        """`term_arrays` and the permutation that sorts the form's terms."""
         if self._arrays is None:
-            cols, keys, cs = self._cols, self._keys, self._coeffs
-            if len(cols) == 1:
-                ws, order = _row_floats(cols, keys), np.arange(len(cs))
-            else:
-                ws, err = _row_floats(cols, keys, with_error=True)
-                order = np.argsort(ws, kind="stable")
-                if len(ws) > 1:
-                    lo, hi = ws[order] - err[order], ws[order] + err[order]
-                    # open[i]: no cut is certified between sorted positions i and i + 1 (NaN leaves it open)
-                    open_ = ~(np.maximum.accumulate(hi)[:-1] < np.minimum.accumulate(lo[::-1])[::-1][1:])
-                    if open_.any():
-                        order = _exact_runs(order, open_, cols, keys)
-                ws, cs = ws[order], cs[order]
-            ws.setflags(write=False)
-            cs.setflags(write=False)
-            self._arrays = (ws, cs, order)
+            found = _ray_term_arrays(*self._form)
+            for a in found[:2]:
+                a.setflags(write=False)
+            self._arrays = found
         return self._arrays
 
     def term_count(self) -> int:
-        return len(self._coeffs)
+        _, const, blocks = self._form
+        return sum(len(b.keys) for b in blocks) + (const != 0)
 
     def is_zero(self) -> bool:
         return self.term_count() == 0
 
     def coefficient(self, w) -> complex:
-        """The coefficient at w, 0j if absent: each row whose float is float(w) (`_row_floats`) is compared exactly."""
-        w = _as_ef(w)
-        for i in np.flatnonzero(_row_floats(self._cols, self._keys) == float(w)).tolist():
-            if _row_frequency(self._cols, self._keys[i].tolist()) == w:
-                return complex(self._coeffs[i])
-        return 0j
+        return self._terms.get(_as_ef(w), 0j)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        same = self._cols == other._cols and np.array_equal(self._keys, other._keys)
-        return self is other or (same and np.array_equal(self._coeffs, other._coeffs))
+        if self is other or _same_rays(self._form, other._form):
+            return True
+        return self._terms == other._terms
 
     def __hash__(self):  # pragma: no cover - polys are not meant as dict keys
         return hash(tuple(self.sorted_terms()))
@@ -274,7 +235,8 @@ class TrigPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "TrigPoly":
-        return _make(self._cols, self._keys, -self._coeffs)
+        shift, const, blocks = self._form
+        return TrigPoly.from_rays([DenseBlock(b.base, b.keys, -b.coeffs) for b in blocks], shift, -const)
 
     def __sub__(self, other) -> "TrigPoly":
         return _combine(self, other, -1)
@@ -286,8 +248,11 @@ class TrigPoly:
         """Product with a scalar (each coefficient times it, as Python multiplies complex numbers) or a TrigPoly."""
         if isinstance(other, (int, float, complex)):
             if other == 0:
-                return _zero()
-            return _normalized(self._cols, self._keys, complex_product(self._coeffs, complex(other)))
+                return TrigPoly()
+            z = complex(other)
+            shift, const, blocks = self._form
+            rays = [DenseBlock(b.base, b.keys, complex_product(b.coeffs, z)) for b in blocks]
+            return TrigPoly.from_rays(rays, shift, const * z)
         if isinstance(other, TrigPoly):
             return multiply(self, other)
         return NotImplemented
@@ -302,238 +267,235 @@ class TrigPoly:
 
     def conj(self) -> "TrigPoly":
         """Pointwise complex conjugate (for real x): every frequency negated, every coefficient conjugated."""
-        return _make(self._cols, -self._keys[::-1], np.conjugate(self._coeffs[::-1]))
+        shift, const, blocks = self._form
+        rays = [DenseBlock(b.base, -b.keys, np.conjugate(b.coeffs)) for b in blocks]
+        return TrigPoly.from_rays(rays, -shift, const.conjugate())
 
     def derivative(self) -> "TrigPoly":
-        """sum c*i*float(w)*exp(i*w*x): each coefficient but the constant's times i and its row's float."""
-        keep = self._keys.any(axis=1)
-        keys = self._keys[keep]
-        return _normalized(self._cols, keys, self._coeffs[keep] * 1j * _row_floats(self._cols, keys))
+        """sum c*i*float(w)*exp(i*w*x), by ray: each coefficient times i and its ray's float frequency."""
+        _, blocks = ray_partition(self)
+        return TrigPoly.from_rays([DenseBlock(b.base, b.keys, ray_slopes(b)) for b in blocks])
 
     def modulate(self, w0) -> "TrigPoly":
-        """Multiply by exp(i*w0*x): adds w0's row to every row."""
-        w0 = _as_ef(w0)
-        w_cols, rows = _key_rows([(w0.rational, w0.radicals)])
-        cols, (keys, shift) = _aligned((self._cols, self._keys), (w_cols, np.array(rows, dtype=np.int64)))
-        _check_sum(keys, shift)
-        return _normalized(cols, keys + shift, self._coeffs)
+        """Multiply by exp(i*w0*x): shifts every frequency by w0."""
+        shift, const, blocks = self._form
+        return TrigPoly.from_rays(blocks, shift + _as_ef(w0), const)
 
     def dilate(self, rho) -> "TrigPoly":
         """x -> rho*x rescaling: multiplies every frequency by rho.
 
-        A rational rho scales the units (a negative one negates the rows);
-        a radical one maps each column's unit frequency to its product with
-        rho, whose rows (`_key_rows`) are the new keys of the column's unit
-        key: one integer matrix product, bounded in Python ints first.
+        Each base becomes base*|rho|, and a negative rho negates the keys.
         """
         rho = _as_ef(rho)
         sign = rho.sign()
         if sign == 0:
             raise ValueError("dilation scale must be nonzero")
-        if rho.radicals:
-            images = [(EF(u) if d == 1 else EF.sqrt_of(d, u)) * rho for d, u in self._cols]
-            cols, rows = _key_rows([(w.rational, w.radicals) for w in images])
-            tops = np.abs(self._keys).max(axis=0, initial=0).tolist()
-            if max(sum(t * abs(r[c]) for t, r in zip(tops, rows)) for c in range(len(cols))) >= _KEY_LIMIT:
-                raise MalformedInput("the dilated polynomial needs a key past int64")
-            return _normalized(cols, self._keys @ np.array(rows, dtype=np.int64), self._coeffs, ordered=False)
-        q = abs(rho.rational)
-        cols = tuple((d, u * q) for d, u in self._cols)
-        if sign > 0:
-            return _make(cols, self._keys, self._coeffs)
-        return _make(cols, -self._keys[::-1], self._coeffs[::-1])
+        shift, const, blocks = self._form
+        rays = [DenseBlock(b.base * abs(rho), b.keys * sign, b.coeffs) for b in blocks]
+        return TrigPoly.from_rays(rays, shift * rho, const)
 
     def wiener_norm(self) -> float:
         """Sum of coefficient magnitudes (fsum, so exact before one rounding).
 
         fsum's result does not depend on the order of its terms, so the
-        magnitudes are read unsorted; no frequency is compared.  np.hypot
-        is libm's hypot, as abs(complex) is; np.abs differs in the last bit
-        for about a third of complex inputs.
+        magnitudes are read unsorted, from the constant and the rays; no
+        frequency is compared.  np.hypot is libm's hypot, as abs(complex)
+        is; np.abs differs in the last bit for about a third of complex
+        inputs.
         """
-        cs = self._coeffs
+        cs = _ray_coeffs(*self._form[1:])
         return math.fsum(np.hypot(cs.real, cs.imag).tolist())
 
     def is_real(self, tol: float = 0.0) -> bool:
         """Hermitian-symmetry test: |c(-w) - conj(c(w))| <= tol * max|c| at every w.
 
-        The rows and their negations form a set closed under negation, so
-        in lexicographic order row i's mirror is row n - 1 - i; a row whose
-        mirror is absent meets a zero.
+        Read from `ray_partition`: -w lies on w's ray, so each ray is
+        compared with its own mirror image, on the union of its keys and
+        their negatives (a key whose mirror is absent meets a zero).
         """
-        cs = self._coeffs
-        if not len(cs):
-            return True
-        bound = tol * float(np.hypot(cs.real, cs.imag).max())
-        keys, (at, _) = _row_union([self._keys, -self._keys[::-1]])
-        c = np.zeros(len(keys), dtype=complex)
-        c[at] = cs
-        d = c - np.conjugate(c[::-1])
-        return not np.any(np.hypot(d.real, d.imag) > bound)
+        const, blocks = ray_partition(self)
+        mags = [abs(const)] + [np.hypot(b.coeffs.real, b.coeffs.imag).max() for b in blocks]
+        bound = tol * max(mags)
+        if abs(const - const.conjugate()) > bound:
+            return False
+        for b in blocks:
+            keys = _key_union(b.keys, -b.keys)
+            c = np.zeros(len(keys), dtype=complex)
+            c[np.searchsorted(keys, b.keys)] = b.coeffs
+            d = c - np.conjugate(c[::-1])
+            if np.any(np.hypot(d.real, d.imag) > bound):
+                return False
+        return True
 
 
-def _zero() -> TrigPoly:
-    return _make(((1, Fraction(0)),), np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=complex))
+def _as_poly(x) -> "TrigPoly":
+    if isinstance(x, TrigPoly):
+        return x
+    if isinstance(x, (int, float, complex)):
+        return TrigPoly.constant(x)
+    return NotImplemented
 
 
-def _make(cols: Columns, keys: np.ndarray, coeffs: np.ndarray) -> TrigPoly:
-    """The polynomial of a form already canonical."""
-    poly = TrigPoly.__new__(TrigPoly)
-    poly._set(cols, keys, coeffs)
-    return poly
+def _normalized_rays(rays: Iterable[DenseBlock]) -> tuple[DenseBlock, ...]:
+    """The rays of `TrigPoly.from_rays`, checked and normalized.
 
-
-def _normalized(cols: Columns, keys: np.ndarray, coeffs: np.ndarray, ordered: bool = True) -> TrigPoly:
-    """The canonical polynomial of distinct rows on cols, put in lexicographic order (column 0 first) unless ordered.
-
-    Exact zero coefficients drop, and each column's keys are divided by
-    their gcd, its unit multiplied by it (a radical column of zeros drops),
-    which keeps the order.
+    Zero coefficients drop, keys end ascending with gcd 1 (the base times
+    their gcd), the arrays read-only, and the rays ordered by float base.
     """
-    keep = coeffs != 0
-    if not keep.all():
-        keys, coeffs = keys[keep], coeffs[keep]
-    steps = np.gcd.reduce(keys, axis=0).tolist() if len(keys) else [0] * len(cols)
-    if any(s != 1 for s in steps):
-        kept = [j for j, s in enumerate(steps) if s or j == 0]
-        cols = tuple((cols[j][0], cols[j][1] * steps[j]) for j in kept)
-        keys = keys[:, kept] // np.maximum(np.array([steps[j] for j in kept], dtype=np.int64), 1)
-    if not ordered and len(keys) > 1:
-        order = np.lexsort(keys.T[::-1])
-        keys, coeffs = keys[order], coeffs[order]
-    return _make(cols, np.ascontiguousarray(keys), np.ascontiguousarray(coeffs))
-
-
-def _row_union(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The distinct rows of the key matrices in lexicographic order, and each part's row positions among them."""
-    keys = np.concatenate(parts)
-    order = np.lexsort(keys.T[::-1])
-    ks = keys[order]
-    new = np.ones(len(ks), dtype=bool)
-    new[1:] = (ks[1:] != ks[:-1]).any(axis=1)
-    inverse = np.empty(len(ks), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ks[new], np.split(inverse, np.cumsum([len(p) for p in parts])[:-1])
-
-
-def _from_coordinates(items: Iterable[tuple[Coordinates, complex]]) -> TrigPoly:
-    acc: dict = {}
-    for w, c in items:
-        acc[w] = acc[w] + c if w in acc else c
-    kept = [(w, c) for w, c in acc.items() if c != 0]
-    if not kept:
-        return _zero()
-    cols, rows = _key_rows([w for w, _ in kept])
-    return _normalized(cols, np.array(rows, dtype=np.int64), np.array([c for _, c in kept], dtype=complex), ordered=False)
-
-
-def _key_rows(coords: Sequence[Coordinates]) -> tuple[Columns, list[list[int]]]:
-    """The columns of the canonical coordinates, and each one's key row, in Python ints.
-
-    A column's unit is the gcd of its coordinates, N/L with L the lcm of
-    their denominators, so that a lone term of any size has key +-1.  A
-    key that still leaves int64 raises MalformedInput.
-    """
-    rads = sorted({d for _, rs in coords for d, _ in rs})
-    values = [[rat for rat, _ in coords]] + [[dict(rs).get(d, Fraction(0)) for _, rs in coords] for d in rads]
-    cols, columns = [], []
-    for d, vs in zip((1, *rads), values):
-        den = math.lcm(*(v.denominator for v in vs))
-        nums = [v.numerator * (den // v.denominator) for v in vs]
-        step = math.gcd(*nums)
+    blocks: list[DenseBlock] = []
+    for b in rays:
+        if b.base.sign() <= 0:
+            raise ValueError("ray bases must be positive")
+        keep = b.coeffs != 0
+        order = np.argsort(b.keys[keep], kind="stable")
+        keys = b.keys[keep][order].astype(np.int64)
+        coeffs = b.coeffs[keep][order].astype(complex)
+        if not len(keys):
+            continue
+        if np.any(keys == 0) or np.any(np.diff(keys) == 0):
+            raise ValueError("ray keys must be distinct and nonzero")
+        step = int(np.gcd.reduce(keys))
+        base = b.base
         if step > 1:
-            nums = [x // step for x in nums]
-        top = max(map(abs, nums))
-        if top >= _KEY_LIMIT:
-            raise MalformedInput(f"a ray of the polynomial needs a key past int64: {top}")
-        cols.append((d, Fraction(step, den)))
-        columns.append(nums)
-    return tuple(cols), [list(r) for r in zip(*columns)]
+            base, keys = base * step, keys // step
+        keys.setflags(write=False)
+        coeffs.setflags(write=False)
+        blocks.append(DenseBlock(base, keys, coeffs))
+    if len(blocks) > 1 and len({_direction(b.base.rational, b.base.radicals)[0] for b in blocks}) < len(blocks):
+        raise ValueError("rays must lie on distinct directions")
+    blocks.sort(key=lambda b: float(b.base))
+    return tuple(blocks)
 
 
-def _row_frequency(cols: Columns, row: Sequence[int]) -> EF:
-    """The exact frequency of a key row (Python ints)."""
-    (_, u0), *rads = cols
-    return EF._canonical(u0 * row[0], tuple((d, u * k) for (d, u), k in zip(rads, row[1:]) if k))
+def _ray_groups(items: Iterable[tuple[Coordinates, complex]]) -> tuple[complex, list[DenseBlock]]:
+    """The constant and the rays of the sum of (coordinates, coefficient) items.
 
+    Coordinates are an ExactFrequency's canonical (rational, radicals)
+    (`canonical_coordinates`).  Coefficients of one frequency sum left to
+    right, and exact zeros drop.  The grouping is integer arithmetic.
 
-def _rows_json(cols: Columns, rows: Sequence[Sequence[int]]) -> list[dict]:
-    """`EF.to_json` of each key row's frequency (Python ints), in integer arithmetic: no frequency is built."""
-    (_, u0), *rads = cols
-    named = [(str(d), u.numerator, u.denominator) for d, u in rads]
-    n0, d0 = u0.numerator, u0.denominator
-    return [
-        {"rat": _ratio_text(r[0] * n0, d0), "rad": [[name, _ratio_text(k * n, den)] for (name, n, den), k in zip(named, r[1:]) if k]}
-        for r in rows
-    ]
-
-
-def _ratio_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
-def _aligned(*forms: tuple[Columns, np.ndarray]) -> tuple[Columns, list[np.ndarray]]:
-    """(columns, key matrix) pairs on their common columns, each unit the gcd of a radicand's units.
-
-    A zero unit adds nothing to the gcd; every key is rescaled by an
-    integer, and MalformedInput if one leaves int64.
+    A nonzero w is (g/den) * u on the ray labelled by u (`_direction`),
+    and g/den, a reduced fraction, names w on it.  On one ray with lcm L
+    of the dens, w is the key g*L/den times u/L (both negated if u < 0,
+    so that the base is positive).  The keys are divided by their gcd G,
+    and the base is G*u/L, before they become int64, so a lone term of
+    any size fits; a ray whose keys still leave int64 raises
+    MalformedInput.
     """
-    units: dict[int, Fraction] = {}
-    for cols, _ in forms:
-        for d, u in cols:
-            a = units.get(d, Fraction(0))
-            units[d] = Fraction(math.gcd(a.numerator * u.denominator, u.numerator * a.denominator), a.denominator * u.denominator)
-    common = tuple(sorted(units.items()))
-    out = []
-    for cols, keys in forms:
-        if cols != common:
-            src, mapped = {d: (j, u) for j, (d, u) in enumerate(cols)}, np.zeros((len(keys), len(common)), dtype=np.int64)
-            for j, (d, unit) in enumerate(common):
-                if d in src and src[d][1]:
-                    col, factor = keys[:, src[d][0]], int(src[d][1] / unit)
-                    top = int(np.max(np.abs(col), initial=0)) * factor
-                    if top >= _KEY_LIMIT:
-                        raise MalformedInput(f"a sum or product of polynomials needs a key past int64: {top}")
-                    if top:
-                        mapped[:, j] = col * factor
-            keys = mapped
-        out.append(keys)
-    return common, out
-
-
-def _check_sum(a: np.ndarray, b: np.ndarray) -> None:
-    """MalformedInput, before anything is formed, unless every sum of a row of a and a row of b stays in int64."""
-    if len(a) and len(b):
-        top = max(x + y for x, y in zip(np.abs(a).max(axis=0).tolist(), np.abs(b).max(axis=0).tolist()))
-        if top >= _KEY_LIMIT:
-            raise MalformedInput(f"a sum or product of polynomials needs a key past int64: {top}")
+    const = None
+    groups: dict[tuple, dict[tuple[int, int], complex]] = {}
+    for (rat, rads), c in items:
+        if not rat and not rads:
+            const = c if const is None else const + c
+            continue
+        label, g, den = _direction(rat, rads)
+        terms = groups.setdefault(label, {})
+        at = (g, den)
+        terms[at] = terms[at] + c if at in terms else c
+    rays = []
+    for (has_rational, rads, vec), terms in groups.items():
+        kept = [(g, den, c) for (g, den), c in terms.items() if c != 0]
+        if not kept:
+            continue
+        lcm = math.lcm(*(den for _, den, _ in kept))
+        ints = [g * (lcm // den) for g, den, _ in kept]
+        step = math.gcd(*ints)
+        ints = [k // step for k in ints]
+        if max(map(abs, ints)) >= 1 << 63:
+            raise MalformedInput(f"a ray of the polynomial needs a key past int64: {max(map(abs, ints))}")
+        keys = np.array(ints, dtype=np.int64)
+        parts = iter(Fraction(v * step, lcm) for v in vec)
+        unit = EF._canonical(next(parts) if has_rational else Fraction(0), tuple(zip(rads, parts)))
+        if unit.sign() < 0:
+            unit, keys = -unit, -keys
+        rays.append(DenseBlock(unit, keys, np.array([c for *_, c in kept], dtype=complex)))
+    return 0j if const is None else const, rays
 
 
 def _combine(f: TrigPoly, other, sign: int) -> TrigPoly:
-    """f + other (sign 1) or f - other (sign -1): the rows merged on the common columns (`_merged`)."""
+    """f + other (sign 1) or f - other (sign -1), formed ray by ray on the two ray partitions (`_sum_rays`)."""
     other = _as_poly(other)
     if other is NotImplemented:
         return NotImplemented
-    cols, (a, b) = _aligned((f._cols, f._keys), (other._cols, other._keys))
-    return _merged(cols, [(a, f._coeffs), (b, other._coeffs)], sign)
+    return _sum_rays([ray_partition(f), ray_partition(other)], sign)
 
 
-def _merged(cols: Columns, parts: Sequence[tuple[np.ndarray, np.ndarray]], sign: int = 1) -> TrigPoly:
-    """The polynomial of (keys, values) parts on cols, each part's rows distinct.
+def _same_rays(a, b) -> bool:
+    """True when two forms (shift, const, blocks) hold the same arrays."""
+    if a[0] != b[0] or a[1] != b[1] or len(a[2]) != len(b[2]):
+        return False
+    return all(
+        p.base == q.base and np.array_equal(p.keys, q.keys) and np.array_equal(p.coeffs, q.coeffs)
+        for p, q in zip(a[2], b[2])
+    )
 
-    The first part's values are taken as they are, then each later part's
-    nonzero ones added (sign 1) or subtracted (sign -1), from 0j where no
-    earlier part has the row.
+
+def _ray_frequencies(shift: EF, const: complex, blocks: Sequence[DenseBlock]) -> list[EF]:
+    """Exact frequencies of a form's terms: the constant's if nonzero, then ray by ray."""
+    freqs = [ZERO] if const != 0 else []
+    freqs += [b.base * k for b in blocks for k in b.keys.tolist()]
+    return freqs if shift.is_zero() else [shift + w for w in freqs]
+
+
+def _ray_json(shift: EF, const: complex, blocks: Sequence[DenseBlock]) -> list[dict]:
+    """`EF.to_json` of each of `_ray_frequencies`, written from each ray's base and keys (`lattice_json`)."""
+    out = [shift.to_json()] if const != 0 else []
+    for b in blocks:
+        out += lattice_json(shift, b.base, b.keys.tolist())
+    return out
+
+
+def _ray_coeffs(const: complex, blocks: Sequence[DenseBlock]) -> np.ndarray:
+    """Coefficients of a form's terms, aligned with `_ray_frequencies`."""
+    head = [np.array([const])] if const != 0 else []
+    return np.concatenate(head + [b.coeffs for b in blocks]) if head or blocks else np.zeros(0, dtype=complex)
+
+
+def _sum_rays(parts: Sequence[tuple[complex, Sequence[DenseBlock]]], sign: int = 1, shift: EF = ZERO) -> TrigPoly:
+    """chi_shift * (parts[0] + sign*parts[1] + sign*parts[2] + ...) for (const, rays) parts, ray by ray.
+
+    Rays on one direction, bases m_i*u for integers m_i, are summed on the
+    lattice u*Z (MalformedInput if a key there leaves int64): the first
+    part's coefficients as they are, each later part's added or subtracted
+    in order, from 0j where no earlier part has the frequency.
     """
-    later = [(k[v != 0], v[v != 0]) for k, v in parts[1:]]
-    keys, at = _row_union([parts[0][0]] + [k for k, _ in later])
-    coeffs = np.zeros(len(keys), dtype=complex)
-    coeffs[at[0]] = parts[0][1]
-    for (_, v), i in zip(later, at[1:]):
-        coeffs[i] = coeffs[i] + v if sign > 0 else coeffs[i] - v
-    return _normalized(cols, keys, coeffs)
+    groups: dict[tuple, list[tuple[int, DenseBlock, int, int]]] = {}
+    for i, (_, blocks) in enumerate(parts):
+        for r in blocks:
+            if len(r.keys):
+                label, g, den = _direction(r.base.rational, r.base.radicals)
+                groups.setdefault(label, []).append((i, r, g, den))
+    rays = []
+    for members in groups.values():
+        if len(members) == 1 and members[0][0] == 0:
+            rays.append(members[0][1])
+            continue
+        _, r0, g0, den0 = members[0]
+        # base_i / base_0 = (g_i/den_i) / (g_0/den_0), read from the ray's integers
+        ratios = [Fraction(g * den0, den * g0) for *_, g, den in members]
+        lcm = math.lcm(*(q.denominator for q in ratios))
+        steps = [q.numerator * (lcm // q.denominator) for q in ratios]
+        first, members = r0.base, [(i, r) for i, r, *_ in members]
+        if len(members) > 1 and max(int(np.max(np.abs(r.keys))) * m for (_, r), m in zip(members, steps)) >= 1 << 62:
+            raise MalformedInput(f"the sum of rays on one direction needs keys past int64 (base steps {steps})")
+        scaled = [r.keys * m for (_, r), m in zip(members, steps)]
+        keys = functools.reduce(_key_union, scaled)
+        coeffs = np.zeros(len(keys), dtype=complex)
+        for (i, r), k in zip(members, scaled):
+            at = np.searchsorted(keys, k)
+            coeffs[at] = r.coeffs if i == 0 else coeffs[at] + r.coeffs if sign > 0 else coeffs[at] - r.coeffs
+        rays.append(DenseBlock(first / lcm, keys, coeffs))
+    const = parts[0][0]
+    for c, _ in parts[1:]:
+        if c != 0:
+            const = const + c if sign > 0 else const - c
+    return TrigPoly.from_rays(rays, shift, const)
+
+
+def _key_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys of a and b: np.union1d, without the import of numpy.ma its first call makes."""
+    keys = np.sort(np.concatenate([a, b]))
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
 def complex_product(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
@@ -551,92 +513,113 @@ def complex_product(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _as_poly(x) -> "TrigPoly":
-    if isinstance(x, TrigPoly):
-        return x
-    if isinstance(x, (int, float, complex)):
-        return TrigPoly.constant(x)
-    return NotImplemented
-
-
 def ray_slopes(b: DenseBlock) -> np.ndarray:
     """Coefficients of the derivative on ray b: each coefficient times i and its float frequency."""
-    cols = ((1, b.base.rational), *b.base.radicals)
-    keys = np.broadcast_to(b.keys[:, None], (len(b.keys), len(cols)))
-    return b.coeffs * 1j * _row_floats(cols, keys)
+    return b.coeffs * 1j * _ray_floats(b.base, b.keys, ZERO)
 
 
-def _row_floats(cols: Sequence[tuple[int, Fraction]], keys: np.ndarray, with_error: bool = False):
-    """float(w) of each key row's frequency w, bit for bit, without building the frequencies.
+def _ray_floats(base: EF, keys: np.ndarray, shift: EF, with_error: bool = False):
+    """float(shift + base*k) for each key k, bit for bit, without building the sums.
 
     float(w) is float(r) + fsum(float(c_d)*sqrt(d)) over w's coordinates.
-    Coordinate k*u for a unit u = N/L (negative for `ray_slopes`' bases)
-    is (k*N)/L: one float division below 2**53, which rounds it as
-    float(Fraction) does, else Python's int division, as correct.  With at
-    most two nonzero radical coordinates in a row one float addition is
-    their fsum (a zero one adds 0.0); rows with more take fsum.
+    The coordinate of shift + base*k is (a*B + k*b*A)/(A*B) for a/A of the
+    shift and b/B of the base.  Below 2**53, numerator and denominator are
+    exact floats, so one float division rounds it as float(Fraction) does,
+    and with at most two radicands one float addition is their fsum (a
+    radical absent at some k adds 0.0, which changes no nonzero sum).
+    Otherwise the sums are built term by term.
 
-    with_error also returns e per row with |float - w| <= e/2, and e/2
+    with_error also returns e per key with |float - w| <= e/2, and e/2
     left over for the rounding of float +- e.  First order (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 2-3): a radical
-    term is one correctly rounded division, times a correctly rounded
-    sqrt(d), one product; the terms are summed with two more roundings
-    (two additions, or fsum's and one addition).  Each term thus passes
-    at most five roundings: |float - w| <= gamma_5 * A for
-    A = |r| + sum |c_d|*sqrt(d).  The magnitudes of the computed terms,
-    summed the same way, give A~ >= (1 - gamma_5) * A, so
+    term is one correctly rounded division (or float(c)), times a
+    correctly rounded sqrt(d), one product; the terms are summed with two
+    more roundings (two additions, or fsum's and one addition).  Each
+    term thus passes at most five roundings: |float - w| <= gamma_5 * A
+    for A = |r| + sum |c_d|*sqrt(d).  The magnitudes of the computed
+    terms, summed the same way, give A~ >= (1 - gamma_5) * A, so
     |float - w| < 6u * A~.  e is 12u * A~ plus 2**-1068 * (1 + sum
     sqrt(d)) for gradual underflow (half the least subnormal per
     operation, times sqrt(d) after a product): a few units in the last
     place of |w| unless its parts nearly cancel.
     """
-    n = len(keys)
+    if not len(keys):
+        return (np.zeros(0), np.zeros(0)) if with_error else np.zeros(0)
+    kmax = int(np.max(np.abs(keys)))
+    sd, bd = dict(shift.radicals), dict(base.radicals)
+    rads = sorted(sd.keys() | bd.keys())
+    coords = [(sd.get(d, Fraction(0)), bd.get(d, Fraction(0))) for d in rads]
+    tiny = 2.0**-1068 * (1 + math.fsum(math.sqrt(d) for d in rads))
     parts = []
-    for j, (d, u) in enumerate(cols):
-        col = keys[:, j]
-        num, den = u.numerator, u.denominator
-        top = int(np.max(np.abs(col))) if n else 0
-        # num must fit too: numpy multiplies it into the int64 keys even when they are 0
-        if den < _EXACT_INT and max(top, 1) * abs(num) < _EXACT_INT:
-            c = col * num / den
-        else:
-            c = np.array([k * num / den for k in col.tolist()], dtype=float)
-        parts.append(c if d == 1 else c * math.sqrt(d))
-    rat, rad = parts[0], parts[1:]
-    floats = rat + (functools.reduce(np.add, rad) if rad else 0.0)
-    if len(rad) > 2:
-        for i in np.flatnonzero(np.count_nonzero(keys[:, 1:], axis=1) > 2).tolist():
-            floats[i] = rat[i] + math.fsum(r[i] for r in rad)
+    for a, b in [(shift.rational, base.rational), *coords]:
+        den = a.denominator * b.denominator
+        na, nb = a.numerator * b.denominator, b.numerator * a.denominator
+        # nb must fit too: numpy multiplies it into the int64 keys even when kmax is 0
+        if len(rads) > 2 or den >= _EXACT_INT or abs(na) + max(kmax, 1) * abs(nb) >= _EXACT_INT:
+            ws = [shift + base * k for k in keys.tolist()]
+            floats = np.array([float(w) for w in ws], dtype=float)
+            if not with_error:
+                return floats
+            mags = [abs(float(w.rational)) + math.fsum(abs(float(c)) * math.sqrt(d) for d, c in w.radicals) for w in ws]
+            return floats, 12 * UNIT_ROUNDOFF * np.array(mags, dtype=float) + tiny
+        parts.append((na + nb * keys) / den)
+    rad = [v * math.sqrt(d) for v, d in zip(parts[1:], rads)]
+
+    def total(first, rest):
+        return first + (rest[0] + rest[1] if len(rest) == 2 else rest[0] if rest else 0.0)
+
+    floats = total(parts[0], rad)
     if not with_error:
         return floats
-    mags = np.abs(rat) + (functools.reduce(np.add, [np.abs(r) for r in rad]) if rad else 0.0)
-    tiny = 2.0**-1068 * (1 + math.fsum(math.sqrt(d) for d, _ in cols[1:]))
-    return floats, 12 * UNIT_ROUNDOFF * mags + tiny
+    return floats, 12 * UNIT_ROUNDOFF * total(np.abs(parts[0]), [np.abs(v) for v in rad]) + tiny
 
 
-def _row_signs(cols: Columns, keys: np.ndarray) -> np.ndarray:
-    """The sign of each key row's frequency: from its float where `_row_floats`' bound certifies it, else exactly.
+def _ray_term_arrays(
+    shift: EF, const: complex, blocks: Sequence[DenseBlock]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`TrigPoly.term_arrays` of chi_shift * (const + sum of blocks) and the sorting permutation.
 
-    With one column (of positive unit, or all keys 0) it is the key's sign.
+    The permutation orders the terms as `_ray_frequencies` lists them.
+    Each float lies within e/2 of its exact frequency (`_ray_floats`'
+    bound).  Sorted by float, a cut after position i is certified when
+    every interval [float - e, float + e] up to i ends below every one
+    after it: then so do the exact frequencies.  Only the runs between
+    certified cuts that hold more than one term are sorted by exact
+    comparison, so the order is the exact one and each float is float(w).
     """
-    if len(cols) == 1:
-        return np.sign(keys[:, 0])
-    ws, err = _row_floats(cols, keys, with_error=True)
-    signs = np.sign(ws).astype(np.int64)
-    for i in np.flatnonzero(~(np.abs(ws) > err) & keys.any(axis=1)).tolist():
-        signs[i] = _row_frequency(cols, keys[i].tolist()).sign()
-    return signs
+    owners: list[tuple[EF, np.ndarray]] = [(ONE, np.zeros(1, dtype=np.int64))] if const != 0 else []
+    owners += [(b.base, b.keys) for b in blocks]
+    found = [_ray_floats(base, keys, shift, with_error=True) for base, keys in owners]
+    ws = np.concatenate([w for w, _ in found]) if found else np.zeros(0)
+    err = np.concatenate([e for _, e in found]) if found else np.zeros(0)
+    order = np.argsort(ws, kind="stable")
+    if len(ws) > 1:
+        lo, hi = ws[order] - err[order], ws[order] + err[order]
+        # open[i]: no cut is certified between sorted positions i and i + 1 (NaN leaves it open)
+        open_ = ~(np.maximum.accumulate(hi)[:-1] < np.minimum.accumulate(lo[::-1])[::-1][1:])
+        if open_.any():
+            order = _exact_runs(order, open_, shift, owners)
+    return ws[order], _ray_coeffs(const, blocks)[order], order
 
 
-def _exact_runs(order: np.ndarray, open_: np.ndarray, cols: Columns, keys: np.ndarray) -> np.ndarray:
-    """order with each run of sorted positions joined by `open_` sorted by exact frequency."""
+def _exact_runs(order: np.ndarray, open_: np.ndarray, shift: EF, owners: Sequence[tuple[EF, np.ndarray]]) -> np.ndarray:
+    """order with each run of sorted positions joined by `open_` sorted by exact frequency.
+
+    owners lists (base, keys) in term order; term t is shift + base*k.
+    """
+    keys = np.concatenate([k for _, k in owners])
+    owner = np.repeat(np.arange(len(owners)), [len(k) for _, k in owners])
+
+    def frequency(t: int) -> EF:
+        return shift + owners[owner[t]][0] * int(keys[t])
+
     order = order.copy()
     joined = np.flatnonzero(open_)
     breaks = np.flatnonzero(np.diff(joined) > 1)
     starts = joined[np.concatenate([[0], breaks + 1])]
     ends = joined[np.concatenate([breaks, [len(joined) - 1]])] + 2
     for a, b in zip(starts.tolist(), ends.tolist()):
-        order[a:b] = sorted(order[a:b].tolist(), key=lambda t: _row_frequency(cols, keys[t].tolist()))
+        order[a:b] = sorted(order[a:b].tolist(), key=frequency)
     return order
 
 
@@ -770,20 +753,29 @@ def spectrum(f: "TrigPoly | ProductPoly") -> SpectrumInfo:
     """Spectrum summary: count, extremes, bandwidth, one-sided width tau.
 
     tau is max(|inf|, |sup|), the exponential type of the natural entire
-    extension.  A polynomial's extremes are the first and last rows in
-    the order of `term_arrays`.  The summary is built once per TrigPoly and
-    kept on it, as `ray_partition` is.  For a ProductPoly the extremes are
-    +-(bandwidth of the factor) and the count is an upper bound.
+    extension.  A polynomial's extremes are read from its constant and
+    each ray's end keys.  The summary is built once per
+    TrigPoly and kept on it, as `ray_partition` is.  For a ProductPoly the
+    extremes are +-(bandwidth of the factor) and the count is an upper
+    bound.
     """
     if isinstance(f, ProductPoly):
         return f.spectrum()
     if f._spec is None:
-        f._spec = SpectrumInfo.empty()
-        if not f.is_zero():
-            order = f._sorted_arrays()[2]
-            lo, hi = (_row_frequency(f._cols, f._keys[i].tolist()) for i in (order[0], order[-1]))
-            f._spec = SpectrumInfo(f.term_count(), lo, hi, hi - lo, max(abs(lo), abs(hi)))
+        f._spec = _spectrum_of(f)
     return f._spec
+
+
+def _spectrum_of(f: TrigPoly) -> SpectrumInfo:
+    if f.is_zero():
+        return SpectrumInfo.empty()
+    shift, const, blocks = f._form
+    lo = min([b.base * int(b.keys[0]) for b in blocks] + ([ZERO] if const != 0 else []))
+    hi = max([b.base * int(b.keys[-1]) for b in blocks] + ([ZERO] if const != 0 else []))
+    if not shift.is_zero():
+        lo, hi = lo + shift, hi + shift
+    tau = max(abs(lo), abs(hi))
+    return SpectrumInfo(f.term_count(), lo, hi, hi - lo, tau)
 
 
 def bohr_coefficient(f: "TrigPoly | ProductPoly", w) -> complex:
@@ -816,114 +808,52 @@ def mean_value_numeric(f: TrigPoly, w, halfwidth: float) -> tuple[complex, float
     return est, c_big / (2 * L)
 
 
-# -- rays and products -------------------------------------------------------
-
-
-def ray_partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
-    """Split f into its constant term and one periodic piece per rational ray.
-
-    Each block has a positive base frequency, its one ExactFrequency, and
-    ascending integer keys with gcd 1, read from `_ray_split`; blocks are
-    ordered by float base.  The split is kept on f, and its arrays are
-    read-only, so no caller can change the kept copy.
-    """
-    if f._rays is None:
-        const, rays = _ray_split(f)
-        f._rays = (const, tuple(DenseBlock(_row_frequency(f._cols, r.base), r.keys, r.coeffs) for r in rays))
-    return f._rays
-
-
-def _ray_split(f: TrigPoly) -> tuple[complex, tuple[_Ray, ...]]:
-    """The constant and the rays of f, in integers, computed once and kept on f.
-
-    A nonzero row is t*p for p primitive with its first nonzero entry
-    positive; the rows of one p lie on one rational direction, p's
-    frequency signs it (`_row_signs`), and the ray's base is G*p for G the
-    gcd of the t, its keys t/G ascending.  Rays are ordered by float base.
-    """
-    if f._split is not None:
-        return f._split
-    cols, nonzero = f._cols, f._keys.any(axis=1)
-    const = 0j if nonzero.all() else complex(f._coeffs[~nonzero][0])
-    keys, coeffs, rays = f._keys[nonzero], f._coeffs[nonzero], []
-    if len(keys):
-        steps = np.gcd.reduce(keys, axis=1)
-        prim = keys // steps[:, None]
-        lead = np.sign(prim[np.arange(len(prim)), np.argmax(prim != 0, axis=1)])
-        prim, t = prim * lead[:, None], steps * lead
-        order = np.lexsort((t, *prim.T[::-1]))
-        prim, t, coeffs = prim[order], t[order], coeffs[order]
-        starts = np.flatnonzero(np.concatenate([[True], (prim[1:] != prim[:-1]).any(axis=1)])).tolist()
-        for a, b, sign in zip(starts, [*starts[1:], len(prim)], _row_signs(cols, prim[starts]).tolist()):
-            ts, cs = (t[a:b], coeffs[a:b]) if sign > 0 else (-t[a:b][::-1], coeffs[a:b][::-1])
-            g = int(np.gcd.reduce(ts))
-            ts, cs = ts // g, cs.copy()
-            ts.setflags(write=False)
-            cs.setflags(write=False)
-            rays.append(_Ray(tuple(g * sign * x for x in prim[a].tolist()), ts, cs))
-    if len(rays) > 1:
-        floats = _row_floats(cols, np.array([r.base for r in rays], dtype=np.int64))
-        rays = [rays[i] for i in np.argsort(floats, kind="stable").tolist()]
-    f._split = (const, tuple(rays))
-    return f._split
+# -- products ----------------------------------------------------------------
 
 
 def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    """f*g on pairs of blocks (`_products`) on the common columns, summed once (`_merged`).
+    """f*g on pairs of blocks (`_products`), since chi_s*F times chi_t*G is chi_{s+t}*(F*G).
 
-    A constant factor only scales the other.
+    The parts are summed once (`_sum_rays`); a constant factor only
+    scales the other.
     """
-    (fc, fr), (gc, gr) = _ray_split(f), _ray_split(g)
+    (s, fc, fr), (t, gc, gr) = f._form, g._form
     if not fr or not gr:
-        return g * fc if not fr else f * gc
-    cols, (fk, fb, gk, gb) = _aligned(
-        (f._cols, f._keys), (f._cols, np.array([r.base for r in fr])), (g._cols, g._keys), (g._cols, np.array([r.base for r in gr]))
-    )
-    _check_sum(fk, gk)
-
-    def blocks(const, rays, bases):
-        return _blocks(const, [_Ray(tuple(b), r.keys, r.coeffs) for b, r in zip(bases.tolist(), rays)], len(cols))
-
-    return _merged(cols, _products(blocks(fc, fr, fb), blocks(gc, gr, gb)))
+        return (g * fc).modulate(s) if not fr else (f * gc).modulate(t)
+    return _sum_rays(_products(_blocks(fc, fr), _blocks(gc, gr)), shift=s + t)
 
 
-def _blocks(const: complex, rays: Sequence[_Ray], width: int) -> list[_Ray]:
-    """The rays with the constant riding on the first at key 0, or on a lone block of base 0 if there is no ray."""
+def _blocks(const: complex, rays: Sequence[DenseBlock]) -> list[DenseBlock]:
+    """The rays with the constant riding on the first at key 0, or on a lone base-1 block if there is no ray."""
     if const == 0:
         return list(rays)
     if not rays:
-        return [_Ray((0,) * width, np.zeros(1, dtype=np.int64), np.array([const]))]
+        return [DenseBlock(ONE, np.zeros(1, dtype=np.int64), np.array([const]))]
     b, i = rays[0], int(np.searchsorted(rays[0].keys, 0))
     keys, coeffs = np.concatenate([b.keys[:i], [0], b.keys[i:]]), np.concatenate([b.coeffs[:i], [const], b.coeffs[i:]])
-    return [_Ray(b.base, keys, coeffs), *rays[1:]]
+    return [DenseBlock(b.base, keys, coeffs), *rays[1:]]
 
 
-def _direction(base: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
-    """(primitive row, multiple) of a base row; (None, 1) for the lone constant block's base 0."""
-    g = math.gcd(*base)
-    return (tuple(x // g for x in base), g) if g else (None, 1)
+def _products(xs: Sequence[DenseBlock], ys: Sequence[DenseBlock]) -> list[tuple[complex, list[DenseBlock]]]:
+    """(const, rays) of x*y for every x in xs and y in ys.
 
-
-def _products(xs: Sequence[_Ray], ys: Sequence[_Ray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(key rows, values) of x*y for every x in xs and y in ys, in that order.
-
-    Blocks on one direction, base ratio px/py, whose key spans on the
-    common lattice hold at most DENSE_RATIO multiply-adds per coefficient
-    pair, convolve (`_convolve_rays`); the rest form one outer product
-    (`_outer_rays`).  Each part keeps its nonzero values and its value at
-    the zero row.  Before anything is allocated, ValueError past
-    MAX_CONVOLUTION multiply-adds (span_x * span_y per convolution) or
-    MAX_OUTER_PAIRS outer-product pairs.
+    Blocks on one direction, whose key spans on the common lattice hold
+    at most DENSE_RATIO multiply-adds per coefficient pair, convolve
+    (`_convolve_rays`); the rest form one outer product (`_outer_rays`).
+    Before anything is allocated, ValueError past MAX_CONVOLUTION
+    multiply-adds (span_x * span_y per convolution) or MAX_OUTER_PAIRS
+    outer-product pairs, and MalformedInput if a key on the common lattice
+    would leave int64.
     """
     pairs, macs, outer = [], 0, 0
-    y_dirs = [_direction(y.base) for y in ys]
     for x in xs:
-        dx, gx = _direction(x.base)
-        for y, (dy, gy) in zip(ys, y_dirs):
-            ratio, mac = None, math.inf
-            if dx == dy:
-                ratio = Fraction(gx, gy)
-                mac = _span(x, ratio.numerator) * _span(y, ratio.denominator)
+        for y in ys:
+            ratio, mac = rational_ratio(x.base, y.base), math.inf
+            if ratio is not None:
+                px, py = ratio.numerator, ratio.denominator
+                if max(-int(x.keys[0]), int(x.keys[-1])) * px + max(-int(y.keys[0]), int(y.keys[-1])) * py >= 1 << 62:
+                    raise MalformedInput(f"the product of two rays on one direction needs keys past int64 (base ratio {ratio})")
+                mac = _span(x, px) * _span(y, py)
             if mac <= DENSE_RATIO * len(x.keys) * len(y.keys):
                 macs += mac
                 pairs.append((_convolve_rays, x, y, ratio))
@@ -938,41 +868,39 @@ def _products(xs: Sequence[_Ray], ys: Sequence[_Ray]) -> list[tuple[np.ndarray, 
     return [route(x, y, ratio) for route, x, y, ratio in pairs]
 
 
-def _span(b: _Ray, step: int) -> int:
+def _span(b: DenseBlock, step: int) -> int:
     return (int(b.keys[-1]) - int(b.keys[0])) * step + 1
 
 
-def _dense(b: _Ray, step: int) -> np.ndarray:
+def _dense(b: DenseBlock, step: int) -> np.ndarray:
     """b's coefficients on its key span, keys times step."""
     dense = np.zeros(_span(b, step), dtype=complex)
     dense[(b.keys - b.keys[0]) * step] = b.coeffs
     return dense
 
 
-def _lattice_rows(keys: np.ndarray, base: tuple[int, ...], step: int) -> np.ndarray:
-    """Key rows of the lattice keys on base/step."""
-    return keys[:, None] * (np.array(base, dtype=np.int64) // step)
+def _convolve_rays(x: DenseBlock, y: DenseBlock, ratio: Fraction) -> tuple[complex, list[DenseBlock]]:
+    """(const, rays) of x*y for x.base/y.base = ratio = px/py: one np.convolve of the dense key spans.
 
-
-def _convolve_rays(x: _Ray, y: _Ray, ratio: Fraction) -> tuple[np.ndarray, np.ndarray]:
-    """x*y for x.base/y.base = ratio = px/py: one np.convolve of the dense key spans.
-
-    x sits at keys px*k and y at py*l of the lattice x.base/px.
+    x sits at keys px*k and y at py*l of the lattice u*Z, u = x.base/px.
     """
     px, py = ratio.numerator, ratio.denominator
     vals = np.convolve(_dense(x, px), _dense(y, py))
     keys = np.arange(len(vals), dtype=np.int64) + (int(x.keys[0]) * px + int(y.keys[0]) * py)
-    keep = (vals != 0) | (keys == 0)
-    return _lattice_rows(keys[keep], x.base, px), vals[keep]
+    keep = (vals != 0) & (keys != 0)
+    return complex(vals[keys == 0].sum()), [DenseBlock(x.base / px, keys[keep], vals[keep])]
 
 
-def _outer_rays(x: _Ray, y: _Ray, ratio: Fraction | None) -> tuple[np.ndarray, np.ndarray]:
-    """x*y from one np.outer.
+def _outer_rays(x: DenseBlock, y: DenseBlock, ratio: Fraction | None) -> tuple[complex, list[DenseBlock]]:
+    """(const, rays) of x*y from one np.outer, its pairs (k, l) grouped in integers.
 
     On one direction, x.base/y.base = ratio = px/py, pair (k, l) sits at
-    key px*k + py*l of the lattice x.base/px, and the pairs of one key are
-    summed in key order.  On two, the bases are Q-independent, so each
-    pair's row, the sum of the two terms' rows, is distinct.
+    key px*k + py*l of the lattice u*Z, u = x.base/px, and the pairs of
+    one key are summed in key order: one ray.  On two, a = x.base and
+    b = y.base are Q-independent, so (k, l) sits at a*k + b*l, distinct
+    for each pair, and (0, 0) is the constant; the pairs of one primitive
+    (k', l') = (k, l)/g, g = +-gcd(k, l) signed to make its first nonzero
+    positive, form one ray of base |a*k' + b*l'|: one ExactFrequency per ray.
     """
     vals = np.outer(x.coeffs, y.coeffs).ravel()
     if ratio is not None:
@@ -981,40 +909,85 @@ def _outer_rays(x: _Ray, y: _Ray, ratio: Fraction | None) -> tuple[np.ndarray, n
         keys, vals = keys[order], vals[order]
         first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
         keys, vals = keys[first], np.add.reduceat(vals, first)
-        keep = (vals != 0) | (keys == 0)
-        return _lattice_rows(keys[keep], x.base, ratio.numerator), vals[keep]
-    width = len(x.base)
-    rows = (_lattice_rows(x.keys, x.base, 1)[:, None, :] + _lattice_rows(y.keys, y.base, 1)[None, :, :]).reshape(-1, width)
-    keep = (vals != 0) | ~rows.any(axis=1)
-    return rows[keep], vals[keep]
+        keep = (vals != 0) & (keys != 0)
+        return complex(vals[keys == 0].sum()), [DenseBlock(x.base / ratio.numerator, keys[keep], vals[keep])]
+    k, l = np.repeat(x.keys, len(y.keys)), np.tile(y.keys, len(x.keys))
+    g = np.gcd(k, l)
+    const = complex(vals[g == 0].sum())
+    keep = (vals != 0) & (g != 0)
+    k, l, g, vals = k[keep], l[keep], g[keep], vals[keep]
+    g = np.where((k < 0) | ((k == 0) & (l < 0)), -g, g)
+    k, l = k // g, l // g
+    order = np.lexsort((g, l, k))
+    k, l, g, vals = k[order], l[order], g[order], vals[order]
+    first = np.ones(len(k), dtype=bool)
+    first[1:] = (k[1:] != k[:-1]) | (l[1:] != l[:-1])
+    starts = np.flatnonzero(first).tolist()
+    rays = []
+    for lo, hi in zip(starts, [*starts[1:], len(k)]):
+        base = x.base * int(k[lo]) + y.base * int(l[lo])
+        keys, coeffs = g[lo:hi], vals[lo:hi]
+        if base.sign() < 0:
+            base, keys, coeffs = -base, -keys[::-1], coeffs[::-1]
+        rays.append(DenseBlock(base, keys, coeffs))
+    return const, rays
+
+
+def _direction(rat: Fraction, rads: tuple[tuple[int, Fraction], ...]) -> tuple[tuple, int, int]:
+    """(label, g, den) of a nonzero w = rat + sum_d c_d sqrt(d), in integers: w = (g/den) * u.
+
+    w's coordinates are n_i / den, den the lcm of their denominators; with
+    g = +-gcd(n_i), signed like n_0, u is the primitive integer vector
+    n_i/g read back as a frequency.  The label (rat != 0, the radicands,
+    u) is the same for two frequencies exactly when one is a rational
+    multiple of the other: it names their ray.
+    """
+    coords = [x for _, x in rads]
+    if rat:
+        coords.insert(0, rat)
+    den = math.lcm(*(x.denominator for x in coords))
+    nums = [x.numerator * (den // x.denominator) for x in coords]
+    g = math.gcd(*nums) if nums[0] > 0 else -math.gcd(*nums)
+    return (rat != 0, tuple([d for d, _ in rads]), tuple([n // g for n in nums])), g, den
+
+
+def ray_partition(f: TrigPoly) -> tuple[complex, tuple[DenseBlock, ...]]:
+    """Split f into its constant term and one periodic piece per rational ray.
+
+    Each returned block has a positive base frequency and integer exponent
+    keys with gcd 1; block frequencies base*k enumerate one commensurable
+    class of the spectrum.  Blocks are ordered by base.  The split is
+    computed once per polynomial and kept on it; the blocks' arrays are
+    read-only, so no caller can change the kept copy.  For shift 0 the
+    polynomial's form is its partition; a shifted form is partitioned from
+    its exact terms.
+    """
+    if f._rays is None:
+        f._rays = TrigPoly.from_coordinates(((w.rational, w.radicals), c) for w, c in f._terms.items())._rays
+    return f._rays
 
 
 def modulus_squared(h: TrigPoly) -> TrigPoly:
     """|h|^2 = h * conj(h), made exactly Hermitian: c(-w) == conj(c(w)).
 
-    h's blocks (`_blocks`) multiply their conjugates, keys negated and
-    reversed (`_products`); one block's part is its autocorrelation, one
-    np.convolve.  Only the w > 0 side is kept and mirrored, and the
-    constant made real: the products of two distinct rays taken in either
-    order need not be conjugate to the last bit.
+    |chi_s*F|^2 = |F|^2, so F's blocks (`_blocks`) multiply their
+    conjugates, keys negated and reversed (`_products`); one block's part
+    is its autocorrelation, one np.convolve.  Of each ray only the w > 0
+    side is kept and mirrored, and the constant made real: the products
+    of two distinct rays taken in either order need not be conjugate to
+    the last bit.
     """
-    const, rays = _ray_split(h)
-    xs = _blocks(const, rays, len(h._cols))
-    if not xs:
-        return _zero()
-    _check_sum(h._keys, h._keys)
-    f = _merged(h._cols, _products(xs, [_Ray(b.base, -b.keys[::-1], np.conjugate(b.coeffs[::-1])) for b in xs]))
-    keys, vals = f._keys, f._coeffs
-    zero = ~keys.any(axis=1)
-    const = complex(vals[zero][0].real, 0.0) if zero.any() else 0j
-    pos = _row_signs(f._cols, keys) > 0
-    keys, vals = keys[pos], vals[pos]
-    return _normalized(
-        f._cols,
-        np.concatenate([-keys[::-1], np.zeros((1, keys.shape[1]), dtype=np.int64), keys]),
-        np.concatenate([np.conjugate(vals[::-1]), [const], vals]),
-        ordered=False,
-    )
+    xs = _blocks(*h._form[1:])
+    parts = _products(xs, [DenseBlock(b.base, -b.keys[::-1], np.conjugate(b.coeffs[::-1])) for b in xs])
+    if not parts:
+        return TrigPoly()
+    const, rays = parts[0] if len(parts) == 1 else _sum_rays(parts)._form[1:]
+    mirrored = []
+    for d in rays:
+        pos = d.keys > 0
+        keys, vals = d.keys[pos], d.coeffs[pos]
+        mirrored.append(DenseBlock(d.base, np.concatenate([-keys[::-1], keys]), np.concatenate([np.conjugate(vals[::-1]), vals])))
+    return TrigPoly.from_rays(mirrored, const=complex(const.real, 0.0))
 
 
 class ProductPoly:
@@ -1029,7 +1002,7 @@ class ProductPoly:
 
     def __init__(self, h: TrigPoly):
         self.factor = h
-        self._blocks = tuple(_blocks(*_ray_split(h), len(h._cols)))
+        self._blocks = tuple(_blocks(*ray_partition(h)))
 
     # -- views ---------------------------------------------------------------
 

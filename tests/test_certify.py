@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apspec.certify import (
+    MAX_GRID_POINTS,
     NormBracket,
     certify_lower_bound,
     ehlich_zeller_affine,
@@ -51,24 +52,25 @@ def test_sup_norm_certified_constant():
 )
 def test_sup_bounds_refuse_a_degree_no_grid_certifies(bound):
     # ez_points decides in integers, before any grid is allocated
-    with pytest.raises(NonConvergence, match="degree 1000000000 needs more than 16777216"):
+    with pytest.raises(NonConvergence, match="degree 1000000000 needs more than 8388608"):
         bound()
 
 
-# the largest degree the 2^24-point grid certifies: (355 d)^2 < 2 (113 2^24)^2
-_EZ_LAST = math.isqrt(2 * (113 << 24) ** 2 - 1) // 355
+# the largest degree the MAX_GRID_POINTS = 2^23-point grid certifies: (355 d)^2 < 2 (113 2^23)^2
+_EZ_LAST = math.isqrt(2 * (113 << 23) ** 2 - 1) // 355
 
 
 @pytest.mark.parametrize(
     "degree, n",
-    [(0, 1024), (1, 1024), (64, 1024), (65, 2048), (1 << 20, 1 << 24), (_EZ_LAST, 1 << 24)],
+    [(0, 1024), (1, 1024), (64, 1024), (65, 2048), (1 << 19, 1 << 23), ((1 << 19) + 1, 1 << 23), (1 << 20, 1 << 23), (_EZ_LAST, 1 << 23)],
 )
 def test_ez_points_grid_sizes(degree, n):
     assert ez_points(degree) == n
 
 
 def test_ez_points_refuses_past_the_last_grid():
-    assert (355 * _EZ_LAST) ** 2 < 2 * (113 << 24) ** 2 <= (355 * (_EZ_LAST + 1)) ** 2
+    assert MAX_GRID_POINTS == 1 << 23
+    assert (355 * _EZ_LAST) ** 2 < 2 * (113 << 23) ** 2 <= (355 * (_EZ_LAST + 1)) ** 2
     with pytest.raises(NonConvergence):
         ez_points(_EZ_LAST + 1)
 
@@ -313,19 +315,24 @@ _MAGNITUDE = st.one_of(
 _SIGNED = st.builds(lambda m, neg: -m if neg else m, _MAGNITUDE, st.booleans())
 
 
-@given(st.integers(1, 1 << 22), _MAGNITUDE, _MAGNITUDE)
+@given(st.integers(1, _EZ_LAST), _MAGNITUDE, _MAGNITUDE)
 @example(1, 5e-324, 1.0)
-@example(1 << 22, 1e300, 1e300)
+@example(_EZ_LAST, 1e300, 1e300)
 @settings(max_examples=300, deadline=None)
 def test_ehlich_zeller_floats_cover_the_exact_bound(degree, l1, grid_max):
     # every float step rounds up: A >= a, B >= b, and the float bound of a
-    # grid max is never below the exact one
+    # grid max is never below the exact one; near the last degree the factor
+    # is large enough that B or the bound overflows to inf, still an upper bound
     n = ez_points(degree)
     a, b = ehlich_zeller_affine(degree, n, l1)
     fa, fb = ehlich_zeller_floats(degree, n, l1)
-    assert Fraction(fa) >= a and Fraction(fb) >= b
+    assert _covers(fa, a) and _covers(fb, b)
     bound = math.nextafter(math.nextafter(grid_max * fa, math.inf) + fb, math.inf)
-    assert Fraction(bound) >= ehlich_zeller_sup(grid_max, degree, n, l1)
+    assert _covers(bound, ehlich_zeller_sup(grid_max, degree, n, l1))
+
+
+def _covers(x: float, exact: Fraction) -> bool:
+    return x == math.inf or Fraction(x) >= exact
 
 
 # one base per rational direction

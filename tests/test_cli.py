@@ -1078,7 +1078,7 @@ def test_construct_refuses_an_oversized_oracle_at_once(tmp_path, capsys):
     assert run(["construct", "--oracle-n", "1000000000", "--out", str(out)]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err == f"error: NonConvergence: degree 2000000000 needs more than {1 << 24} certification points\n"
+    assert err == f"error: NonConvergence: degree 2000000000 needs more than {1 << 23} certification points\n"
     assert not out.exists()
 
 
@@ -1158,15 +1158,17 @@ def test_verify_of_a_factor_with_a_wide_sparse_ray_ends_in_a_fail(tmp_path):
 
 
 def test_verify_refuses_a_factor_ray_past_the_certificate_grid(tmp_path):
-    # a term at 2500000 needs a Bernstein grid of 2**24 points: refused before
-    # it is allocated, where it once ended in a MemoryError under 2 GiB
+    # a term at 2500000 (Laurent degree 5e6) needs a Bernstein grid past
+    # MAX_GRID_POINTS: refused before any grid is allocated, so 2 GiB of
+    # address space is enough
     bundle = load_path(str(Path(__file__).parent / "data" / "roots" / "three_plus_two_cos.bundle.json"))
     bundle["report"]["factor"]["terms"].append({"freq": {"rat": "2500000", "rad": []}, "re": 1e-9, "im": 0.0})
     path = tmp_path / "wider.bundle.json"
     path.write_text(dumps(bundle))
     proc = _run_limited(["verify", "--report", str(path)], tmp_path, kib=2 * 1024 * 1024)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr == "error: grid of 1.68e+07 steps exceeds 8388608 samples\n" and proc.stdout == ""
+    assert proc.returncode == 2, proc.stderr
+    want = "error: NonConvergence: degree 5000000 needs more than 8388608 certification points\n"
+    assert proc.stderr == want and proc.stdout == ""
 
 
 def test_roots_factor_refuses_a_degree_past_the_period_grid(tmp_path):
